@@ -163,7 +163,8 @@ def mm_fourier_complex(
 
     Entry (j, j') is the average over |l| <= m of
     ``F_j(l+q) * F_j'(-l)`` where ``F_j(u) = sum_k exp(2 pi i u t_{k-1}) dY_k``.
-    For q = 0 and a single asset the imaginary part vanishes up to rounding.
+    Only F_j(0..m+|q|) are computed; the negative frequencies follow by
+    conjugation.  For q = 0 the diagonal entries are exactly real.
     """
     if isinstance(obs, ObservationSeries):
         obs = [obs]
@@ -176,19 +177,29 @@ def mm_fourier_complex(
         if len(o.values) < 2:
             raise EmptyInput("observation series has fewer than 2 points")
 
-    def transforms(o: ObservationSeries, freqs: np.ndarray) -> np.ndarray:
+    # Real increments give F(-u) = conj(F(u)): exponentiate u = 0..top only.
+    top = m + abs(q)
+
+    def spectrum(o: ObservationSeries) -> np.ndarray:
+        """F(u) for u = -top..top, at index u + top."""
         dy = np.diff(o.values)
-        t_left = o.times[:-1]
-        return np.exp(2j * np.pi * np.outer(freqs, t_left)) @ dy
+        half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), o.times[:-1])) @ dy
+        return np.concatenate((np.conj(half[:0:-1]), half))
 
     ls = np.arange(-m, m + 1)
-    left = [transforms(o, ls + q) for o in obs]
-    right = [transforms(o, -ls) for o in obs]
+    spectra = [spectrum(o) for o in obs]
+    left = [f[top + q + ls] for f in spectra]
+    right = [f[top + ls] for f in spectra]
     j_count = len(obs)
     value = np.empty((j_count, j_count), dtype=complex)
     for j in range(j_count):
         for jp in range(j_count):
-            value[j, jp] = np.sum(left[j] * right[jp]) / (2 * m + 1)
+            # F_j(l+q) * conj(F_j'(l)), spelled out in real arithmetic so that
+            # its imaginary part is exactly 0 when j = j' and q = 0.
+            a, b = left[j], right[jp]
+            re = np.sum(a.real * b.real + a.imag * b.imag)
+            im = np.sum(a.imag * b.real - a.real * b.imag)
+            value[j, jp] = complex(re, im) / (2 * m + 1)
     return EstimateResult(
         kind=EstimatorKind.MM_FOURIER_COMPLEX,
         n_per_asset=tuple(len(o.values) - 1 for o in obs),

@@ -339,7 +339,11 @@ def write_observations_csv(obs: ObservationSeries, fileobj) -> None:
 
 
 def read_observations_csv(fileobj) -> ObservationSeries:
-    """Read a ``time,value[,latent,noise]`` CSV; missing oracle columns are tolerated."""
+    """Read a ``time,value[,latent,noise]`` CSV; missing oracle columns are tolerated.
+
+    Raises :class:`InvalidParameter` for a data row with fewer than two cells,
+    a cell that is not a finite number, or times that do not strictly increase.
+    """
     reader = csv.reader(fileobj)
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header[:2]] != ["time", "value"]:
@@ -349,17 +353,29 @@ def read_observations_csv(fileobj) -> ObservationSeries:
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) < 2:
+            raise InvalidParameter(
+                f"line {reader.line_num}: expected at least 2 cells, got {len(row)}"
+            )
         times.append(float(row[0]))
         values.append(float(row[1]))
         if has_oracle and len(row) >= 4:
             latent.append(float(row[2]))
             noise.append(float(row[3]))
+    times = np.array(times)
     values = np.array(values)
+    if not all(np.all(np.isfinite(col)) for col in (times, values, latent, noise)):
+        raise InvalidParameter("times and values must be finite numbers")
+    unordered = np.flatnonzero(np.diff(times) <= 0)
+    if unordered.size:
+        raise InvalidParameter(
+            f"times must be strictly increasing; data row {unordered[0] + 2} is not"
+        )
     if not latent:
         latent = values.copy()
         noise = np.zeros_like(values)
     return ObservationSeries(
-        times=np.array(times),
+        times=times,
         values=values,
         latent=np.asarray(latent),
         noise=np.asarray(noise),

@@ -113,6 +113,33 @@ class TestEstimate:
         assert capsys.readouterr().out.strip().split(",")[3] == "1"
 
 
+class TestBadCsvInput:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time,value\n0.0,1.0\n0.5\n1.0,2.0\n",
+            "time,value\n0.0,1.0\n0.5,nan\n1.0,2.0\n",
+            "time,value\n0.0,1.0\n0.5,inf\n1.0,2.0\n",
+            "time,value\n0.0,1.0\n1.0,2.0\n0.5,1.5\n",
+            "time,value\n0.0,1.0\n0.5,2.0\n0.5,1.5\n",
+        ],
+        ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time"],
+    )
+    def test_exits_65_with_one_line_message(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralvol.cli", "estimate", "--input", str(path),
+             "--kind", "siml", "--m", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EX_DATAERR
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 class TestExperimentCommand:
     def test_missing_config(self, tmp_path):
         code = main(

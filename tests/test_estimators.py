@@ -111,6 +111,40 @@ class TestEquivalences:
         assert value[0, 0].real >= 0 and value[1, 1].real >= 0
 
 
+def _full_exp_reference(obs, q, m):
+    """The estimator with F_j(l+q) and F_j'(-l) each exponentiated directly."""
+    ls = np.arange(-m, m + 1)
+
+    def transform(o, freqs):
+        return np.exp(2j * np.pi * np.outer(freqs, o.times[:-1])) @ np.diff(o.values)
+
+    left = [transform(o, ls + q) for o in obs]
+    right = [transform(o, -ls) for o in obs]
+    return np.array([[np.sum(lt * rt) for rt in right] for lt in left]) / (2 * m + 1)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("equidistant", [True, False])
+    @pytest.mark.parametrize("q", [0, 2, -3])
+    def test_matches_full_exponential_formula(self, q, equidistant):
+        rng = np.random.default_rng(40 + q)
+        n_obs, m = 391, 9
+        if equidistant:
+            times = np.arange(n_obs) / (n_obs - 1)
+        else:
+            times = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, n_obs - 2))))
+        obs = []
+        for _ in range(2):
+            values = np.cumsum(rng.normal(size=n_obs))
+            obs.append(ObservationSeries(times=times, values=values, latent=values, noise=0 * values))
+        value = mm_fourier_complex(obs, q, m).value
+        reference = _full_exp_reference(obs, q, m)
+        assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+        if q == 0:
+            assert np.all(value.diagonal().imag == 0.0)
+            assert mm_fourier_complex(obs[:1], 0, m).value[0, 0].imag == 0.0
+
+
 class TestMonteCarloMeans:
     def test_cosine_basis_unbiased_without_noise(self):
         """E[V] = c exactly when Cov(dX) = (c/n) I; MC mean within 3 se."""

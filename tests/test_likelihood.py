@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralvol.basis import JacobiKind, eigenvalues_closed_form
+from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_closed_form
 from spectralvol.errors import (
     DegenerateData,
     DegenerateVariance,
@@ -24,6 +24,14 @@ from spectralvol.likelihood import (
     maximize_L1,
     noise_variance_estimate,
     spectral_transform,
+)
+from spectralvol.market import (
+    ConstantVol,
+    EquidistantScheme,
+    NoiseModel,
+    ZeroDrift,
+    observe,
+    simulate_latent,
 )
 
 
@@ -46,6 +54,22 @@ class TestSpectralTransform:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             spectral_transform(np.array([]))
+
+    def test_matches_dense_cosine_basis(self):
+        """The FFT path equals sqrt(n) P^T dY with the dense basis, to 1e-12 ||z||.
+
+        n = 1560 makes the FFT length 4 * 3121 with 3121 prime; n = 4096 is a
+        power of two; the rest cover the smallest sizes and seeded random n.
+        """
+        rng = np.random.default_rng(2024)
+        sizes = [1, 2, 3, 97, 390, 1560, 4096] + [int(v) for v in rng.integers(4, 700, 6)]
+        for n in sizes:
+            dy = rng.normal(size=n)
+            z = spectral_transform(dy).z
+            dense = math.sqrt(n) * (basis_columns(BasisKind.SIML_COSINE, n, n).T @ dy)
+            norm = float(np.linalg.norm(z))
+            assert np.max(np.abs(z - dense)) <= 1e-12 * norm, n
+            assert norm**2 == pytest.approx(n * float(np.sum(dy**2)), rel=1e-10)
 
 
 class TestACoefficients:
@@ -244,7 +268,69 @@ class TestCovarianceModel:
         assert np.all(np.abs(sample_var - target) <= 4 * se)
 
 
+def _gradient_and_hessian(z, c, nu):
+    """Gradient and Hessian of L in (c, nu)."""
+    a = a_coefficients(z.n)
+    z2 = z.z**2
+    d = c + a * nu
+    g = 0.5 * (z2 - d) / d**2
+    h = 0.5 / d**2 - z2 / d**3
+    grad = np.array([g.sum(), (a * g).sum()])
+    hess = np.array([[h.sum(), (a * h).sum()], [(a * h).sum(), (a * a * h).sum()]])
+    return grad, hess
+
+
+def _desk_fit(n, nu, noisy_start, seed):
+    """A constant-volatility day series, fitted from the closed-form L1 and L2 maximizers."""
+    scheme = EquidistantScheme(n)
+    path = simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, refinement=1, rng_seed=seed)
+    obs = observe(path, NoiseModel(nu, include_initial=noisy_start), scheme, rng_seed=seed + 1)
+    z = spectral_transform(np.diff(obs.values))
+    m = int(math.floor(n**0.4))
+    init = LikelihoodParams(c=maximize_L1(z, m), nu=noise_variance_estimate(z, n // 4))
+    return z, joint_mle(z, init)
+
+
 class TestJointMle:
+    def test_fit_is_the_maximum(self):
+        """Every fit is a local maximum of L over c > 0, nu >= 0, in few iterations.
+
+        Interior fits: the Hessian is negative definite and a Newton step gains
+        at most 1e-12 |L|.  Boundary fits (nu = 0): the nu-score at
+        c0 = mean(z^2) is <= 0 and L reaches L(c0, 0).
+        """
+        kinds = set()
+        seed = 100
+        for n in (390, 1560, 4680):
+            for nu in (0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for noisy_start in (False, True):
+                    seed += 2
+                    z, fit = _desk_fit(n, nu, noisy_start, seed)
+                    label = (n, nu, noisy_start)
+                    assert fit.converged and fit.sweeps <= 50, label
+                    slack = 1e-12 * abs(fit.log_likelihood)
+                    if fit.params.nu > 0:
+                        grad, hess = _gradient_and_hessian(z, fit.params.c, fit.params.nu)
+                        assert np.all(np.linalg.eigvalsh(hess) < 0), label
+                        assert 0.5 * grad @ np.linalg.solve(-hess, grad) <= slack, label
+                        kinds.add("interior")
+                    else:
+                        a = a_coefficients(z.n)
+                        c0 = float(np.mean(z.z**2))
+                        assert np.sum(a * (z.z**2 - c0)) <= 0.0, label
+                        at_c0 = log_likelihood(z, LikelihoodParams(c0, 0.0))
+                        assert fit.log_likelihood >= at_c0 - slack, label
+                        kinds.add("boundary")
+        assert kinds == {"interior", "boundary"}
+
+    def test_std_errors_match_observed_information(self):
+        """At an interior fit, SEs from the Fisher information agree with -H^-1 to 5%."""
+        z, fit = _desk_fit(4096, 1e-3, False, 31)
+        assert fit.params.nu > 0
+        _, hess = _gradient_and_hessian(z, fit.params.c, fit.params.nu)
+        observed = np.sqrt(np.diag(np.linalg.inv(-hess)))
+        np.testing.assert_allclose(fit.std_errors, observed, rtol=0.05)
+
     def test_recovers_generating_point(self):
         n, c_true, nu_true = 512, 1.0, 1e-3
         a = a_coefficients(n)
@@ -265,6 +351,7 @@ class TestJointMle:
         z = SpectralCoefficients(z=rng.standard_normal(n), n=n)
         out = joint_mle(z, LikelihoodParams(0.5, 1e-4))
         assert out.params.nu <= 1e-6
+        assert out.std_errors[0] > 0 and math.isnan(out.std_errors[1])
 
     def test_never_below_initial_likelihood(self):
         rng = np.random.default_rng(9)

@@ -31,7 +31,7 @@ from .estimators import (
     result_csv_rows,
     siml,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, check_experiment, run_experiment
 from .market import (
     ConstantDrift,
     ConstantVol,
@@ -190,7 +190,13 @@ def _parse_float(text: str) -> float:
 
 
 def parse_config(path: str, seed_override=None, threads_override=None):
-    """Parse the INI experiment config into (experiment_type, ExperimentConfig)."""
+    """Parse the INI experiment config into (experiment_type, ExperimentConfig).
+
+    Raises :class:`ConfigError` for a config the experiment cannot run, such
+    as a cutoff out of range at some n or a design the study does not
+    support.  The thread count is accepted and checked, but runs do not
+    depend on it.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
@@ -260,26 +266,28 @@ def parse_config(path: str, seed_override=None, threads_override=None):
     if threads_override is not None:
         threads = threads_override
 
-    config = ExperimentConfig(
-        kinds=kinds,
-        n_schedule=schedule,
-        vol=vol,
-        drift=drift,
-        noise=noise,
-        replications=int(exp.get("replications", "100")),
-        base_seed=base_seed,
-        m_exponent=None if m_exp is None else _parse_float(m_exp),
-        refinement=int(sim.get("refinement", "1")),
-        threads=threads,
-    )
+    try:
+        config = ExperimentConfig(
+            kinds=kinds,
+            n_schedule=schedule,
+            vol=vol,
+            drift=drift,
+            noise=noise,
+            replications=int(exp.get("replications", "100")),
+            base_seed=base_seed,
+            m_exponent=None if m_exp is None else _parse_float(m_exp),
+            refinement=int(sim.get("refinement", "1")),
+            threads=threads,
+        )
+        check_experiment(experiment, config)
+    except SpectralVolError as exc:
+        raise ConfigError(str(exc)) from exc
     return experiment, config
 
 
 def cmd_experiment(config_path: str, out_dir: str, seed, threads) -> int:
     try:
         experiment, config = parse_config(config_path, seed, threads)
-        if experiment not in ("consistency", "normality", "noise_bounds", "initial_noise_contrast"):
-            raise ConfigError(f"unknown experiment type {experiment!r}")
     except (ConfigError, SpectralVolError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG

@@ -14,30 +14,32 @@ a dictionary of named pass/fail checks:
   when the first observation is noisy, on shared data.
 
 Replication r draws its path and noise streams from sub-seeds keyed
-(base_seed, r, stream), so results are independent of execution order and
-identical under any thread count; within a replication every configured
-estimator sees the same series.
+(base_seed, r, stream); replications run in blocks, one matrix product per
+estimator and block, and within a replication every configured estimator
+sees the same series.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import BasisKind, basis_columns
+from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
 from .errors import InvalidParameter
-from .estimators import EstimatorKind, noise_expectation_exact
-from .market import (
+from .estimators import EstimatorKind, _functional_columns, noise_expectation_exact
+from .market import (  # noqa: F401 -- observe, simulate_latent: wrapped by perfbench/tracer.py
+    NOISE_STREAM,
+    PATH_STREAM,
     ConstantVol,
     DriftModel,
-    EquidistantScheme,
     NoiseModel,
     PiecewiseVol,
     VolModel,
+    _latent_block,
+    _noise_block,
     derive_seed,
     observe,
     simulate_latent,
@@ -52,11 +54,12 @@ __all__ = [
     "run_noise_bounds",
     "run_initial_noise_contrast",
     "run_experiment",
+    "check_experiment",
     "CSV_COLUMNS",
 ]
 
-PATH_STREAM = 0
-NOISE_STREAM = 1
+# Replications per block: about 2**17 float64 values (1 MiB) per block array.
+_BLOCK_ELEMENTS = 2**17
 
 CSV_COLUMNS = [
     "experiment",
@@ -110,6 +113,8 @@ class ExperimentConfig:
             raise InvalidParameter("n_schedule must be strictly increasing and non-empty")
         if self.base_seed < 0:
             raise InvalidParameter("base_seed must be >= 0")
+        if self.refinement < 1:
+            raise InvalidParameter("refinement must be >= 1")
         if self.threads < 1:
             raise InvalidParameter("threads must be >= 1")
         if EstimatorKind.MM_FOURIER_REAL_ZERO in self.kinds and any(
@@ -176,21 +181,42 @@ class McSummary:
             fileobj.write(",".join(cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
 
 
-def _estimator_spec(kind: EstimatorKind, n: int, m: int) -> tuple[np.ndarray, float]:
-    """Cached basis columns and prefactor of kind's quadratic form on n increments."""
-    if kind is EstimatorKind.SIML:
-        return basis_columns(BasisKind.SIML_COSINE, n, m), n / m
-    if kind is EstimatorKind.INA_SINE:
-        return basis_columns(BasisKind.DST_SINE, n, m), (n + 1) / m
-    return basis_columns(BasisKind.FOURIER_REAL, n, 2 * m + 1), n / (2 * m + 1)
+def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ...]:
+    """The cutoff m at each n of the schedule, once ``experiment`` is known to run.
+
+    Raises :class:`InvalidParameter`, before any simulation, for an unknown
+    study, a design the study does not support, or a cutoff that needs more
+    basis columns than there are increments for some kind at some n.
+    """
+    if experiment not in _RUNNERS:
+        raise InvalidParameter(
+            f"unknown experiment {experiment!r}; expected one of {sorted(_RUNNERS)}"
+        )
+    if experiment == "normality":
+        _limit_variance(config.vol)
+    if experiment == "noise_bounds" and not (
+        isinstance(config.vol, ConstantVol) and config.vol.level == 0.0
+    ):
+        raise InvalidParameter("noise-bound runs use the pure-noise design (zero volatility)")
+    if experiment == "initial_noise_contrast" and not config.noise.include_initial:
+        raise InvalidParameter("contrast runs need noise on the initial observation")
+    alpha = _RUNNERS[experiment][1]
+    cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
+    for n, m in zip(config.n_schedule, cutoffs):
+        for kind in config.kinds:
+            columns = 2 * m + 1 if kind is EstimatorKind.MM_FOURIER_REAL_ZERO else m
+            if columns > n:
+                raise InvalidParameter(
+                    f"cutoff m={m} needs {columns} {kind.value} basis columns, more than n={n}"
+                )
+    return cutoffs
 
 
 def _run_replications(
     config: ExperimentConfig, n: int, m: int, want_noise: bool = False, want_cross: bool = False
 ) -> dict:
-    """All replications at one sample size; every kind sees the same data."""
-    scheme = EquidistantScheme(n)
-    specs = [_estimator_spec(kind, n, m) for kind in config.kinds]
+    """All replications at one sample size, block by block; every kind sees the same data."""
+    specs = [_functional_columns(kind, n, m) for kind in config.kinds]
     n_kinds = len(config.kinds)
     reps = config.replications
     estimates = np.empty((n_kinds, reps))
@@ -198,37 +224,25 @@ def _run_replications(
     cross_parts = np.empty((n_kinds, reps)) if want_cross else None
     truths = np.empty(reps)
 
-    def worker(rep: int) -> None:
-        path = simulate_latent(
-            config.vol,
-            config.drift,
-            scheme,
-            refinement=config.refinement,
-            rng_seed=derive_seed(config.base_seed, rep, PATH_STREAM),
-        )
-        obs = observe(
-            path, config.noise, scheme, rng_seed=derive_seed(config.base_seed, rep, NOISE_STREAM)
-        )
-        truths[rep] = path.true_integrated_vol
-        dy = np.diff(obs.values)
-        dv = np.diff(obs.noise) if (want_noise or want_cross) else None
+    r = config.refinement
+    rows = max(1, _BLOCK_ELEMENTS // (n * r))
+    for start in range(0, reps, rows):
+        block = range(start, min(start + rows, reps))
+        path_seeds = [derive_seed(config.base_seed, rep, PATH_STREAM) for rep in block]
+        noise_seeds = [derive_seed(config.base_seed, rep, NOISE_STREAM) for rep in block]
+        dx, _, truths[block] = _latent_block(config.vol, config.drift, n, r, path_seeds)
+        if r > 1:  # an observed increment sums its r fine increments
+            dx = dx.reshape(len(block), n, r).sum(axis=2)
+        dv = np.diff(_noise_block(config.noise, n, noise_seeds), axis=1)
         for i, (cols, pref) in enumerate(specs):
-            wy = cols.T @ dy
-            estimates[i, rep] = pref * float(wy @ wy)
-            if want_noise or want_cross:
-                wv = cols.T @ dv
+            wx = dx @ cols
+            wv = dv @ cols
+            wy = wx + wv
+            estimates[i, block] = pref * np.einsum("ij,ij->i", wy, wy)
             if want_noise:
-                noise_parts[i, rep] = pref * float(wv @ wv)
+                noise_parts[i, block] = pref * np.einsum("ij,ij->i", wv, wv)
             if want_cross:
-                wx = cols.T @ np.diff(obs.latent)
-                cross_parts[i, rep] = 2.0 * pref * float(wx @ wv)
-
-    if config.threads == 1:
-        for rep in range(reps):
-            worker(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(worker, range(reps)))
+                cross_parts[i, block] = 2.0 * pref * np.einsum("ij,ij->i", wx, wv)
     return {
         "estimates": estimates,
         "noise_parts": noise_parts,
@@ -260,8 +274,7 @@ def run_consistency(config: ExperimentConfig) -> McSummary:
     """Bias and RMSE along the schedule; flags RMSE monotonicity per kind."""
     rows: list[McRow] = []
     rmse_by_kind: dict[EstimatorKind, list[float]] = {k: [] for k in config.kinds}
-    for n in config.n_schedule:
-        m = config.cutoff(n, 0.4)
+    for n, m in zip(config.n_schedule, check_experiment("consistency", config)):
         data = _run_replications(config, n, m)
         for i, kind in enumerate(config.kinds):
             mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
@@ -301,10 +314,10 @@ def _limit_variance(vol: VolModel) -> float:
 
 def run_normality(config: ExperimentConfig) -> McSummary:
     """Moments of standardized errors against the known limit variance."""
+    cutoffs = check_experiment("normality", config)
     limit_var = _limit_variance(config.vol)
     rows: list[McRow] = []
-    for n in config.n_schedule:
-        m = config.cutoff(n, 0.35)
+    for n, m in zip(config.n_schedule, cutoffs):
         data = _run_replications(config, n, m)
         for i, kind in enumerate(config.kinds):
             ests = data["estimates"][i]
@@ -353,11 +366,8 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     Monte Carlo standard errors empirically); the sine kind must sit below
     its explicit decay bound.
     """
-    if not (isinstance(config.vol, ConstantVol) and config.vol.level == 0.0):
-        raise InvalidParameter("noise-bound runs use the pure-noise design (zero volatility)")
     rows: list[McRow] = []
-    for n in config.n_schedule:
-        m = config.cutoff(n, 0.4)
+    for n, m in zip(config.n_schedule, check_experiment("noise_bounds", config)):
         data = _run_replications(config, n, m)
         for i, kind in enumerate(config.kinds):
             mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
@@ -402,13 +412,11 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     the sine row at the largest n must be unbiased within 2 standard errors
     (4 at smaller n, where the finite-sample noise term is still visible).
     """
-    if not config.noise.include_initial:
-        raise InvalidParameter("contrast runs need noise on the initial observation")
+    cutoffs = check_experiment("initial_noise_contrast", config)
     nu = config.noise.variance
     largest = config.n_schedule[-1]
     rows: list[McRow] = []
-    for n in config.n_schedule:
-        m = config.cutoff(n, 0.4)
+    for n, m in zip(config.n_schedule, cutoffs):
         data = _run_replications(config, n, m, want_noise=True, want_cross=True)
         for i, kind in enumerate(config.kinds):
             mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
@@ -451,17 +459,15 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     return McSummary(experiment="initial_noise_contrast", rows=tuple(rows), checks=())
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], McSummary]] = {
-    "consistency": run_consistency,
-    "normality": run_normality,
-    "noise_bounds": run_noise_bounds,
-    "initial_noise_contrast": run_initial_noise_contrast,
+# Each study's runner and the cutoff exponent it uses when the config sets none.
+_RUNNERS: dict[str, tuple[Callable[[ExperimentConfig], McSummary], float]] = {
+    "consistency": (run_consistency, 0.4),
+    "normality": (run_normality, 0.35),
+    "noise_bounds": (run_noise_bounds, 0.4),
+    "initial_noise_contrast": (run_initial_noise_contrast, 0.4),
 }
 
 
 def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
-    if experiment not in _RUNNERS:
-        raise InvalidParameter(
-            f"unknown experiment {experiment!r}; expected one of {sorted(_RUNNERS)}"
-        )
-    return _RUNNERS[experiment](config)
+    check_experiment(experiment, config)
+    return _RUNNERS[experiment][0](config)

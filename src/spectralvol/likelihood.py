@@ -14,8 +14,8 @@ high-frequency part L2 by an average of ``z_k^2 / a_k`` over the top l
 frequencies, and Lr is the remainder.  :func:`spectral_transform` computes
 all n coefficients with one FFT in O(n log n); :func:`joint_mle` maximizes
 the full L by Fisher scoring in (log c, log nu) with step halving, checks
-the boundary nu = 0 in closed form, and returns asymptotic standard errors
-from the inverse Fisher information.
+the boundaries nu = 0 and c = 0 in closed form, and returns asymptotic
+standard errors from the inverse Fisher information.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class LikelihoodDecomposition:
 @dataclass(frozen=True)
 class MleResult:
     """A joint fit: ``sweeps`` counts Fisher-scoring iterations (0 on the boundary
-    shortcut); ``std_errors`` are the asymptotic standard errors of (c, nu)."""
+    shortcuts); ``std_errors`` are the asymptotic standard errors of (c, nu)."""
 
     params: LikelihoodParams
     converged: bool
@@ -222,7 +222,10 @@ def _std_errors(a: np.ndarray, c: float, nu: float) -> tuple[float, float]:
     inv = _inverse(_information(a, c + a * nu))
     if inv is None:
         return math.nan, math.nan
-    return math.sqrt(inv[0, 0]), (math.sqrt(inv[1, 1]) if nu > 0 else math.nan)
+    return (
+        math.sqrt(inv[0, 0]) if c > 0 else math.nan,
+        math.sqrt(inv[1, 1]) if nu > 0 else math.nan,
+    )
 
 
 def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
@@ -235,17 +238,21 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     t until L does not decrease, and stops once the move is below 1e-8 or
     after 500 iterations.
 
-    On the boundary nu = 0 log nu has no finite maximizer, so that case is
-    settled in closed form first: L(c, 0) peaks at c0 = mean(z_k^2), and
-    (c0, 0) is returned as converged when the nu-score there, proportional to
-    sum a_k (z_k^2 - c0), is not positive and L(c0, 0) >= L(init).  Otherwise
-    the iterates, which never lose likelihood, stay above L(c0, 0) and so
-    away from that boundary.
+    On the boundaries nu = 0 and c = 0 the log of that parameter has no
+    finite maximizer, so both are settled in closed form first.  L(c, 0)
+    peaks at c0 = mean(z_k^2), and (c0, 0) is returned as converged when the
+    nu-score there, proportional to sum a_k (z_k^2 - c0), is not positive
+    and L(c0, 0) >= L(init).  Likewise L(0, nu) peaks at
+    nu0 = mean(z_k^2 / a_k), and (0, nu0) is returned when the c-score
+    there, proportional to sum (z_k^2 - a_k nu0) / (a_k nu0)^2, is not
+    positive and L(0, nu0) >= L(init).  A boundary point with a positive
+    score is not a maximizer; one below L(init) stays below the iterates,
+    which never lose likelihood.
 
     The returned point never has a lower likelihood than ``init``;
     non-convergence is flagged, not raised.  ``std_errors`` are the square
     roots of the diagonal of the inverse Fisher information in (c, nu) at
-    the returned point; the nu entry is nan on the boundary.
+    the returned point; the entry of a parameter on its boundary is nan.
     """
     if init.c <= 0 or init.nu <= 0:
         raise InvalidParameter("initial c and nu must be strictly positive")
@@ -258,24 +265,30 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
 
     best = loglik(init.c, init.nu)
     c0 = float(np.mean(z2))
+    nu0 = float(np.mean(z2 / a))
+    boundary = []
     if c0 > 0 and float(np.sum(a * (z2 - c0))) <= 0.0:
-        at_c0 = loglik(c0, 0.0)
-        if at_c0 >= best:
+        boundary.append((c0, 0.0))
+    if nu0 > 0 and float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)) <= 0.0:
+        boundary.append((0.0, nu0))
+    for c, nu in boundary:
+        value = loglik(c, nu)
+        if value >= best:
             return MleResult(
-                params=LikelihoodParams(c=c0, nu=0.0),
+                params=LikelihoodParams(c=c, nu=nu),
                 converged=True,
                 sweeps=0,
-                log_likelihood=at_c0,
-                std_errors=_std_errors(a, c0, 0.0),
+                log_likelihood=value,
+                std_errors=_std_errors(a, c, nu),
             )
 
     theta = np.log([init.c, init.nu])
     converged = False
     iterations = 0
-    # Toward a maximizer at c = 0, or with all-zero data, a parameter
-    # underflows and the information overflows: clipping bounds the step, a
-    # singular information or a nan step ends the loop, and the fit is
-    # flagged as not converged.
+    # Should the iterates still head for a boundary, or with all-zero data,
+    # a parameter underflows and the information overflows: clipping bounds
+    # the step, a singular information or a nan step ends the loop, and the
+    # fit is flagged as not converged.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iterations in range(1, _MAX_ITERATIONS + 1):
             p = np.exp(theta)

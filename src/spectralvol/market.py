@@ -190,20 +190,28 @@ def _rng(seed: int, spawn: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _spot_variance(vol: VolModel, fine_times: np.ndarray, seed: int) -> np.ndarray:
+def _normals(seeds, size: int, spawn: int | None = None) -> np.ndarray:
+    """Standard normals, row j drawn from the Philox stream of ``seeds[j]``."""
+    out = np.empty((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        _rng(seed, spawn).standard_normal(out=row)
+    return out
+
+
+def _spot_variance(vol: VolModel, fine_times: np.ndarray, seeds) -> np.ndarray:
+    """Fine-grid spot variance: a row per seed for OU, one row shared by all seeds otherwise."""
     if isinstance(vol, ConstantVol):
-        return np.full_like(fine_times, vol.level)
+        return np.full((1, len(fine_times)), float(vol.level))
     if isinstance(vol, PiecewiseVol):
-        edges = np.array(vol.breakpoints)
-        idx = np.searchsorted(edges, fine_times, side="right")
-        return np.asarray(vol.levels, dtype=float)[idx]
-    # OU state on the fine grid, driven by an independent sub-stream; the
-    # spot variance is the squared state, hence nonnegative by construction.
-    rng = _rng(seed, spawn=1)
+        idx = np.searchsorted(np.array(vol.breakpoints), fine_times, side="right")
+        return np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
+    # OU state on the fine grid, driven by an independent sub-stream and
+    # stepped for all seeds at once; the spot variance is the squared state,
+    # hence nonnegative by construction.
     n_steps = len(fine_times) - 1
     dt = 1.0 / n_steps
-    shocks = rng.standard_normal(n_steps) * np.sqrt(dt)
-    state = np.empty(n_steps + 1)
+    shocks = _normals(seeds, n_steps, spawn=1).T * np.sqrt(dt)
+    state = np.empty((n_steps + 1, len(seeds)))
     state[0] = vol.initial_level
     for i in range(n_steps):
         state[i + 1] = (
@@ -211,17 +219,40 @@ def _spot_variance(vol: VolModel, fine_times: np.ndarray, seed: int) -> np.ndarr
             + vol.reversion_rate * (vol.mean_level - state[i]) * dt
             + vol.vol_of_vol * shocks[i]
         )
-    return state**2
+    return (state**2).T.copy()
 
 
-def _true_integrated_vol(vol: VolModel, spot: np.ndarray) -> float:
+def _true_integrated_vol(vol: VolModel, spot: np.ndarray) -> np.ndarray:
+    """Exact integrated variance of each spot row (trapezoid rule for OU)."""
     if isinstance(vol, ConstantVol):
-        return float(vol.level)
+        return np.full(len(spot), float(vol.level))
     if isinstance(vol, PiecewiseVol):
         edges = np.array((0.0,) + vol.breakpoints + (1.0,))
-        return float(np.sum(np.asarray(vol.levels) * np.diff(edges)))
-    dt = 1.0 / (len(spot) - 1)
-    return float(_trapezoid(spot, dx=dt))
+        return np.full(len(spot), float(np.sum(np.asarray(vol.levels) * np.diff(edges))))
+    return _trapezoid(spot, dx=1.0 / (spot.shape[1] - 1), axis=1)
+
+
+def _latent_block(vol: VolModel, drift: DriftModel, n: int, refinement: int, seeds):
+    """(Euler-Maruyama increments on n * refinement steps, spot variance, truths), per seed."""
+    if refinement < 1:
+        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
+    n_fine = n * refinement
+    spot = _spot_variance(vol, np.arange(n_fine + 1) / n_fine, seeds)
+    dt = 1.0 / n_fine
+    dx = _normals(seeds, n_fine, spawn=0 if isinstance(vol, OrnsteinUhlenbeckVol) else None)
+    dx *= np.sqrt(spot[:, :-1] * dt)
+    dx += (drift.level if isinstance(drift, ConstantDrift) else 0.0) * dt
+    return dx, spot, np.broadcast_to(_true_integrated_vol(vol, spot), len(seeds))
+
+
+def _noise_block(noise: NoiseModel, n: int, seeds) -> np.ndarray:
+    """Noise at the n + 1 observation times, a row per noise seed."""
+    v = _normals(seeds, n + 1) * np.sqrt(noise.variance)
+    if not noise.include_initial:
+        v[:, 0] = 0.0
+    if not noise.include_terminal:
+        v[:, -1] = 0.0
+    return v
 
 
 def simulate_latent(
@@ -236,23 +267,13 @@ def simulate_latent(
     For constant (or piecewise-constant) volatility and zero drift the scheme
     is exact in distribution.  Deterministic given ``rng_seed``.
     """
-    if refinement < 1:
-        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
-    n_fine = scheme.n * refinement
-    fine_times = np.arange(n_fine + 1) / n_fine
-    spot = _spot_variance(vol, fine_times, rng_seed)
-
-    dt = 1.0 / n_fine
-    b = drift.level if isinstance(drift, ConstantDrift) else 0.0
-    rng = _rng(rng_seed, spawn=0 if isinstance(vol, OrnsteinUhlenbeckVol) else None)
-    shocks = rng.standard_normal(n_fine)
-    dx = b * dt + np.sqrt(spot[:-1] * dt) * shocks
-    values = np.concatenate(([0.0], np.cumsum(dx)))
+    dx, spot, truths = _latent_block(vol, drift, scheme.n, refinement, [rng_seed])
+    n_fine = dx.shape[1]
     return LatentPath(
-        fine_times=fine_times,
-        values=values,
-        spot_variance=spot,
-        true_integrated_vol=_true_integrated_vol(vol, spot),
+        fine_times=np.arange(n_fine + 1) / n_fine,
+        values=np.concatenate(([0.0], np.cumsum(dx[0]))),
+        spot_variance=spot[0],
+        true_integrated_vol=float(truths[0]),
     )
 
 
@@ -309,12 +330,7 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    rng = _rng(rng_seed)
-    v = rng.standard_normal(scheme.n + 1) * np.sqrt(noise.variance)
-    if not noise.include_initial:
-        v[0] = 0.0
-    if not noise.include_terminal:
-        v[-1] = 0.0
+    v = _noise_block(noise, scheme.n, [rng_seed])[0]
     return ObservationSeries(
         times=scheme.times(),
         values=latent + v,
@@ -341,25 +357,27 @@ def write_observations_csv(obs: ObservationSeries, fileobj) -> None:
 def read_observations_csv(fileobj) -> ObservationSeries:
     """Read a ``time,value[,latent,noise]`` CSV; missing oracle columns are tolerated.
 
-    Raises :class:`InvalidParameter` for a data row with fewer than two cells,
-    a cell that is not a finite number, or times that do not strictly increase.
+    Raises :class:`InvalidParameter` for a data row with fewer than two cells
+    (four when the header names the oracle columns), a cell that is not a
+    finite number, or times that do not strictly increase.
     """
     reader = csv.reader(fileobj)
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header[:2]] != ["time", "value"]:
         raise InvalidParameter("expected a CSV header starting with 'time,value'")
     has_oracle = len(header) >= 4
+    width = 4 if has_oracle else 2
     times, values, latent, noise = [], [], [], []
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) < 2:
+        if len(row) < width:
             raise InvalidParameter(
-                f"line {reader.line_num}: expected at least 2 cells, got {len(row)}"
+                f"line {reader.line_num}: expected at least {width} cells, got {len(row)}"
             )
         times.append(float(row[0]))
         values.append(float(row[1]))
-        if has_oracle and len(row) >= 4:
+        if has_oracle:
             latent.append(float(row[2]))
             noise.append(float(row[3]))
     times = np.array(times)

@@ -122,8 +122,11 @@ class TestBadCsvInput:
             "time,value\n0.0,1.0\n0.5,inf\n1.0,2.0\n",
             "time,value\n0.0,1.0\n1.0,2.0\n0.5,1.5\n",
             "time,value\n0.0,1.0\n0.5,2.0\n0.5,1.5\n",
+            "time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0\n1.0,1.5,1.4,0.1\n",
+            "time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0,1.9\n1.0,1.5,1.4,0.1\n",
         ],
-        ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time"],
+        ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time",
+             "two_cell_oracle_row", "three_cell_oracle_row"],
     )
     def test_exits_65_with_one_line_message(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -190,6 +193,45 @@ class TestExperimentCommand:
         main(["experiment", "--config", str(cfg), "--out-dir", str(out_a)])
         main(["experiment", "--config", str(cfg), "--out-dir", str(out_b), "--seed", "999"])
         assert (out_a / "noise_bounds.csv").read_bytes() != (out_b / "noise_bounds.csv").read_bytes()
+
+
+class TestBadConfig:
+    """Configs an experiment cannot run exit 78 with one line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("m_exponent = 0.4", "m_exponent = 1.5")],
+            [("m_exponent = 0.4", "m_exponent = -1")],
+            [("vol = constant", "vol = ou"), ("type = noise_bounds", "type = normality")],
+            [("type = noise_bounds", "type = nope")],
+            [("vol_level = 0.0", "vol_level = 1.0")],
+            [("type = noise_bounds", "type = initial_noise_contrast"),
+             ("include_initial = true", "include_initial = false")],
+            [("refinement = 1", "refinement = 0")],
+            [("base_seed = 42", "base_seed = 42\nthreads = 0")],
+        ],
+        ids=["m_above_n", "m_below_one", "ou_vol_for_normality", "unknown_type",
+             "noise_bounds_with_signal", "contrast_without_initial_noise", "zero_refinement",
+             "zero_threads"],
+    )
+    def test_exits_78_without_traceback(self, tmp_path, edits):
+        text = NOISE_BOUNDS_CFG
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralvol.cli", "experiment", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EX_CONFIG
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestUsage:

@@ -5,18 +5,32 @@ import io
 import numpy as np
 import pytest
 
+from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
 from spectralvol.estimators import EstimatorKind, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
+    _BLOCK_ELEMENTS,
+    _run_replications,
+    check_experiment,
     run_consistency,
     run_experiment,
     run_initial_noise_contrast,
     run_noise_bounds,
     run_normality,
 )
-from spectralvol.market import ConstantVol, NoiseModel, OrnsteinUhlenbeckVol, ZeroDrift
+from spectralvol.market import (
+    ConstantDrift,
+    ConstantVol,
+    EquidistantScheme,
+    NoiseModel,
+    OrnsteinUhlenbeckVol,
+    ZeroDrift,
+    derive_seed,
+    observe,
+    simulate_latent,
+)
 
 
 def _config(**overrides):
@@ -46,6 +60,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             _config(kinds=(EstimatorKind.MM_FOURIER_REAL_ZERO,), n_schedule=(64,))
 
+    def test_refinement_must_be_positive(self):
+        with pytest.raises(InvalidParameter):
+            _config(refinement=0)
+
     def test_complex_kind_rejected(self):
         with pytest.raises(InvalidParameter):
             _config(kinds=(EstimatorKind.MM_FOURIER_COMPLEX,))
@@ -54,6 +72,94 @@ class TestConfigValidation:
         cfg = _config(m_exponent=0.4)
         assert cfg.cutoff(1024, 0.35) == 16
         assert _config().cutoff(1024, 0.35) == 11
+
+
+class TestBlockedReplications:
+    """_run_replications against the per-replication formula, written out here."""
+
+    @staticmethod
+    def _per_replication(config, n, m):
+        def spec(kind):
+            if kind is EstimatorKind.SIML:
+                return basis_columns(BasisKind.SIML_COSINE, n, m), n / m
+            if kind is EstimatorKind.INA_SINE:
+                return basis_columns(BasisKind.DST_SINE, n, m), (n + 1) / m
+            return basis_columns(BasisKind.FOURIER_REAL, n, 2 * m + 1), n / (2 * m + 1)
+
+        specs = [spec(kind) for kind in config.kinds]
+        scheme = EquidistantScheme(n)
+        out = {key: [] for key in ("estimates", "noise_parts", "cross_parts", "truths")}
+        for rep in range(config.replications):
+            path = simulate_latent(
+                config.vol, config.drift, scheme, config.refinement,
+                derive_seed(config.base_seed, rep, 0),
+            )
+            obs = observe(path, config.noise, scheme, derive_seed(config.base_seed, rep, 1))
+            out["truths"].append(path.true_integrated_vol)
+            dy, dv, dx = np.diff(obs.values), np.diff(obs.noise), np.diff(obs.latent)
+            for key in ("estimates", "noise_parts", "cross_parts"):
+                out[key].append([])
+            for cols, pref in specs:
+                wy, wv, wx = cols.T @ dy, cols.T @ dv, cols.T @ dx
+                out["estimates"][-1].append(pref * float(wy @ wy))
+                out["noise_parts"][-1].append(pref * float(wv @ wv))
+                out["cross_parts"][-1].append(2.0 * pref * float(wx @ wv))
+        return {key: np.array(value).T for key, value in out.items()}
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "one_block", "one_more"])
+    @pytest.mark.parametrize(
+        "kinds,n,refinement",
+        [
+            ((EstimatorKind.SIML, EstimatorKind.INA_SINE), 4096, 1),
+            ((EstimatorKind.MM_FOURIER_REAL_ZERO, EstimatorKind.SIML), 1365, 3),
+        ],
+        ids=["cos_sine", "fourier_refined"],
+    )
+    def test_matches_per_replication_formula(self, kinds, n, refinement, extra):
+        reps = _BLOCK_ELEMENTS // (n * refinement) + extra
+        config = _config(
+            kinds=kinds,
+            n_schedule=(n,),
+            drift=ConstantDrift(0.3),
+            noise=NoiseModel(1e-3, include_initial=True),
+            replications=reps,
+            base_seed=8,
+            refinement=refinement,
+        )
+        m = 9
+        got = _run_replications(config, n, m, want_noise=True, want_cross=True)
+        want = self._per_replication(config, n, m)
+        assert got["estimates"].shape == (len(kinds), reps)
+        assert np.array_equal(got["truths"], want["truths"])
+        for key in ("estimates", "noise_parts", "cross_parts"):
+            scale = np.max(np.abs(want[key]))
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestCheckExperiment:
+    def test_returns_cutoffs(self):
+        cfg = _config(n_schedule=(64, 1024), m_exponent=None)
+        assert check_experiment("consistency", cfg) == (5, 16)
+        assert check_experiment("normality", cfg) == (4, 11)
+
+    @pytest.mark.parametrize(
+        "experiment,overrides",
+        [
+            ("nope", {}),
+            ("consistency", {"m_exponent": 1.5}),
+            ("consistency", {"m_exponent": 0.99, "kinds": (EstimatorKind.MM_FOURIER_REAL_ZERO,),
+                             "n_schedule": (63,)}),
+            ("consistency", {"m_exponent": -1.0}),
+            ("normality", {"vol": OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0)}),
+            ("noise_bounds", {"vol": ConstantVol(1.0)}),
+            ("initial_noise_contrast", {"noise": NoiseModel(0.01, include_initial=False)}),
+        ],
+        ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
+             "noise_bounds_vol", "contrast_no_initial_noise"],
+    )
+    def test_rejects(self, experiment, overrides):
+        with pytest.raises(InvalidParameter):
+            check_experiment(experiment, _config(**overrides))
 
 
 class TestReproducibility:

@@ -353,6 +353,39 @@ class TestJointMle:
         assert out.params.nu <= 1e-6
         assert out.std_errors[0] > 0 and math.isnan(out.std_errors[1])
 
+    def test_maximizer_at_zero_signal_is_settled_in_closed_form(self):
+        """With the maximizer at c = 0 the fit is (0, mean(z^2/a)), converged at once."""
+        z = SpectralCoefficients(z=np.array([0.3, -1.0]), n=2)
+        out = joint_mle(z, LikelihoodParams(0.7, 0.02))
+        assert out.converged and out.sweeps == 0
+        assert out.params.c == 0.0
+        assert out.params.nu == pytest.approx(np.mean(z.z**2 / a_coefficients(2)), rel=1e-15)
+        assert math.isnan(out.std_errors[0]) and out.std_errors[1] > 0
+        grid_best = max(
+            log_likelihood(z, LikelihoodParams(c, nu))
+            for c in np.logspace(-12, 1, 40)
+            for nu in np.logspace(-4, 1, 40)
+        )
+        assert out.log_likelihood >= grid_best
+
+    def test_pure_noise_fits_with_nonpositive_c_score_stop_on_boundary(self):
+        """Pure-noise spectra whose c-score at (0, nu0) is <= 0 fit (0, nu0) at once."""
+        n, nu = 512, 1e-3
+        a = a_coefficients(n)
+        rng = np.random.default_rng(12)
+        on_boundary = 0
+        for _ in range(10):
+            z = SpectralCoefficients(z=np.sqrt(a * nu) * rng.standard_normal(n), n=n)
+            z2 = z.z**2
+            nu0 = float(np.mean(z2 / a))
+            if np.sum((z2 - a * nu0) / (a * nu0) ** 2) > 0:
+                continue
+            out = joint_mle(z, LikelihoodParams(0.5, 1e-4))
+            assert out.converged and out.sweeps == 0
+            assert (out.params.c, out.params.nu) == (0.0, nu0)
+            on_boundary += 1
+        assert on_boundary >= 3
+
     def test_never_below_initial_likelihood(self):
         rng = np.random.default_rng(9)
         z = spectral_transform(rng.normal(size=128))

@@ -18,6 +18,8 @@ from spectralvol.market import (
     derive_seed,
     increments,
     observe,
+    _latent_block,
+    _noise_block,
     read_observations_csv,
     simulate_latent,
     simulate_latent_correlated,
@@ -88,6 +90,79 @@ class TestSimulateLatent:
             simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(4), 0, 0)
         with pytest.raises(InvalidParameter):
             PiecewiseVol((0.5, 0.25), (1.0, 1.0, 1.0))
+
+
+def _philox_normals(seed, size, spawn=None):
+    key = () if spawn is None else (spawn,)
+    ss = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(ss)).standard_normal(size)
+
+
+class TestSimulateLatentBits:
+    """simulate_latent keeps the bits of the per-path Euler formula, written out here."""
+
+    def test_constant_vol_with_drift(self):
+        n, r, c, b, seed = 50, 3, 2.3, 0.7, 2**40 + 3
+        dt = 1.0 / (n * r)
+        dx = b * dt + np.sqrt(np.full(n * r, c) * dt) * _philox_normals(seed, n * r)
+        path = simulate_latent(ConstantVol(c), ConstantDrift(b), EquidistantScheme(n), r, seed)
+        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+        assert path.spot_variance.tobytes() == np.full(n * r + 1, c).tobytes()
+
+    def test_ou_vol(self):
+        vol = OrnsteinUhlenbeckVol(mean_level=1.0, reversion_rate=2.0, vol_of_vol=0.8, initial_level=0.5)
+        n_fine, seed = 40, 9
+        dt = 1.0 / n_fine
+        shocks = _philox_normals(seed, n_fine, spawn=1) * np.sqrt(dt)
+        state = np.empty(n_fine + 1)
+        state[0] = vol.initial_level
+        for i in range(n_fine):
+            state[i + 1] = (
+                state[i]
+                + vol.reversion_rate * (vol.mean_level - state[i]) * dt
+                + vol.vol_of_vol * shocks[i]
+            )
+        spot = state**2
+        dx = 0.0 * dt + np.sqrt(spot[:-1] * dt) * _philox_normals(seed, n_fine, spawn=0)
+        path = simulate_latent(vol, ZeroDrift(), EquidistantScheme(n_fine), 1, seed)
+        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+        assert path.spot_variance.tobytes() == spot.tobytes()
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        assert path.true_integrated_vol == float(trapezoid(spot, dx=dt))
+
+
+_VOLS = {
+    "constant": ConstantVol(1.3),
+    "piecewise": PiecewiseVol(breakpoints=(0.25, 0.5), levels=(1.0, 4.0, 0.5)),
+    "ou": OrnsteinUhlenbeckVol(mean_level=1.0, reversion_rate=2.0, vol_of_vol=0.8, initial_level=0.5),
+}
+
+
+class TestBlockHelpers:
+    """Rows of the block helpers against per-seed simulate_latent + observe."""
+
+    @pytest.mark.parametrize("vol", sorted(_VOLS))
+    @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(-0.4)], ids=["zero", "const"])
+    @pytest.mark.parametrize("refinement", [1, 3])
+    @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
+    def test_rows_match_single_seed_calls(self, vol, drift, refinement, ends):
+        n = 37
+        scheme = EquidistantScheme(n)
+        noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+        path_seeds = [derive_seed(4, rep, 0) for rep in range(5)]
+        noise_seeds = [derive_seed(4, rep, 1) for rep in range(5)]
+        dx, spot, truths = _latent_block(_VOLS[vol], drift, n, refinement, path_seeds)
+        v = _noise_block(noise, n, noise_seeds)
+        assert dx.shape == (5, n * refinement) and v.shape == (5, n + 1)
+        assert truths.shape == (5,)
+        for j, (ps, ns) in enumerate(zip(path_seeds, noise_seeds)):
+            path = simulate_latent(_VOLS[vol], drift, scheme, refinement, ps)
+            obs = observe(path, noise, scheme, ns)
+            tol = 1e-12 * np.max(np.abs(path.values))
+            np.testing.assert_allclose(dx[j], np.diff(path.values), rtol=0, atol=tol)
+            np.testing.assert_array_equal(spot[j % len(spot)], path.spot_variance)
+            np.testing.assert_array_equal(v[j], obs.noise)
+            assert truths[j] == path.true_integrated_vol
 
 
 class TestObserve:
@@ -213,6 +288,13 @@ class TestCsvRoundTrip:
         back = read_observations_csv(io.StringIO(text))
         np.testing.assert_array_equal(back.values, [1.0, 2.0, 1.5])
         np.testing.assert_array_equal(back.noise, np.zeros(3))
+
+    def test_ragged_oracle_row_rejected(self):
+        """Under a time,value,latent,noise header every row needs all four cells."""
+        for row in ("0.5,2.0", "0.5,2.0,1.9"):
+            text = f"time,value,latent,noise\n0.0,1.0,1.0,0.0\n{row}\n1.0,1.5,1.4,0.1\n"
+            with pytest.raises(InvalidParameter, match="line 3"):
+                read_observations_csv(io.StringIO(text))
 
     def test_bad_header_rejected(self):
         with pytest.raises(InvalidParameter):

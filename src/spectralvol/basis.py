@@ -94,6 +94,15 @@ def _check_dim(kind: BasisKind, dim: int) -> None:
         raise InvalidDimension(f"fourier_real needs an odd dimension, got {dim}")
 
 
+def _scaled(func, units: np.ndarray, step: float, scale: float) -> np.ndarray:
+    """``scale * func(units * step)``, evaluated in one float array."""
+    out = units.astype(float)
+    out *= step
+    func(out, out=out)
+    out *= scale
+    return out
+
+
 def basis_columns(kind: BasisKind, dim: int, num_modes: int) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
@@ -110,15 +119,17 @@ def basis_columns(kind: BasisKind, dim: int, num_modes: int) -> np.ndarray:
         # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units
         k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
         l = np.arange(1, num_modes + 1, dtype=np.int64)[None, :]
-        units = (2 * k - 1) * (2 * l - 1) % (4 * (2 * dim + 1))
-        return np.sqrt(2.0 / (dim + 0.5)) * np.cos(units * (np.pi / (2 * (2 * dim + 1))))
+        units = (2 * k - 1) * (2 * l - 1)
+        units %= 4 * (2 * dim + 1)
+        return _scaled(np.cos, units, np.pi / (2 * (2 * dim + 1)), np.sqrt(2.0 / (dim + 0.5)))
 
     if kind is BasisKind.DST_SINE:
         # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
         k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
         l = np.arange(1, num_modes + 1, dtype=np.int64)[None, :]
-        units = (k * l) % (2 * (dim + 1))
-        return np.sqrt(2.0 / (dim + 1)) * np.sin(units * (np.pi / (dim + 1)))
+        units = k * l
+        units %= 2 * (dim + 1)
+        return _scaled(np.sin, units, np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1)))
 
     # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column l is
     # the sine and even column l the cosine of integer frequency (l+1)//2.

@@ -264,15 +264,23 @@ def noise_expectation_exact(
     if n < 1:
         raise InvalidParameter(f"need n >= 1 increments, got {n}")
     cols, pref = _functional_columns(kind, n, m)
+    return _noise_expectation(cols, pref, variance, include_initial, include_terminal)
+
+
+def _noise_expectation(
+    cols: np.ndarray, pref: float, variance: float, include_initial: bool, include_terminal: bool
+) -> float:
+    """:func:`noise_expectation_exact` from the estimator's columns and prefactor."""
     # (C u) for C = 2I - tridiag(1), with end-point reductions, times variance
-    cu = 2.0 * cols.copy()
+    cu = 2.0 * cols
     cu[1:, :] -= cols[:-1, :]
     cu[:-1, :] -= cols[1:, :]
     if not include_initial:
         cu[0, :] -= cols[0, :]
     if not include_terminal:
         cu[-1, :] -= cols[-1, :]
-    return float(pref * variance * np.sum(cols * cu))
+    cu *= cols
+    return float(pref * variance * np.sum(cu))
 
 
 def result_csv_rows(result: EstimateResult) -> list[str]:

@@ -14,9 +14,11 @@ a dictionary of named pass/fail checks:
   when the first observation is noisy, on shared data.
 
 Replication r draws its path and noise streams from sub-seeds keyed
-(base_seed, r, stream); replications run in blocks, one matrix product per
-estimator and block, and within a replication every configured estimator
-sees the same series.  ``threads`` is accepted but changes nothing.
+(base_seed, r, stream), derived for all replications of a sample size at
+once; replications run in blocks, one matrix product per estimator and
+block, and within a replication every configured estimator sees the same
+series.  The exact noise expectations come from the same basis columns as
+the estimates.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -29,8 +31,13 @@ import numpy as np
 
 from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
 from .errors import InvalidParameter
-from .estimators import EstimatorKind, _functional_columns, noise_expectation_exact
-from .market import (  # noqa: F401 -- observe, simulate_latent: wrapped by perfbench/tracer.py
+from .estimators import (  # noqa: F401 -- noise_expectation_exact: wrapped by perfbench/tracer.py
+    EstimatorKind,
+    _functional_columns,
+    _noise_expectation,
+    noise_expectation_exact,
+)
+from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
     PATH_STREAM,
     ConstantVol,
@@ -38,6 +45,7 @@ from .market import (  # noqa: F401 -- observe, simulate_latent: wrapped by perf
     NoiseModel,
     PiecewiseVol,
     VolModel,
+    _derive_seeds,
     _latent_block,
     _noise_block,
     derive_seed,
@@ -213,10 +221,31 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
 
 
 def _run_replications(
-    config: ExperimentConfig, n: int, m: int, want_noise: bool = False, want_cross: bool = False
+    config: ExperimentConfig,
+    n: int,
+    m: int,
+    want_noise: bool = False,
+    want_cross: bool = False,
+    want_exact: bool = False,
 ) -> dict:
-    """All replications at one sample size, block by block; every kind sees the same data."""
+    """All replications at one sample size, block by block; every kind sees the same data.
+
+    The path and noise seeds of all replications come from one hash call
+    each.  For the estimates alone each kind makes one product per block,
+    ``(dX + dV) @ cols``; for the noise or cross parts it makes one
+    ``[dX; dV] @ cols`` and splits it into the latent and noise coefficients.
+    With ``want_exact``, ``noise_exact`` holds each kind's exact noise
+    expectation, from the same basis columns.
+    """
     specs = [_functional_columns(kind, n, m) for kind in config.kinds]
+    # The oracle runs before the blocks, so its n x m temporary and theirs never coexist.
+    noise = config.noise
+    ends = (noise.include_initial, noise.include_terminal)
+    noise_exact = (
+        [_noise_expectation(cols, pref, noise.variance, *ends) for cols, pref in specs]
+        if want_exact
+        else None
+    )
     n_kinds = len(config.kinds)
     reps = config.replications
     estimates = np.empty((n_kinds, reps))
@@ -226,18 +255,22 @@ def _run_replications(
 
     r = config.refinement
     rows = max(1, _BLOCK_ELEMENTS // (n * r))
+    path_seeds = _derive_seeds(config.base_seed, np.arange(reps), PATH_STREAM)
+    noise_seeds = _derive_seeds(config.base_seed, np.arange(reps), NOISE_STREAM)
+    split = want_noise or want_cross
     for start in range(0, reps, rows):
-        block = range(start, min(start + rows, reps))
-        path_seeds = [derive_seed(config.base_seed, rep, PATH_STREAM) for rep in block]
-        noise_seeds = [derive_seed(config.base_seed, rep, NOISE_STREAM) for rep in block]
-        dx, _, truths[block] = _latent_block(config.vol, config.drift, n, r, path_seeds)
+        block = slice(start, min(start + rows, reps))
+        dx, _, truths[block] = _latent_block(config.vol, config.drift, n, r, path_seeds[block])
         if r > 1:  # an observed increment sums its r fine increments
-            dx = dx.reshape(len(block), n, r).sum(axis=2)
-        dv = np.diff(_noise_block(config.noise, n, noise_seeds), axis=1)
+            dx = dx.reshape(len(dx), n, r).sum(axis=2)
+        dv = np.diff(_noise_block(noise, n, noise_seeds[block]), axis=1)
+        data = np.vstack((dx, dv)) if split else dx + dv
         for i, (cols, pref) in enumerate(specs):
-            wx = dx @ cols
-            wv = dv @ cols
-            wy = wx + wv
+            if split:
+                wx, wv = np.split(data @ cols, 2)
+                wy = wx + wv
+            else:
+                wy = data @ cols
             estimates[i, block] = pref * np.einsum("ij,ij->i", wy, wy)
             if want_noise:
                 noise_parts[i, block] = pref * np.einsum("ij,ij->i", wv, wv)
@@ -248,6 +281,7 @@ def _run_replications(
         "noise_parts": noise_parts,
         "cross_parts": cross_parts,
         "truths": truths,
+        "noise_exact": noise_exact,
     }
 
 
@@ -368,17 +402,10 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     """
     rows: list[McRow] = []
     for n, m in zip(config.n_schedule, check_experiment("noise_bounds", config)):
-        data = _run_replications(config, n, m)
+        data = _run_replications(config, n, m, want_exact=True)
         for i, kind in enumerate(config.kinds):
             mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
-            exact = noise_expectation_exact(
-                kind,
-                n,
-                m,
-                config.noise.variance,
-                include_initial=config.noise.include_initial,
-                include_terminal=config.noise.include_terminal,
-            )
+            exact = data["noise_exact"][i]
             bound, is_lower = _noise_bound(kind, n, m, config.noise)
             if is_lower:
                 ok = exact >= bound - 1e-12 and mean >= bound - 4.0 * se
@@ -417,18 +444,13 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     largest = config.n_schedule[-1]
     rows: list[McRow] = []
     for n, m in zip(config.n_schedule, cutoffs):
-        data = _run_replications(config, n, m, want_noise=True, want_cross=True)
+        data = _run_replications(
+            config, n, m, want_noise=True, want_cross=True, want_exact=True
+        )
         for i, kind in enumerate(config.kinds):
             mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
             noise_mc = float(np.mean(data["noise_parts"][i]))
-            exact = noise_expectation_exact(
-                kind,
-                n,
-                m,
-                nu,
-                include_initial=config.noise.include_initial,
-                include_terminal=config.noise.include_terminal,
-            )
+            exact = data["noise_exact"][i]
             cross = data["cross_parts"][i]
             if kind is EstimatorKind.SIML:
                 bound = 0.5 * nu

@@ -249,6 +249,12 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     score is not a maximizer; one below L(init) stays below the iterates,
     which never lose likelihood.
 
+    L need not be concave in c: with a positive c-score at (0, nu0) the
+    iterates can stop at a local maximum below L(0, nu0).  Scoring then
+    starts again from (c1, nu0), c1 the Fisher step in c off that edge, and
+    ``sweeps`` counts both runs; should the second run also end below
+    L(0, nu0), (0, nu0) is returned, flagged as not converged.
+
     The returned point never has a lower likelihood than ``init``;
     non-convergence is flagged, not raised.  ``std_errors`` are the square
     roots of the diagonal of the inverse Fisher information in (c, nu) at
@@ -263,33 +269,9 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
         d = c + a * nu
         return float(-0.5 * np.sum(np.log(d)) - 0.5 * np.sum(z2 / d))
 
-    best = loglik(init.c, init.nu)
-    c0 = float(np.mean(z2))
-    nu0 = float(np.mean(z2 / a))
-    boundary = []
-    if c0 > 0 and float(np.sum(a * (z2 - c0))) <= 0.0:
-        boundary.append((c0, 0.0))
-    if nu0 > 0 and float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)) <= 0.0:
-        boundary.append((0.0, nu0))
-    for c, nu in boundary:
-        value = loglik(c, nu)
-        if value >= best:
-            return MleResult(
-                params=LikelihoodParams(c=c, nu=nu),
-                converged=True,
-                sweeps=0,
-                log_likelihood=value,
-                std_errors=_std_errors(a, c, nu),
-            )
-
-    theta = np.log([init.c, init.nu])
-    converged = False
-    iterations = 0
-    # Should the iterates still head for a boundary, or with all-zero data,
-    # a parameter underflows and the information overflows: clipping bounds
-    # the step, a singular information or a nan step ends the loop, and the
-    # fit is flagged as not converged.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    def ascend(theta: np.ndarray, best: float) -> tuple[np.ndarray, float, bool, int]:
+        """Fisher scoring from theta, whose likelihood is best: (theta, L, converged, iterations)."""
+        iterations = 0
         for iterations in range(1, _MAX_ITERATIONS + 1):
             p = np.exp(theta)
             d = p[0] + a * p[1]
@@ -313,8 +295,44 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
             if value >= best:
                 theta, best = trial, value
             if t * span < _STEP_TOL:
-                converged = True
-                break
+                return theta, best, True, iterations
+        return theta, best, False, iterations
+
+    best = loglik(init.c, init.nu)
+    c0 = float(np.mean(z2))
+    nu0 = float(np.mean(z2 / a))
+    c_score = float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)) if nu0 > 0 else math.nan
+    boundary = []
+    if c0 > 0 and float(np.sum(a * (z2 - c0))) <= 0.0:
+        boundary.append((c0, 0.0))
+    if c_score <= 0.0:
+        boundary.append((0.0, nu0))
+    for c, nu in boundary:
+        value = loglik(c, nu)
+        if value >= best:
+            return MleResult(
+                params=LikelihoodParams(c=c, nu=nu),
+                converged=True,
+                sweeps=0,
+                log_likelihood=value,
+                std_errors=_std_errors(a, c, nu),
+            )
+
+    # Should the iterates still head for a boundary, or with all-zero data,
+    # a parameter underflows and the information overflows: clipping bounds
+    # the step, a singular information or a nan step ends the loop, and the
+    # fit is flagged as not converged.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        theta, best, converged, iterations = ascend(np.log([init.c, init.nu]), best)
+        edge = loglik(0.0, nu0) if c_score > 0 else -math.inf
+        if edge > best:
+            # A local maximum below the c = 0 edge, where L still rises in c:
+            # climb again from one Fisher step in c off that edge.
+            c1 = c_score / float(np.sum((a * nu0) ** -2.0))
+            theta, best, converged, more = ascend(np.log([c1, nu0]), loglik(c1, nu0))
+            iterations += more
+            if best < edge:
+                theta, best, converged = np.log([0.0, nu0]), edge, False
         c, nu = (float(v) for v in np.exp(theta))
         std_errors = _std_errors(a, c, nu)
     return MleResult(

@@ -10,12 +10,19 @@ latent/noise decomposition so tests can use it as an oracle.
 Randomness is counter-based (Philox) and fully keyed: every path or noise
 stream is a pure function of its integer seed, and :func:`derive_seed`
 produces independent sub-seeds from ``(base_seed, replication, stream)`` so
-Monte Carlo replications can run in any order or in parallel.
+Monte Carlo replications can run in any order or in parallel.  Sub-seeds and
+Philox keys are numpy's SeedSequence hash, computed here for a whole array
+of seeds in one pass, and one Philox generator is re-keyed for each stream:
+stream j has the bits of ``Philox(SeedSequence(seeds[j]))`` without either
+object being built per stream.  A block of paths whose spot variance is
+zero everywhere draws no latent shocks.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,6 +57,11 @@ NOISE_STREAM = 1
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _nonnegative(x: float) -> bool:
+    """Whether x is a finite number >= 0 (NaN is not)."""
+    return math.isfinite(x) and x >= 0
+
+
 @dataclass(frozen=True)
 class ConstantVol:
     """Constant spot variance ``level`` per unit time."""
@@ -57,8 +69,8 @@ class ConstantVol:
     level: float
 
     def __post_init__(self):
-        if self.level < 0:
-            raise InvalidParameter(f"variance level must be >= 0, got {self.level}")
+        if not _nonnegative(self.level):
+            raise InvalidParameter(f"variance level must be finite and >= 0, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,10 @@ class PiecewiseVol:
         object.__setattr__(self, "levels", lvs)
         if len(lvs) != len(bps) + 1:
             raise InvalidParameter("need len(levels) == len(breakpoints) + 1")
-        if any(lv < 0 for lv in lvs):
-            raise InvalidParameter("variance levels must be >= 0")
+        if not all(_nonnegative(lv) for lv in lvs):
+            raise InvalidParameter("variance levels must be finite and >= 0")
         edges = (0.0,) + bps + (1.0,)
-        if any(b <= a for a, b in zip(edges, edges[1:])):
+        if not all(b > a for a, b in zip(edges, edges[1:])):
             raise InvalidParameter("breakpoints must be strictly increasing inside (0, 1)")
 
 
@@ -96,8 +108,10 @@ class OrnsteinUhlenbeckVol:
     initial_level: float
 
     def __post_init__(self):
-        if self.reversion_rate < 0 or self.vol_of_vol < 0:
-            raise InvalidParameter("reversion_rate and vol_of_vol must be >= 0")
+        if not (_nonnegative(self.reversion_rate) and _nonnegative(self.vol_of_vol)):
+            raise InvalidParameter("reversion_rate and vol_of_vol must be finite and >= 0")
+        if not (math.isfinite(self.mean_level) and math.isfinite(self.initial_level)):
+            raise InvalidParameter("mean_level and initial_level must be finite")
 
 
 VolModel = Union[ConstantVol, PiecewiseVol, OrnsteinUhlenbeckVol]
@@ -111,6 +125,10 @@ class ZeroDrift:
 @dataclass(frozen=True)
 class ConstantDrift:
     level: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise InvalidParameter(f"drift level must be finite, got {self.level}")
 
 
 DriftModel = Union[ZeroDrift, ConstantDrift]
@@ -130,8 +148,8 @@ class NoiseModel:
     distribution: str = "gaussian"
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise InvalidParameter(f"noise variance must be >= 0, got {self.variance}")
+        if not _nonnegative(self.variance):
+            raise InvalidParameter(f"noise variance must be finite and >= 0, got {self.variance}")
         if self.distribution != "gaussian":
             raise InvalidParameter(f"unsupported noise distribution {self.distribution!r}")
 
@@ -174,27 +192,146 @@ class ObservationSeries:
     noise: np.ndarray
 
 
+# numpy's SeedSequence constants (bit_generator.pyx): pool of 4 words, the
+# hashmix multipliers of the entropy and output hashes, the mix multipliers.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian uint32 words of non-negative ints, a row per int, and each int's word count.
+
+    An int takes max(1, ceil(bits / 32)) words; the rest of its row is 0.
+    """
+    v = np.atleast_1d(values if isinstance(values, np.ndarray) else np.array(values, dtype=object))
+    if v.dtype.kind not in "iu":  # Python ints, which may not fit in 64 bits
+        ints = [operator.index(x) for x in v]
+        if min(ints) < 0:
+            raise ValueError("seeds must be non-negative integers")
+        if max(ints) >= 2**64:
+            counts = np.array([max(1, -(-x.bit_length() // 32)) for x in ints])
+            words = [[(x >> (32 * i)) & _MASK32 for i in range(counts.max())] for x in ints]
+            return np.array(words, dtype=np.uint32), counts
+        v = np.array(ints, dtype=np.uint64)
+    elif np.any(v < 0):
+        raise ValueError("seeds must be non-negative integers")
+    v = v.astype(np.uint64)
+    words = np.stack(((v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)), axis=1)
+    return words, 1 + (words[:, 1] > 0)
+
+
+def _hash_entropy(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` of every row of a (rows, k) uint32 array."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    k = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < k else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, k):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out = np.empty((len(entropy), n_words), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        out[:, i] = value ^ (value >> 16)
+    return out
+
+
+def _seed_words(parts, n_words: int, spawn: int | None = None) -> np.ndarray:
+    """``SeedSequence(entropy, spawn_key=(spawn,)).generate_state(n_words)`` per row.
+
+    A row's entropy is the ints of ``parts`` in order; each part is one int
+    shared by every row or a 1-D sequence with an int per row.  Rows whose
+    ints take different word counts are hashed in separate groups.
+    """
+    words, counts = zip(*(_int_words(part) for part in parts))
+    rows = max(len(w) for w in words)
+    counts = np.stack([np.broadcast_to(c, rows) for c in counts], axis=1)
+    if spawn is not None:
+        spawn_words, spawn_count = _int_words(spawn)
+        spawn_words = spawn_words[:, : spawn_count[0]]
+    out = np.empty((rows, n_words), dtype=np.uint32)
+    codes = np.ravel_multi_index(counts.T, counts.max(axis=0) + 1)
+    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
+    for g, width in enumerate(counts[first]):
+        sel = np.flatnonzero(group == g)
+        entropy = [np.broadcast_to(w, (rows, w.shape[1]))[sel, :c] for w, c in zip(words, width)]
+        if spawn is not None:
+            # A spawn key follows the entropy zero-padded to the pool size.
+            pad = max(0, _POOL_SIZE - int(width.sum()))
+            entropy += [np.zeros((len(sel), pad), np.uint32), np.repeat(spawn_words, len(sel), 0)]
+        out[sel] = _hash_entropy(np.hstack(entropy), n_words)
+    return out
+
+
+def _uint64(words: np.ndarray) -> np.ndarray:
+    """Pairs of little-endian uint32 words as uint64, row by row."""
+    w = words.astype(np.uint64)
+    return w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+
+
+def _derive_seeds(base_seed: int, replications, stream: int) -> np.ndarray:
+    """:func:`derive_seed` of each replication, as a uint64 array, from one hash call."""
+    return _uint64(_seed_words((base_seed, replications, stream), 2))[:, 0]
+
+
 def derive_seed(base_seed: int, replication: int, stream: int) -> int:
-    """Deterministic 64-bit sub-seed keyed by (base_seed, replication, stream)."""
-    ss = np.random.SeedSequence((int(base_seed), int(replication), int(stream)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic 64-bit sub-seed keyed by (base_seed, replication, stream).
+
+    Equals ``SeedSequence((base_seed, replication, stream)).generate_state(1, uint64)``.
+    """
+    return int(_derive_seeds(base_seed, [replication], stream)[0])
 
 
-def _rng(seed: int, spawn: int | None = None) -> np.random.Generator:
-    entropy = int(seed)
-    ss = (
-        np.random.SeedSequence(entropy)
-        if spawn is None
-        else np.random.SeedSequence(entropy, spawn_key=(spawn,))
-    )
-    return np.random.Generator(np.random.Philox(ss))
+def _generators(seeds, spawn: int | None = None):
+    """One Generator, re-keyed in turn to the Philox stream of each seed.
+
+    Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
+    its key is the seed sequence's first two uint64 words and its counter and
+    buffer start empty.  All keys come from one hash call.
+    """
+    keys = _uint64(_seed_words((seeds,), 4, spawn))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    empty = np.zeros(4, np.uint64)
+    for key in keys:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": empty, "key": key},
+            "buffer": empty,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 def _normals(seeds, size: int, spawn: int | None = None) -> np.ndarray:
     """Standard normals, row j drawn from the Philox stream of ``seeds[j]``."""
     out = np.empty((len(seeds), size))
-    for row, seed in zip(out, seeds):
-        _rng(seed, spawn).standard_normal(out=row)
+    for row, gen in zip(out, _generators(seeds, spawn)):
+        gen.standard_normal(out=row)
     return out
 
 
@@ -239,8 +376,11 @@ def _latent_block(vol: VolModel, drift: DriftModel, n: int, refinement: int, see
     n_fine = n * refinement
     spot = _spot_variance(vol, np.arange(n_fine + 1) / n_fine, seeds)
     dt = 1.0 / n_fine
-    dx = _normals(seeds, n_fine, spawn=0 if isinstance(vol, OrnsteinUhlenbeckVol) else None)
-    dx *= np.sqrt(spot[:, :-1] * dt)
+    if spot.any():
+        dx = _normals(seeds, n_fine, spawn=0 if isinstance(vol, OrnsteinUhlenbeckVol) else None)
+        dx *= np.sqrt(spot[:, :-1] * dt)
+    else:  # zero variance everywhere: the shocks would all be scaled to zero
+        dx = np.zeros((len(seeds), n_fine))
     dx += (drift.level if isinstance(drift, ConstantDrift) else 0.0) * dt
     return dx, spot, np.broadcast_to(_true_integrated_vol(vol, spot), len(seeds))
 
@@ -293,7 +433,7 @@ def simulate_latent_correlated(
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine
     dt = 1.0 / n_fine
-    rng = _rng(rng_seed)
+    rng = next(_generators([rng_seed]))
     dw = rng.standard_normal((n_fine, sigma.shape[1])) * np.sqrt(dt)
     dx = dw @ sigma.T
     cov = sigma @ sigma.T
@@ -375,11 +515,14 @@ def read_observations_csv(fileobj) -> ObservationSeries:
             raise InvalidParameter(
                 f"line {reader.line_num}: expected at least {width} cells, got {len(row)}"
             )
-        times.append(float(row[0]))
-        values.append(float(row[1]))
-        if has_oracle:
-            latent.append(float(row[2]))
-            noise.append(float(row[3]))
+        try:
+            times.append(float(row[0]))
+            values.append(float(row[1]))
+            if has_oracle:
+                latent.append(float(row[2]))
+                noise.append(float(row[3]))
+        except ValueError as exc:
+            raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
     times = np.array(times)
     values = np.array(values)
     if not all(np.all(np.isfinite(col)) for col in (times, values, latent, noise)):

@@ -85,6 +85,19 @@ def test_columns_unit_norm(kind):
         np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 390, 1023, 4680])
+def test_cosine_and_sine_columns_keep_their_bits(dim):
+    """The in-place evaluation equals scale * f(units * step), the formula written out."""
+    for m in sorted({1, min(dim, 27), dim if dim <= 64 else 1}):
+        k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
+        l = np.arange(1, m + 1, dtype=np.int64)[None, :]
+        units = (2 * k - 1) * (2 * l - 1) % (4 * (2 * dim + 1))
+        cosine = np.sqrt(2.0 / (dim + 0.5)) * np.cos(units * (np.pi / (2 * (2 * dim + 1))))
+        sine = np.sqrt(2.0 / (dim + 1)) * np.sin((k * l) % (2 * (dim + 1)) * (np.pi / (dim + 1)))
+        assert basis_columns(BasisKind.SIML_COSINE, dim, m).tobytes() == cosine.tobytes()
+        assert basis_columns(BasisKind.DST_SINE, dim, m).tobytes() == sine.tobytes()
+
+
 class TestJacobi:
     def test_corner_matrix(self):
         np.testing.assert_array_equal(build_jacobi(JacobiKind.JN, 2), [[1, 1], [1, 0]])

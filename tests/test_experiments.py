@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from spectralvol import estimators
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
 from spectralvol.estimators import EstimatorKind, noise_expectation_exact
@@ -252,6 +253,34 @@ class TestNoiseBoundsRun:
     def test_requires_pure_noise_design(self):
         with pytest.raises(InvalidParameter):
             run_noise_bounds(self._cfg(vol=ConstantVol(1.0)))
+
+
+class TestNoiseOracleColumns:
+    """The studies' exact noise column comes from the columns their replications use."""
+
+    @pytest.mark.parametrize(
+        "study,kinds,ends",
+        [
+            (run_noise_bounds, (EstimatorKind.SIML, EstimatorKind.MM_FOURIER_REAL_ZERO), (True, True)),
+            (run_noise_bounds, (EstimatorKind.INA_SINE,), (False, True)),
+            (run_initial_noise_contrast, (EstimatorKind.SIML, EstimatorKind.INA_SINE), (True, False)),
+        ],
+        ids=["bounds_both_ends", "bounds_no_initial", "contrast_no_terminal"],
+    )
+    def test_one_column_build_per_kind_and_n(self, monkeypatch, study, kinds, ends):
+        noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+        cfg = _config(kinds=kinds, n_schedule=(63, 255), noise=noise, replications=12, base_seed=4,
+                      vol=ConstantVol(0.0 if study is run_noise_bounds else 1.0))
+        built = []
+        real = estimators.basis_columns
+        monkeypatch.setattr(estimators, "basis_columns", lambda *a: built.append(a) or real(*a))
+        summary = study(cfg)
+        monkeypatch.undo()
+        assert len(built) == len(kinds) * len(cfg.n_schedule)
+        for row in summary.rows:
+            assert row.noise_exact == noise_expectation_exact(
+                EstimatorKind(row.kind), row.n, row.m, 0.01, *ends
+            )
 
 
 class TestContrastRun:

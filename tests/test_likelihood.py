@@ -386,6 +386,31 @@ class TestJointMle:
             on_boundary += 1
         assert on_boundary >= 3
 
+    def test_local_maximum_below_zero_signal_edge_is_left(self):
+        """Pure noise, 7th draw: scoring from (0.5, 1e-4) meets a local maximum below L(0, nu0).
+
+        The c-score at (0, nu0) is positive, so the closed-form shortcut does
+        not apply; the fit must still reach L(0, nu0), and a fit reported
+        converged must be a maximum (negative definite Hessian, Newton gain
+        at most 1e-12 |L|).
+        """
+        n, nu = 512, 1e-3
+        a = a_coefficients(n)
+        rng = np.random.default_rng(12)
+        for _ in range(7):
+            z = SpectralCoefficients(z=np.sqrt(a * nu) * rng.standard_normal(n), n=n)
+        z2 = z.z**2
+        nu0 = float(np.mean(z2 / a))
+        assert np.sum((z2 - a * nu0) / (a * nu0) ** 2) > 0
+        edge = log_likelihood(z, LikelihoodParams(0.0, nu0))
+        out = joint_mle(z, LikelihoodParams(0.5, 1e-4))
+        assert out.log_likelihood >= edge
+        assert out.log_likelihood == pytest.approx(log_likelihood(z, out.params), rel=1e-12)
+        if out.converged:
+            grad, hess = _gradient_and_hessian(z, out.params.c, out.params.nu)
+            assert np.all(np.linalg.eigvalsh(hess) < 0)
+            assert 0.5 * grad @ np.linalg.solve(-hess, grad) <= 1e-12 * abs(out.log_likelihood)
+
     def test_never_below_initial_likelihood(self):
         rng = np.random.default_rng(9)
         z = spectral_transform(rng.normal(size=128))

@@ -1,11 +1,13 @@
 """Tests for path simulation, observation noise, and the series oracle fields."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 from spectralvol.errors import GridMismatch, InvalidParameter, TooShort
+from spectralvol import market
 from spectralvol.market import (
     ConstantDrift,
     ConstantVol,
@@ -18,8 +20,11 @@ from spectralvol.market import (
     derive_seed,
     increments,
     observe,
+    _derive_seeds,
     _latent_block,
     _noise_block,
+    _normals,
+    _seed_words,
     read_observations_csv,
     simulate_latent,
     simulate_latent_correlated,
@@ -258,6 +263,141 @@ class TestSeedDerivation:
         assert len(seeds) == 12
 
 
+_BASES = (0, 11, 2**32 - 1, 2**32, 2**63 + 12345, 2**70)
+_REPS = [0, 1, 2**32 - 1, 2**32] + list(range(500))
+
+
+def _oracle_seed(base, rep, stream):
+    ss = np.random.SeedSequence((base, rep, stream))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+class TestSeedingKernel:
+    """The vectorised SeedSequence hash against numpy's SeedSequence, exactly."""
+
+    @pytest.mark.parametrize("base", _BASES)
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_derive_seeds_match_seed_sequence(self, base, stream):
+        want = [_oracle_seed(base, rep, stream) for rep in _REPS]
+        got = _derive_seeds(base, np.array(_REPS, dtype=np.uint64), stream)
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
+        assert _derive_seeds(base, _REPS, stream).tolist() == want
+        assert [derive_seed(base, rep, stream) for rep in _REPS[:6]] == want[:6]
+
+    @pytest.mark.parametrize("spawn", [None, 0, 1])
+    def test_second_level_words_match_seed_sequence(self, spawn):
+        """Philox keys of seeds below and above 2**32, mixed in one call."""
+        seeds = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1] + [
+            derive_seed(11, rep, s) for rep in range(20) for s in (0, 1)
+        ]
+        key = () if spawn is None else (spawn,)
+        want = np.array(
+            [np.random.SeedSequence(seed, spawn_key=key).generate_state(4) for seed in seeds]
+        )
+        np.testing.assert_array_equal(_seed_words((seeds,), 4, spawn), want)
+        np.testing.assert_array_equal(
+            _seed_words((np.array(seeds, dtype=np.uint64),), 4, spawn), want
+        )
+
+    @pytest.mark.parametrize("spawn", [None, 0, 1])
+    def test_normals_rows_match_per_seed_philox(self, spawn):
+        seeds = [3, 2**32 + 5] + [derive_seed(2, rep, 0) for rep in range(6)]
+        got = _normals(seeds, 33, spawn)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == _philox_normals(seed, 33, spawn).tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1, 0, 0)
+        with pytest.raises(ValueError):
+            _normals(np.array([1, -2]), 4)
+
+    def test_golden_values(self):
+        """Sub-seeds and first normals as numpy's SeedSequence and Philox give them."""
+        assert [derive_seed(11, r, s) for r in (0, 1, 499) for s in (0, 1)] == [
+            3926704849073358691,
+            17787998696327163147,
+            18161219428762539833,
+            7916725605944229931,
+            11501836680380069171,
+            7327722223960360451,
+        ]
+        golden = {
+            (3926704849073358691, None): ["0x1.a059369e3459dp-5", "-0x1.83abc3bd5a70cp+0"],
+            (7916725605944229931, None): ["-0x1.8a8784dda21bfp-6", "-0x1.7750dc436e63fp-1"],
+            (16489466604871712345, 1): ["0x1.79f26fabeaf63p-3", "0x1.56d30626663c7p+0"],
+            (2**40 + 3, 0): ["-0x1.61aa7ce67268cp+0", "-0x1.c16e76747a979p-2"],
+        }
+        for (seed, spawn), want in golden.items():
+            assert [v.hex() for v in _normals([seed], 2, spawn)[0].tolist()] == want
+
+
+class TestZeroVarianceBlock:
+    @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.3)], ids=["zero", "const"])
+    def test_no_draws_and_exact_zero_increments(self, monkeypatch, drift):
+        n, refinement = 40, 2
+        noise = NoiseModel(0.01)
+        seeds = [derive_seed(5, rep, 1) for rep in range(4)]
+        want_noise = _noise_block(noise, n, seeds)
+        drawn = []
+        normals = market._normals
+        monkeypatch.setattr(market, "_normals", lambda *a, **k: drawn.append(a) or normals(*a, **k))
+        dx, spot, truths = _latent_block(ConstantVol(0.0), drift, n, refinement, seeds)
+        assert drawn == []
+        step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) / (n * refinement)
+        assert dx.tobytes() == np.full((4, n * refinement), step).tobytes()
+        assert not spot.any() and truths.tolist() == [0.0] * 4
+        assert _noise_block(noise, n, seeds).tobytes() == want_noise.tobytes()
+        for row, seed in zip(want_noise, seeds):
+            assert row.tobytes() == (_philox_normals(seed, n + 1) * np.sqrt(0.01)).tobytes()
+
+    def test_positive_variance_still_draws(self, monkeypatch):
+        drawn = []
+        normals = market._normals
+        monkeypatch.setattr(market, "_normals", lambda *a, **k: drawn.append(a) or normals(*a, **k))
+        _latent_block(ConstantVol(1e-300), ZeroDrift(), 8, 1, [1, 2])
+        assert len(drawn) == 1
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiseModel(_NAN),
+            lambda: NoiseModel(_INF),
+            lambda: ConstantVol(_NAN),
+            lambda: ConstantVol(_INF),
+            lambda: PiecewiseVol((0.5,), (1.0, _NAN)),
+            lambda: PiecewiseVol((0.5,), (_INF, 1.0)),
+            lambda: PiecewiseVol((_NAN,), (1.0, 1.0)),
+            lambda: OrnsteinUhlenbeckVol(_NAN, 1.0, 0.5, 1.0),
+            lambda: OrnsteinUhlenbeckVol(1.0, _NAN, 0.5, 1.0),
+            lambda: OrnsteinUhlenbeckVol(1.0, 1.0, _NAN, 1.0),
+            lambda: OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, _NAN),
+            lambda: OrnsteinUhlenbeckVol(1.0, _INF, 0.5, 1.0),
+            lambda: ConstantDrift(_NAN),
+            lambda: ConstantDrift(-_INF),
+        ],
+        ids=["noise_nan", "noise_inf", "const_nan", "const_inf", "piecewise_level_nan",
+             "piecewise_level_inf", "piecewise_breakpoint_nan", "ou_mean_nan", "ou_rate_nan",
+             "ou_volvol_nan", "ou_initial_nan", "ou_rate_inf", "drift_nan", "drift_inf"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(InvalidParameter):
+            make()
+
+    def test_finite_values_accepted(self):
+        NoiseModel(0.0)
+        ConstantVol(0.0)
+        PiecewiseVol((0.5,), (0.0, 2.0))
+        OrnsteinUhlenbeckVol(-1.0, 0.0, 0.0, -0.5)
+        ConstantDrift(-3.0)
+
+
 class TestCorrelatedPaths:
     def test_cov_matrix_and_shapes(self):
         loadings = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -294,6 +434,12 @@ class TestCsvRoundTrip:
         for row in ("0.5,2.0", "0.5,2.0,1.9"):
             text = f"time,value,latent,noise\n0.0,1.0,1.0,0.0\n{row}\n1.0,1.5,1.4,0.1\n"
             with pytest.raises(InvalidParameter, match="line 3"):
+                read_observations_csv(io.StringIO(text))
+
+    def test_non_numeric_cell_rejected(self):
+        for text in ("time,value\n0.0,1.0\n0.5,abc\n", "time,value,latent,noise\n0.5,1.0,x,0.0\n"):
+            line = 3 if text.startswith("time,value\n") else 2
+            with pytest.raises(InvalidParameter, match=f"line {line}"):
                 read_observations_csv(io.StringIO(text))
 
     def test_bad_header_rejected(self):

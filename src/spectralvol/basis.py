@@ -22,7 +22,8 @@ differences of i.i.d. noise under three end-point conventions:
 
 Angles are computed from exact integer products reduced modulo the period
 before multiplying by pi, so orthogonality holds to ~1e-13 even at
-dimension 513 and beyond.
+dimension 513 and beyond.  The reduced units take one period of values,
+so each entry is looked up in a table of the function over one period.
 """
 
 from __future__ import annotations
@@ -94,55 +95,67 @@ def _check_dim(kind: BasisKind, dim: int) -> None:
         raise InvalidDimension(f"fourier_real needs an odd dimension, got {dim}")
 
 
-def _scaled(func, units: np.ndarray, step: float, scale: float) -> np.ndarray:
-    """``scale * func(units * step)``, evaluated in one float array."""
-    out = units.astype(float)
-    out *= step
-    func(out, out=out)
-    out *= scale
+# Basis rows whose integer angle units are formed at a time.
+_ROW_BLOCK = 4096
+
+
+def _periodic(
+    func, rows: np.ndarray, cols: np.ndarray, period: int, step: float, scale: float, out
+) -> np.ndarray:
+    """``scale * func(step * (outer(rows, cols) % period))`` in ``out``, for int rows and cols.
+
+    The units lie in one period, so each entry is looked up in the values of
+    one period, computed with the same operations: the bits are those of the
+    formula.  Units are formed a block of rows at a time.
+    """
+    table = np.arange(period, dtype=float)
+    table *= step
+    func(table, out=table)
+    table *= scale
+    for first in range(0, len(rows), _ROW_BLOCK):
+        units = np.multiply.outer(rows[first : first + _ROW_BLOCK], cols)
+        units %= period
+        out[first : first + _ROW_BLOCK] = table[units]
     return out
 
 
-def basis_columns(kind: BasisKind, dim: int, num_modes: int) -> np.ndarray:
+def basis_columns(
+    kind: BasisKind, dim: int, num_modes: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
     This is the O(dim * num_modes) work-horse used by the estimators, which
     only ever need m << dim columns; the full matrix is materialized only by
-    :func:`build_basis`.
+    :func:`build_basis`.  The columns are written into ``out`` when given.
     """
     kind = BasisKind(kind)
     _check_dim(kind, dim)
     if not 1 <= num_modes <= dim:
         raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
+    if out is None:
+        out = np.empty((dim, num_modes))
+    k = np.arange(1, dim + 1, dtype=np.int64)
+    l = np.arange(1, num_modes + 1, dtype=np.int64)
 
     if kind is BasisKind.SIML_COSINE:
         # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units
-        k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
-        l = np.arange(1, num_modes + 1, dtype=np.int64)[None, :]
-        units = (2 * k - 1) * (2 * l - 1)
-        units %= 4 * (2 * dim + 1)
-        return _scaled(np.cos, units, np.pi / (2 * (2 * dim + 1)), np.sqrt(2.0 / (dim + 0.5)))
+        step, scale = np.pi / (2 * (2 * dim + 1)), np.sqrt(2.0 / (dim + 0.5))
+        return _periodic(np.cos, 2 * k - 1, 2 * l - 1, 4 * (2 * dim + 1), step, scale, out)
 
     if kind is BasisKind.DST_SINE:
         # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
-        k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
-        l = np.arange(1, num_modes + 1, dtype=np.int64)[None, :]
-        units = k * l
-        units %= 2 * (dim + 1)
-        return _scaled(np.sin, units, np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1)))
+        step, scale = np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1))
+        return _periodic(np.sin, k, l, 2 * (dim + 1), step, scale, out)
 
-    # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column l is
-    # the sine and even column l the cosine of integer frequency (l+1)//2.
-    n_obs = dim
-    k = np.arange(n_obs, dtype=np.int64)[:, None]
-    l = np.arange(num_modes, dtype=np.int64)[None, :]
-    freq = (l + 1) // 2
-    units = (k * freq) % n_obs
-    angles = units * (2.0 * np.pi / n_obs)
-    cols = np.where(l % 2 == 1, np.sin(angles), np.cos(angles))
-    cols *= np.sqrt(2.0 / n_obs)
-    cols[:, 0] = 1.0 / np.sqrt(n_obs)
-    return cols
+    # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column c is
+    # the sine and even column c the cosine of integer frequency (c+1)//2;
+    # angle = k * freq * 2pi / N, of period N units.
+    freq = l // 2  # l = c + 1
+    step, scale = 2.0 * np.pi / dim, np.sqrt(2.0 / dim)
+    _periodic(np.sin, k - 1, freq, dim, step, scale, out)
+    _periodic(np.cos, k - 1, freq[0::2], dim, step, scale, out[:, 0::2])
+    out[:, 0] = 1.0 / np.sqrt(dim)
+    return out
 
 
 def build_basis(kind: BasisKind, dim: int) -> SpectralBasis:

@@ -77,7 +77,10 @@ def _build_parser() -> _Parser:
     exp.add_argument("--config", required=True)
     exp.add_argument("--out-dir", required=True)
     exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--threads", type=int, default=None)
+    exp.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility; changes neither the output nor how the work runs",
+    )
     return parser
 
 

@@ -209,23 +209,25 @@ def mm_fourier_complex(
     )
 
 
-def _functional_columns(kind: EstimatorKind, n: int, m: int) -> tuple[np.ndarray, float]:
-    """Basis columns and prefactor of an estimator's quadratic form on n increments."""
+def _functional_columns(
+    kind: EstimatorKind, n: int, m: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Basis columns (written into ``out`` when given) and prefactor of a kind's quadratic form."""
     kind = EstimatorKind(kind)
     if kind is EstimatorKind.SIML:
         if not 1 <= m <= n:
             raise CutoffTooLarge(f"need 1 <= m <= {n}, got m={m}")
-        return basis_columns(BasisKind.SIML_COSINE, n, m), n / m
+        return basis_columns(BasisKind.SIML_COSINE, n, m, out), n / m
     if kind is EstimatorKind.INA_SINE:
         if not 1 <= m <= n:
             raise CutoffTooLarge(f"need 1 <= m <= {n}, got m={m}")
-        return basis_columns(BasisKind.DST_SINE, n, m), (n + 1) / m
+        return basis_columns(BasisKind.DST_SINE, n, m, out), (n + 1) / m
     if kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
         if n % 2 == 0:
             raise EvenLength(f"need an odd number of increments, got {n}")
         if m < 0 or 2 * m + 1 > n:
             raise CutoffTooLarge(f"need 0 <= 2m+1 <= {n}, got m={m}")
-        return basis_columns(BasisKind.FOURIER_REAL, n, 2 * m + 1), n / (2 * m + 1)
+        return basis_columns(BasisKind.FOURIER_REAL, n, 2 * m + 1, out), n / (2 * m + 1)
     raise InvalidParameter("noise functionals are defined for the real-valued kinds only")
 
 

@@ -15,10 +15,14 @@ a dictionary of named pass/fail checks:
 
 Replication r draws its path and noise streams from sub-seeds keyed
 (base_seed, r, stream), derived for all replications of a sample size at
-once; replications run in blocks, one matrix product per estimator and
-block, and within a replication every configured estimator sees the same
-series.  The exact noise expectations come from the same basis columns as
-the estimates.  ``threads`` is accepted but changes nothing.
+once.  Replications run in tiles of _TILE_ROWS replications by _TILE_WIDTH
+observed increments: each tile is drawn, scaled in place and multiplied
+with the matching rows of all estimators' basis columns (one n x sum(m)
+array), and the product is added to the replications' coefficients.  So
+the working set does not grow with n, and within a replication every
+configured estimator sees the same series.  The exact noise expectations
+come from the same basis columns as the estimates.  ``threads`` is accepted
+but changes nothing.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wr
     NoiseModel,
     PiecewiseVol,
     VolModel,
+    _TILE_WIDTH,
     _derive_seeds,
-    _latent_block,
-    _noise_block,
+    _LatentTiles,
+    _NoiseTiles,
+    _tiles,
     derive_seed,
     observe,
     simulate_latent,
@@ -66,8 +72,11 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-# Replications per block: about 2**17 float64 values (1 MiB) per block array.
-_BLOCK_ELEMENTS = 2**17
+# Replications per tile.  A tile of _TILE_ROWS x _TILE_WIDTH increments and
+# the _TILE_WIDTH rows of basis columns it meets fit in cache together.  Fixed,
+# like the tile width, so that a replication's coefficients do not depend on
+# how many replications run.
+_TILE_ROWS = 128
 
 CSV_COLUMNS = [
     "experiment",
@@ -115,8 +124,9 @@ class ExperimentConfig:
             raise InvalidParameter("at least one estimator kind is required")
         if any(k not in _REAL_KINDS for k in self.kinds):
             raise InvalidParameter("experiments support the real-valued estimator kinds")
-        if self.replications < 1:
-            raise InvalidParameter("replications must be >= 1")
+        if not 1 <= self.replications <= 2**32:
+            # replication r keys its streams with r, whose keys collide from 2**32 on
+            raise InvalidParameter("replications must be in [1, 2**32]")
         if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise InvalidParameter("n_schedule must be strictly increasing and non-empty")
         if self.base_seed < 0:
@@ -189,6 +199,11 @@ class McSummary:
             fileobj.write(",".join(cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
 
 
+def _column_count(kind: EstimatorKind, m: int) -> int:
+    """Basis columns of a kind's quadratic form at cutoff m."""
+    return 2 * m + 1 if kind is EstimatorKind.MM_FOURIER_REAL_ZERO else m
+
+
 def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ...]:
     """The cutoff m at each n of the schedule, once ``experiment`` is known to run.
 
@@ -212,7 +227,7 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
     for n, m in zip(config.n_schedule, cutoffs):
         for kind in config.kinds:
-            columns = 2 * m + 1 if kind is EstimatorKind.MM_FOURIER_REAL_ZERO else m
+            columns = _column_count(kind, m)
             if columns > n:
                 raise InvalidParameter(
                     f"cutoff m={m} needs {columns} {kind.value} basis columns, more than n={n}"
@@ -228,58 +243,80 @@ def _run_replications(
     want_cross: bool = False,
     want_exact: bool = False,
 ) -> dict:
-    """All replications at one sample size, block by block; every kind sees the same data.
+    """All replications at one sample size, tile by tile; every kind sees the same data.
 
-    The path and noise seeds of all replications come from one hash call
-    each.  For the estimates alone each kind makes one product per block,
-    ``(dX + dV) @ cols``; for the noise or cross parts it makes one
-    ``[dX; dV] @ cols`` and splits it into the latent and noise coefficients.
-    With ``want_exact``, ``noise_exact`` holds each kind's exact noise
-    expectation, from the same basis columns.
+    The kinds' basis columns sit side by side in one n x sum(m) array.  A
+    tile holds up to _TILE_ROWS replications over _TILE_WIDTH observed
+    increments: their latent increments and noise differences are drawn and
+    scaled in place, and the tile's product with the matching rows of the
+    columns is added to each replication's coefficients.  The estimates need
+    only ``(dX + dV) @ cols``; for the noise or cross parts ``dX @ cols``
+    and ``dV @ cols`` are accumulated apart.  With ``want_exact``,
+    ``noise_exact`` holds each kind's exact noise expectation, from the same
+    columns.
     """
-    specs = [_functional_columns(kind, n, m) for kind in config.kinds]
-    # The oracle runs before the blocks, so its n x m temporary and theirs never coexist.
-    noise = config.noise
+    kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
+    edges = np.cumsum([0] + [_column_count(kind, m) for kind in kinds])
+    cols = np.empty((n, edges[-1]))
+    spans = [
+        (slice(lo, hi), _functional_columns(kind, n, m, cols[:, lo:hi])[1])
+        for kind, lo, hi in zip(kinds, edges, edges[1:])
+    ]
     ends = (noise.include_initial, noise.include_terminal)
     noise_exact = (
-        [_noise_expectation(cols, pref, noise.variance, *ends) for cols, pref in specs]
+        [_noise_expectation(cols[:, at], pref, noise.variance, *ends) for at, pref in spans]
         if want_exact
         else None
     )
-    n_kinds = len(config.kinds)
-    reps = config.replications
-    estimates = np.empty((n_kinds, reps))
-    noise_parts = np.empty((n_kinds, reps)) if want_noise else None
-    cross_parts = np.empty((n_kinds, reps)) if want_cross else None
-    truths = np.empty(reps)
 
-    r = config.refinement
-    rows = max(1, _BLOCK_ELEMENTS // (n * r))
-    path_seeds = _derive_seeds(config.base_seed, np.arange(reps), PATH_STREAM)
-    noise_seeds = _derive_seeds(config.base_seed, np.arange(reps), NOISE_STREAM)
     split = want_noise or want_cross
-    for start in range(0, reps, rows):
-        block = slice(start, min(start + rows, reps))
-        dx, _, truths[block] = _latent_block(config.vol, config.drift, n, r, path_seeds[block])
-        if r > 1:  # an observed increment sums its r fine increments
-            dx = dx.reshape(len(dx), n, r).sum(axis=2)
-        dv = np.diff(_noise_block(noise, n, noise_seeds[block]), axis=1)
-        data = np.vstack((dx, dv)) if split else dx + dv
-        for i, (cols, pref) in enumerate(specs):
-            if split:
-                wx, wv = np.split(data @ cols, 2)
-                wy = wx + wv
+    rows = min(_TILE_ROWS, reps)
+    path_seeds, noise_seeds = (
+        _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
+    )
+    latent = _LatentTiles(config.vol, config.drift, n * r, path_seeds, rows)
+    noisy = _NoiseTiles(noise, n, noise_seeds, rows)
+    tile = np.empty((2 * rows, _TILE_WIDTH))  # latent increments, then noise differences
+    fine = np.empty((rows, _TILE_WIDTH * r)) if r > 1 else None
+    v = np.empty((rows, _TILE_WIDTH + 1))
+    coef = np.zeros((2 if split else 1, reps, edges[-1]))
+    truths = np.empty(reps)
+    for first in range(0, reps, rows):
+        group = slice(first, min(first + rows, reps))
+        g = group.stop - first
+        latent.start(first, group.stop)
+        noisy.start(first, group.stop)
+        for lo, hi in _tiles(n):
+            w = hi - lo
+            dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
+            if r > 1:  # an observed increment sums its r fine increments
+                latent.tile(fine[:g, : w * r])
+                fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
             else:
-                wy = data @ cols
-            estimates[i, block] = pref * np.einsum("ij,ij->i", wy, wy)
-            if want_noise:
-                noise_parts[i, block] = pref * np.einsum("ij,ij->i", wv, wv)
-            if want_cross:
-                cross_parts[i, block] = 2.0 * pref * np.einsum("ij,ij->i", wx, wv)
+                latent.tile(dx)
+            if lo:
+                v[:g, 0] = v[:g, _TILE_WIDTH]
+            noisy.tile(v[:g, : w + 1])
+            np.subtract(v[:g, 1 : w + 1], v[:g, :w], out=dv)
+            if split:
+                coef[:, group] += (tile[: 2 * g, :w] @ cols[lo:hi]).reshape(2, g, -1)
+            else:
+                dx += dv
+                coef[0, group] += dx @ cols[lo:hi]
+        truths[group] = latent.truths
+
+    wy = coef.sum(axis=0)  # (dX + dV) @ cols
+    wx, wv = coef[0], coef[-1]  # dX @ cols and dV @ cols, when split
+
+    def parts(a, b, scale=1.0):
+        return np.array(
+            [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for at, pref in spans]
+        )
+
     return {
-        "estimates": estimates,
-        "noise_parts": noise_parts,
-        "cross_parts": cross_parts,
+        "estimates": parts(wy, wy),
+        "noise_parts": parts(wv, wv) if want_noise else None,
+        "cross_parts": parts(wx, wv, 2.0) if want_cross else None,
         "truths": truths,
         "noise_exact": noise_exact,
     }

@@ -11,11 +11,14 @@ Randomness is counter-based (Philox) and fully keyed: every path or noise
 stream is a pure function of its integer seed, and :func:`derive_seed`
 produces independent sub-seeds from ``(base_seed, replication, stream)`` so
 Monte Carlo replications can run in any order or in parallel.  Sub-seeds and
-Philox keys are numpy's SeedSequence hash, computed here for a whole array
-of seeds in one pass, and one Philox generator is re-keyed for each stream:
-stream j has the bits of ``Philox(SeedSequence(seeds[j]))`` without either
-object being built per stream.  A block of paths whose spot variance is
-zero everywhere draws no latent shocks.
+Philox keys are numpy's SeedSequence hash, computed here on Python ints for
+one seed or on arrays for many seeds in one pass, and a pool of Philox
+generators is re-keyed for each group of streams: stream j has the bits of
+``Philox(SeedSequence(seeds[j]))`` without either object being built per
+stream.  Paths and noise are drawn in tiles of ``_TILE_WIDTH`` observed
+increments, each tile continuing its streams, so a group of paths drawn
+tile by tile has the bits of single paths drawn whole.  Paths whose spot
+variance is zero everywhere draw no latent shocks.
 """
 
 from __future__ import annotations
@@ -197,98 +200,102 @@ class ObservationSeries:
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
+# Observed increments per tile of the samplers below.  Fixed, so that a
+# path's values do not depend on how many paths are drawn with it.
+_TILE_WIDTH = 1024
 
-def _int_words(values) -> tuple[np.ndarray, np.ndarray]:
-    """Little-endian uint32 words of non-negative ints, a row per int, and each int's word count.
 
-    An int takes max(1, ceil(bits / 32)) words; the rest of its row is 0.
-    """
-    v = np.atleast_1d(values if isinstance(values, np.ndarray) else np.array(values, dtype=object))
-    if v.dtype.kind not in "iu":  # Python ints, which may not fit in 64 bits
-        ints = [operator.index(x) for x in v]
-        if min(ints) < 0:
-            raise ValueError("seeds must be non-negative integers")
-        if max(ints) >= 2**64:
-            counts = np.array([max(1, -(-x.bit_length() // 32)) for x in ints])
-            words = [[(x >> (32 * i)) & _MASK32 for i in range(counts.max())] for x in ints]
-            return np.array(words, dtype=np.uint32), counts
-        v = np.array(ints, dtype=np.uint64)
-    elif np.any(v < 0):
+def _words(x) -> list[int]:
+    """Little-endian uint32 words of a non-negative int: max(1, ceil(bits / 32)) of them."""
+    x = operator.index(x)
+    if x < 0:
         raise ValueError("seeds must be non-negative integers")
-    v = v.astype(np.uint64)
-    words = np.stack(((v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)), axis=1)
-    return words, 1 + (words[:, 1] > 0)
+    return [x >> shift & _MASK32 for shift in range(0, max(1, x.bit_length()), 32)]
 
 
-def _hash_entropy(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` of every row of a (rows, k) uint32 array."""
+def _hash_entropy(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words)``, word by word.
+
+    Each entropy word is a Python int, or a uint32 array holding that word
+    of many sequences; every operation below wraps to 32 bits on both.
+    """
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
 
     def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ result >> 16
 
-    k = entropy.shape[1]
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < k else zero) for i in range(_POOL_SIZE)]
+    k = len(entropy)
+    pool = [hashmix(entropy[i] if i < k else 0) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for src in range(_POOL_SIZE, k):
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    out = np.empty((len(entropy), n_words), dtype=np.uint32)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    out = []
     hash_const = _INIT_B
     for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        out[:, i] = value ^ (value >> 16)
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
     return out
 
 
 def _seed_words(parts, n_words: int, spawn: int | None = None) -> np.ndarray:
-    """``SeedSequence(entropy, spawn_key=(spawn,)).generate_state(n_words)`` per row.
+    """``SeedSequence(entropy, spawn_key=(spawn,)).generate_state(n_words)``, a row each.
 
-    A row's entropy is the ints of ``parts`` in order; each part is one int
-    shared by every row or a 1-D sequence with an int per row.  Rows whose
-    ints take different word counts are hashed in separate groups.
+    A row's entropy is the ints of ``parts`` in order.  Each part is an int,
+    or (at most one part) a 1-D sequence of ints below 2**64, one per row.
+    Rows whose int there takes one word and rows whose int takes two are
+    hashed apart.
     """
-    words, counts = zip(*(_int_words(part) for part in parts))
-    rows = max(len(w) for w in words)
-    counts = np.stack([np.broadcast_to(c, rows) for c in counts], axis=1)
-    if spawn is not None:
-        spawn_words, spawn_count = _int_words(spawn)
-        spawn_words = spawn_words[:, : spawn_count[0]]
-    out = np.empty((rows, n_words), dtype=np.uint32)
-    codes = np.ravel_multi_index(counts.T, counts.max(axis=0) + 1)
-    _, first, group = np.unique(codes, return_index=True, return_inverse=True)
-    for g, width in enumerate(counts[first]):
-        sel = np.flatnonzero(group == g)
-        entropy = [np.broadcast_to(w, (rows, w.shape[1]))[sel, :c] for w, c in zip(words, width)]
-        if spawn is not None:
-            # A spawn key follows the entropy zero-padded to the pool size.
-            pad = max(0, _POOL_SIZE - int(width.sum()))
-            entropy += [np.zeros((len(sel), pad), np.uint32), np.repeat(spawn_words, len(sel), 0)]
-        out[sel] = _hash_entropy(np.hstack(entropy), n_words)
+
+    def hashed(words):
+        if spawn is not None:  # the spawn key follows the entropy zero-padded to the pool size
+            words = words + [0] * (_POOL_SIZE - len(words)) + _words(spawn)
+        return _hash_entropy(words, n_words)
+
+    def ints(some):
+        return [w for part in some for w in _words(part)]
+
+    per_row = [i for i, part in enumerate(parts) if hasattr(part, "__len__")]
+    if not per_row:
+        return np.array([hashed(ints(parts))], dtype=np.uint32)
+    (at,) = per_row
+    v = np.asarray(parts[at])
+    if v.dtype.kind != "u":
+        if np.any(v < 0):
+            raise ValueError("seeds must be non-negative integers")
+        v = np.array(parts[at], dtype=np.uint64)
+    lo, hi = (v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)
+    head, tail = ints(parts[:at]), ints(parts[at + 1 :])
+    out = np.empty((len(v), n_words), dtype=np.uint32)
+    wide = hi > 0
+    for rows, mid in ((~wide, [lo]), (wide, [lo, hi])):
+        if rows.all():
+            rows = slice(None)
+        elif not rows.any():
+            continue
+        out[rows] = np.column_stack(hashed(head + [w[rows] for w in mid] + tail))
     return out
 
 
 def _uint64(words: np.ndarray) -> np.ndarray:
     """Pairs of little-endian uint32 words as uint64, row by row."""
-    w = words.astype(np.uint64)
-    return w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+    return np.ascontiguousarray(words, dtype="<u4").view("<u8")
 
 
 def _derive_seeds(base_seed: int, replications, stream: int) -> np.ndarray:
@@ -300,99 +307,168 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
     """Deterministic 64-bit sub-seed keyed by (base_seed, replication, stream).
 
     Equals ``SeedSequence((base_seed, replication, stream)).generate_state(1, uint64)``.
+    For one base seed, distinct (replication, stream) pairs below 2**32 hash
+    distinct entropy words, so their seeds are as independent as SeedSequence
+    makes them.  Beyond 2**32 that fails: entropy shorter than four words
+    hashes like its zero-padded form, so ``derive_seed(b, 2**32, 0) ==
+    derive_seed(b, 0, 1)`` for b < 2**32.
     """
-    return int(_derive_seeds(base_seed, [replication], stream)[0])
+    return int(_derive_seeds(base_seed, replication, stream)[0])
 
 
-def _generators(seeds, spawn: int | None = None):
-    """One Generator, re-keyed in turn to the Philox stream of each seed.
+_EMPTY_BLOCK = np.zeros(4, np.uint64)
+
+
+class _Streams:
+    """The Philox streams of some seeds, drawn through a pool of ``rows`` generators.
 
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
-    buffer start empty.  All keys come from one hash call.
+    buffer start empty.  The keys of all seeds come from one hash call;
+    :meth:`start` re-keys the pool to the streams of seeds[lo:hi], and each
+    :meth:`fill` continues them, so a row filled tile by tile gets the bits
+    of one long draw.
     """
-    keys = _uint64(_seed_words((seeds,), 4, spawn))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    empty = np.zeros(4, np.uint64)
-    for key in keys:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": empty, "key": key},
-            "buffer": empty,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+
+    def __init__(self, seeds, spawn: int | None = None, rows: int = 1):
+        self.keys = _uint64(_seed_words((seeds,), 4, spawn))
+        # start() replaces every key; a fixed placeholder seed reads no OS entropy
+        placeholder = np.random.SeedSequence(0)
+        self.pool = [np.random.Generator(np.random.Philox(placeholder)) for _ in range(rows)]
+
+    def start(self, lo: int, hi: int) -> None:
+        for gen, key in zip(self.pool, self.keys[lo:hi]):
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _EMPTY_BLOCK, "key": key},
+                "buffer": _EMPTY_BLOCK,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Standard normals into each row of ``out``, row j from the j-th started stream."""
+        for row, gen in zip(out, self.pool):
+            gen.standard_normal(out=row)
+        return out
 
 
-def _normals(seeds, size: int, spawn: int | None = None) -> np.ndarray:
-    """Standard normals, row j drawn from the Philox stream of ``seeds[j]``."""
-    out = np.empty((len(seeds), size))
-    for row, gen in zip(out, _generators(seeds, spawn)):
-        gen.standard_normal(out=row)
-    return out
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each tile of n observed increments."""
+    return [(k, min(k + _TILE_WIDTH, n)) for k in range(0, n, _TILE_WIDTH)]
 
 
-def _spot_variance(vol: VolModel, fine_times: np.ndarray, seeds) -> np.ndarray:
-    """Fine-grid spot variance: a row per seed for OU, one row shared by all seeds otherwise."""
-    if isinstance(vol, ConstantVol):
-        return np.full((1, len(fine_times)), float(vol.level))
-    if isinstance(vol, PiecewiseVol):
-        idx = np.searchsorted(np.array(vol.breakpoints), fine_times, side="right")
-        return np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
-    # OU state on the fine grid, driven by an independent sub-stream and
-    # stepped for all seeds at once; the spot variance is the squared state,
-    # hence nonnegative by construction.
-    n_steps = len(fine_times) - 1
-    dt = 1.0 / n_steps
-    shocks = _normals(seeds, n_steps, spawn=1).T * np.sqrt(dt)
-    state = np.empty((n_steps + 1, len(seeds)))
-    state[0] = vol.initial_level
-    for i in range(n_steps):
-        state[i + 1] = (
-            state[i]
-            + vol.reversion_rate * (vol.mean_level - state[i]) * dt
-            + vol.vol_of_vol * shocks[i]
-        )
-    return (state**2).T.copy()
+class _LatentTiles:
+    """Euler-Maruyama increments of a group of latent paths, tile by tile.
+
+    Row j follows the path stream of ``seeds[j]`` (spawn key 0 under OU
+    volatility, whose state follows spawn key 1) from the first fine step
+    on.  The OU state and, for OU, each row's integrated variance (the
+    trapezoid rule, summed tile by tile) carry over from tile to tile.
+    Paths whose spot variance is zero everywhere draw no shocks.
+    """
+
+    def __init__(self, vol: VolModel, drift: DriftModel, n_fine: int, seeds, rows: int = 1):
+        self.vol, self.n_fine, self.dt = vol, n_fine, 1.0 / n_fine
+        self.shift = (drift.level if isinstance(drift, ConstantDrift) else 0.0) * self.dt
+        ou = isinstance(vol, OrnsteinUhlenbeckVol)
+        if isinstance(vol, ConstantVol):
+            self.exact, silent = float(vol.level), vol.level == 0
+        elif isinstance(vol, PiecewiseVol):
+            edges = np.array((0.0,) + vol.breakpoints + (1.0,))
+            self.exact = float(np.sum(np.asarray(vol.levels) * np.diff(edges)))
+            silent = not any(vol.levels)
+        else:
+            silent = False
+        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, rows)
+        self.vol_shocks = _Streams(seeds, 1, rows) if ou else None
+
+    def start(self, lo: int, hi: int) -> None:
+        """Begin the paths of seeds[lo:hi] at time 0."""
+        for streams in (self.shocks, self.vol_shocks):
+            if streams is not None:
+                streams.start(lo, hi)
+        self.step = 0
+        if self.vol_shocks is None:
+            self.truths = np.full(hi - lo, self.exact)
+        else:
+            self.state = np.full(hi - lo, float(self.vol.initial_level))
+            self.truths = np.zeros(hi - lo)
+
+    def tile(self, dx: np.ndarray) -> np.ndarray:
+        """Fill ``dx`` (rows x w) with the next w fine increments.
+
+        Returns the spot variance at their w + 1 grid points: a row per path
+        for OU, one row shared by all paths otherwise.
+        """
+        w = dx.shape[1]
+        first, self.step = self.step, self.step + w
+        vol = self.vol
+        if isinstance(vol, ConstantVol):
+            spot = np.full((1, w + 1), self.exact)
+        elif isinstance(vol, PiecewiseVol):
+            times = np.arange(first, first + w + 1) / self.n_fine
+            idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
+            spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
+        else:
+            spot = self._ou_spot(len(dx), w)
+        if self.shocks is None:
+            dx[...] = 0.0
+        else:
+            self.shocks.fill(dx)
+            dx *= np.sqrt(spot[:, :-1] * self.dt)
+        if self.shift:
+            dx += self.shift
+        return spot
+
+    def _ou_spot(self, rows: int, w: int) -> np.ndarray:
+        # OU state stepped for all rows at once; the spot variance is the
+        # squared state, hence nonnegative by construction.
+        vol, dt = self.vol, self.dt
+        shocks = self.vol_shocks.fill(np.empty((rows, w))).T * np.sqrt(dt)
+        state = np.empty((w + 1, rows))
+        state[0] = self.state
+        for i in range(w):
+            state[i + 1] = (
+                state[i]
+                + vol.reversion_rate * (vol.mean_level - state[i]) * dt
+                + vol.vol_of_vol * shocks[i]
+            )
+        self.state = state[-1]
+        spot = (state**2).T.copy()
+        self.truths += _trapezoid(spot, dx=dt, axis=1)
+        return spot
 
 
-def _true_integrated_vol(vol: VolModel, spot: np.ndarray) -> np.ndarray:
-    """Exact integrated variance of each spot row (trapezoid rule for OU)."""
-    if isinstance(vol, ConstantVol):
-        return np.full(len(spot), float(vol.level))
-    if isinstance(vol, PiecewiseVol):
-        edges = np.array((0.0,) + vol.breakpoints + (1.0,))
-        return np.full(len(spot), float(np.sum(np.asarray(vol.levels) * np.diff(edges))))
-    return _trapezoid(spot, dx=1.0 / (spot.shape[1] - 1), axis=1)
+class _NoiseTiles:
+    """Observation noise of a group of series at the n + 1 times, tile by tile.
 
+    Row j follows the noise stream of ``seeds[j]``.  The tile of w
+    increments from time k needs the noise at times k..k + w; the caller
+    carries the value at time k over from the previous tile, except at k = 0.
+    """
 
-def _latent_block(vol: VolModel, drift: DriftModel, n: int, refinement: int, seeds):
-    """(Euler-Maruyama increments on n * refinement steps, spot variance, truths), per seed."""
-    if refinement < 1:
-        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
-    n_fine = n * refinement
-    spot = _spot_variance(vol, np.arange(n_fine + 1) / n_fine, seeds)
-    dt = 1.0 / n_fine
-    if spot.any():
-        dx = _normals(seeds, n_fine, spawn=0 if isinstance(vol, OrnsteinUhlenbeckVol) else None)
-        dx *= np.sqrt(spot[:, :-1] * dt)
-    else:  # zero variance everywhere: the shocks would all be scaled to zero
-        dx = np.zeros((len(seeds), n_fine))
-    dx += (drift.level if isinstance(drift, ConstantDrift) else 0.0) * dt
-    return dx, spot, np.broadcast_to(_true_integrated_vol(vol, spot), len(seeds))
+    def __init__(self, noise: NoiseModel, n: int, seeds, rows: int = 1):
+        self.noise, self.n = noise, n
+        self.scale = np.sqrt(noise.variance)
+        self.streams = _Streams(seeds, None, rows)
 
+    def start(self, lo: int, hi: int) -> None:
+        """Begin the series of seeds[lo:hi] at time 0."""
+        self.streams.start(lo, hi)
+        self.time = 0
 
-def _noise_block(noise: NoiseModel, n: int, seeds) -> np.ndarray:
-    """Noise at the n + 1 observation times, a row per noise seed."""
-    v = _normals(seeds, n + 1) * np.sqrt(noise.variance)
-    if not noise.include_initial:
-        v[:, 0] = 0.0
-    if not noise.include_terminal:
-        v[:, -1] = 0.0
-    return v
+    def tile(self, v: np.ndarray) -> None:
+        """Fill ``v`` (rows x (w + 1)) with the noise of the next tile of w increments."""
+        first, self.time = self.time, self.time + v.shape[1] - 1
+        new = v if first == 0 else v[:, 1:]
+        self.streams.fill(new)
+        new *= self.scale
+        if first == 0 and not self.noise.include_initial:
+            v[:, 0] = 0.0
+        if self.time == self.n and not self.noise.include_terminal:
+            v[:, -1] = 0.0
 
 
 def simulate_latent(
@@ -407,13 +483,22 @@ def simulate_latent(
     For constant (or piecewise-constant) volatility and zero drift the scheme
     is exact in distribution.  Deterministic given ``rng_seed``.
     """
-    dx, spot, truths = _latent_block(vol, drift, scheme.n, refinement, [rng_seed])
-    n_fine = dx.shape[1]
+    if refinement < 1:
+        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
+    n_fine = scheme.n * refinement
+    latent = _LatentTiles(vol, drift, n_fine, rng_seed)
+    latent.start(0, 1)
+    dx = np.empty((1, n_fine))
+    spot = np.empty(n_fine + 1)
+    for lo, hi in _tiles(scheme.n):
+        spot[lo * refinement : hi * refinement + 1] = latent.tile(
+            dx[:, lo * refinement : hi * refinement]
+        )[0]
     return LatentPath(
         fine_times=np.arange(n_fine + 1) / n_fine,
         values=np.concatenate(([0.0], np.cumsum(dx[0]))),
-        spot_variance=spot[0],
-        true_integrated_vol=float(truths[0]),
+        spot_variance=spot,
+        true_integrated_vol=float(latent.truths[0]),
     )
 
 
@@ -433,8 +518,9 @@ def simulate_latent_correlated(
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine
     dt = 1.0 / n_fine
-    rng = next(_generators([rng_seed]))
-    dw = rng.standard_normal((n_fine, sigma.shape[1])) * np.sqrt(dt)
+    streams = _Streams(rng_seed)
+    streams.start(0, 1)
+    dw = streams.pool[0].standard_normal((n_fine, sigma.shape[1])) * np.sqrt(dt)
     dx = dw @ sigma.T
     cov = sigma @ sigma.T
     paths = []
@@ -470,12 +556,16 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    v = _noise_block(noise, scheme.n, [rng_seed])[0]
+    sampler = _NoiseTiles(noise, scheme.n, rng_seed)
+    sampler.start(0, 1)
+    v = np.empty((1, scheme.n + 1))
+    for lo, hi in _tiles(scheme.n):
+        sampler.tile(v[:, lo : hi + 1])
     return ObservationSeries(
         times=scheme.times(),
-        values=latent + v,
+        values=latent + v[0],
         latent=latent,
-        noise=v,
+        noise=v[0],
     )
 
 
@@ -499,7 +589,8 @@ def read_observations_csv(fileobj) -> ObservationSeries:
 
     Raises :class:`InvalidParameter` for a data row with fewer than two cells
     (four when the header names the oracle columns), a cell that is not a
-    finite number, or times that do not strictly increase.
+    finite number, a time outside [0, 1], or times that do not strictly
+    increase.
     """
     reader = csv.reader(fileobj)
     header = next(reader, None)
@@ -523,6 +614,11 @@ def read_observations_csv(fileobj) -> ObservationSeries:
                 noise.append(float(row[3]))
         except ValueError as exc:
             raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
+        if not 0.0 <= times[-1] <= 1.0:
+            raise InvalidParameter(
+                f"line {reader.line_num}: time {row[0].strip()} is outside [0, 1]; rescale times "
+                "to [0, 1] (the Fourier estimator is periodic on [0, 1])"
+            )
     times = np.array(times)
     values = np.array(values)
     if not all(np.all(np.isfinite(col)) for col in (times, values, latent, noise)):

@@ -87,7 +87,7 @@ def test_columns_unit_norm(kind):
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 64, 390, 1023, 4680])
 def test_cosine_and_sine_columns_keep_their_bits(dim):
-    """The in-place evaluation equals scale * f(units * step), the formula written out."""
+    """The one-period table lookup equals scale * f(units * step), the formula written out."""
     for m in sorted({1, min(dim, 27), dim if dim <= 64 else 1}):
         k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
         l = np.arange(1, m + 1, dtype=np.int64)[None, :]
@@ -96,6 +96,11 @@ def test_cosine_and_sine_columns_keep_their_bits(dim):
         sine = np.sqrt(2.0 / (dim + 1)) * np.sin((k * l) % (2 * (dim + 1)) * (np.pi / (dim + 1)))
         assert basis_columns(BasisKind.SIML_COSINE, dim, m).tobytes() == cosine.tobytes()
         assert basis_columns(BasisKind.DST_SINE, dim, m).tobytes() == sine.tobytes()
+        if dim % 2:
+            angles = (k - 1) * (l // 2) % dim * (2.0 * np.pi / dim)
+            fourier = np.where(l % 2 == 0, np.sin(angles), np.cos(angles)) * np.sqrt(2.0 / dim)
+            fourier[:, 0] = 1.0 / np.sqrt(dim)
+            assert basis_columns(BasisKind.FOURIER_REAL, dim, m).tobytes() == fourier.tobytes()
 
 
 class TestJacobi:

@@ -125,9 +125,11 @@ class TestBadCsvInput:
             "time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0\n1.0,1.5,1.4,0.1\n",
             "time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0,1.9\n1.0,1.5,1.4,0.1\n",
             "time,value\n0.0,1.0\n0.5,abc\n1.0,2.0\n",
+            "time,value\n0.0,1.0\n0.5,2.0\n1.5,1.5\n",
         ],
         ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time",
-             "two_cell_oracle_row", "three_cell_oracle_row", "non_numeric_cell"],
+             "two_cell_oracle_row", "three_cell_oracle_row", "non_numeric_cell",
+             "time_outside_unit_interval"],
     )
     def test_exits_65_with_one_line_message(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -212,10 +214,11 @@ class TestBadConfig:
             [("refinement = 1", "refinement = 0")],
             [("base_seed = 42", "base_seed = 42\nthreads = 0")],
             [("vol_level = 0.0", "vol_level = nan")],
+            [("replications = 150", "replications = 4294967297")],
         ],
         ids=["m_above_n", "m_below_one", "ou_vol_for_normality", "unknown_type",
              "noise_bounds_with_signal", "contrast_without_initial_noise", "zero_refinement",
-             "zero_threads", "nan_vol_level"],
+             "zero_threads", "nan_vol_level", "replications_above_2_32"],
     )
     def test_exits_78_without_traceback(self, tmp_path, edits):
         text = NOISE_BOUNDS_CFG

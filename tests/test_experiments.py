@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: reproducibility, bookkeeping, bound flags."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -12,7 +13,8 @@ from spectralvol.estimators import EstimatorKind, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _BLOCK_ELEMENTS,
+    _TILE_ROWS,
+    _TILE_WIDTH,
     _run_replications,
     check_experiment,
     run_consistency,
@@ -27,6 +29,7 @@ from spectralvol.market import (
     EquidistantScheme,
     NoiseModel,
     OrnsteinUhlenbeckVol,
+    PiecewiseVol,
     ZeroDrift,
     derive_seed,
     observe,
@@ -56,6 +59,13 @@ class TestConfigValidation:
     def test_zero_replications_rejected(self):
         with pytest.raises(InvalidParameter):
             _config(replications=0)
+
+    def test_replications_stay_below_key_collisions(self):
+        """From replication 2**32 on, a path stream would be another replication's noise stream."""
+        assert derive_seed(11, 2**32, 0) == derive_seed(11, 0, 1)
+        assert _config(replications=2**32).replications == 2**32
+        with pytest.raises(InvalidParameter):
+            _config(replications=2**32 + 1)
 
     def test_fourier_kind_needs_odd_n(self):
         with pytest.raises(InvalidParameter):
@@ -109,18 +119,26 @@ class TestBlockedReplications:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "one_block", "one_more"])
     @pytest.mark.parametrize(
-        "kinds,n,refinement",
+        "kinds,n,refinement,vol",
         [
-            ((EstimatorKind.SIML, EstimatorKind.INA_SINE), 4096, 1),
-            ((EstimatorKind.MM_FOURIER_REAL_ZERO, EstimatorKind.SIML), 1365, 3),
+            ((EstimatorKind.SIML, EstimatorKind.INA_SINE), _TILE_WIDTH - 1, 1, ConstantVol(1.0)),
+            ((EstimatorKind.MM_FOURIER_REAL_ZERO, EstimatorKind.SIML), _TILE_WIDTH + 1, 3,
+             ConstantVol(1.0)),
+            ((EstimatorKind.INA_SINE, EstimatorKind.SIML), _TILE_WIDTH - 1, 3,
+             PiecewiseVol(breakpoints=(0.3, 0.7), levels=(1.0, 3.0, 0.5))),
+            ((EstimatorKind.SIML, EstimatorKind.MM_FOURIER_REAL_ZERO), _TILE_WIDTH + 1, 1,
+             OrnsteinUhlenbeckVol(mean_level=1.0, reversion_rate=2.0, vol_of_vol=0.8,
+                                  initial_level=0.5)),
         ],
-        ids=["cos_sine", "fourier_refined"],
+        ids=["cos_sine", "fourier_refined", "piecewise_refined", "ou"],
     )
-    def test_matches_per_replication_formula(self, kinds, n, refinement, extra):
-        reps = _BLOCK_ELEMENTS // (n * refinement) + extra
+    def test_matches_per_replication_formula(self, kinds, n, refinement, vol, extra):
+        """Replication counts around one tile of rows, n around one tile width."""
+        reps = _TILE_ROWS + extra
         config = _config(
             kinds=kinds,
             n_schedule=(n,),
+            vol=vol,
             drift=ConstantDrift(0.3),
             noise=NoiseModel(1e-3, include_initial=True),
             replications=reps,
@@ -135,6 +153,29 @@ class TestBlockedReplications:
         for key in ("estimates", "noise_parts", "cross_parts"):
             scale = np.max(np.abs(want[key]))
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["estimates", "parts"])
+    def test_prefix_matches_shorter_run(self, split):
+        """A replication's values do not depend on how many replications run with it."""
+        n = _TILE_WIDTH + 5
+        config = _config(
+            kinds=(EstimatorKind.SIML, EstimatorKind.INA_SINE),
+            n_schedule=(n,),
+            noise=NoiseModel(1e-2, include_initial=True),
+            replications=2 * _TILE_ROWS + 3,
+            base_seed=21,
+        )
+        full = _run_replications(config, n, 7, want_noise=split, want_cross=split)
+        for k in (1, _TILE_ROWS - 1, _TILE_ROWS + 2):
+            short = _run_replications(
+                dataclasses.replace(config, replications=k), n, 7, want_noise=split, want_cross=split
+            )
+            assert np.array_equal(short["truths"], full["truths"][:k])
+            for key in ("estimates", "noise_parts", "cross_parts") if split else ("estimates",):
+                scale = np.max(np.abs(full[key]))
+                np.testing.assert_allclose(
+                    short[key], full[key][:, :k], rtol=1e-13, atol=1e-13 * scale
+                )
 
 
 class TestCheckExperiment:

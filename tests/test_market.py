@@ -20,11 +20,13 @@ from spectralvol.market import (
     derive_seed,
     increments,
     observe,
+    _TILE_WIDTH,
     _derive_seeds,
-    _latent_block,
-    _noise_block,
-    _normals,
+    _LatentTiles,
+    _NoiseTiles,
     _seed_words,
+    _Streams,
+    _tiles,
     read_observations_csv,
     simulate_latent,
     simulate_latent_correlated,
@@ -136,6 +138,45 @@ class TestSimulateLatentBits:
         assert path.true_integrated_vol == float(trapezoid(spot, dx=dt))
 
 
+    def test_streams_continue_across_tiles(self):
+        """Paths over two tiles keep the bits of one long draw, OU state and truth included."""
+        n = _TILE_WIDTH + 40
+        assert len(_tiles(n)) == 2
+        c, b, seed = 2.3, 0.7, 2**40 + 3
+        dt = 1.0 / (2 * n)
+        dx = b * dt + np.sqrt(np.full(2 * n, c) * dt) * _philox_normals(seed, 2 * n)
+        path = simulate_latent(ConstantVol(c), ConstantDrift(b), EquidistantScheme(n), 2, seed)
+        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+
+        vol = _VOLS["ou"]
+        dt = 1.0 / n
+        shocks = _philox_normals(seed, n, spawn=1) * np.sqrt(dt)
+        state = np.empty(n + 1)
+        state[0] = vol.initial_level
+        for i in range(n):
+            state[i + 1] = (
+                state[i]
+                + vol.reversion_rate * (vol.mean_level - state[i]) * dt
+                + vol.vol_of_vol * shocks[i]
+            )
+        spot = state**2
+        dx = np.sqrt(spot[:-1] * dt) * _philox_normals(seed, n, spawn=0)
+        path = simulate_latent(vol, ZeroDrift(), EquidistantScheme(n), 1, seed)
+        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+        assert path.spot_variance.tobytes() == spot.tobytes()
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        k = _TILE_WIDTH
+        assert path.true_integrated_vol == float(
+            trapezoid(spot[: k + 1], dx=dt) + trapezoid(spot[k:], dx=dt)
+        )
+
+        for ends in ((True, False), (False, True)):
+            noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+            v = _philox_normals(seed, n + 1) * np.sqrt(0.01)
+            v[[0, -1]] = np.where(ends, v[[0, -1]], 0.0)
+            assert observe(path, noise, EquidistantScheme(n), seed).noise.tobytes() == v.tobytes()
+
+
 _VOLS = {
     "constant": ConstantVol(1.3),
     "piecewise": PiecewiseVol(breakpoints=(0.25, 0.5), levels=(1.0, 4.0, 0.5)),
@@ -143,21 +184,47 @@ _VOLS = {
 }
 
 
+def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds):
+    """Rows of the tile helpers, walked as the Monte Carlo engine walks them.
+
+    Each tile is drawn into the same buffers; the noise at a tile's first
+    time is carried over from the previous tile's last column.
+    """
+    rows = len(path_seeds)
+    latent = _LatentTiles(vol, drift, n * refinement, np.array(path_seeds, dtype=np.uint64), rows)
+    sampler = _NoiseTiles(noise, n, np.array(noise_seeds, dtype=np.uint64), rows)
+    latent.start(0, rows)
+    sampler.start(0, rows)
+    dx_tile = np.empty((rows, _TILE_WIDTH * refinement))
+    v_tile = np.empty((rows, _TILE_WIDTH + 1))
+    dx, spot, v = [], [], [np.empty((rows, 0))]
+    for lo, hi in _tiles(n):
+        w = hi - lo
+        spot.append(latent.tile(dx_tile[:, : w * refinement])[:, 1 if lo else 0 :])
+        dx.append(dx_tile[:, : w * refinement].copy())
+        if lo:
+            v_tile[:, 0] = v_tile[:, _TILE_WIDTH]
+        sampler.tile(v_tile[:, : w + 1])
+        v.append(v_tile[:, 1 if lo else 0 : w + 1].copy())
+    return np.hstack(dx), np.hstack(spot), latent.truths, np.hstack(v)
+
+
 class TestBlockHelpers:
-    """Rows of the block helpers against per-seed simulate_latent + observe."""
+    """Rows of the tile helpers against per-seed simulate_latent + observe."""
 
     @pytest.mark.parametrize("vol", sorted(_VOLS))
     @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(-0.4)], ids=["zero", "const"])
     @pytest.mark.parametrize("refinement", [1, 3])
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
     def test_rows_match_single_seed_calls(self, vol, drift, refinement, ends):
-        n = 37
+        n = _TILE_WIDTH + 37  # two tiles: the OU state, truths and noise carry over
         scheme = EquidistantScheme(n)
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         path_seeds = [derive_seed(4, rep, 0) for rep in range(5)]
         noise_seeds = [derive_seed(4, rep, 1) for rep in range(5)]
-        dx, spot, truths = _latent_block(_VOLS[vol], drift, n, refinement, path_seeds)
-        v = _noise_block(noise, n, noise_seeds)
+        dx, spot, truths, v = _tiled(
+            _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
+        )
         assert dx.shape == (5, n * refinement) and v.shape == (5, n + 1)
         assert truths.shape == (5,)
         for j, (ps, ns) in enumerate(zip(path_seeds, noise_seeds)):
@@ -302,16 +369,23 @@ class TestSeedingKernel:
 
     @pytest.mark.parametrize("spawn", [None, 0, 1])
     def test_normals_rows_match_per_seed_philox(self, spawn):
+        """A pool re-keyed per group of seeds, filled in uneven tiles, draws each seed's stream."""
         seeds = [3, 2**32 + 5] + [derive_seed(2, rep, 0) for rep in range(6)]
-        got = _normals(seeds, 33, spawn)
-        for row, seed in zip(got, seeds):
-            assert row.tobytes() == _philox_normals(seed, 33, spawn).tobytes()
+        streams = _Streams(seeds, spawn, rows=3)
+        for lo in range(0, len(seeds), 3):
+            group = seeds[lo : lo + 3]
+            streams.start(lo, lo + len(group))
+            got = np.empty((len(group), 33))
+            for a, b in ((0, 1), (1, 21), (21, 33)):
+                streams.fill(got[:, a:b])
+            for row, seed in zip(got, group):
+                assert row.tobytes() == _philox_normals(seed, 33, spawn).tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             derive_seed(-1, 0, 0)
         with pytest.raises(ValueError):
-            _normals(np.array([1, -2]), 4)
+            _Streams(np.array([1, -2]))
 
     def test_golden_values(self):
         """Sub-seeds and first normals as numpy's SeedSequence and Philox give them."""
@@ -330,7 +404,9 @@ class TestSeedingKernel:
             (2**40 + 3, 0): ["-0x1.61aa7ce67268cp+0", "-0x1.c16e76747a979p-2"],
         }
         for (seed, spawn), want in golden.items():
-            assert [v.hex() for v in _normals([seed], 2, spawn)[0].tolist()] == want
+            streams = _Streams(seed, spawn)
+            streams.start(0, 1)
+            assert [v.hex() for v in streams.fill(np.empty((1, 2)))[0].tolist()] == want
 
 
 class TestZeroVarianceBlock:
@@ -339,25 +415,29 @@ class TestZeroVarianceBlock:
         n, refinement = 40, 2
         noise = NoiseModel(0.01)
         seeds = [derive_seed(5, rep, 1) for rep in range(4)]
-        want_noise = _noise_block(noise, n, seeds)
         drawn = []
-        normals = market._normals
-        monkeypatch.setattr(market, "_normals", lambda *a, **k: drawn.append(a) or normals(*a, **k))
-        dx, spot, truths = _latent_block(ConstantVol(0.0), drift, n, refinement, seeds)
-        assert drawn == []
+        fill = _Streams.fill
+        monkeypatch.setattr(
+            _Streams, "fill", lambda self, out: drawn.append(out.shape) or fill(self, out)
+        )
+        dx, spot, truths, v = _tiled(ConstantVol(0.0), drift, noise, n, refinement, seeds, seeds)
+        assert drawn == [(4, n + 1)]  # the noise tile alone
         step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) / (n * refinement)
         assert dx.tobytes() == np.full((4, n * refinement), step).tobytes()
         assert not spot.any() and truths.tolist() == [0.0] * 4
-        assert _noise_block(noise, n, seeds).tobytes() == want_noise.tobytes()
-        for row, seed in zip(want_noise, seeds):
+        for row, seed in zip(v, seeds):
             assert row.tobytes() == (_philox_normals(seed, n + 1) * np.sqrt(0.01)).tobytes()
 
     def test_positive_variance_still_draws(self, monkeypatch):
         drawn = []
-        normals = market._normals
-        monkeypatch.setattr(market, "_normals", lambda *a, **k: drawn.append(a) or normals(*a, **k))
-        _latent_block(ConstantVol(1e-300), ZeroDrift(), 8, 1, [1, 2])
-        assert len(drawn) == 1
+        fill = _Streams.fill
+        monkeypatch.setattr(
+            _Streams, "fill", lambda self, out: drawn.append(out.shape) or fill(self, out)
+        )
+        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), 8, [1, 2], rows=2)
+        latent.start(0, 2)
+        latent.tile(np.empty((2, 8)))
+        assert drawn == [(2, 8)]
 
 
 _NAN, _INF = math.nan, math.inf
@@ -441,6 +521,15 @@ class TestCsvRoundTrip:
             line = 3 if text.startswith("time,value\n") else 2
             with pytest.raises(InvalidParameter, match=f"line {line}"):
                 read_observations_csv(io.StringIO(text))
+
+    def test_time_outside_unit_interval_rejected(self):
+        """Times must lie in [0, 1], the period of the Fourier estimator."""
+        for text, line in (("time,value\n0.0,1.0\n0.5,2.0\n1.5,1.5\n", 4),
+                           ("time,value\n-0.1,1.0\n0.5,2.0\n", 2)):
+            with pytest.raises(InvalidParameter, match=rf"line {line}: .*rescale times to \[0, 1\]"):
+                read_observations_csv(io.StringIO(text))
+        back = read_observations_csv(io.StringIO("time,value\n0.0,1.0\n1.0,2.0\n"))
+        np.testing.assert_array_equal(back.times, [0.0, 1.0])
 
     def test_bad_header_rejected(self):
         with pytest.raises(InvalidParameter):

@@ -61,11 +61,11 @@ class JacobiKind(str, Enum):
     JN_TILDE_PRIME = "jn_tilde_prime"
 
 
-#: Basis family that diagonalizes each Jacobi-type matrix.
+#: Basis family that diagonalizes each Jacobi-type matrix, in the row order of ``basis-check``.
 DIAGONALIZING_BASIS = {
     JacobiKind.JN: BasisKind.SIML_COSINE,
-    JacobiKind.JN_TILDE: BasisKind.FOURIER_REAL,
     JacobiKind.JN_TILDE_PRIME: BasisKind.DST_SINE,
+    JacobiKind.JN_TILDE: BasisKind.FOURIER_REAL,
 }
 
 
@@ -161,7 +161,6 @@ def basis_columns(
 def build_basis(kind: BasisKind, dim: int) -> SpectralBasis:
     """Materialize the full dim x dim orthogonal matrix of the given family."""
     kind = BasisKind(kind)
-    _check_dim(kind, dim)
     return SpectralBasis(kind=kind, dim=dim, entries=basis_columns(kind, dim, dim))
 
 

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .errors import SpectralVolError
-from .estimators import (
-    EstimatorKind,
-    ina,
-    mm_fourier_complex,
-    mm_fourier_real_zero,
-    result_csv_rows,
-    siml,
-)
+from .estimators import EstimatorKind, _real_estimate, mm_fourier_complex, result_csv_rows
 from .experiments import ExperimentConfig, check_experiment, run_experiment
 from .market import (
     ConstantDrift,
@@ -85,13 +78,9 @@ def _build_parser() -> _Parser:
 
 
 def _basis_check_rows(max_dim: int):
-    pairs = [
-        (basis_mod.BasisKind.SIML_COSINE, basis_mod.JacobiKind.JN, range(1, max_dim + 1)),
-        (basis_mod.BasisKind.DST_SINE, basis_mod.JacobiKind.JN_TILDE_PRIME, range(1, max_dim + 1)),
-        (basis_mod.BasisKind.FOURIER_REAL, basis_mod.JacobiKind.JN_TILDE, range(3, max_dim + 1, 2)),
-    ]
-    for kind, jac, dims in pairs:
-        for dim in dims:
+    for jac, kind in basis_mod.DIAGONALIZING_BASIS.items():
+        odd = kind is basis_mod.BasisKind.FOURIER_REAL  # its Jacobi matrix needs odd dim >= 3
+        for dim in range(3 if odd else 1, max_dim + 1, 2 if odd else 1):
             b = basis_mod.build_basis(kind, dim).entries
             orth = float(np.max(np.abs(b.T @ b - np.eye(dim))))
             jmat = basis_mod.build_jacobi(jac, dim)
@@ -133,16 +122,11 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
         return EX_DATAERR
 
     kind = EstimatorKind(kind)
-    deltas = np.diff(obs.values)
     try:
-        if kind is EstimatorKind.SIML:
-            result = siml([deltas], m)
-        elif kind is EstimatorKind.INA_SINE:
-            result = ina([deltas], m)
-        elif kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
-            result = mm_fourier_real_zero([deltas], m)
-        else:
+        if kind is EstimatorKind.MM_FOURIER_COMPLEX:
             result = mm_fourier_complex([obs], q, m)
+        else:
+            result = _real_estimate(kind, [np.diff(obs.values)], m)
     except SpectralVolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

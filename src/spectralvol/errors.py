@@ -25,7 +25,7 @@ class TooShort(SpectralVolError):
     """A series has too few points for the requested operation."""
 
 
-class CutoffTooLarge(SpectralVolError):
+class CutoffTooLarge(InvalidParameter):
     """The frequency cutoff m exceeds what the data length allows."""
 
 
@@ -33,7 +33,7 @@ class EmptyInput(SpectralVolError):
     """An input series or collection is empty."""
 
 
-class EvenLength(SpectralVolError):
+class EvenLength(InvalidParameter):
     """An increment series must have odd length for the real Fourier form."""
 
 

@@ -1,14 +1,17 @@
 """Spectral estimators of integrated volatility and their pure-noise functionals.
 
-All real-valued estimators share one shape: project the increment vector of
-each asset onto the first few columns of an orthogonal trigonometric basis,
-average the squared (or cross-) coefficients, and scale:
+All real-valued estimators are one construction: project the increment
+vector of each asset onto the first few columns of an orthogonal
+trigonometric basis, average the squared (or cross-) coefficients, and
+scale.  One table, ``_REAL_FORMS``, holds what tells them apart -- the
+basis, the number of columns at cutoff m and the shift s of the scale
+sqrt(n + s), which makes the prefactor (n + s)/columns:
 
-* :func:`siml` -- shifted-cosine basis, prefactor n/m;
+* :func:`siml` -- shifted-cosine basis, m columns, prefactor n/m;
 * :func:`mm_fourier_real_zero` -- real Fourier basis on an odd equidistant
   grid, columns l = 0..2m, prefactor n/(2m+1);
-* :func:`ina` -- sine basis, prefactor (n+1)/m (robust to noise on the
-  first observation);
+* :func:`ina` -- sine basis, m columns, prefactor (n+1)/m (robust to noise
+  on the first observation);
 * :func:`mm_fourier_complex` -- the complex-exponential form of the Fourier
   coefficient estimator on arbitrary grids, whose q = 0 value coincides with
   :func:`mm_fourier_real_zero` on the odd equidistant grid.
@@ -84,48 +87,65 @@ def _bilinear(weighted: list[np.ndarray], denom: int) -> np.ndarray:
     return (w @ w.T) / denom
 
 
-def siml(deltas, m: int) -> EstimateResult:
-    """Cosine-basis estimator: (n/m) * sum of the first m squared coefficients.
+# Each real kind's quadratic form: its basis, its column count
+# ``per_mode * m + constant`` at cutoff m, and the shift s of its scale
+# sqrt(n + s) on n increments.  The prefactor is (n + s) / columns.
+_REAL_FORMS: dict[EstimatorKind, tuple[BasisKind, int, int, int]] = {
+    EstimatorKind.SIML: (BasisKind.SIML_COSINE, 1, 0, 0),
+    EstimatorKind.MM_FOURIER_REAL_ZERO: (BasisKind.FOURIER_REAL, 2, 1, 0),
+    EstimatorKind.INA_SINE: (BasisKind.DST_SINE, 1, 0, 1),
+}
 
-    Cross-asset entries use the sqrt(n_j n_j') prefactor; with equal sample
-    sizes this reduces to the plain n/m form.
+
+def _form(kind: EstimatorKind, n: int, m: int) -> tuple[BasisKind, int, int]:
+    """Basis, column count and scale shift of a real kind's form on n increments at cutoff m.
+
+    Raises :class:`InvalidParameter` for a complex kind or a cutoff that
+    leaves no column, :class:`EvenLength` for the Fourier form on even n and
+    :class:`CutoffTooLarge` for more columns than increments.
+    """
+    kind = EstimatorKind(kind)
+    if kind not in _REAL_FORMS:
+        raise InvalidParameter(f"{kind.value} is not one of the real-valued kinds")
+    basis, per_mode, constant, shift = _REAL_FORMS[kind]
+    columns = per_mode * m + constant
+    if columns < 1:
+        raise InvalidParameter(f"m={m} leaves no {basis.value} basis column")
+    if basis is BasisKind.FOURIER_REAL and n % 2 == 0:
+        raise EvenLength(f"need an odd number of increments, got {n}")
+    if columns > n:
+        raise CutoffTooLarge(f"m={m} needs {columns} {basis.value} basis columns, more than n={n}")
+    return basis, columns, shift
+
+
+def _real_estimate(kind: EstimatorKind, deltas, m: int) -> EstimateResult:
+    """A real kind's estimate from the first columns of its basis, scaled by its form.
+
+    Entry (j, j') is sqrt((n_j + s)(n_j' + s)) / columns times the inner
+    product of the two assets' coefficients; with equal sample sizes this
+    is the plain (n + s)/columns prefactor.
     """
     ds = _as_delta_list(deltas)
-    if m < 1:
-        raise InvalidParameter(f"m must be >= 1, got {m}")
-    if m > min(len(d) for d in ds):
-        raise CutoffTooLarge(f"m={m} exceeds the smallest increment count")
-    weighted = [
-        np.sqrt(len(d)) * (basis_columns(BasisKind.SIML_COSINE, len(d), m).T @ d)
-        for d in ds
-    ]
-    value = _bilinear(weighted, m)
+    weighted = []
+    for d in ds:
+        basis, columns, shift = _form(kind, len(d), m)
+        weighted.append(np.sqrt(len(d) + shift) * (basis_columns(basis, len(d), columns).T @ d))
     return EstimateResult(
-        kind=EstimatorKind.SIML,
+        kind=EstimatorKind(kind),
         n_per_asset=tuple(len(d) for d in ds),
         m=m,
-        value=value,
+        value=_bilinear(weighted, columns),
     )
+
+
+def siml(deltas, m: int) -> EstimateResult:
+    """Cosine-basis estimator: (n/m) * sum of the first m squared coefficients."""
+    return _real_estimate(EstimatorKind.SIML, deltas, m)
 
 
 def ina(deltas, m: int) -> EstimateResult:
     """Sine-basis estimator: ((n+1)/m) * sum of the first m squared coefficients."""
-    ds = _as_delta_list(deltas)
-    if m < 1:
-        raise InvalidParameter(f"m must be >= 1, got {m}")
-    if m > min(len(d) for d in ds):
-        raise CutoffTooLarge(f"m={m} exceeds the smallest increment count")
-    weighted = [
-        np.sqrt(len(d) + 1) * (basis_columns(BasisKind.DST_SINE, len(d), m).T @ d)
-        for d in ds
-    ]
-    value = _bilinear(weighted, m)
-    return EstimateResult(
-        kind=EstimatorKind.INA_SINE,
-        n_per_asset=tuple(len(d) for d in ds),
-        m=m,
-        value=value,
-    )
+    return _real_estimate(EstimatorKind.INA_SINE, deltas, m)
 
 
 def mm_fourier_real_zero(deltas, m: int) -> EstimateResult:
@@ -135,25 +155,7 @@ def mm_fourier_real_zero(deltas, m: int) -> EstimateResult:
     prefactor n_obs/(2m+1); row k-1 of the basis multiplies the k-th
     increment, matching the left-end-point convention of the complex form.
     """
-    ds = _as_delta_list(deltas)
-    if m < 0:
-        raise InvalidParameter(f"m must be >= 0, got {m}")
-    for d in ds:
-        if len(d) % 2 == 0:
-            raise EvenLength(f"need an odd number of increments, got {len(d)}")
-        if 2 * m + 1 > len(d):
-            raise CutoffTooLarge(f"2m+1={2 * m + 1} exceeds increment count {len(d)}")
-    weighted = [
-        np.sqrt(len(d)) * (basis_columns(BasisKind.FOURIER_REAL, len(d), 2 * m + 1).T @ d)
-        for d in ds
-    ]
-    value = _bilinear(weighted, 2 * m + 1)
-    return EstimateResult(
-        kind=EstimatorKind.MM_FOURIER_REAL_ZERO,
-        n_per_asset=tuple(len(d) for d in ds),
-        m=m,
-        value=value,
-    )
+    return _real_estimate(EstimatorKind.MM_FOURIER_REAL_ZERO, deltas, m)
 
 
 def mm_fourier_complex(
@@ -213,22 +215,8 @@ def _functional_columns(
     kind: EstimatorKind, n: int, m: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Basis columns (written into ``out`` when given) and prefactor of a kind's quadratic form."""
-    kind = EstimatorKind(kind)
-    if kind is EstimatorKind.SIML:
-        if not 1 <= m <= n:
-            raise CutoffTooLarge(f"need 1 <= m <= {n}, got m={m}")
-        return basis_columns(BasisKind.SIML_COSINE, n, m, out), n / m
-    if kind is EstimatorKind.INA_SINE:
-        if not 1 <= m <= n:
-            raise CutoffTooLarge(f"need 1 <= m <= {n}, got m={m}")
-        return basis_columns(BasisKind.DST_SINE, n, m, out), (n + 1) / m
-    if kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
-        if n % 2 == 0:
-            raise EvenLength(f"need an odd number of increments, got {n}")
-        if m < 0 or 2 * m + 1 > n:
-            raise CutoffTooLarge(f"need 0 <= 2m+1 <= {n}, got m={m}")
-        return basis_columns(BasisKind.FOURIER_REAL, n, 2 * m + 1, out), n / (2 * m + 1)
-    raise InvalidParameter("noise functionals are defined for the real-valued kinds only")
+    basis, columns, shift = _form(kind, n, m)
+    return basis_columns(basis, n, columns, out), (n + shift) / columns
 
 
 def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:

@@ -28,7 +28,7 @@ but changes nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,7 @@ from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this
 from .errors import InvalidParameter
 from .estimators import (  # noqa: F401 -- noise_expectation_exact: wrapped by perfbench/tracer.py
     EstimatorKind,
+    _form,
     _functional_columns,
     _noise_expectation,
     noise_expectation_exact,
@@ -97,13 +98,6 @@ CSV_COLUMNS = [
     "bound_satisfied",
 ]
 
-_REAL_KINDS = (
-    EstimatorKind.SIML,
-    EstimatorKind.MM_FOURIER_REAL_ZERO,
-    EstimatorKind.INA_SINE,
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     kinds: tuple[EstimatorKind, ...]
@@ -122,8 +116,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         if not self.kinds:
             raise InvalidParameter("at least one estimator kind is required")
-        if any(k not in _REAL_KINDS for k in self.kinds):
-            raise InvalidParameter("experiments support the real-valued estimator kinds")
         if not 1 <= self.replications <= 2**32:
             # replication r keys its streams with r, whose keys collide from 2**32 on
             raise InvalidParameter("replications must be in [1, 2**32]")
@@ -135,10 +127,9 @@ class ExperimentConfig:
             raise InvalidParameter("refinement must be >= 1")
         if self.threads < 1:
             raise InvalidParameter("threads must be >= 1")
-        if EstimatorKind.MM_FOURIER_REAL_ZERO in self.kinds and any(
-            n % 2 == 0 for n in self.n_schedule
-        ):
-            raise InvalidParameter("the real Fourier kind needs odd increment counts")
+        for kind in self.kinds:
+            for n in self.n_schedule:
+                _form(kind, n, 1)  # m = 1 is the smallest cutoff a run uses
 
     def cutoff(self, n: int, default_exponent: float) -> int:
         alpha = self.m_exponent if self.m_exponent is not None else default_exponent
@@ -199,11 +190,6 @@ class McSummary:
             fileobj.write(",".join(cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
 
 
-def _column_count(kind: EstimatorKind, m: int) -> int:
-    """Basis columns of a kind's quadratic form at cutoff m."""
-    return 2 * m + 1 if kind is EstimatorKind.MM_FOURIER_REAL_ZERO else m
-
-
 def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ...]:
     """The cutoff m at each n of the schedule, once ``experiment`` is known to run.
 
@@ -227,11 +213,7 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
     for n, m in zip(config.n_schedule, cutoffs):
         for kind in config.kinds:
-            columns = _column_count(kind, m)
-            if columns > n:
-                raise InvalidParameter(
-                    f"cutoff m={m} needs {columns} {kind.value} basis columns, more than n={n}"
-                )
+            _form(kind, n, m)
     return cutoffs
 
 
@@ -256,7 +238,7 @@ def _run_replications(
     columns.
     """
     kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
-    edges = np.cumsum([0] + [_column_count(kind, m) for kind in kinds])
+    edges = np.cumsum([0] + [_form(kind, n, m)[1] for kind in kinds])
     cols = np.empty((n, edges[-1]))
     spans = [
         (slice(lo, hi), _functional_columns(kind, n, m, cols[:, lo:hi])[1])
@@ -322,13 +304,30 @@ def _run_replications(
     }
 
 
-def _error_stats(estimates: np.ndarray, truths: np.ndarray) -> tuple[float, float, float, float, float]:
+def _row(
+    experiment: str,
+    kind: EstimatorKind,
+    n: int,
+    m: int,
+    estimates: np.ndarray,
+    truths: np.ndarray,
+    **fields,
+) -> McRow:
+    """A study's row for one (kind, n): the error statistics of the estimates, plus ``fields``."""
     errors = estimates - truths
-    mean = float(np.mean(estimates))
-    bias = float(np.mean(errors))
-    rmse = float(np.sqrt(np.mean(errors**2)))
-    se = float(np.std(errors, ddof=1) / np.sqrt(len(errors)))
-    return mean, bias, rmse, se, float(np.mean(truths))
+    return McRow(
+        experiment=experiment,
+        kind=kind.value,
+        n=n,
+        m=m,
+        replications=len(estimates),
+        true_value=float(np.mean(truths)),
+        mean=float(np.mean(estimates)),
+        bias=float(np.mean(errors)),
+        rmse=float(np.sqrt(np.mean(errors**2))),
+        se_mean=float(np.std(errors, ddof=1) / np.sqrt(len(errors))),
+        **fields,
+    )
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
@@ -348,24 +347,10 @@ def run_consistency(config: ExperimentConfig) -> McSummary:
     for n, m in zip(config.n_schedule, check_experiment("consistency", config)):
         data = _run_replications(config, n, m)
         for i, kind in enumerate(config.kinds):
-            mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
-            rmse_by_kind[kind].append(rmse)
-            rows.append(
-                McRow(
-                    experiment="consistency",
-                    kind=kind.value,
-                    n=n,
-                    m=m,
-                    replications=config.replications,
-                    true_value=truth,
-                    mean=mean,
-                    bias=bias,
-                    rmse=rmse,
-                    se_mean=se,
-                    bound_value=2.0 * se,
-                    bound_satisfied=abs(bias) <= 2.0 * se,
-                )
-            )
+            row = _row("consistency", kind, n, m, data["estimates"][i], data["truths"])
+            rmse_by_kind[kind].append(row.rmse)
+            bound = 2.0 * row.se_mean
+            rows.append(replace(row, bound_value=bound, bound_satisfied=abs(row.bias) <= bound))
     checks = tuple(
         (f"rmse_decreasing[{kind.value}]", all(a > b for a, b in zip(vals, vals[1:])))
         for kind, vals in rmse_by_kind.items()
@@ -392,21 +377,11 @@ def run_normality(config: ExperimentConfig) -> McSummary:
         data = _run_replications(config, n, m)
         for i, kind in enumerate(config.kinds):
             ests = data["estimates"][i]
-            mean, bias, rmse, se, truth = _error_stats(ests, data["truths"])
             std_err = np.sqrt(m) * (ests - data["truths"]) / np.sqrt(limit_var)
             e_mean, e_var, e_skew, e_kurt = _moments(std_err)
             rows.append(
-                McRow(
-                    experiment="normality",
-                    kind=kind.value,
-                    n=n,
-                    m=m,
-                    replications=config.replications,
-                    true_value=truth,
-                    mean=mean,
-                    bias=bias,
-                    rmse=rmse,
-                    se_mean=se,
+                _row(
+                    "normality", kind, n, m, ests, data["truths"],
                     std_err_mean=e_mean,
                     std_err_var=e_var,
                     std_err_skew=e_skew,
@@ -441,29 +416,16 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     for n, m in zip(config.n_schedule, check_experiment("noise_bounds", config)):
         data = _run_replications(config, n, m, want_exact=True)
         for i, kind in enumerate(config.kinds):
-            mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
-            exact = data["noise_exact"][i]
+            row = _row("noise_bounds", kind, n, m, data["estimates"][i], data["truths"])
+            mean, se, exact = row.mean, row.se_mean, data["noise_exact"][i]
             bound, is_lower = _noise_bound(kind, n, m, config.noise)
             if is_lower:
                 ok = exact >= bound - 1e-12 and mean >= bound - 4.0 * se
             else:
                 ok = exact <= bound + 1e-12 and mean <= bound + 4.0 * se
             rows.append(
-                McRow(
-                    experiment="noise_bounds",
-                    kind=kind.value,
-                    n=n,
-                    m=m,
-                    replications=config.replications,
-                    true_value=truth,
-                    mean=mean,
-                    bias=bias,
-                    rmse=rmse,
-                    se_mean=se,
-                    noise_mc_mean=mean,
-                    noise_exact=exact,
-                    bound_value=bound,
-                    bound_satisfied=ok,
+                replace(
+                    row, noise_mc_mean=mean, noise_exact=exact, bound_value=bound, bound_satisfied=ok
                 )
             )
     return McSummary(experiment="noise_bounds", rows=tuple(rows), checks=())
@@ -485,36 +447,21 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
             config, n, m, want_noise=True, want_cross=True, want_exact=True
         )
         for i, kind in enumerate(config.kinds):
-            mean, bias, rmse, se, truth = _error_stats(data["estimates"][i], data["truths"])
-            noise_mc = float(np.mean(data["noise_parts"][i]))
-            exact = data["noise_exact"][i]
             cross = data["cross_parts"][i]
+            row = _row(
+                "initial_noise_contrast", kind, n, m, data["estimates"][i], data["truths"],
+                noise_mc_mean=float(np.mean(data["noise_parts"][i])),
+                noise_exact=data["noise_exact"][i],
+                cross_mean=float(np.mean(cross)),
+                cross_se=float(np.std(cross, ddof=1) / np.sqrt(len(cross))),
+            )
             if kind is EstimatorKind.SIML:
                 bound = 0.5 * nu
-                ok = bias >= bound - 4.0 * se
+                ok = row.bias >= bound - 4.0 * row.se_mean
             else:
-                bound = (2.0 if n == largest else 4.0) * se
-                ok = abs(bias) <= bound
-            rows.append(
-                McRow(
-                    experiment="initial_noise_contrast",
-                    kind=kind.value,
-                    n=n,
-                    m=m,
-                    replications=config.replications,
-                    true_value=truth,
-                    mean=mean,
-                    bias=bias,
-                    rmse=rmse,
-                    se_mean=se,
-                    noise_mc_mean=noise_mc,
-                    noise_exact=exact,
-                    bound_value=bound,
-                    bound_satisfied=ok,
-                    cross_mean=float(np.mean(cross)),
-                    cross_se=float(np.std(cross, ddof=1) / np.sqrt(len(cross))),
-                )
-            )
+                bound = (2.0 if n == largest else 4.0) * row.se_mean
+                ok = abs(row.bias) <= bound
+            rows.append(replace(row, bound_value=bound, bound_satisfied=ok))
     return McSummary(experiment="initial_noise_contrast", rows=tuple(rows), checks=())
 
 

@@ -148,13 +148,10 @@ class NoiseModel:
     variance: float
     include_initial: bool = True
     include_terminal: bool = True
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if not _nonnegative(self.variance):
             raise InvalidParameter(f"noise variance must be finite and >= 0, got {self.variance}")
-        if self.distribution != "gaussian":
-            raise InvalidParameter(f"unsupported noise distribution {self.distribution!r}")
 
 
 @dataclass(frozen=True)
@@ -514,6 +511,8 @@ def simulate_latent_correlated(
     covariance matrix is ``loadings @ loadings.T`` and is returned alongside
     the per-asset paths.
     """
+    if refinement < 1:
+        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
     sigma = np.atleast_2d(np.asarray(loadings, dtype=float))
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine

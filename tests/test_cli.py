@@ -14,6 +14,14 @@ from spectralvol.cli import (
     EX_USAGE,
     main,
 )
+from spectralvol.estimators import (
+    ina,
+    mm_fourier_complex,
+    mm_fourier_real_zero,
+    result_csv_rows,
+    siml,
+)
+from spectralvol.market import read_observations_csv
 
 NOISE_BOUNDS_CFG = """
 [simulation]
@@ -37,6 +45,15 @@ replications = 150
 m_exponent = 0.4
 base_seed = 42
 """
+
+
+# The library call behind ``estimate --kind K --m M`` (q = 0) on a series.
+LIBRARY_ESTIMATES = {
+    "siml": lambda obs, m: siml([np.diff(obs.values)], m),
+    "ina_sine": lambda obs, m: ina([np.diff(obs.values)], m),
+    "mm_fourier_real_zero": lambda obs, m: mm_fourier_real_zero([np.diff(obs.values)], m),
+    "mm_fourier_complex": lambda obs, m: mm_fourier_complex([obs], 0, m),
+}
 
 
 def _write_csv(path, values):
@@ -101,6 +118,15 @@ class TestEstimate:
             main(["estimate", "--input", str(tmp_path / "nope.csv"), "--kind", "siml", "--m", "1"])
             == EX_DATAERR
         )
+
+    @pytest.mark.parametrize("kind", list(LIBRARY_ESTIMATES))
+    def test_prints_the_library_rows(self, tmp_path, capsys, kind):
+        path = tmp_path / "series.csv"
+        _write_csv(path, np.cumsum(np.random.default_rng(8).normal(size=42)))
+        assert main(["estimate", "--input", str(path), "--kind", kind, "--m", "3"]) == EX_OK
+        with open(path, newline="") as fh:
+            expected = result_csv_rows(LIBRARY_ESTIMATES[kind](read_observations_csv(fh), 3))
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_complex_kind_accepts_q(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -242,6 +268,18 @@ class TestBadConfig:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EX_USAGE
+
+    def test_import_loads_neither_random_nor_fft(self):
+        """Importing the package leaves numpy.random and numpy.fft to the first caller."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spectralvol; "
+             "print(sorted(m for m in ('numpy.random', 'numpy.fft') if m in sys.modules))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,5 +1,7 @@
 """Tests for the estimators and their pure-noise functionals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,15 @@ from spectralvol.estimators import (
     result_csv_rows,
     siml,
 )
-from spectralvol.market import ObservationSeries
+from spectralvol.experiments import ExperimentConfig, check_experiment
+from spectralvol.market import ConstantVol, NoiseModel, ObservationSeries, ZeroDrift
+
+# The public estimator of each real kind.
+REAL_ESTIMATORS = {
+    EstimatorKind.SIML: siml,
+    EstimatorKind.INA_SINE: ina,
+    EstimatorKind.MM_FOURIER_REAL_ZERO: mm_fourier_real_zero,
+}
 
 
 def _series_from_deltas(deltas: np.ndarray) -> ObservationSeries:
@@ -232,6 +242,14 @@ class TestNoiseFunctional:
         with pytest.raises(InvalidParameter):
             noise_functional(EstimatorKind.MM_FOURIER_COMPLEX, np.zeros(5), 1)
 
+    @pytest.mark.parametrize("kind", list(REAL_ESTIMATORS), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n, m", [(5, 1), (5, 2), (63, 4), (1025, 12)])
+    def test_equals_public_estimator_on_increments(self, kind, n, m):
+        """One form: the functional of v is the estimator applied to diff(v)."""
+        v = np.random.default_rng(n + m).standard_normal(n + 1)
+        estimate = REAL_ESTIMATORS[kind]([np.diff(v)], m).value[0, 0]
+        assert noise_functional(kind, v, m) == pytest.approx(estimate, rel=1e-12)
+
 
 class TestNoiseExpectationExact:
     def test_zero_variance(self):
@@ -300,6 +318,47 @@ class TestErrors:
     def test_nonpositive_cutoff(self):
         with pytest.raises(InvalidParameter):
             siml([np.ones(4)], 0)
+
+    @pytest.mark.parametrize(
+        "kind, n, m, error",
+        [
+            (EstimatorKind.MM_FOURIER_REAL_ZERO, 6, 1, EvenLength),
+            (EstimatorKind.SIML, 5, 0, InvalidParameter),
+            (EstimatorKind.INA_SINE, 5, 0, InvalidParameter),
+            (EstimatorKind.SIML, 5, 6, CutoffTooLarge),
+            (EstimatorKind.INA_SINE, 5, 6, CutoffTooLarge),
+            (EstimatorKind.MM_FOURIER_REAL_ZERO, 5, 3, CutoffTooLarge),
+        ],
+        ids=["fourier_even_n", "siml_m0", "ina_m0", "siml_m_above_n", "ina_m_above_n",
+             "fourier_columns_above_n"],
+    )
+    def test_bad_form_raises_one_class_everywhere(self, kind, n, m, error):
+        """Estimator, noise oracle and study check reject a bad (kind, n, m) alike."""
+        assert issubclass(error, InvalidParameter)
+
+        def study():
+            config = ExperimentConfig(
+                kinds=(kind,),
+                n_schedule=(n,),
+                vol=ConstantVol(1.0),
+                drift=ZeroDrift(),
+                noise=NoiseModel(0.0),
+                replications=2,
+                base_seed=0,
+                m_exponent=math.log(m + 0.5) / math.log(n),  # cutoff floor(n^alpha) = m
+            )
+            check_experiment("consistency", config)
+
+        calls = {
+            "estimator": lambda: REAL_ESTIMATORS[kind]([np.ones(n)], m),
+            "noise_expectation_exact": lambda: noise_expectation_exact(kind, n, m, 1.0),
+            "noise_functional": lambda: noise_functional(kind, np.zeros(n + 1), m),
+            "check_experiment": study,
+        }
+        for name, call in calls.items():
+            with pytest.raises(InvalidParameter) as info:
+                call()
+            assert info.type is error, name
 
 
 class TestCsvRows:

@@ -491,6 +491,12 @@ class TestCorrelatedPaths:
         paths, _ = simulate_latent_correlated(loadings, EquidistantScheme(16), 1, 4)
         np.testing.assert_allclose(paths[0].values, paths[1].values)
 
+    def test_zero_refinement_rejected_like_single_asset(self):
+        with pytest.raises(InvalidParameter):
+            simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(4), refinement=0)
+        with pytest.raises(InvalidParameter):
+            simulate_latent_correlated(np.eye(2), EquidistantScheme(4), refinement=0)
+
 
 class TestCsvRoundTrip:
     def test_full_round_trip(self):

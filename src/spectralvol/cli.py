@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--input", required=True)
     est.add_argument("--kind", required=True, choices=[k.value for k in EstimatorKind])
     est.add_argument("--m", type=int, required=True)
-    est.add_argument("--q", type=int, default=0)
+    est.add_argument("--q", type=int, default=0, help="frequency shift; mm_fourier_complex only")
 
     exp = sub.add_parser("experiment", help="run a Monte Carlo experiment from a config file")
     exp.add_argument("--config", required=True)
@@ -108,6 +108,10 @@ def cmd_basis_check(max_dim: int, out_path: str) -> int:
 
 
 def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
+    kind = EstimatorKind(kind)
+    if q and kind is not EstimatorKind.MM_FOURIER_COMPLEX:
+        print(f"error: --q applies to mm_fourier_complex only, not {kind.value}", file=sys.stderr)
+        return EX_USAGE
     try:
         with open(input_path, newline="") as fh:
             obs = read_observations_csv(fh)
@@ -120,8 +124,6 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
     if len(obs.values) < 2:
         print("error: need at least 2 rows", file=sys.stderr)
         return EX_DATAERR
-
-    kind = EstimatorKind(kind)
     try:
         if kind is EstimatorKind.MM_FOURIER_COMPLEX:
             result = mm_fourier_complex([obs], q, m)
@@ -184,8 +186,11 @@ def parse_config(path: str, seed_override=None, threads_override=None):
     support.  The thread count is accepted and checked, but runs do not
     depend on it.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     for section in parser.sections():

@@ -166,7 +166,9 @@ def mm_fourier_complex(
     Entry (j, j') is the average over |l| <= m of
     ``F_j(l+q) * F_j'(-l)`` where ``F_j(u) = sum_k exp(2 pi i u t_{k-1}) dY_k``.
     Only F_j(0..m+|q|) are computed; the negative frequencies follow by
-    conjugation.  For q = 0 the diagonal entries are exactly real.
+    conjugation.  For q = 0 the diagonal entries are exactly real.  Raises
+    :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
+    increments: on t_k = k/n the frequencies repeat with period n.
     """
     if isinstance(obs, ObservationSeries):
         obs = [obs]
@@ -175,12 +177,13 @@ def mm_fourier_complex(
         raise EmptyInput("no observation series given")
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
-    for o in obs:
-        if len(o.values) < 2:
-            raise EmptyInput("observation series has fewer than 2 points")
-
+    shortest = min(len(o.values) - 1 for o in obs)
+    if shortest < 1:
+        raise EmptyInput("observation series has fewer than 2 points")
     # Real increments give F(-u) = conj(F(u)): exponentiate u = 0..top only.
     top = m + abs(q)
+    if top > shortest:
+        raise CutoffTooLarge(f"m + |q| = {top} exceeds the {shortest} increments of a series")
 
     def spectrum(o: ObservationSeries) -> np.ndarray:
         """F(u) for u = -top..top, at index u + top."""

@@ -14,15 +14,17 @@ a dictionary of named pass/fail checks:
   when the first observation is noisy, on shared data.
 
 Replication r draws its path and noise streams from sub-seeds keyed
-(base_seed, r, stream), derived for all replications of a sample size at
-once.  Replications run in tiles of _TILE_ROWS replications by _TILE_WIDTH
-observed increments: each tile is drawn, scaled in place and multiplied
-with the matching rows of all estimators' basis columns (one n x sum(m)
-array), and the product is added to the replications' coefficients.  So
-the working set does not grow with n, and within a replication every
-configured estimator sees the same series.  The exact noise expectations
-come from the same basis columns as the estimates.  ``threads`` is accepted
-but changes nothing.
+(base_seed, r, stream), derived for all replications at once.  The streams
+are drawn once per run, for the largest n, and every n of the schedule
+reads a prefix of them, so the estimates of one replication at different n
+share their shocks (common random numbers).  Replications run in tiles of
+_TILE_ROWS replications by _TILE_WIDTH observed increments: each tile's
+normals are drawn once, and each n scales them into its own increments and
+multiplies them with the matching rows of its estimators' basis columns
+(one n x sum(m) array per n; the arrays of all n are held for the run).
+Within a replication every configured estimator sees the same series, and
+the exact noise expectations come from the same basis columns as the
+estimates.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -219,89 +221,96 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
 
 def _run_replications(
     config: ExperimentConfig,
-    n: int,
-    m: int,
+    cutoffs: tuple[int, ...],
     want_noise: bool = False,
     want_cross: bool = False,
     want_exact: bool = False,
-) -> dict:
-    """All replications at one sample size, tile by tile; every kind sees the same data.
+) -> list[dict]:
+    """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
-    The kinds' basis columns sit side by side in one n x sum(m) array.  A
-    tile holds up to _TILE_ROWS replications over _TILE_WIDTH observed
-    increments: their latent increments and noise differences are drawn and
-    scaled in place, and the tile's product with the matching rows of the
-    columns is added to each replication's coefficients.  The estimates need
-    only ``(dX + dV) @ cols``; for the noise or cross parts ``dX @ cols``
-    and ``dV @ cols`` are accumulated apart.  With ``want_exact``,
-    ``noise_exact`` holds each kind's exact noise expectation, from the same
-    columns.
+    Each n's kinds have their basis columns side by side in one n x sum(m)
+    array, built largest n first.  A tile holds up to _TILE_ROWS
+    replications over _TILE_WIDTH observed increments of the largest n:
+    their normals are drawn once, and every n that reaches the tile scales a
+    prefix of them into its latent increments and noise differences and adds
+    their product with its columns' matching rows to the coefficients.  The
+    estimates need only ``(dX + dV) @ cols``; for the noise or cross parts
+    ``dX @ cols`` and ``dV @ cols`` are accumulated apart.  With
+    ``want_exact``, ``noise_exact`` holds each kind's exact noise
+    expectation, from the same columns.  Returns one result per n, in order.
     """
     kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
-    edges = np.cumsum([0] + [_form(kind, n, m)[1] for kind in kinds])
-    cols = np.empty((n, edges[-1]))
-    spans = [
-        (slice(lo, hi), _functional_columns(kind, n, m, cols[:, lo:hi])[1])
-        for kind, lo, hi in zip(kinds, edges, edges[1:])
-    ]
     ends = (noise.include_initial, noise.include_terminal)
-    noise_exact = (
-        [_noise_expectation(cols[:, at], pref, noise.variance, *ends) for at, pref in spans]
-        if want_exact
-        else None
-    )
-
     split = want_noise or want_cross
+    sizes = []  # (n, cols, spans, noise_exact, coefficients), largest n first
+    for n, m in reversed(list(zip(config.n_schedule, cutoffs))):
+        edges = np.cumsum([0] + [_form(kind, n, m)[1] for kind in kinds])
+        cols = np.empty((n, edges[-1]))
+        spans = [
+            (slice(lo, hi), _functional_columns(kind, n, m, cols[:, lo:hi])[1])
+            for kind, lo, hi in zip(kinds, edges, edges[1:])
+        ]
+        exact = (
+            [_noise_expectation(cols[:, at], pref, noise.variance, *ends) for at, pref in spans]
+            if want_exact
+            else None
+        )
+        sizes.insert(0, (n, cols, spans, exact, np.zeros((2 if split else 1, reps, edges[-1]))))
+
     rows = min(_TILE_ROWS, reps)
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    latent = _LatentTiles(config.vol, config.drift, n * r, path_seeds, rows)
-    noisy = _NoiseTiles(noise, n, noise_seeds, rows)
+    latent = _LatentTiles(config.vol, config.drift, [n for n, *_ in sizes], r, path_seeds, rows)
+    noisy = _NoiseTiles(noise, noise_seeds, rows)
     tile = np.empty((2 * rows, _TILE_WIDTH))  # latent increments, then noise differences
     fine = np.empty((rows, _TILE_WIDTH * r)) if r > 1 else None
     v = np.empty((rows, _TILE_WIDTH + 1))
-    coef = np.zeros((2 if split else 1, reps, edges[-1]))
-    truths = np.empty(reps)
+    truths = np.empty((len(sizes), reps))
     for first in range(0, reps, rows):
         group = slice(first, min(first + rows, reps))
         g = group.stop - first
         latent.start(first, group.stop)
         noisy.start(first, group.stop)
-        for lo, hi in _tiles(n):
-            w = hi - lo
-            dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
-            if r > 1:  # an observed increment sums its r fine increments
-                latent.tile(fine[:g, : w * r])
-                fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
-            else:
-                latent.tile(dx)
-            if lo:
-                v[:g, 0] = v[:g, _TILE_WIDTH]
-            noisy.tile(v[:g, : w + 1])
-            np.subtract(v[:g, 1 : w + 1], v[:g, :w], out=dv)
-            if split:
-                coef[:, group] += (tile[: 2 * g, :w] @ cols[lo:hi]).reshape(2, g, -1)
-            else:
-                dx += dv
-                coef[0, group] += dx @ cols[lo:hi]
-        truths[group] = latent.truths
+        for lo, hi in _tiles(sizes[-1][0]):
+            latent.draw(hi - lo)
+            noisy.draw(hi - lo)
+            for i, (n, cols, _, _, coef) in enumerate(sizes):
+                if n <= lo:
+                    continue
+                w = min(hi, n) - lo
+                dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
+                if r > 1:  # an observed increment sums its r fine increments
+                    latent.tile(i, fine[:g, : w * r])
+                    fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
+                else:
+                    latent.tile(i, dx)
+                noisy.tile(v[:g, : w + 1], n)
+                np.subtract(v[:g, 1 : w + 1], v[:g, :w], out=dv)
+                if split:
+                    coef[:, group] += (tile[: 2 * g, :w] @ cols[lo : lo + w]).reshape(2, g, -1)
+                else:
+                    dx += dv
+                    coef[0, group] += dx @ cols[lo : lo + w]
+        truths[:, group] = latent.truths
 
-    wy = coef.sum(axis=0)  # (dX + dV) @ cols
-    wx, wv = coef[0], coef[-1]  # dX @ cols and dV @ cols, when split
-
-    def parts(a, b, scale=1.0):
+    def parts(spans, a, b, scale=1.0):
         return np.array(
             [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for at, pref in spans]
         )
 
-    return {
-        "estimates": parts(wy, wy),
-        "noise_parts": parts(wv, wv) if want_noise else None,
-        "cross_parts": parts(wx, wv, 2.0) if want_cross else None,
-        "truths": truths,
-        "noise_exact": noise_exact,
-    }
+    results = []
+    for (_, _, spans, exact, coef), truth in zip(sizes, truths):
+        wy = coef.sum(axis=0)  # (dX + dV) @ cols
+        wx, wv = coef[0], coef[-1]  # dX @ cols and dV @ cols, when split
+        results.append({
+            "estimates": parts(spans, wy, wy),
+            "noise_parts": parts(spans, wv, wv) if want_noise else None,
+            "cross_parts": parts(spans, wx, wv, 2.0) if want_cross else None,
+            "truths": truth,
+            "noise_exact": exact,
+        })
+    return results
 
 
 def _row(
@@ -342,10 +351,10 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
 
 def run_consistency(config: ExperimentConfig) -> McSummary:
     """Bias and RMSE along the schedule; flags RMSE monotonicity per kind."""
+    cutoffs = check_experiment("consistency", config)
     rows: list[McRow] = []
     rmse_by_kind: dict[EstimatorKind, list[float]] = {k: [] for k in config.kinds}
-    for n, m in zip(config.n_schedule, check_experiment("consistency", config)):
-        data = _run_replications(config, n, m)
+    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
         for i, kind in enumerate(config.kinds):
             row = _row("consistency", kind, n, m, data["estimates"][i], data["truths"])
             rmse_by_kind[kind].append(row.rmse)
@@ -373,8 +382,7 @@ def run_normality(config: ExperimentConfig) -> McSummary:
     cutoffs = check_experiment("normality", config)
     limit_var = _limit_variance(config.vol)
     rows: list[McRow] = []
-    for n, m in zip(config.n_schedule, cutoffs):
-        data = _run_replications(config, n, m)
+    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
         for i, kind in enumerate(config.kinds):
             ests = data["estimates"][i]
             std_err = np.sqrt(m) * (ests - data["truths"]) / np.sqrt(limit_var)
@@ -412,9 +420,10 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     Monte Carlo standard errors empirically); the sine kind must sit below
     its explicit decay bound.
     """
+    cutoffs = check_experiment("noise_bounds", config)
+    runs = _run_replications(config, cutoffs, want_exact=True)
     rows: list[McRow] = []
-    for n, m in zip(config.n_schedule, check_experiment("noise_bounds", config)):
-        data = _run_replications(config, n, m, want_exact=True)
+    for n, m, data in zip(config.n_schedule, cutoffs, runs):
         for i, kind in enumerate(config.kinds):
             row = _row("noise_bounds", kind, n, m, data["estimates"][i], data["truths"])
             mean, se, exact = row.mean, row.se_mean, data["noise_exact"][i]
@@ -442,10 +451,8 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     nu = config.noise.variance
     largest = config.n_schedule[-1]
     rows: list[McRow] = []
-    for n, m in zip(config.n_schedule, cutoffs):
-        data = _run_replications(
-            config, n, m, want_noise=True, want_cross=True, want_exact=True
-        )
+    runs = _run_replications(config, cutoffs, want_noise=True, want_cross=True, want_exact=True)
+    for n, m, data in zip(config.n_schedule, cutoffs, runs):
         for i, kind in enumerate(config.kinds):
             cross = data["cross_parts"][i]
             row = _row(

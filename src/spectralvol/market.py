@@ -17,8 +17,9 @@ generators is re-keyed for each group of streams: stream j has the bits of
 ``Philox(SeedSequence(seeds[j]))`` without either object being built per
 stream.  Paths and noise are drawn in tiles of ``_TILE_WIDTH`` observed
 increments, each tile continuing its streams, so a group of paths drawn
-tile by tile has the bits of single paths drawn whole.  Paths whose spot
-variance is zero everywhere draw no latent shocks.
+tile by tile has the bits of single paths drawn whole.  A tile is drawn
+once for paths of several lengths, each reading a prefix of its normals.
+Paths whose spot variance is zero everywhere draw no latent shocks.
 """
 
 from __future__ import annotations
@@ -357,18 +358,22 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 class _LatentTiles:
-    """Euler-Maruyama increments of a group of latent paths, tile by tile.
+    """Euler-Maruyama increments of a group of latent paths on several grids, tile by tile.
 
-    Row j follows the path stream of ``seeds[j]`` (spawn key 0 under OU
-    volatility, whose state follows spawn key 1) from the first fine step
-    on.  The OU state and, for OU, each row's integrated variance (the
+    Grid i has ``ns[i] * refinement`` fine steps.  Row j follows the path
+    stream of ``seeds[j]`` (spawn key 0 under OU volatility, whose state
+    follows spawn key 1): on every grid, fine step k is driven by normal k
+    of the stream.  :meth:`draw` draws a tile's normals once, and
+    :meth:`tile` scales a prefix of them into one grid's increments.  Each
+    grid's OU state and, for OU, each row's integrated variance (the
     trapezoid rule, summed tile by tile) carry over from tile to tile.
     Paths whose spot variance is zero everywhere draw no shocks.
     """
 
-    def __init__(self, vol: VolModel, drift: DriftModel, n_fine: int, seeds, rows: int = 1):
-        self.vol, self.n_fine, self.dt = vol, n_fine, 1.0 / n_fine
-        self.shift = (drift.level if isinstance(drift, ConstantDrift) else 0.0) * self.dt
+    def __init__(self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds, rows: int = 1):
+        self.vol, self.r, self.n_fines = vol, refinement, [n * refinement for n in ns]
+        self.dts = [1.0 / n_fine for n_fine in self.n_fines]
+        self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
         ou = isinstance(vol, OrnsteinUhlenbeckVol)
         if isinstance(vol, ConstantVol):
             self.exact, silent = float(vol.level), vol.level == 0
@@ -380,91 +385,107 @@ class _LatentTiles:
             silent = False
         self.shocks = None if silent else _Streams(seeds, 0 if ou else None, rows)
         self.vol_shocks = _Streams(seeds, 1, rows) if ou else None
+        # the path shocks, then the OU state shocks, of a tile of the largest grid
+        self.raw = np.empty((1 + ou, rows, min(max(ns), _TILE_WIDTH) * refinement))
 
     def start(self, lo: int, hi: int) -> None:
-        """Begin the paths of seeds[lo:hi] at time 0."""
+        """Begin the paths of seeds[lo:hi] at time 0 on every grid."""
         for streams in (self.shocks, self.vol_shocks):
             if streams is not None:
                 streams.start(lo, hi)
-        self.step = 0
+        self.step, self.rows = 0, hi - lo
+        shape = (len(self.n_fines), self.rows)
         if self.vol_shocks is None:
-            self.truths = np.full(hi - lo, self.exact)
+            self.truths = np.full(shape, self.exact)
         else:
-            self.state = np.full(hi - lo, float(self.vol.initial_level))
-            self.truths = np.zeros(hi - lo)
+            self.state = np.full(shape, float(self.vol.initial_level))
+            self.truths = np.zeros(shape)
 
-    def tile(self, dx: np.ndarray) -> np.ndarray:
-        """Fill ``dx`` (rows x w) with the next w fine increments.
+    def draw(self, w: int) -> None:
+        """Draw the shocks of the next tile of w observed increments."""
+        w *= self.r
+        self.first, self.step = self.step, self.step + w
+        for raw, streams in zip(self.raw, (self.shocks, self.vol_shocks)):
+            if streams is not None:
+                streams.fill(raw[: self.rows, :w])
+
+    def tile(self, i: int, dx: np.ndarray) -> np.ndarray:
+        """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps.
 
         Returns the spot variance at their w + 1 grid points: a row per path
         for OU, one row shared by all paths otherwise.
         """
-        w = dx.shape[1]
-        first, self.step = self.step, self.step + w
+        rows, w = dx.shape
         vol = self.vol
         if isinstance(vol, ConstantVol):
             spot = np.full((1, w + 1), self.exact)
         elif isinstance(vol, PiecewiseVol):
-            times = np.arange(first, first + w + 1) / self.n_fine
+            times = np.arange(self.first, self.first + w + 1) / self.n_fines[i]
             idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
             spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
         else:
-            spot = self._ou_spot(len(dx), w)
+            spot = self._ou_spot(i, rows, w)
         if self.shocks is None:
             dx[...] = 0.0
         else:
-            self.shocks.fill(dx)
-            dx *= np.sqrt(spot[:, :-1] * self.dt)
-        if self.shift:
-            dx += self.shift
+            np.multiply(self.raw[0, :rows, :w], np.sqrt(spot[:, :-1] * self.dts[i]), out=dx)
+        if self.drift_level:
+            dx += self.drift_level * self.dts[i]
         return spot
 
-    def _ou_spot(self, rows: int, w: int) -> np.ndarray:
+    def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
         # OU state stepped for all rows at once; the spot variance is the
         # squared state, hence nonnegative by construction.
-        vol, dt = self.vol, self.dt
-        shocks = self.vol_shocks.fill(np.empty((rows, w))).T * np.sqrt(dt)
+        vol, dt = self.vol, self.dts[i]
+        shocks = self.raw[1, :rows, :w].T * np.sqrt(dt)
         state = np.empty((w + 1, rows))
-        state[0] = self.state
-        for i in range(w):
-            state[i + 1] = (
-                state[i]
-                + vol.reversion_rate * (vol.mean_level - state[i]) * dt
-                + vol.vol_of_vol * shocks[i]
+        state[0] = self.state[i]
+        for k in range(w):
+            state[k + 1] = (
+                state[k]
+                + vol.reversion_rate * (vol.mean_level - state[k]) * dt
+                + vol.vol_of_vol * shocks[k]
             )
-        self.state = state[-1]
+        self.state[i] = state[-1]
         spot = (state**2).T.copy()
-        self.truths += _trapezoid(spot, dx=dt, axis=1)
+        self.truths[i] += _trapezoid(spot, dx=dt, axis=1)
         return spot
 
 
 class _NoiseTiles:
-    """Observation noise of a group of series at the n + 1 times, tile by tile.
+    """Observation noise of a group of series, tile by tile, for series of any length.
 
-    Row j follows the noise stream of ``seeds[j]``.  The tile of w
-    increments from time k needs the noise at times k..k + w; the caller
-    carries the value at time k over from the previous tile, except at k = 0.
+    Row j follows the noise stream of ``seeds[j]``: the noise at time k is
+    normal k of the stream times the noise scale, whatever the length n.
+    :meth:`draw` draws the normals at a tile's w + 1 times once (the one at
+    its first time carries over from the previous tile), and :meth:`tile`
+    scales a prefix of them for one n, zeroing the end points it excludes.
     """
 
-    def __init__(self, noise: NoiseModel, n: int, seeds, rows: int = 1):
-        self.noise, self.n = noise, n
-        self.scale = np.sqrt(noise.variance)
+    def __init__(self, noise: NoiseModel, seeds, rows: int = 1):
+        self.noise, self.scale = noise, np.sqrt(noise.variance)
         self.streams = _Streams(seeds, None, rows)
+        self.raw = np.empty((rows, _TILE_WIDTH + 1))
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the series of seeds[lo:hi] at time 0."""
         self.streams.start(lo, hi)
-        self.time = 0
+        self.rows, self.time = hi - lo, 0
 
-    def tile(self, v: np.ndarray) -> None:
-        """Fill ``v`` (rows x (w + 1)) with the noise of the next tile of w increments."""
-        first, self.time = self.time, self.time + v.shape[1] - 1
-        new = v if first == 0 else v[:, 1:]
-        self.streams.fill(new)
-        new *= self.scale
-        if first == 0 and not self.noise.include_initial:
+    def draw(self, w: int) -> None:
+        """Draw the normals at the times of the next tile of w increments."""
+        raw, self.first = self.raw[: self.rows], self.time
+        if self.first:
+            raw[:, 0] = raw[:, self.width]  # the previous tile's last time
+        self.streams.fill(raw[:, 1 if self.first else 0 : w + 1])
+        self.time, self.width = self.time + w, w
+
+    def tile(self, v: np.ndarray, n: int) -> None:
+        """Fill ``v`` (rows x (w + 1)) with the noise of a series of n over the first w increments."""
+        np.multiply(self.raw[: len(v), : v.shape[1]], self.scale, out=v)
+        if self.first == 0 and not self.noise.include_initial:
             v[:, 0] = 0.0
-        if self.time == self.n and not self.noise.include_terminal:
+        if self.first + v.shape[1] - 1 == n and not self.noise.include_terminal:
             v[:, -1] = 0.0
 
 
@@ -483,19 +504,20 @@ def simulate_latent(
     if refinement < 1:
         raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
     n_fine = scheme.n * refinement
-    latent = _LatentTiles(vol, drift, n_fine, rng_seed)
+    latent = _LatentTiles(vol, drift, (scheme.n,), refinement, rng_seed)
     latent.start(0, 1)
     dx = np.empty((1, n_fine))
     spot = np.empty(n_fine + 1)
     for lo, hi in _tiles(scheme.n):
+        latent.draw(hi - lo)
         spot[lo * refinement : hi * refinement + 1] = latent.tile(
-            dx[:, lo * refinement : hi * refinement]
+            0, dx[:, lo * refinement : hi * refinement]
         )[0]
     return LatentPath(
         fine_times=np.arange(n_fine + 1) / n_fine,
         values=np.concatenate(([0.0], np.cumsum(dx[0]))),
         spot_variance=spot,
-        true_integrated_vol=float(latent.truths[0]),
+        true_integrated_vol=float(latent.truths[0, 0]),
     )
 
 
@@ -555,11 +577,12 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    sampler = _NoiseTiles(noise, scheme.n, rng_seed)
+    sampler = _NoiseTiles(noise, rng_seed)
     sampler.start(0, 1)
     v = np.empty((1, scheme.n + 1))
     for lo, hi in _tiles(scheme.n):
-        sampler.tile(v[:, lo : hi + 1])
+        sampler.draw(hi - lo)
+        sampler.tile(v[:, lo : hi + 1], scheme.n)
     return ObservationSeries(
         times=scheme.times(),
         values=latent + v[0],

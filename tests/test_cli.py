@@ -139,6 +139,30 @@ class TestEstimate:
         assert capsys.readouterr().out.strip().split(",")[3] == "1"
 
 
+    @pytest.mark.parametrize("kind", ["siml", "ina_sine", "mm_fourier_real_zero"])
+    def test_q_rejected_for_real_kinds(self, tmp_path, capsys, kind):
+        path = tmp_path / "series.csv"
+        _write_csv(path, np.cumsum(np.random.default_rng(8).normal(size=42)))
+        args = ["estimate", "--input", str(path), "--kind", kind, "--m", "3"]
+        assert main(args + ["--q", "3"]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--q" in err and len(err.strip().splitlines()) == 1
+        assert main(args + ["--q", "0"]) == EX_OK
+        with_q_zero = capsys.readouterr().out
+        assert main(args) == EX_OK
+        assert capsys.readouterr().out == with_q_zero
+
+    def test_complex_cutoff_beyond_series_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        _write_csv(path, np.cumsum(np.random.default_rng(3).normal(size=12)))  # 11 increments
+        args = ["estimate", "--input", str(path), "--kind", "mm_fourier_complex"]
+        assert main(args + ["--m", "100000000000"]) == EX_USAGE
+        assert main(args + ["--m", "9", "--q", "-3"]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 2
+        assert main(args + ["--m", "8", "--q", "-3"]) == EX_OK
+
+
 class TestBadCsvInput:
     @pytest.mark.parametrize(
         "text",
@@ -241,10 +265,15 @@ class TestBadConfig:
             [("base_seed = 42", "base_seed = 42\nthreads = 0")],
             [("vol_level = 0.0", "vol_level = nan")],
             [("replications = 150", "replications = 4294967297")],
+            [("[simulation]", "time,value\n[simulation]")],
+            [("[estimators]", "[noise]\n\n[estimators]")],
+            [("variance = 0.01", "variance = 0.01\nvariance = 0.02")],
+            [("kinds = siml, ina_sine", "kinds = siml%")],
         ],
         ids=["m_above_n", "m_below_one", "ou_vol_for_normality", "unknown_type",
              "noise_bounds_with_signal", "contrast_without_initial_noise", "zero_refinement",
-             "zero_threads", "nan_vol_level", "replications_above_2_32"],
+             "zero_threads", "nan_vol_level", "replications_above_2_32", "no_section_header",
+             "duplicate_section", "duplicate_key", "percent_in_value"],
     )
     def test_exits_78_without_traceback(self, tmp_path, edits):
         text = NOISE_BOUNDS_CFG

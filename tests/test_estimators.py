@@ -305,6 +305,18 @@ class TestErrors:
         with pytest.raises(CutoffTooLarge):
             mm_fourier_real_zero([np.ones(5)], 3)
 
+    def test_complex_cutoff_within_shortest_series(self):
+        """On t_k = k/n the frequencies repeat with period n, so m + |q| may not exceed n."""
+        rng = np.random.default_rng(9)
+        obs = [_series_from_deltas(rng.normal(size=k)) for k in (12, 7)]
+        for q in (0, 3, -3):
+            assert mm_fourier_complex(obs, q, 7 - abs(q)).value.shape == (2, 2)
+            with pytest.raises(CutoffTooLarge):
+                mm_fourier_complex(obs, q, 8 - abs(q))
+        assert mm_fourier_complex(obs[:1], 0, 12).value.shape == (1, 1)
+        with pytest.raises(CutoffTooLarge):
+            mm_fourier_complex(obs[:1], 0, 13)
+
     def test_even_length_rejected(self):
         with pytest.raises(EvenLength):
             mm_fourier_real_zero([np.ones(6)], 1)

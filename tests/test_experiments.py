@@ -31,6 +31,7 @@ from spectralvol.market import (
     OrnsteinUhlenbeckVol,
     PiecewiseVol,
     ZeroDrift,
+    _Streams,
     derive_seed,
     observe,
     simulate_latent,
@@ -146,7 +147,7 @@ class TestBlockedReplications:
             refinement=refinement,
         )
         m = 9
-        got = _run_replications(config, n, m, want_noise=True, want_cross=True)
+        (got,) = _run_replications(config, (m,), want_noise=True, want_cross=True)
         want = self._per_replication(config, n, m)
         assert got["estimates"].shape == (len(kinds), reps)
         assert np.array_equal(got["truths"], want["truths"])
@@ -165,10 +166,10 @@ class TestBlockedReplications:
             replications=2 * _TILE_ROWS + 3,
             base_seed=21,
         )
-        full = _run_replications(config, n, 7, want_noise=split, want_cross=split)
+        (full,) = _run_replications(config, (7,), want_noise=split, want_cross=split)
         for k in (1, _TILE_ROWS - 1, _TILE_ROWS + 2):
-            short = _run_replications(
-                dataclasses.replace(config, replications=k), n, 7, want_noise=split, want_cross=split
+            (short,) = _run_replications(
+                dataclasses.replace(config, replications=k), (7,), want_noise=split, want_cross=split
             )
             assert np.array_equal(short["truths"], full["truths"][:k])
             for key in ("estimates", "noise_parts", "cross_parts") if split else ("estimates",):
@@ -176,6 +177,67 @@ class TestBlockedReplications:
                 np.testing.assert_allclose(
                     short[key], full[key][:, :k], rtol=1e-13, atol=1e-13 * scale
                 )
+
+
+_OU = OrnsteinUhlenbeckVol(mean_level=1.0, reversion_rate=2.0, vol_of_vol=0.8, initial_level=0.5)
+
+
+class TestSchedule:
+    """One run over a schedule of sample sizes, against one-size runs at each n."""
+
+    @pytest.mark.parametrize("reps", [1, _TILE_ROWS + 1])
+    @pytest.mark.parametrize(
+        "kinds,vol,drift,noise,refinement",
+        [
+            ((EstimatorKind.SIML, EstimatorKind.MM_FOURIER_REAL_ZERO), ConstantVol(1.0),
+             ConstantDrift(0.3), NoiseModel(1e-3), 1),
+            ((EstimatorKind.INA_SINE, EstimatorKind.SIML),
+             PiecewiseVol(breakpoints=(0.3, 0.7), levels=(1.0, 3.0, 0.5)), ZeroDrift(),
+             NoiseModel(1e-2, include_initial=False), 3),
+            ((EstimatorKind.MM_FOURIER_REAL_ZERO, EstimatorKind.INA_SINE), _OU,
+             ConstantDrift(-0.2), NoiseModel(1e-3, include_terminal=False), 1),
+            ((EstimatorKind.SIML,), ConstantVol(2.0), ConstantDrift(0.3),
+             NoiseModel(1e-2, include_initial=False, include_terminal=False), 3),
+            ((EstimatorKind.INA_SINE, EstimatorKind.SIML), ConstantVol(0.0), ZeroDrift(),
+             NoiseModel(1e-2), 1),
+        ],
+        ids=["constant_drift", "piecewise_refined", "ou", "constant_refined_no_ends",
+             "pure_noise"],
+    )
+    def test_each_n_matches_its_one_size_run(self, kinds, vol, drift, noise, refinement, reps):
+        """Every n, across tile edges, has the bits of a run at that n alone."""
+        schedule = (5, _TILE_WIDTH - 1, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1)
+        cutoffs = (2, 7, 8, 9)
+        config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
+                         replications=reps, base_seed=19, refinement=refinement)
+        for split in (False, True):
+            runs = _run_replications(config, cutoffs, split, split, want_exact=True)
+            assert len(runs) == len(schedule)
+            for n, m, got in zip(schedule, cutoffs, runs):
+                (one,) = _run_replications(
+                    dataclasses.replace(config, n_schedule=(n,)), (m,), split, split, True
+                )
+                for key in ("estimates", "noise_parts", "cross_parts", "truths", "noise_exact"):
+                    if split or not key.endswith("parts"):
+                        assert np.array_equal(got[key], one[key]), (n, key)
+
+    @pytest.mark.parametrize("vol", [ConstantVol(1.0), _OU], ids=["constant", "ou"])
+    def test_draws_only_the_largest_n(self, monkeypatch, vol):
+        """A run draws each replication's normals once, as many as its largest n needs."""
+        drawn = []
+        fill = _Streams.fill
+        monkeypatch.setattr(
+            _Streams, "fill", lambda self, out: drawn.append(out.size) or fill(self, out)
+        )
+        config = _config(n_schedule=(64, 1000, 2100), vol=vol, noise=NoiseModel(1e-2),
+                         replications=_TILE_ROWS + 3, refinement=2)
+        run_consistency(config)
+        per_path = 2 if vol is _OU else 1  # OU volatility has a stream of its own
+        assert sum(drawn) == config.replications * (per_path * 2100 * 2 + 2100 + 1)
+        schedule_draws = sum(drawn)
+        drawn.clear()
+        run_consistency(dataclasses.replace(config, n_schedule=(2100,)))
+        assert sum(drawn) == schedule_draws
 
 
 class TestCheckExperiment:

@@ -187,12 +187,12 @@ _VOLS = {
 def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds):
     """Rows of the tile helpers, walked as the Monte Carlo engine walks them.
 
-    Each tile is drawn into the same buffers; the noise at a tile's first
-    time is carried over from the previous tile's last column.
+    Each tile is drawn and scaled into the same buffers; the noise sampler
+    carries the noise at a tile's first time over from the previous tile.
     """
     rows = len(path_seeds)
-    latent = _LatentTiles(vol, drift, n * refinement, np.array(path_seeds, dtype=np.uint64), rows)
-    sampler = _NoiseTiles(noise, n, np.array(noise_seeds, dtype=np.uint64), rows)
+    latent = _LatentTiles(vol, drift, (n,), refinement, np.array(path_seeds, dtype=np.uint64), rows)
+    sampler = _NoiseTiles(noise, np.array(noise_seeds, dtype=np.uint64), rows)
     latent.start(0, rows)
     sampler.start(0, rows)
     dx_tile = np.empty((rows, _TILE_WIDTH * refinement))
@@ -200,13 +200,13 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds):
     dx, spot, v = [], [], [np.empty((rows, 0))]
     for lo, hi in _tiles(n):
         w = hi - lo
-        spot.append(latent.tile(dx_tile[:, : w * refinement])[:, 1 if lo else 0 :])
+        latent.draw(w)
+        spot.append(latent.tile(0, dx_tile[:, : w * refinement])[:, 1 if lo else 0 :])
         dx.append(dx_tile[:, : w * refinement].copy())
-        if lo:
-            v_tile[:, 0] = v_tile[:, _TILE_WIDTH]
-        sampler.tile(v_tile[:, : w + 1])
+        sampler.draw(w)
+        sampler.tile(v_tile[:, : w + 1], n)
         v.append(v_tile[:, 1 if lo else 0 : w + 1].copy())
-    return np.hstack(dx), np.hstack(spot), latent.truths, np.hstack(v)
+    return np.hstack(dx), np.hstack(spot), latent.truths[0], np.hstack(v)
 
 
 class TestBlockHelpers:
@@ -434,9 +434,10 @@ class TestZeroVarianceBlock:
         monkeypatch.setattr(
             _Streams, "fill", lambda self, out: drawn.append(out.shape) or fill(self, out)
         )
-        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), 8, [1, 2], rows=2)
+        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2], rows=2)
         latent.start(0, 2)
-        latent.tile(np.empty((2, 8)))
+        latent.draw(8)
+        latent.tile(0, np.empty((2, 8)))
         assert drawn == [(2, 8)]
 
 

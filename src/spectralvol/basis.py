@@ -34,13 +34,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension
+from .errors import DimensionMismatch, InvalidDimension, InvalidParameter
 
 __all__ = [
     "BasisKind",
     "JacobiKind",
     "SpectralBasis",
     "basis_columns",
+    "basis_coefficients",
     "build_basis",
     "build_jacobi",
     "eigenvalues_closed_form",
@@ -88,11 +89,13 @@ class SpectralBasis:
             )
 
 
-def _check_dim(kind: BasisKind, dim: int) -> None:
+def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
     if dim < 1:
         raise InvalidDimension(f"dim must be >= 1, got {dim}")
     if kind is BasisKind.FOURIER_REAL and dim % 2 == 0:
         raise InvalidDimension(f"fourier_real needs an odd dimension, got {dim}")
+    if not 1 <= num_modes <= dim:
+        raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
 
 
 # Basis rows whose integer angle units are formed at a time.
@@ -124,14 +127,13 @@ def basis_columns(
 ) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
-    This is the O(dim * num_modes) work-horse used by the estimators, which
-    only ever need m << dim columns; the full matrix is materialized only by
-    :func:`build_basis`.  The columns are written into ``out`` when given.
+    O(dim * num_modes), for the Monte Carlo engine and the noise oracle, where
+    one tile of columns serves many replications; one vector is projected by
+    :func:`basis_coefficients`.  The columns are written into ``out`` when
+    given; the full matrix is materialized only by :func:`build_basis`.
     """
     kind = BasisKind(kind)
-    _check_dim(kind, dim)
-    if not 1 <= num_modes <= dim:
-        raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
+    _check_modes(kind, dim, num_modes)
     if out is None:
         out = np.empty((dim, num_modes))
     k = np.arange(1, dim + 1, dtype=np.int64)
@@ -155,6 +157,39 @@ def basis_columns(
     _periodic(np.sin, k - 1, freq, dim, step, scale, out)
     _periodic(np.cos, k - 1, freq[0::2], dim, step, scale, out[:, 0::2])
     out[:, 0] = 1.0 / np.sqrt(dim)
+    return out
+
+
+def basis_coefficients(kind: BasisKind, x: np.ndarray, num_modes: int) -> np.ndarray:
+    """``basis_columns(kind, len(x), num_modes).T @ x`` by one FFT, in O(n log n).
+
+    With N = 2n+1, j = k-1 and b = l-1 the cosine angle (2k-1)(2l-1)pi/(2N)
+    is 2 pi j b/N + pi j/N + pi(2b+1)/(2N), a length-N DFT between two turns.
+    The sine sums are -Im of a real DFT of length 2(n+1) with x_k at index
+    k; the real Fourier columns are read off the real DFT of x.
+    """
+    kind = BasisKind(kind)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"x must be a vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter("x must hold finite numbers only")
+    dim = len(x)
+    _check_modes(kind, dim, num_modes)
+    if kind is BasisKind.SIML_COSINE:
+        period = 2 * dim + 1
+        turned = x * np.exp(-1j * np.pi / period * np.arange(dim))
+        bins = np.fft.fft(turned, period)[:num_modes]
+        bins *= np.exp(-1j * np.pi / (2 * period) * np.arange(1, 2 * num_modes, 2))
+        return math.sqrt(2.0 / (dim + 0.5)) * bins.real
+    if kind is BasisKind.DST_SINE:
+        bins = np.fft.rfft(np.concatenate(([0.0], x)), 2 * (dim + 1))[1 : num_modes + 1]
+        return -math.sqrt(2.0 / (dim + 1)) * bins.imag
+    # FOURIER_REAL: -Im and Re of bins 0, 1, ... interleaved, less -Im F_0, are the
+    # constant, sin(1), cos(1), sin(2), ... sums; the constant column is 1/sqrt(n).
+    bins = np.fft.rfft(x)[: num_modes // 2 + 1]
+    out = math.sqrt(2.0 / dim) * np.column_stack((-bins.imag, bins.real)).ravel()[1 : num_modes + 1]
+    out[0] /= math.sqrt(2.0)
     return out
 
 

@@ -93,9 +93,9 @@ def cmd_basis_check(max_dim: int, out_path: str) -> int:
     if max_dim < 3:
         print("error: --max-dim must be >= 3", file=sys.stderr)
         return EX_USAGE
-    rows = list(_basis_check_rows(max_dim))
     try:
         with open(out_path, "w", newline="") as fh:
+            rows = list(_basis_check_rows(max_dim))
             fh.write("kind,dim,orthogonality_error,diagonalization_error\n")
             for kind, dim, orth, diag in rows:
                 fh.write(f"{kind},{dim},{orth!r},{diag!r}\n")
@@ -284,11 +284,12 @@ def cmd_experiment(config_path: str, out_dir: str, seed, threads) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
 
-    summary = run_experiment(experiment, config)
     try:
+        # The output is opened before the study runs, so a bad --out-dir fails at once.
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / f"{experiment}.csv", "w", newline="") as fh:
+            summary = run_experiment(experiment, config)
             summary.write_csv(fh)
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 All real-valued estimators are one construction: project the increment
 vector of each asset onto the first few columns of an orthogonal
 trigonometric basis, average the squared (or cross-) coefficients, and
-scale.  One table, ``_REAL_FORMS``, holds what tells them apart -- the
-basis, the number of columns at cutoff m and the shift s of the scale
-sqrt(n + s), which makes the prefactor (n + s)/columns:
+scale; each projection is one FFT (:func:`basis.basis_coefficients`).  One
+table, ``_REAL_FORMS``, holds what tells them apart -- the basis, the number
+of columns at cutoff m and the shift s of the scale sqrt(n + s), which makes
+the prefactor (n + s)/columns:
 
 * :func:`siml` -- shifted-cosine basis, m columns, prefactor n/m;
 * :func:`mm_fourier_real_zero` -- real Fourier basis on an odd equidistant
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, basis_columns
+from .basis import BasisKind, basis_coefficients, basis_columns
 from .errors import (
     CutoffTooLarge,
     EmptyInput,
@@ -129,7 +130,7 @@ def _real_estimate(kind: EstimatorKind, deltas, m: int) -> EstimateResult:
     weighted = []
     for d in ds:
         basis, columns, shift = _form(kind, len(d), m)
-        weighted.append(np.sqrt(len(d) + shift) * (basis_columns(basis, len(d), columns).T @ d))
+        weighted.append(np.sqrt(len(d) + shift) * basis_coefficients(basis, d, columns))
     return EstimateResult(
         kind=EstimatorKind(kind),
         n_per_asset=tuple(len(d) for d in ds),
@@ -166,9 +167,12 @@ def mm_fourier_complex(
     Entry (j, j') is the average over |l| <= m of
     ``F_j(l+q) * F_j'(-l)`` where ``F_j(u) = sum_k exp(2 pi i u t_{k-1}) dY_k``.
     Only F_j(0..m+|q|) are computed; the negative frequencies follow by
-    conjugation.  For q = 0 the diagonal entries are exactly real.  Raises
-    :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
-    increments: on t_k = k/n the frequencies repeat with period n.
+    conjugation; on the grid t_k = k/n exactly they are one inverse DFT,
+    F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
+    real.  Raises :class:`InvalidParameter` for non-finite input or times
+    that do not strictly increase, and :class:`CutoffTooLarge` when m + |q|
+    exceeds the shortest series' n increments: on t_k = k/n the frequencies
+    repeat with period n.
     """
     if isinstance(obs, ObservationSeries):
         obs = [obs]
@@ -180,7 +184,11 @@ def mm_fourier_complex(
     shortest = min(len(o.values) - 1 for o in obs)
     if shortest < 1:
         raise EmptyInput("observation series has fewer than 2 points")
-    # Real increments give F(-u) = conj(F(u)): exponentiate u = 0..top only.
+    for o in obs:
+        if not (np.all(np.isfinite(o.values)) and np.all(np.isfinite(o.times))
+                and np.all(np.diff(o.times) > 0)):
+            raise InvalidParameter("values and times must be finite, times strictly increasing")
+    # Real increments give F(-u) = conj(F(u)): compute u = 0..top only.
     top = m + abs(q)
     if top > shortest:
         raise CutoffTooLarge(f"m + |q| = {top} exceeds the {shortest} increments of a series")
@@ -188,7 +196,11 @@ def mm_fourier_complex(
     def spectrum(o: ObservationSeries) -> np.ndarray:
         """F(u) for u = -top..top, at index u + top."""
         dy = np.diff(o.values)
-        half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), o.times[:-1])) @ dy
+        n = len(dy)
+        if np.array_equal(o.times, np.arange(n + 1) / n):
+            half = np.fft.ifft(dy, norm="forward")[np.arange(top + 1) % n]
+        else:
+            half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), o.times[:-1])) @ dy
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     ls = np.arange(-m, m + 1)
@@ -232,9 +244,9 @@ def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     if v.size < 2:
         raise EmptyInput("noise vector needs at least 2 points")
     dv = np.diff(v)
-    cols, pref = _functional_columns(kind, len(dv), m)
-    coef = cols.T @ dv
-    return float(pref * np.sum(coef**2))
+    basis, columns, shift = _form(kind, len(dv), m)
+    coef = basis_coefficients(basis, dv, columns)
+    return float((len(dv) + shift) / columns * np.sum(coef**2))
 
 
 def noise_expectation_exact(

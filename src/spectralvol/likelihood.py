@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import BasisKind, basis_coefficients
 from .errors import (
     DegenerateData,
     DegenerateVariance,
@@ -97,18 +98,15 @@ class MleResult:
 def spectral_transform(deltas: np.ndarray) -> SpectralCoefficients:
     """z_k = sqrt(n) * sum_j p[j,k] dY_j for all n cosine-basis columns.
 
-    The cosine basis is an odd-length DCT: with dY_j placed at index 2j-1 of
-    a zero vector of length 4(2n+1), column l of the product is the real part
-    of FFT bin 2l-1.  By orthogonality, ||z||^2 = n ||dY||^2.
+    The cosine basis is an odd-length DCT, taken by one FFT of length 2n+1
+    (:func:`basis.basis_coefficients`, which rejects non-finite input).  By
+    orthogonality, ||z||^2 = n ||dY||^2.
     """
     dy = np.asarray(deltas, dtype=float)
     if dy.size == 0:
         raise EmptyInput("increment vector is empty")
     n = len(dy)
-    x = np.zeros(4 * (2 * n + 1))
-    x[1 : 2 * n : 2] = dy
-    scale = math.sqrt(n) * math.sqrt(2.0 / (n + 0.5))
-    z = scale * np.fft.rfft(x)[1 : 2 * n : 2].real
+    z = math.sqrt(n) * basis_coefficients(BasisKind.SIML_COSINE, dy, n)
     return SpectralCoefficients(z=z, n=n)
 
 

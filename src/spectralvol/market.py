@@ -531,11 +531,14 @@ def simulate_latent_correlated(
 
     ``loadings`` is the constant J x d matrix sigma; the exact integrated
     covariance matrix is ``loadings @ loadings.T`` and is returned alongside
-    the per-asset paths.
+    the per-asset paths.  Raises :class:`InvalidParameter` for a non-finite
+    loading.
     """
     if refinement < 1:
         raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
     sigma = np.atleast_2d(np.asarray(loadings, dtype=float))
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidParameter("loadings must be finite numbers")
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine
     dt = 1.0 / n_fine

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spectralvol.basis import (
     BasisKind,
     JacobiKind,
+    basis_coefficients,
     basis_columns,
     build_basis,
     build_jacobi,
@@ -197,6 +198,44 @@ class TestProject:
             project(b, np.zeros(5), 2)
         with pytest.raises(DimensionMismatch):
             project(b, np.zeros(4), 5)
+
+
+class TestBasisCoefficients:
+    """The one-FFT projection against the dense product with the basis columns."""
+
+    @staticmethod
+    def _error(kind, x, num_modes):
+        dense = basis_columns(kind, len(x), num_modes).T @ x
+        return np.max(np.abs(basis_coefficients(kind, x, num_modes) - dense)) / np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_every_cutoff_up_to_64(self, kind):
+        rng = np.random.default_rng(70)
+        for n in range(1, 65):
+            if kind is BasisKind.FOURIER_REAL and n % 2 == 0:
+                continue
+            x = rng.normal(size=n)
+            for num_modes in range(1, n + 1):
+                assert self._error(kind, x, num_modes) <= 1e-13, (n, num_modes)
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(kind, n) for kind in BasisKind for n in (1560, 4680, 4681)
+         if kind is not BasisKind.FOURIER_REAL or n % 2 == 1],
+    )
+    def test_desk_sizes(self, kind, n):
+        x = np.random.default_rng(n).normal(size=n)
+        assert self._error(kind, x, int(n**0.4)) <= 1e-13
+
+    def test_rejects_what_basis_columns_rejects(self):
+        with pytest.raises(InvalidDimension):
+            basis_coefficients(BasisKind.FOURIER_REAL, np.ones(4), 1)
+        with pytest.raises(InvalidDimension):
+            basis_coefficients(BasisKind.SIML_COSINE, np.ones(4), 5)
+        with pytest.raises(InvalidDimension):
+            basis_coefficients(BasisKind.DST_SINE, np.ones(4), 0)
+        with pytest.raises(DimensionMismatch):
+            basis_coefficients(BasisKind.DST_SINE, np.ones((2, 2)), 1)
 
 
 class TestCosineSquareSum:

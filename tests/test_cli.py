@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import spectralvol.cli as cli
 from spectralvol.cli import (
     EX_CONFIG,
     EX_DATAERR,
@@ -79,6 +80,12 @@ class TestBasisCheck:
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "no-such-dir" / "report.csv"
+        assert main(["basis-check", "--max-dim", "5", "--out", str(target)]) == EX_IOERR
+
+    def test_output_under_a_file_fails_before_any_row(self, tmp_path, monkeypatch):
+        (tmp_path / "plain").write_text("")
+        monkeypatch.setattr(cli, "_basis_check_rows", pytest.fail)
+        target = tmp_path / "plain" / "report.csv"
         assert main(["basis-check", "--max-dim", "5", "--out", str(target)]) == EX_IOERR
 
 
@@ -207,6 +214,15 @@ class TestExperimentCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(NOISE_BOUNDS_CFG.replace("m_exponent", "m_exponnent"))
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EX_CONFIG
+
+    def test_out_dir_under_a_file_fails_before_the_study(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "nb.cfg"
+        cfg.write_text(NOISE_BOUNDS_CFG)
+        (tmp_path / "plain").write_text("")
+        monkeypatch.setattr(cli, "run_experiment", pytest.fail)
+        out_dir = tmp_path / "plain" / "out"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == EX_IOERR
+        assert "cannot write to" in capsys.readouterr().err
 
     def test_noise_bounds_run_passes(self, tmp_path, capsys):
         cfg = tmp_path / "nb.cfg"

@@ -155,6 +155,75 @@ class TestHalfSpectrum:
             assert mm_fourier_complex(obs[:1], 0, m).value[0, 0].imag == 0.0
 
 
+def _equidistant_series(rng, n_inc):
+    values = np.cumsum(rng.normal(size=n_inc + 1))
+    times = np.arange(n_inc + 1) / n_inc
+    return ObservationSeries(times=times, values=values, latent=values, noise=0 * values)
+
+
+class TestEquidistantFft:
+    """On t_k = k/n exactly the Fourier coefficients come from one inverse DFT."""
+
+    @pytest.mark.parametrize(
+        "sizes, q, m",
+        [((31,), 0, 9), ((31,), 4, 9), ((31,), -5, 26), ((31,), 0, 31), ((390,), -3, 387),
+         ((20, 33), 0, 7), ((20, 33), 3, 17), ((33, 20), -6, 14)],
+        ids=["q0", "q_pos", "m_plus_q_is_n", "m_is_n", "desk_n_m_plus_q_is_n",
+             "two_n_q0", "two_n_m_plus_q_is_shortest", "two_n_q_neg"],
+    )
+    def test_matches_full_exponential_formula(self, sizes, q, m):
+        rng = np.random.default_rng(sum(sizes) + q)
+        obs = [_equidistant_series(rng, n) for n in sizes]
+        value = mm_fourier_complex(obs, q, m).value
+        reference = _full_exp_reference(obs, q, m)
+        assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("nudge", [0, 1, -1])
+    def test_only_the_exact_grid_takes_the_fft(self, monkeypatch, nudge):
+        """A time one ulp off t_k = k/n sends the series to the exp formula."""
+        obs = _equidistant_series(np.random.default_rng(8), 25)
+        if nudge:
+            obs.times[7] = np.nextafter(obs.times[7], nudge * np.inf)
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+        value = mm_fourier_complex([obs], 2, 6).value
+        reference = _full_exp_reference([obs], 2, 6)
+        assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert len(calls) == (0 if nudge else 1)
+
+
+class TestNonFiniteAndUnordered:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_estimators_reject_non_finite(self, bad):
+        for estimator in REAL_ESTIMATORS.values():
+            with pytest.raises(InvalidParameter):
+                estimator([np.array([1.0, bad, 2.0])], 1)
+        with pytest.raises(InvalidParameter):
+            siml([np.ones(3), np.array([1.0, 2.0, bad])], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_noise_functional_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidParameter):
+            noise_functional(EstimatorKind.SIML, np.array([0.0, bad, 1.0, 0.5]), 1)
+
+    @pytest.mark.parametrize("column", ["values", "times"])
+    def test_complex_rejects_non_finite(self, column):
+        obs = _series_from_deltas(np.array([0.5, -0.25, 1.0]))
+        getattr(obs, column)[1] = np.nan
+        with pytest.raises(InvalidParameter):
+            mm_fourier_complex([obs], 0, 1)
+
+    @pytest.mark.parametrize("times", [[0, 0.5, 0.25, 1], [0, 0.5, 0.5, 1]], ids=["swap", "tie"])
+    def test_complex_rejects_unordered_times(self, times):
+        values = np.array([0.0, 1.0, 0.5, 2.0])
+        obs = ObservationSeries(
+            times=np.array(times, dtype=float), values=values, latent=values, noise=0 * values
+        )
+        with pytest.raises(InvalidParameter):
+            mm_fourier_complex([obs], 0, 1)
+
+
 class TestMonteCarloMeans:
     def test_cosine_basis_unbiased_without_noise(self):
         """E[V] = c exactly when Cov(dX) = (c/n) I; MC mean within 3 se."""

@@ -55,11 +55,16 @@ class TestSpectralTransform:
         with pytest.raises(EmptyInput):
             spectral_transform(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameter):
+            spectral_transform(np.array([1.0, bad, 2.0]))
+
     def test_matches_dense_cosine_basis(self):
         """The FFT path equals sqrt(n) P^T dY with the dense basis, to 1e-12 ||z||.
 
-        n = 1560 makes the FFT length 4 * 3121 with 3121 prime; n = 4096 is a
-        power of two; the rest cover the smallest sizes and seeded random n.
+        n = 1560 makes the FFT length 2n + 1 = 3121, a prime; n = 4096 makes
+        it 8193 = 3 * 2731; the rest cover the smallest sizes and seeded random n.
         """
         rng = np.random.default_rng(2024)
         sizes = [1, 2, 3, 97, 390, 1560, 4096] + [int(v) for v in rng.integers(4, 700, 6)]
@@ -191,6 +196,17 @@ class TestClosedFormMaximizers:
             direct = siml([deltas], m).value[0, 0]
             via_likelihood = maximize_L1(spectral_transform(deltas), m)
             assert via_likelihood == pytest.approx(direct, rel=1e-10)
+
+    def test_siml_is_the_low_part_maximizer_to_rounding(self):
+        """Both read the same FFT coefficients, so they agree to a few ulps."""
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 7, 390, 1560, 4680, 4681):
+            deltas = rng.normal(size=n)
+            for m in sorted({1, int(n**0.4), n}):
+                direct = siml([deltas], m).value[0, 0]
+                assert maximize_L1(spectral_transform(deltas), m) == pytest.approx(
+                    direct, rel=1e-14
+                )
 
     def test_stationary_point_of_low_part(self):
         "Finite differences: d/dc of the low part vanishes at the maximizer."

@@ -498,6 +498,11 @@ class TestCorrelatedPaths:
         with pytest.raises(InvalidParameter):
             simulate_latent_correlated(np.eye(2), EquidistantScheme(4), refinement=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loadings_rejected(self, bad):
+        with pytest.raises(InvalidParameter):
+            simulate_latent_correlated([[bad, 1.0]], EquidistantScheme(4), refinement=1)
+
 
 class TestCsvRoundTrip:
     def test_full_round_trip(self):

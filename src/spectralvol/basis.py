@@ -102,60 +102,87 @@ def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
 _ROW_BLOCK = 4096
 
 
-def _periodic(
-    func, rows: np.ndarray, cols: np.ndarray, period: int, step: float, scale: float, out
-) -> np.ndarray:
-    """``scale * func(step * (outer(rows, cols) % period))`` in ``out``, for int rows and cols.
-
-    The units lie in one period, so each entry is looked up in the values of
-    one period, computed with the same operations: the bits are those of the
-    formula.  Units are formed a block of rows at a time.
-    """
+def _table(func, period: int, step: float, scale: float) -> np.ndarray:
+    """``scale * func(step * u)`` for the units u = 0..period-1 of one period."""
     table = np.arange(period, dtype=float)
     table *= step
     func(table, out=table)
     table *= scale
+    return table
+
+
+def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out) -> np.ndarray:
+    """``table[outer(rows, cols) % len(table)]`` in ``out``, for int rows and cols.
+
+    The units lie in one period of the table, whose values were computed
+    with the formula's operations: the bits are those of the formula.  Units
+    are formed a block of rows at a time.
+    """
     for first in range(0, len(rows), _ROW_BLOCK):
         units = np.multiply.outer(rows[first : first + _ROW_BLOCK], cols)
-        units %= period
+        units %= len(table)
         out[first : first + _ROW_BLOCK] = table[units]
     return out
 
 
+def _basis_tables(kind: BasisKind, dim: int) -> tuple[np.ndarray, ...]:
+    """The one-period tables :func:`basis_columns` looks the entries of a valid basis up in.
+
+    4(2n+1) cosines for the cosine basis, 2(n+1) sines for the sine basis,
+    and N sines and N cosines for the real Fourier basis on N = dim rows.
+    """
+    if kind is BasisKind.SIML_COSINE:
+        # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units
+        return (_table(np.cos, 4 * (2 * dim + 1), np.pi / (2 * (2 * dim + 1)),
+                       np.sqrt(2.0 / (dim + 0.5))),)
+    if kind is BasisKind.DST_SINE:
+        # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
+        return (_table(np.sin, 2 * (dim + 1), np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1))),)
+    # FOURIER_REAL: angle = k * freq * 2pi / N, of period N units
+    step, scale = 2.0 * np.pi / dim, np.sqrt(2.0 / dim)
+    return _table(np.sin, dim, step, scale), _table(np.cos, dim, step, scale)
+
+
 def basis_columns(
-    kind: BasisKind, dim: int, num_modes: int, out: np.ndarray | None = None
+    kind: BasisKind,
+    dim: int,
+    num_modes: int,
+    out: np.ndarray | None = None,
+    rows: tuple[int, int] | None = None,
+    tables: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
     O(dim * num_modes), for the Monte Carlo engine and the noise oracle, where
     one tile of columns serves many replications; one vector is projected by
-    :func:`basis_coefficients`.  The columns are written into ``out`` when
-    given; the full matrix is materialized only by :func:`build_basis`.
+    :func:`basis_coefficients`.  With ``rows = (lo, hi)`` only basis rows
+    lo..hi-1 are built, a (hi - lo, num_modes) array.  The columns are
+    written into ``out`` when given, and looked up in ``tables`` (the
+    one-period tables of the same kind and dim, built once for several row
+    ranges) when given; the full matrix is materialized only by
+    :func:`build_basis`.
     """
     kind = BasisKind(kind)
     _check_modes(kind, dim, num_modes)
+    lo, hi = (0, dim) if rows is None else rows
+    if not 0 <= lo <= hi <= dim:
+        raise InvalidDimension(f"rows must satisfy 0 <= lo <= hi <= {dim}, got {rows}")
+    if tables is None:
+        tables = _basis_tables(kind, dim)
     if out is None:
-        out = np.empty((dim, num_modes))
-    k = np.arange(1, dim + 1, dtype=np.int64)
+        out = np.empty((hi - lo, num_modes))
+    k = np.arange(lo + 1, hi + 1, dtype=np.int64)
     l = np.arange(1, num_modes + 1, dtype=np.int64)
 
     if kind is BasisKind.SIML_COSINE:
-        # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units
-        step, scale = np.pi / (2 * (2 * dim + 1)), np.sqrt(2.0 / (dim + 0.5))
-        return _periodic(np.cos, 2 * k - 1, 2 * l - 1, 4 * (2 * dim + 1), step, scale, out)
-
+        return _lookup(tables[0], 2 * k - 1, 2 * l - 1, out)
     if kind is BasisKind.DST_SINE:
-        # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
-        step, scale = np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1))
-        return _periodic(np.sin, k, l, 2 * (dim + 1), step, scale, out)
-
+        return _lookup(tables[0], k, l, out)
     # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column c is
-    # the sine and even column c the cosine of integer frequency (c+1)//2;
-    # angle = k * freq * 2pi / N, of period N units.
+    # the sine and even column c the cosine of integer frequency (c+1)//2.
     freq = l // 2  # l = c + 1
-    step, scale = 2.0 * np.pi / dim, np.sqrt(2.0 / dim)
-    _periodic(np.sin, k - 1, freq, dim, step, scale, out)
-    _periodic(np.cos, k - 1, freq[0::2], dim, step, scale, out[:, 0::2])
+    _lookup(tables[0], k - 1, freq, out)
+    _lookup(tables[1], k - 1, freq[0::2], out[:, 0::2])
     out[:, 0] = 1.0 / np.sqrt(dim)
     return out
 

@@ -34,14 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, basis_coefficients, basis_columns
+from .basis import BasisKind, _basis_tables, basis_coefficients, basis_columns
 from .errors import (
     CutoffTooLarge,
     EmptyInput,
     EvenLength,
     InvalidParameter,
 )
-from .market import ObservationSeries
+from .market import ObservationSeries, _tiles
 
 __all__ = [
     "EstimatorKind",
@@ -159,6 +159,11 @@ def mm_fourier_real_zero(deltas, m: int) -> EstimateResult:
     return _real_estimate(EstimatorKind.MM_FOURIER_REAL_ZERO, deltas, m)
 
 
+# Times within this many ulps of k/n count as the grid t_k = k/n: np.linspace
+# and k * (1/n) miss k/n by an ulp at some points.
+_GRID_ULPS = 4
+
+
 def mm_fourier_complex(
     obs: Sequence[ObservationSeries] | ObservationSeries, q: int, m: int
 ) -> EstimateResult:
@@ -167,7 +172,8 @@ def mm_fourier_complex(
     Entry (j, j') is the average over |l| <= m of
     ``F_j(l+q) * F_j'(-l)`` where ``F_j(u) = sum_k exp(2 pi i u t_{k-1}) dY_k``.
     Only F_j(0..m+|q|) are computed; the negative frequencies follow by
-    conjugation; on the grid t_k = k/n exactly they are one inverse DFT,
+    conjugation; on the grid t_k = k/n, to within a few ulps of each time
+    (as ``np.linspace`` gives it), they are one inverse DFT,
     F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
     real.  Raises :class:`InvalidParameter` for non-finite input or times
     that do not strictly increase, and :class:`CutoffTooLarge` when m + |q|
@@ -197,7 +203,8 @@ def mm_fourier_complex(
         """F(u) for u = -top..top, at index u + top."""
         dy = np.diff(o.values)
         n = len(dy)
-        if np.array_equal(o.times, np.arange(n + 1) / n):
+        grid = np.arange(n + 1) / n
+        if np.all(np.abs(o.times - grid) <= _GRID_ULPS * np.spacing(grid)):
             half = np.fft.ifft(dy, norm="forward")[np.arange(top + 1) % n]
         else:
             half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), o.times[:-1])) @ dy
@@ -226,12 +233,20 @@ def mm_fourier_complex(
     )
 
 
-def _functional_columns(
-    kind: EstimatorKind, n: int, m: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Basis columns (written into ``out`` when given) and prefactor of a kind's quadratic form."""
+def _form_columns(kind: EstimatorKind, n: int, m: int):
+    """Row builder, column count and prefactor of a kind's quadratic form on n increments.
+
+    ``build(lo, hi, out=None)`` returns basis rows lo..hi-1 of the form's
+    columns (written into ``out`` when given), looked up in one-period
+    tables built once here.
+    """
     basis, columns, shift = _form(kind, n, m)
-    return basis_columns(basis, n, columns, out), (n + shift) / columns
+    tables = _basis_tables(basis, n)
+
+    def build(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        return basis_columns(basis, n, columns, out, (lo, hi), tables)
+
+    return build, columns, (n + shift) / columns
 
 
 def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
@@ -268,24 +283,40 @@ def noise_expectation_exact(
         raise InvalidParameter(f"variance must be >= 0, got {variance}")
     if n < 1:
         raise InvalidParameter(f"need n >= 1 increments, got {n}")
-    cols, pref = _functional_columns(kind, n, m)
-    return _noise_expectation(cols, pref, variance, include_initial, include_terminal)
+    build, _, pref = _form_columns(kind, n, m)
+    total = 0.0
+    for lo, hi in _tiles(n):
+        total += _noise_tile(build(*_halo(lo, hi, n)), lo, hi, n, include_initial, include_terminal)
+    return float(pref * variance * total)
 
 
-def _noise_expectation(
-    cols: np.ndarray, pref: float, variance: float, include_initial: bool, include_terminal: bool
+def _halo(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """The basis rows :func:`_noise_tile` reads for rows lo..hi-1 of n: one more on each side."""
+    return max(lo - 1, 0), min(hi + 1, n)
+
+
+def _noise_tile(
+    cols: np.ndarray, lo: int, hi: int, n: int, include_initial: bool, include_terminal: bool
 ) -> float:
-    """:func:`noise_expectation_exact` from the estimator's columns and prefactor."""
-    # (C u) for C = 2I - tridiag(1), with end-point reductions, times variance
-    cu = 2.0 * cols
-    cu[1:, :] -= cols[:-1, :]
-    cu[:-1, :] -= cols[1:, :]
-    if not include_initial:
-        cu[0, :] -= cols[0, :]
-    if not include_terminal:
-        cu[-1, :] -= cols[-1, :]
-    cu *= cols
-    return float(pref * variance * np.sum(cu))
+    """Rows lo..hi-1 of the trace of ``cols.T @ C @ cols``, C the noise-difference covariance / nu.
+
+    ``cols`` holds the basis rows :func:`_halo` names.  Row k of ``C u`` is
+    ``2u_k - u_{k-1} - u_{k+1}``, less u_k at an excluded end point, formed
+    element by element in that order; the exact oracle is the sum of these
+    partial traces over the tiles of n, in tile order.
+    """
+    a = 1 if lo else 0  # row lo in cols; row 0 has no row above it
+    u = cols[a : a + hi - lo]
+    cu = 2.0 * u
+    cu[1 - a :] -= cols[: a + hi - lo - 1]
+    low = hi - lo - (1 if hi == n else 0)  # row n-1 has no row below it
+    cu[:low] -= cols[a + 1 : a + 1 + low]
+    if lo == 0 and not include_initial:
+        cu[0] -= u[0]
+    if hi == n and not include_terminal:
+        cu[-1] -= u[-1]
+    cu *= u
+    return float(cu.sum())
 
 
 def result_csv_rows(result: EstimateResult) -> list[str]:

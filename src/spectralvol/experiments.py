@@ -18,13 +18,18 @@ Replication r draws its path and noise streams from sub-seeds keyed
 are drawn once per run, for the largest n, and every n of the schedule
 reads a prefix of them, so the estimates of one replication at different n
 share their shocks (common random numbers).  Replications run in tiles of
-_TILE_ROWS replications by _TILE_WIDTH observed increments: each tile's
-normals are drawn once, and each n scales them into its own increments and
-multiplies them with the matching rows of its estimators' basis columns
-(one n x sum(m) array per n; the arrays of all n are held for the run).
+_TILE_ROWS replications by _TILE_WIDTH observed increments, in live blocks
+of _LIVE_ROWS replications whose streams stay keyed while the block walks
+the tiles.  For each tile, every n that reaches it builds the matching rows
+of its estimators' basis columns once (one column tile per n, looked up in
+one-period tables built once per run); each group of the block draws the
+tile's normals once, and each n scales them into its own increments and
+multiplies them with its column tile.  No n x sum(m) array exists: a run
+holds the tile buffers, one column tile per n, the tables and the
+replications x sum(m) coefficients of each n.
 Within a replication every configured estimator sees the same series, and
-the exact noise expectations come from the same basis columns as the
-estimates.  ``threads`` is accepted but changes nothing.
+the exact noise expectations are traced tile by tile on the same column
+tiles as the estimates.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from .errors import InvalidParameter
 from .estimators import (  # noqa: F401 -- noise_expectation_exact: wrapped by perfbench/tracer.py
     EstimatorKind,
     _form,
-    _functional_columns,
-    _noise_expectation,
+    _form_columns,
+    _halo,
+    _noise_tile,
     noise_expectation_exact,
 )
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
@@ -80,6 +86,11 @@ __all__ = [
 # like the tile width, so that a replication's coefficients do not depend on
 # how many replications run.
 _TILE_ROWS = 128
+
+# Replications whose streams stay keyed while they walk the tiles, so that
+# each tile of basis columns, built once, serves all of them.  A multiple of
+# _TILE_ROWS; it bounds the generators and per-replication state held at once.
+_LIVE_ROWS = 8 * _TILE_ROWS
 
 CSV_COLUMNS = [
     "experiment",
@@ -228,87 +239,108 @@ def _run_replications(
 ) -> list[dict]:
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
-    Each n's kinds have their basis columns side by side in one n x sum(m)
-    array, built largest n first.  A tile holds up to _TILE_ROWS
-    replications over _TILE_WIDTH observed increments of the largest n:
-    their normals are drawn once, and every n that reaches the tile scales a
-    prefix of them into its latent increments and noise differences and adds
-    their product with its columns' matching rows to the coefficients.  The
-    estimates need only ``(dX + dV) @ cols``; for the noise or cross parts
-    ``dX @ cols`` and ``dV @ cols`` are accumulated apart.  With
-    ``want_exact``, ``noise_exact`` holds each kind's exact noise
-    expectation, from the same columns.  Returns one result per n, in order.
+    Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
+    while the block walks the tiles of the largest n.  For each tile, every
+    n that reaches it builds the matching rows of its kinds' basis columns
+    once, side by side in one column tile, from tables built once per run;
+    then each group of up to _TILE_ROWS replications of the block draws the
+    tile's normals once, and every such n scales a prefix of them into its
+    latent increments and noise differences and adds their product with
+    its column tile to the coefficients.  The estimates need only
+    ``(dX + dV) @ cols``; for the noise or cross parts ``dX @ cols`` and
+    ``dV @ cols`` are accumulated apart.  With ``want_exact``,
+    ``noise_exact`` holds each kind's exact noise expectation, traced tile
+    by tile on the first block's column tiles.  Returns one result per n,
+    in order.
     """
     kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
     ends = (noise.include_initial, noise.include_terminal)
     split = want_noise or want_cross
-    sizes = []  # (n, cols, spans, noise_exact, coefficients), largest n first
+    sizes = []  # largest n first
     for n, m in reversed(list(zip(config.n_schedule, cutoffs))):
-        edges = np.cumsum([0] + [_form(kind, n, m)[1] for kind in kinds])
-        cols = np.empty((n, edges[-1]))
-        spans = [
-            (slice(lo, hi), _functional_columns(kind, n, m, cols[:, lo:hi])[1])
-            for kind, lo, hi in zip(kinds, edges, edges[1:])
-        ]
-        exact = (
-            [_noise_expectation(cols[:, at], pref, noise.variance, *ends) for at, pref in spans]
-            if want_exact
-            else None
-        )
-        sizes.insert(0, (n, cols, spans, exact, np.zeros((2 if split else 1, reps, edges[-1]))))
+        forms = [_form_columns(kind, n, m) for kind in kinds]
+        edges = np.cumsum([0] + [columns for _, columns, _ in forms])
+        sizes.append({
+            "n": n,
+            "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
+                      zip(forms, edges, edges[1:])],
+            "cols": np.empty((min(n, _TILE_WIDTH) + 2, edges[-1])),  # a tile and its halo rows
+            "traces": [0.0] * len(kinds),
+            "coef": np.zeros((2 if split else 1, reps, edges[-1])),
+        })
 
-    rows = min(_TILE_ROWS, reps)
+    rows, live = min(_TILE_ROWS, reps), min(_LIVE_ROWS, reps)
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    latent = _LatentTiles(config.vol, config.drift, [n for n, *_ in sizes], r, path_seeds, rows)
-    noisy = _NoiseTiles(noise, noise_seeds, rows)
+    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds,
+                          rows, live)
+    noisy = _NoiseTiles(noise, noise_seeds, rows, live)
     tile = np.empty((2 * rows, _TILE_WIDTH))  # latent increments, then noise differences
     fine = np.empty((rows, _TILE_WIDTH * r)) if r > 1 else None
-    v = np.empty((rows, _TILE_WIDTH + 1))
     truths = np.empty((len(sizes), reps))
-    for first in range(0, reps, rows):
-        group = slice(first, min(first + rows, reps))
-        g = group.stop - first
-        latent.start(first, group.stop)
-        noisy.start(first, group.stop)
-        for lo, hi in _tiles(sizes[-1][0]):
-            latent.draw(hi - lo)
-            noisy.draw(hi - lo)
-            for i, (n, cols, _, _, coef) in enumerate(sizes):
+    for block in range(0, reps, live):
+        stop = min(block + live, reps)
+        latent.start(block, stop)
+        noisy.start(block, stop)
+        for lo, hi in _tiles(sizes[0]["n"]):
+            reached = []  # (grid, n, width, column rows, coefficients) of each n reaching the tile
+            for i, size in enumerate(sizes):
+                n = size["n"]
                 if n <= lo:
                     continue
                 w = min(hi, n) - lo
-                dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
-                if r > 1:  # an observed increment sums its r fine increments
-                    latent.tile(i, fine[:g, : w * r])
-                    fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
-                else:
-                    latent.tile(i, dx)
-                noisy.tile(v[:g, : w + 1], n)
-                np.subtract(v[:g, 1 : w + 1], v[:g, :w], out=dv)
-                if split:
-                    coef[:, group] += (tile[: 2 * g, :w] @ cols[lo : lo + w]).reshape(2, g, -1)
-                else:
-                    dx += dv
-                    coef[0, group] += dx @ cols[lo : lo + w]
-        truths[:, group] = latent.truths
+                a, b = _halo(lo, lo + w, n)
+                cols = size["cols"][: b - a]
+                for k, (build, at, _) in enumerate(size["forms"]):
+                    build(a, b, cols[:, at])
+                    if want_exact and block == 0:
+                        size["traces"][k] += _noise_tile(cols[:, at], lo, lo + w, n, *ends)
+                reached.append((i, n, w, cols[lo - a : lo - a + w], size["coef"]))
+            for first in range(block, stop, rows):
+                g = min(first + rows, stop) - first
+                group = slice(first - block, first - block + g)
+                latent.draw(group, lo, hi - lo)
+                noisy.draw(group, lo, hi - lo)
+                for i, n, w, cols, coef in reached:
+                    coef = coef[:, first : first + g]
+                    dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
+                    noisy.tile(dv, n)
+                    if latent.silent:
+                        coef[-1] += dv @ cols
+                        continue
+                    if r > 1:  # an observed increment sums its r fine increments
+                        latent.tile(i, fine[:g, : w * r])
+                        fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
+                    else:
+                        latent.tile(i, dx)
+                    if split:
+                        coef += (tile[: 2 * g, :w] @ cols).reshape(2, g, -1)
+                    else:
+                        dx += dv
+                        coef[0] += dx @ cols
+        truths[:, block:stop] = latent.truths
 
-    def parts(spans, a, b, scale=1.0):
+    def parts(forms, a, b, scale=1.0):
         return np.array(
-            [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for at, pref in spans]
+            [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for _, at, pref in forms]
         )
 
     results = []
-    for (_, _, spans, exact, coef), truth in zip(sizes, truths):
+    for size, truth in zip(reversed(sizes), truths[::-1]):
+        forms, coef = size["forms"], size["coef"]
         wy = coef.sum(axis=0)  # (dX + dV) @ cols
         wx, wv = coef[0], coef[-1]  # dX @ cols and dV @ cols, when split
         results.append({
-            "estimates": parts(spans, wy, wy),
-            "noise_parts": parts(spans, wv, wv) if want_noise else None,
-            "cross_parts": parts(spans, wx, wv, 2.0) if want_cross else None,
+            "estimates": parts(forms, wy, wy),
+            "noise_parts": parts(forms, wv, wv) if want_noise else None,
+            "cross_parts": parts(forms, wx, wv, 2.0) if want_cross else None,
             "truths": truth,
-            "noise_exact": exact,
+            "noise_exact": (
+                [float(pref * noise.variance * t) for (_, _, pref), t in zip(forms, size["traces"])]
+                if want_exact
+                else None
+            ),
         })
     return results
 

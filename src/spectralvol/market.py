@@ -323,9 +323,9 @@ class _Streams:
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
     buffer start empty.  The keys of all seeds come from one hash call;
-    :meth:`start` re-keys the pool to the streams of seeds[lo:hi], and each
-    :meth:`fill` continues them, so a row filled tile by tile gets the bits
-    of one long draw.
+    :meth:`start` re-keys the pool to the streams of seeds[lo:hi], one
+    generator each, and each :meth:`fill` continues some of them, so a row
+    filled tile by tile gets the bits of one long draw.
     """
 
     def __init__(self, seeds, spawn: int | None = None, rows: int = 1):
@@ -345,9 +345,9 @@ class _Streams:
                 "uinteger": 0,
             }
 
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Standard normals into each row of ``out``, row j from the j-th started stream."""
-        for row, gen in zip(out, self.pool):
+    def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
+        """Standard normals into each row of ``out``, row j from started stream first + j."""
+        for row, gen in zip(out, self.pool[first : first + len(out)]):
             gen.standard_normal(out=row)
         return out
 
@@ -358,19 +358,25 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 class _LatentTiles:
-    """Euler-Maruyama increments of a group of latent paths on several grids, tile by tile.
+    """Euler-Maruyama increments of latent paths on several grids, tile by tile.
 
     Grid i has ``ns[i] * refinement`` fine steps.  Row j follows the path
     stream of ``seeds[j]`` (spawn key 0 under OU volatility, whose state
     follows spawn key 1): on every grid, fine step k is driven by normal k
-    of the stream.  :meth:`draw` draws a tile's normals once, and
-    :meth:`tile` scales a prefix of them into one grid's increments.  Each
-    grid's OU state and, for OU, each row's integrated variance (the
-    trapezoid rule, summed tile by tile) carry over from tile to tile.
-    Paths whose spot variance is zero everywhere draw no shocks.
+    of the stream.  :meth:`start` begins up to ``live`` paths;
+    :meth:`draw` draws one tile's normals for a group of up to ``rows`` of
+    them, once, and :meth:`tile` scales a prefix of them into one grid's
+    increments.  Each path's OU state on each grid and, for OU, its
+    integrated variance (the trapezoid rule, summed tile by tile) carry over
+    from tile to tile.  Paths whose spot variance is zero everywhere draw no
+    shocks, and ``silent`` says that their increments are all zero.
     """
 
-    def __init__(self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds, rows: int = 1):
+    def __init__(
+        self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds, rows: int = 1,
+        live: int | None = None,
+    ):
+        live = rows if live is None else live
         self.vol, self.r, self.n_fines = vol, refinement, [n * refinement for n in ns]
         self.dts = [1.0 / n_fine for n_fine in self.n_fines]
         self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
@@ -383,8 +389,9 @@ class _LatentTiles:
             silent = not any(vol.levels)
         else:
             silent = False
-        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, rows)
-        self.vol_shocks = _Streams(seeds, 1, rows) if ou else None
+        self.silent = silent and not self.drift_level
+        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live)
+        self.vol_shocks = _Streams(seeds, 1, live) if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid
         self.raw = np.empty((1 + ou, rows, min(max(ns), _TILE_WIDTH) * refinement))
 
@@ -393,44 +400,46 @@ class _LatentTiles:
         for streams in (self.shocks, self.vol_shocks):
             if streams is not None:
                 streams.start(lo, hi)
-        self.step, self.rows = 0, hi - lo
-        shape = (len(self.n_fines), self.rows)
+        shape = (len(self.n_fines), hi - lo)
         if self.vol_shocks is None:
             self.truths = np.full(shape, self.exact)
         else:
             self.state = np.full(shape, float(self.vol.initial_level))
             self.truths = np.zeros(shape)
 
-    def draw(self, w: int) -> None:
-        """Draw the shocks of the next tile of w observed increments."""
-        w *= self.r
-        self.first, self.step = self.step, self.step + w
+    def draw(self, group: slice, lo: int, w: int) -> None:
+        """Draw the shocks of the started paths ``group`` over observed increments lo..lo+w-1."""
+        self.group, self.first = group, lo * self.r
+        rows = group.stop - group.start
         for raw, streams in zip(self.raw, (self.shocks, self.vol_shocks)):
             if streams is not None:
-                streams.fill(raw[: self.rows, :w])
+                streams.fill(raw[:rows, : w * self.r], group.start)
 
-    def tile(self, i: int, dx: np.ndarray) -> np.ndarray:
+    def tile(self, i: int, dx: np.ndarray):
         """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps.
 
         Returns the spot variance at their w + 1 grid points: a row per path
-        for OU, one row shared by all paths otherwise.
+        for OU, one row shared by all paths for piecewise volatility, the
+        level for constant volatility.
         """
         rows, w = dx.shape
-        vol = self.vol
+        vol, dt = self.vol, self.dts[i]
         if isinstance(vol, ConstantVol):
-            spot = np.full((1, w + 1), self.exact)
+            spot, scale = self.exact, math.sqrt(self.exact * dt)
         elif isinstance(vol, PiecewiseVol):
             times = np.arange(self.first, self.first + w + 1) / self.n_fines[i]
             idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
             spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
+            scale = np.sqrt(spot[:, :-1] * dt)
         else:
             spot = self._ou_spot(i, rows, w)
+            scale = np.sqrt(spot[:, :-1] * dt)
         if self.shocks is None:
-            dx[...] = 0.0
+            dx[...] = self.drift_level * dt
         else:
-            np.multiply(self.raw[0, :rows, :w], np.sqrt(spot[:, :-1] * self.dts[i]), out=dx)
-        if self.drift_level:
-            dx += self.drift_level * self.dts[i]
+            np.multiply(self.raw[0, :rows, :w], scale, out=dx)
+            if self.drift_level:
+                dx += self.drift_level * dt
         return spot
 
     def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
@@ -439,54 +448,64 @@ class _LatentTiles:
         vol, dt = self.vol, self.dts[i]
         shocks = self.raw[1, :rows, :w].T * np.sqrt(dt)
         state = np.empty((w + 1, rows))
-        state[0] = self.state[i]
+        state[0] = self.state[i, self.group]
         for k in range(w):
             state[k + 1] = (
                 state[k]
                 + vol.reversion_rate * (vol.mean_level - state[k]) * dt
                 + vol.vol_of_vol * shocks[k]
             )
-        self.state[i] = state[-1]
+        self.state[i, self.group] = state[-1]
         spot = (state**2).T.copy()
-        self.truths[i] += _trapezoid(spot, dx=dt, axis=1)
+        self.truths[i, self.group] += _trapezoid(spot, dx=dt, axis=1)
         return spot
 
 
 class _NoiseTiles:
-    """Observation noise of a group of series, tile by tile, for series of any length.
+    """Observation noise of series of any length, tile by tile.
 
     Row j follows the noise stream of ``seeds[j]``: the noise at time k is
     normal k of the stream times the noise scale, whatever the length n.
-    :meth:`draw` draws the normals at a tile's w + 1 times once (the one at
-    its first time carries over from the previous tile), and :meth:`tile`
-    scales a prefix of them for one n, zeroing the end points it excludes.
+    :meth:`start` begins up to ``live`` series; :meth:`draw` draws the noise
+    at a tile's w + 1 times for a group of up to ``rows`` of them, scaled as
+    it is drawn (the value at the tile's first time carries over from the
+    previous tile), into ``values``; and :meth:`tile` differences a prefix of
+    it for one n, with the end points it excludes set to zero.
     """
 
-    def __init__(self, noise: NoiseModel, seeds, rows: int = 1):
+    def __init__(self, noise: NoiseModel, seeds, rows: int = 1, live: int | None = None):
+        live = rows if live is None else live
         self.noise, self.scale = noise, np.sqrt(noise.variance)
-        self.streams = _Streams(seeds, None, rows)
-        self.raw = np.empty((rows, _TILE_WIDTH + 1))
+        self.streams = _Streams(seeds, None, live)
+        self.values = np.empty((rows, _TILE_WIDTH + 1))
+        self.carry = np.empty(live)  # each started series' noise at the last drawn time
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the series of seeds[lo:hi] at time 0."""
         self.streams.start(lo, hi)
-        self.rows, self.time = hi - lo, 0
 
-    def draw(self, w: int) -> None:
-        """Draw the normals at the times of the next tile of w increments."""
-        raw, self.first = self.raw[: self.rows], self.time
-        if self.first:
-            raw[:, 0] = raw[:, self.width]  # the previous tile's last time
-        self.streams.fill(raw[:, 1 if self.first else 0 : w + 1])
-        self.time, self.width = self.time + w, w
+    def draw(self, group: slice, lo: int, w: int) -> None:
+        """Draw the noise of the started series ``group`` at times lo..lo+w."""
+        self.first = lo
+        v = self.values[: group.stop - group.start, : w + 1]
+        if lo:
+            v[:, 0] = self.carry[group]
+            v = v[:, 1:]
+        self.streams.fill(v, group.start)
+        v *= self.scale
+        self.carry[group] = v[:, -1]
 
-    def tile(self, v: np.ndarray, n: int) -> None:
-        """Fill ``v`` (rows x (w + 1)) with the noise of a series of n over the first w increments."""
-        np.multiply(self.raw[: len(v), : v.shape[1]], self.scale, out=v)
-        if self.first == 0 and not self.noise.include_initial:
-            v[:, 0] = 0.0
-        if self.first + v.shape[1] - 1 == n and not self.noise.include_terminal:
-            v[:, -1] = 0.0
+    def tile(self, dv: np.ndarray, n: int) -> None:
+        """Fill ``dv`` (rows x w) with the noise differences of a series of n over the first w."""
+        w = dv.shape[1]
+        v = self.values[: len(dv)]
+        np.subtract(v[:, 1 : w + 1], v[:, :w], out=dv)
+        initial = self.first == 0 and not self.noise.include_initial
+        terminal = self.first + w == n and not self.noise.include_terminal
+        if terminal:  # v_n = 0
+            dv[:, -1] = 0.0 - v[:, w - 1]
+        if initial:  # v_0 = 0
+            dv[:, 0] = 0.0 if terminal and w == 1 else v[:, 1]
 
 
 def simulate_latent(
@@ -509,10 +528,10 @@ def simulate_latent(
     dx = np.empty((1, n_fine))
     spot = np.empty(n_fine + 1)
     for lo, hi in _tiles(scheme.n):
-        latent.draw(hi - lo)
+        latent.draw(slice(0, 1), lo, hi - lo)
         spot[lo * refinement : hi * refinement + 1] = latent.tile(
             0, dx[:, lo * refinement : hi * refinement]
-        )[0]
+        )
     return LatentPath(
         fine_times=np.arange(n_fine + 1) / n_fine,
         values=np.concatenate(([0.0], np.cumsum(dx[0]))),
@@ -582,15 +601,19 @@ def observe(
     latent = path.values[::step].copy()
     sampler = _NoiseTiles(noise, rng_seed)
     sampler.start(0, 1)
-    v = np.empty((1, scheme.n + 1))
+    v = np.empty(scheme.n + 1)
     for lo, hi in _tiles(scheme.n):
-        sampler.draw(hi - lo)
-        sampler.tile(v[:, lo : hi + 1], scheme.n)
+        sampler.draw(slice(0, 1), lo, hi - lo)
+        v[lo : hi + 1] = sampler.values[0, : hi - lo + 1]
+    if not noise.include_initial:
+        v[0] = 0.0
+    if not noise.include_terminal:
+        v[-1] = 0.0
     return ObservationSeries(
         times=scheme.times(),
-        values=latent + v[0],
+        values=latent + v,
         latent=latent,
-        noise=v[0],
+        noise=v,
     )
 
 

@@ -69,6 +69,23 @@ class TestBuildBasis:
         full = build_basis(BasisKind.DST_SINE, 17).entries
         np.testing.assert_array_equal(basis_columns(BasisKind.DST_SINE, 17, 5), full[:, :5])
 
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_row_ranges_keep_the_bits_of_the_full_columns(self, kind):
+        """Rows lo..hi-1, built alone into a strided ``out``, are those rows of the full columns."""
+        for dim in (1, 9, 4681):
+            if kind is BasisKind.FOURIER_REAL and dim == 1:
+                continue
+            m = min(dim, 11)
+            full = basis_columns(kind, dim, m)
+            for lo, hi in ((0, dim), (0, 1), (dim // 3, dim // 3 + 5), (dim - 1, dim), (2, 2)):
+                lo, hi = min(lo, dim), min(hi, dim)
+                out = np.full((hi - lo, 2 * m), np.nan)[:, ::2]
+                got = basis_columns(kind, dim, m, out, rows=(lo, hi))
+                assert got is out and got.tobytes() == full[lo:hi].tobytes()
+        for rows in ((-1, 2), (2, 1), (0, 10)):
+            with pytest.raises(InvalidDimension):
+                basis_columns(kind, 9, 3, rows=rows)
+
 
 @pytest.mark.parametrize("kind", list(BasisKind))
 def test_orthogonality(kind):

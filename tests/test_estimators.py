@@ -13,7 +13,9 @@ from spectralvol.errors import (
     EvenLength,
     InvalidParameter,
 )
+from spectralvol.basis import BasisKind, JacobiKind, build_basis, build_jacobi
 from spectralvol.estimators import (
+    _REAL_FORMS,
     EstimatorKind,
     ina,
     mm_fourier_complex,
@@ -162,7 +164,7 @@ def _equidistant_series(rng, n_inc):
 
 
 class TestEquidistantFft:
-    """On t_k = k/n exactly the Fourier coefficients come from one inverse DFT."""
+    """On t_k = k/n, to a few ulps, the Fourier coefficients come from one inverse DFT."""
 
     @pytest.mark.parametrize(
         "sizes, q, m",
@@ -178,19 +180,38 @@ class TestEquidistantFft:
         reference = _full_exp_reference(obs, q, m)
         assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("nudge", [0, 1, -1])
+    @pytest.mark.parametrize("nudge", [0, 1, -1, 1e-12])
     def test_only_the_exact_grid_takes_the_fft(self, monkeypatch, nudge):
-        """A time one ulp off t_k = k/n sends the series to the exp formula."""
+        """Times within a few ulps of t_k = k/n take the FFT; a time 1e-12 off, the exp formula."""
         obs = _equidistant_series(np.random.default_rng(8), 25)
-        if nudge:
+        if nudge in (1, -1):  # one ulp either way
             obs.times[7] = np.nextafter(obs.times[7], nudge * np.inf)
+        else:
+            obs.times[7] += nudge
         calls = []
         ifft = np.fft.ifft
         monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
         value = mm_fourier_complex([obs], 2, 6).value
         reference = _full_exp_reference([obs], 2, 6)
         assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
-        assert len(calls) == (0 if nudge else 1)
+        assert len(calls) == (0 if nudge == 1e-12 else 1)
+
+    @pytest.mark.parametrize("n", [390, 1560, 4680])
+    def test_linspace_grid_takes_the_fft(self, monkeypatch, n):
+        """np.linspace misses k/n by an ulp at some points; such a grid still takes the FFT."""
+        rng = np.random.default_rng(n)
+        values = np.cumsum(rng.normal(size=n + 1))
+        times = np.linspace(0.0, 1.0, n + 1)
+        assert not np.array_equal(times, np.arange(n + 1) / n)
+        obs = ObservationSeries(times=times, values=values, latent=values, noise=0 * values)
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+        m = int(n**0.4)
+        value = mm_fourier_complex([obs], 1, m).value
+        reference = _full_exp_reference([obs], 1, m)
+        assert np.max(np.abs(value - reference)) <= 1e-13 * np.max(np.abs(reference))
+        assert len(calls) == 1
 
 
 class TestNonFiniteAndUnordered:
@@ -365,6 +386,30 @@ class TestNoiseExpectationExact:
         assert noise_expectation_exact(EstimatorKind.INA_SINE, n, m, nu) == pytest.approx(
             expected, rel=1e-12
         )
+
+
+class TestTiledNoiseTrace:
+    """The oracle's tile-by-tile trace against the dense pref * nu * trace(B.T @ C @ B)."""
+
+    @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(kind, n) for kind in sorted(_REAL_FORMS, key=lambda k: k.value)
+         for n in (5, 1023, 1024, 1025, 2049)
+         if n % 2 or _REAL_FORMS[kind][0] is not BasisKind.FOURIER_REAL],  # Fourier: odd n only
+    )
+    def test_matches_dense_trace(self, kind, n, ends):
+        basis, per_mode, constant, shift = _REAL_FORMS[kind]
+        m = max(1, int(n**0.5) // per_mode)
+        columns = per_mode * m + constant
+        b = build_basis(basis, n).entries[:, :columns]
+        c = 2.0 * np.eye(n) - build_jacobi(JacobiKind.JN_TILDE_PRIME, n)
+        c[0, 0] -= 0.0 if ends[0] else 1.0
+        c[-1, -1] -= 0.0 if ends[1] else 1.0
+        nu = 0.37
+        dense = (n + shift) / columns * nu * np.trace(b.T @ c @ b)
+        got = noise_expectation_exact(kind, n, m, nu, *ends)
+        assert abs(got - dense) <= 1e-12 * abs(dense)
 
 
 class TestErrors:

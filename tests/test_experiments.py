@@ -2,14 +2,16 @@
 
 import dataclasses
 import io
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from spectralvol import estimators
+from spectralvol import estimators, experiments
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
-from spectralvol.estimators import EstimatorKind, noise_expectation_exact
+from spectralvol.estimators import EstimatorKind, _form, _halo, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -32,6 +34,7 @@ from spectralvol.market import (
     PiecewiseVol,
     ZeroDrift,
     _Streams,
+    _tiles,
     derive_seed,
     observe,
     simulate_latent,
@@ -227,7 +230,8 @@ class TestSchedule:
         drawn = []
         fill = _Streams.fill
         monkeypatch.setattr(
-            _Streams, "fill", lambda self, out: drawn.append(out.size) or fill(self, out)
+            _Streams, "fill",
+            lambda self, out, first=0: drawn.append(out.size) or fill(self, out, first),
         )
         config = _config(n_schedule=(64, 1000, 2100), vol=vol, noise=NoiseModel(1e-2),
                          replications=_TILE_ROWS + 3, refinement=2)
@@ -371,19 +375,74 @@ class TestNoiseOracleColumns:
         ids=["bounds_both_ends", "bounds_no_initial", "contrast_no_terminal"],
     )
     def test_one_column_build_per_kind_and_n(self, monkeypatch, study, kinds, ends):
+        """Each (kind, n) builds each tile of its column rows, with its halo, once per live block."""
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
-        cfg = _config(kinds=kinds, n_schedule=(63, 255), noise=noise, replications=12, base_seed=4,
+        cfg = _config(kinds=kinds, n_schedule=(63, _TILE_WIDTH + 1), noise=noise,
+                      replications=_TILE_ROWS + 1, base_seed=4,
                       vol=ConstantVol(0.0 if study is run_noise_bounds else 1.0))
         built = []
         real = estimators.basis_columns
-        monkeypatch.setattr(estimators, "basis_columns", lambda *a: built.append(a) or real(*a))
+        monkeypatch.setattr(
+            estimators, "basis_columns", lambda *a: built.append((a[0], a[1], a[4])) or real(*a)
+        )
+        monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # two live blocks
         summary = study(cfg)
         monkeypatch.undo()
-        assert len(built) == len(kinds) * len(cfg.n_schedule)
+        want = [
+            (_form(kind, n, 1)[0], n, _halo(lo, hi, n))
+            for kind in kinds for n in cfg.n_schedule for lo, hi in _tiles(n)
+        ]
+        assert Counter(built) == Counter(want * 2)
         for row in summary.rows:
             assert row.noise_exact == noise_expectation_exact(
                 EstimatorKind(row.kind), row.n, row.m, 0.01, *ends
             )
+
+
+class TestLiveBlocks:
+    """Replications walk the tiles in live blocks of _LIVE_ROWS; the block size changes nothing."""
+
+    @pytest.mark.parametrize(
+        "kinds,vol,drift,noise,refinement",
+        [
+            ((EstimatorKind.SIML, EstimatorKind.INA_SINE), ConstantVol(1.0), ConstantDrift(0.3),
+             NoiseModel(1e-2, include_terminal=False), 1),
+            ((EstimatorKind.MM_FOURIER_REAL_ZERO,), _OU, ZeroDrift(), NoiseModel(1e-3), 2),
+            ((EstimatorKind.INA_SINE, EstimatorKind.SIML), ConstantVol(0.0), ZeroDrift(),
+             NoiseModel(1e-2, include_initial=False), 1),
+        ],
+        ids=["constant_drift", "ou_refined", "pure_noise"],
+    )
+    def test_results_do_not_depend_on_the_live_block(
+        self, monkeypatch, kinds, vol, drift, noise, refinement
+    ):
+        schedule, cutoffs = (5, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1), (2, 8, 9)
+        config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
+                         replications=2 * _TILE_ROWS + 3, base_seed=29, refinement=refinement)
+        assert experiments._LIVE_ROWS >= config.replications  # one block by default
+        for split in (False, True):
+            whole = _run_replications(config, cutoffs, split, split, want_exact=True)
+            monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
+            blocks = _run_replications(config, cutoffs, split, split, want_exact=True)
+            monkeypatch.undo()
+            for n, a, b in zip(schedule, whole, blocks):
+                for key in ("estimates", "noise_parts", "cross_parts", "truths", "noise_exact"):
+                    if split or not key.endswith("parts"):
+                        assert np.array_equal(a[key], b[key]), (n, key)
+
+
+class TestMemory:
+    def test_large_n_holds_no_full_columns(self):
+        """At n = 2^16 the two kinds' full columns alone would take 2^16 x 168 x 8 B = 84 MiB."""
+        cfg = _config(kinds=(EstimatorKind.SIML, EstimatorKind.INA_SINE), n_schedule=(2**12, 2**16),
+                      noise=NoiseModel(0.01), replications=4, m_exponent=0.4)
+        tracemalloc.start()
+        try:
+            run_initial_noise_contrast(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestContrastRun:

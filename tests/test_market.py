@@ -184,29 +184,35 @@ _VOLS = {
 }
 
 
-def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds):
+def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     """Rows of the tile helpers, walked as the Monte Carlo engine walks them.
 
-    Each tile is drawn and scaled into the same buffers; the noise sampler
-    carries the noise at a tile's first time over from the previous tile.
+    All rows start as one live block, and each tile is drawn and scaled for
+    groups of ``group`` rows in turn, so every row's streams, OU state,
+    truth and noise carry must persist from tile to tile.  Returns the
+    latent increments, spot variances, truths, noise differences and the
+    noise with its excluded end points zeroed, as ``observe`` zeroes them.
     """
-    rows = len(path_seeds)
-    latent = _LatentTiles(vol, drift, (n,), refinement, np.array(path_seeds, dtype=np.uint64), rows)
-    sampler = _NoiseTiles(noise, np.array(noise_seeds, dtype=np.uint64), rows)
+    rows, r = len(path_seeds), refinement
+    seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
+    latent = _LatentTiles(vol, drift, (n,), r, seeds[0], group, rows)
+    sampler = _NoiseTiles(noise, seeds[1], group, rows)
     latent.start(0, rows)
     sampler.start(0, rows)
-    dx_tile = np.empty((rows, _TILE_WIDTH * refinement))
-    v_tile = np.empty((rows, _TILE_WIDTH + 1))
-    dx, spot, v = [], [], [np.empty((rows, 0))]
+    dx, spot = np.empty((rows, n * r)), np.empty((rows, n * r + 1))
+    dv, v = np.empty((rows, n)), np.empty((rows, n + 1))
     for lo, hi in _tiles(n):
         w = hi - lo
-        latent.draw(w)
-        spot.append(latent.tile(0, dx_tile[:, : w * refinement])[:, 1 if lo else 0 :])
-        dx.append(dx_tile[:, : w * refinement].copy())
-        sampler.draw(w)
-        sampler.tile(v_tile[:, : w + 1], n)
-        v.append(v_tile[:, 1 if lo else 0 : w + 1].copy())
-    return np.hstack(dx), np.hstack(spot), latent.truths[0], np.hstack(v)
+        for first in range(0, rows, group):
+            g = slice(first, min(first + group, rows))
+            latent.draw(g, lo, w)
+            spot[g, lo * r : hi * r + 1] = latent.tile(0, dx[g, lo * r : hi * r])
+            sampler.draw(g, lo, w)
+            sampler.tile(dv[g, lo:hi], n)
+            v[g, lo : hi + 1] = sampler.values[: g.stop - first, : w + 1]
+    v[:, 0] = v[:, 0] if noise.include_initial else 0.0
+    v[:, -1] = v[:, -1] if noise.include_terminal else 0.0
+    return dx, spot, latent.truths[0], dv, v
 
 
 class TestBlockHelpers:
@@ -222,7 +228,7 @@ class TestBlockHelpers:
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         path_seeds = [derive_seed(4, rep, 0) for rep in range(5)]
         noise_seeds = [derive_seed(4, rep, 1) for rep in range(5)]
-        dx, spot, truths, v = _tiled(
+        dx, spot, truths, dv, v = _tiled(
             _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
         )
         assert dx.shape == (5, n * refinement) and v.shape == (5, n + 1)
@@ -232,9 +238,24 @@ class TestBlockHelpers:
             obs = observe(path, noise, scheme, ns)
             tol = 1e-12 * np.max(np.abs(path.values))
             np.testing.assert_allclose(dx[j], np.diff(path.values), rtol=0, atol=tol)
-            np.testing.assert_array_equal(spot[j % len(spot)], path.spot_variance)
+            np.testing.assert_array_equal(spot[j], path.spot_variance)
             np.testing.assert_array_equal(v[j], obs.noise)
+            assert dv[j].tobytes() == np.diff(obs.noise).tobytes()
             assert truths[j] == path.true_integrated_vol
+
+
+    @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
+    def test_one_increment_series(self, ends):
+        """At n = 1 both end points fall in the one noise difference."""
+        scheme = EquidistantScheme(1)
+        noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+        seeds = [derive_seed(6, rep, 1) for rep in range(3)]
+        _, _, _, dv, v = _tiled(ConstantVol(1.0), ZeroDrift(), noise, 1, 1, seeds, seeds)
+        for j, seed in enumerate(seeds):
+            path = simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, 1, seed)
+            obs = observe(path, noise, scheme, seed)
+            np.testing.assert_array_equal(v[j], obs.noise)
+            assert dv[j].tobytes() == np.diff(obs.noise).tobytes()
 
 
 class TestObserve:
@@ -418,9 +439,12 @@ class TestZeroVarianceBlock:
         drawn = []
         fill = _Streams.fill
         monkeypatch.setattr(
-            _Streams, "fill", lambda self, out: drawn.append(out.shape) or fill(self, out)
+            _Streams, "fill",
+            lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
         )
-        dx, spot, truths, v = _tiled(ConstantVol(0.0), drift, noise, n, refinement, seeds, seeds)
+        dx, spot, truths, _, v = _tiled(
+            ConstantVol(0.0), drift, noise, n, refinement, seeds, seeds, group=4
+        )
         assert drawn == [(4, n + 1)]  # the noise tile alone
         step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) / (n * refinement)
         assert dx.tobytes() == np.full((4, n * refinement), step).tobytes()
@@ -432,11 +456,12 @@ class TestZeroVarianceBlock:
         drawn = []
         fill = _Streams.fill
         monkeypatch.setattr(
-            _Streams, "fill", lambda self, out: drawn.append(out.shape) or fill(self, out)
+            _Streams, "fill",
+            lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
         )
         latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2], rows=2)
         latent.start(0, 2)
-        latent.draw(8)
+        latent.draw(slice(0, 2), 0, 8)
         latent.tile(0, np.empty((2, 8)))
         assert drawn == [(2, 8)]
 

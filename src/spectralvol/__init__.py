@@ -3,13 +3,11 @@
 from .basis import (
     BasisKind,
     JacobiKind,
-    SpectralBasis,
     basis_columns,
     build_basis,
     build_jacobi,
     cosine_square_sum,
     eigenvalues_closed_form,
-    project,
 )
 from .estimators import (
     EstimateResult,

@@ -29,7 +29,6 @@ so each entry is looked up in a table of the function over one period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,13 +38,11 @@ from .errors import DimensionMismatch, InvalidDimension, InvalidParameter
 __all__ = [
     "BasisKind",
     "JacobiKind",
-    "SpectralBasis",
     "basis_columns",
     "basis_coefficients",
     "build_basis",
     "build_jacobi",
     "eigenvalues_closed_form",
-    "project",
     "cosine_square_sum",
 ]
 
@@ -68,25 +65,6 @@ DIAGONALIZING_BASIS = {
     JacobiKind.JN_TILDE_PRIME: BasisKind.DST_SINE,
     JacobiKind.JN_TILDE: BasisKind.FOURIER_REAL,
 }
-
-
-@dataclass(frozen=True)
-class SpectralBasis:
-    """A fully materialized dim x dim orthogonal basis.
-
-    ``entries[:, l]`` is the l-th basis column (unit Euclidean norm);
-    ``entries.T @ entries`` is the identity to ~1e-13.
-    """
-
-    kind: BasisKind
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"entries shape {self.entries.shape} != ({self.dim}, {self.dim})"
-            )
 
 
 def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
@@ -153,8 +131,8 @@ def basis_columns(
 ) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
-    O(dim * num_modes), for the Monte Carlo engine and the noise oracle, where
-    one tile of columns serves many replications; one vector is projected by
+    O(dim * num_modes), for the Monte Carlo engine, where one tile of
+    columns serves many replications; one vector is projected by
     :func:`basis_coefficients`.  With ``rows = (lo, hi)`` only basis rows
     lo..hi-1 are built, a (hi - lo, num_modes) array.  The columns are
     written into ``out`` when given, and looked up in ``tables`` (the
@@ -220,10 +198,9 @@ def basis_coefficients(kind: BasisKind, x: np.ndarray, num_modes: int) -> np.nda
     return out
 
 
-def build_basis(kind: BasisKind, dim: int) -> SpectralBasis:
-    """Materialize the full dim x dim orthogonal matrix of the given family."""
-    kind = BasisKind(kind)
-    return SpectralBasis(kind=kind, dim=dim, entries=basis_columns(kind, dim, dim))
+def build_basis(kind: BasisKind, dim: int) -> np.ndarray:
+    """The full dim x dim orthogonal matrix of the given family; column l is the l-th basis column."""
+    return basis_columns(kind, dim, dim)
 
 
 def build_jacobi(kind: JacobiKind, dim: int) -> np.ndarray:
@@ -274,19 +251,6 @@ def eigenvalues_closed_form(kind: JacobiKind, dim: int) -> np.ndarray:
         raise InvalidDimension(f"jn_tilde needs an odd dimension >= 3, got {dim}")
     freqs = np.repeat(np.arange(1, (dim - 1) // 2 + 1), 2)
     return np.concatenate(([2.0], 2.0 * np.cos(2.0 * np.pi * freqs / dim)))
-
-
-def project(basis: SpectralBasis, x: np.ndarray, num_modes: int) -> np.ndarray:
-    """Project ``x`` onto the first ``num_modes`` basis columns.
-
-    Returns the vector of inner products (B[:, l] . x) for l < num_modes.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.dim,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({basis.dim},)")
-    if not 1 <= num_modes <= basis.dim:
-        raise DimensionMismatch(f"num_modes must be in [1, {basis.dim}], got {num_modes}")
-    return basis.entries[:, :num_modes].T @ x
 
 
 def cosine_square_sum(m: int, n: int) -> float:

@@ -81,7 +81,7 @@ def _basis_check_rows(max_dim: int):
     for jac, kind in basis_mod.DIAGONALIZING_BASIS.items():
         odd = kind is basis_mod.BasisKind.FOURIER_REAL  # its Jacobi matrix needs odd dim >= 3
         for dim in range(3 if odd else 1, max_dim + 1, 2 if odd else 1):
-            b = basis_mod.build_basis(kind, dim).entries
+            b = basis_mod.build_basis(kind, dim)
             orth = float(np.max(np.abs(b.T @ b - np.eye(dim))))
             jmat = basis_mod.build_jacobi(jac, dim)
             lam = basis_mod.eigenvalues_closed_form(jac, dim)

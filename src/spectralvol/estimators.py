@@ -19,11 +19,13 @@ the prefactor (n + s)/columns:
 
 :func:`noise_functional` applies an estimator's quadratic form to a raw
 noise vector (latent price identically zero), and
-:func:`noise_expectation_exact` computes its exact expectation by
-conjugating the tridiagonal covariance of noise first differences with the
-basis columns.  The expectation oracle is the single source of truth for
-the noise floors of the cosine and Fourier forms (>= nu/2 and >= 2 nu with
-noisy end points) and the vanishing noise term of the sine form.
+:func:`noise_expectation_exact` gives its exact expectation in O(m) from
+the diagonalization: each basis diagonalizes the tridiagonal covariance of
+noise first differences up to a corner term and rank-one end terms, so the
+expectation is a sum of closed-form eigen-gaps plus terms in basis rows 1
+and n.  The expectation oracle is the single source of truth for the noise
+floors of the cosine and Fourier forms (>= nu/2 and >= 2 nu with noisy end
+points) and the vanishing noise term of the sine form.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     EvenLength,
     InvalidParameter,
 )
-from .market import ObservationSeries, _tiles
+from .market import ObservationSeries
 
 __all__ = [
     "EstimatorKind",
@@ -274,49 +276,47 @@ def noise_expectation_exact(
 ) -> float:
     """Exact expectation of :func:`noise_functional` under i.i.d. N(0, variance) noise.
 
-    Builds the tridiagonal covariance of noise first differences (2*variance
-    on the diagonal, reduced at an end point when that noise is excluded,
-    -variance off the diagonal), conjugates it with the estimator's basis
-    columns, applies the prefactor and takes the trace.
+    The covariance of the noise differences over nu is C = 2I - T, less
+    e_1 e_1^T or e_n e_n^T for an excluded initial or terminal noise, with
+    T the 0/1 tridiagonal matrix.  The form's basis diagonalizes T plus a
+    corner term with eigenvalues 2 - 4 sin^2(t_l), so the trace of the
+    first ``columns`` columns against C is the sum of the gaps 4 sin^2(t_l)
+    plus end terms in basis rows 1 and n, each a sin^2 or cos^2 of t_l (s^2
+    is the squared column scale):
+
+    * cosine, corner e_1 e_1^T, t_l = (2l-1) pi/(2(2n+1)), s^2 = 2/(n+1/2):
+      row 1 squares to s^2 cos^2 t_l and row n to 4 s^2 sin^2 t_l cos^2 t_l;
+    * sine, no corner, t_l = l pi/(2(n+1)), s^2 = 2/(n+1): rows 1 and n both
+      square to 4 s^2 sin^2 t_l cos^2 t_l;
+    * real Fourier, corner e_1 e_n^T + e_n e_1^T, t_l = floor(l/2) pi/n:
+      rows 1 and n each square-sum to columns/n, and twice their product
+      sums to 2 columns/n - (1/n) sum 4 sin^2 t_l.
+
+    O(m): nothing longer than the column count is built.
     """
     if variance < 0:
         raise InvalidParameter(f"variance must be >= 0, got {variance}")
     if n < 1:
         raise InvalidParameter(f"need n >= 1 increments, got {n}")
-    build, _, pref = _form_columns(kind, n, m)
-    total = 0.0
-    for lo, hi in _tiles(n):
-        total += _noise_tile(build(*_halo(lo, hi, n)), lo, hi, n, include_initial, include_terminal)
-    return float(pref * variance * total)
-
-
-def _halo(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The basis rows :func:`_noise_tile` reads for rows lo..hi-1 of n: one more on each side."""
-    return max(lo - 1, 0), min(hi + 1, n)
-
-
-def _noise_tile(
-    cols: np.ndarray, lo: int, hi: int, n: int, include_initial: bool, include_terminal: bool
-) -> float:
-    """Rows lo..hi-1 of the trace of ``cols.T @ C @ cols``, C the noise-difference covariance / nu.
-
-    ``cols`` holds the basis rows :func:`_halo` names.  Row k of ``C u`` is
-    ``2u_k - u_{k-1} - u_{k+1}``, less u_k at an excluded end point, formed
-    element by element in that order; the exact oracle is the sum of these
-    partial traces over the tiles of n, in tile order.
-    """
-    a = 1 if lo else 0  # row lo in cols; row 0 has no row above it
-    u = cols[a : a + hi - lo]
-    cu = 2.0 * u
-    cu[1 - a :] -= cols[: a + hi - lo - 1]
-    low = hi - lo - (1 if hi == n else 0)  # row n-1 has no row below it
-    cu[:low] -= cols[a + 1 : a + 1 + low]
-    if lo == 0 and not include_initial:
-        cu[0] -= u[0]
-    if hi == n and not include_terminal:
-        cu[-1] -= u[-1]
-    cu *= u
-    return float(cu.sum())
+    basis, columns, shift = _form(kind, n, m)
+    l = np.arange(1, columns + 1)
+    if basis is BasisKind.FOURIER_REAL:
+        gaps = 4.0 * np.sin(l // 2 * (np.pi / n)) ** 2
+        total = (1.0 - 1.0 / n) * np.sum(gaps) + (include_initial + include_terminal) * columns / n
+    else:
+        # ``out`` end rows leave the trace, each 4 s^2 sin^2 t cos^2 t, and
+        # ``back`` times row 1, s^2 cos^2 t, returns (the cosine corner)
+        if basis is BasisKind.SIML_COSINE:
+            t, s2 = (2 * l - 1) * (np.pi / (2 * (2 * n + 1))), 2.0 / (n + 0.5)
+            out, back = not include_terminal, include_initial
+        else:
+            t, s2 = l * (np.pi / (2 * (n + 1))), 2.0 / (n + 1)
+            out, back = 2 - include_initial - include_terminal, False
+        cos2 = s2 * np.cos(t) ** 2
+        total = np.sum(4.0 * np.sin(t) ** 2 * (1.0 - out * cos2) + back * cos2)
+    # A trace of a positive semidefinite form: where it is exactly 0 (one
+    # increment with both ends out), rounding must not make it negative.
+    return max(float((n + shift) / columns * variance * total), 0.0)
 
 
 def result_csv_rows(result: EstimateResult) -> list[str]:

@@ -27,9 +27,10 @@ tile's normals once, and each n scales them into its own increments and
 multiplies them with its column tile.  No n x sum(m) array exists: a run
 holds the tile buffers, one column tile per n, the tables and the
 replications x sum(m) coefficients of each n.
-Within a replication every configured estimator sees the same series, and
-the exact noise expectations are traced tile by tile on the same column
-tiles as the estimates.  ``threads`` is accepted but changes nothing.
+Within a replication every configured estimator sees the same series.  The
+noise studies take each (kind, n)'s exact noise expectation from one call
+of the closed-form oracle, :func:`estimators.noise_expectation_exact`.
+``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -42,14 +43,7 @@ import numpy as np
 
 from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
 from .errors import InvalidParameter
-from .estimators import (  # noqa: F401 -- noise_expectation_exact: wrapped by perfbench/tracer.py
-    EstimatorKind,
-    _form,
-    _form_columns,
-    _halo,
-    _noise_tile,
-    noise_expectation_exact,
-)
+from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
     PATH_STREAM,
@@ -146,7 +140,10 @@ class ExperimentConfig:
 
     def cutoff(self, n: int, default_exponent: float) -> int:
         alpha = self.m_exponent if self.m_exponent is not None else default_exponent
-        m = int(math.floor(n**alpha))
+        try:
+            m = int(math.floor(n**alpha))
+        except ArithmeticError:  # n^alpha overflows a float
+            raise InvalidParameter(f"cutoff rule n^{alpha} is out of range at n={n}") from None
         if m < 1:
             raise InvalidParameter(f"cutoff rule n^{alpha} gives m < 1 at n={n}")
         return m
@@ -235,7 +232,6 @@ def _run_replications(
     cutoffs: tuple[int, ...],
     want_noise: bool = False,
     want_cross: bool = False,
-    want_exact: bool = False,
 ) -> list[dict]:
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
@@ -248,13 +244,10 @@ def _run_replications(
     latent increments and noise differences and adds their product with
     its column tile to the coefficients.  The estimates need only
     ``(dX + dV) @ cols``; for the noise or cross parts ``dX @ cols`` and
-    ``dV @ cols`` are accumulated apart.  With ``want_exact``,
-    ``noise_exact`` holds each kind's exact noise expectation, traced tile
-    by tile on the first block's column tiles.  Returns one result per n,
-    in order.
+    ``dV @ cols`` are accumulated apart.  Returns one result per n, in
+    order.
     """
     kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
-    ends = (noise.include_initial, noise.include_terminal)
     split = want_noise or want_cross
     sizes = []  # largest n first
     for n, m in reversed(list(zip(config.n_schedule, cutoffs))):
@@ -264,8 +257,7 @@ def _run_replications(
             "n": n,
             "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
                       zip(forms, edges, edges[1:])],
-            "cols": np.empty((min(n, _TILE_WIDTH) + 2, edges[-1])),  # a tile and its halo rows
-            "traces": [0.0] * len(kinds),
+            "cols": np.empty((min(n, _TILE_WIDTH), edges[-1])),
             "coef": np.zeros((2 if split else 1, reps, edges[-1])),
         })
 
@@ -290,13 +282,10 @@ def _run_replications(
                 if n <= lo:
                     continue
                 w = min(hi, n) - lo
-                a, b = _halo(lo, lo + w, n)
-                cols = size["cols"][: b - a]
-                for k, (build, at, _) in enumerate(size["forms"]):
-                    build(a, b, cols[:, at])
-                    if want_exact and block == 0:
-                        size["traces"][k] += _noise_tile(cols[:, at], lo, lo + w, n, *ends)
-                reached.append((i, n, w, cols[lo - a : lo - a + w], size["coef"]))
+                cols = size["cols"][:w]
+                for build, at, _ in size["forms"]:
+                    build(lo, lo + w, cols[:, at])
+                reached.append((i, n, w, cols, size["coef"]))
             for first in range(block, stop, rows):
                 g = min(first + rows, stop) - first
                 group = slice(first - block, first - block + g)
@@ -336,11 +325,6 @@ def _run_replications(
             "noise_parts": parts(forms, wv, wv) if want_noise else None,
             "cross_parts": parts(forms, wx, wv, 2.0) if want_cross else None,
             "truths": truth,
-            "noise_exact": (
-                [float(pref * noise.variance * t) for (_, _, pref), t in zip(forms, size["traces"])]
-                if want_exact
-                else None
-            ),
         })
     return results
 
@@ -453,13 +437,16 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     its explicit decay bound.
     """
     cutoffs = check_experiment("noise_bounds", config)
-    runs = _run_replications(config, cutoffs, want_exact=True)
+    noise = config.noise
     rows: list[McRow] = []
-    for n, m, data in zip(config.n_schedule, cutoffs, runs):
+    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
         for i, kind in enumerate(config.kinds):
             row = _row("noise_bounds", kind, n, m, data["estimates"][i], data["truths"])
-            mean, se, exact = row.mean, row.se_mean, data["noise_exact"][i]
-            bound, is_lower = _noise_bound(kind, n, m, config.noise)
+            exact = noise_expectation_exact(
+                kind, n, m, noise.variance, noise.include_initial, noise.include_terminal
+            )
+            mean, se = row.mean, row.se_mean
+            bound, is_lower = _noise_bound(kind, n, m, noise)
             if is_lower:
                 ok = exact >= bound - 1e-12 and mean >= bound - 4.0 * se
             else:
@@ -480,22 +467,24 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     (4 at smaller n, where the finite-sample noise term is still visible).
     """
     cutoffs = check_experiment("initial_noise_contrast", config)
-    nu = config.noise.variance
+    noise = config.noise
     largest = config.n_schedule[-1]
     rows: list[McRow] = []
-    runs = _run_replications(config, cutoffs, want_noise=True, want_cross=True, want_exact=True)
+    runs = _run_replications(config, cutoffs, want_noise=True, want_cross=True)
     for n, m, data in zip(config.n_schedule, cutoffs, runs):
         for i, kind in enumerate(config.kinds):
             cross = data["cross_parts"][i]
             row = _row(
                 "initial_noise_contrast", kind, n, m, data["estimates"][i], data["truths"],
                 noise_mc_mean=float(np.mean(data["noise_parts"][i])),
-                noise_exact=data["noise_exact"][i],
+                noise_exact=noise_expectation_exact(
+                    kind, n, m, noise.variance, noise.include_initial, noise.include_terminal
+                ),
                 cross_mean=float(np.mean(cross)),
                 cross_se=float(np.std(cross, ddof=1) / np.sqrt(len(cross))),
             )
             if kind is EstimatorKind.SIML:
-                bound = 0.5 * nu
+                bound = 0.5 * noise.variance
                 ok = row.bias >= bound - 4.0 * row.se_mean
             else:
                 bound = (2.0 if n == largest else 4.0) * row.se_mean

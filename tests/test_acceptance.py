@@ -85,7 +85,7 @@ def test_criterion_01_basis_orthogonality_and_diagonalization():
         else:
             dims = range(1, 514)
         for dim in dims:
-            b = build_basis(basis_kind, dim).entries
+            b = build_basis(basis_kind, dim)
             worst_orth = max(worst_orth, float(np.max(np.abs(b.T @ b - np.eye(dim)))))
             jac = build_jacobi(jacobi_kind, dim)
             lam = eigenvalues_closed_form(jacobi_kind, dim)

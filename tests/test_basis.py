@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spectralvol.basis import (
     BasisKind,
@@ -14,7 +12,6 @@ from spectralvol.basis import (
     build_jacobi,
     cosine_square_sum,
     eigenvalues_closed_form,
-    project,
 )
 from spectralvol.errors import DimensionMismatch, InvalidDimension
 
@@ -37,17 +34,17 @@ class TestBuildBasis:
     def test_cosine_dim_one_is_exactly_one(self):
         """sqrt(2/1.5) * cos(pi/6) = 1 by direct arithmetic."""
         b = build_basis(BasisKind.SIML_COSINE, 1)
-        np.testing.assert_allclose(b.entries, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(b, [[1.0]], atol=1e-15)
 
     def test_sine_dim_one_is_exactly_one(self):
         """sqrt(2/2) * sin(pi/2) = 1."""
         b = build_basis(BasisKind.DST_SINE, 1)
-        np.testing.assert_allclose(b.entries, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(b, [[1.0]], atol=1e-15)
 
     def test_fourier_constant_column(self):
         """Column 0 of the odd real Fourier basis is the constant 1/sqrt(N)."""
         b = build_basis(BasisKind.FOURIER_REAL, 3)
-        np.testing.assert_allclose(b.entries[:, 0], np.full(3, 1 / np.sqrt(3)), rtol=1e-15)
+        np.testing.assert_allclose(b[:, 0], np.full(3, 1 / np.sqrt(3)), rtol=1e-15)
 
     def test_cosine_entries_match_direct_formula(self):
         """Spot-check the shifted-cosine entry formula at n = 2."""
@@ -55,7 +52,7 @@ class TestBuildBasis:
         expected = np.sqrt(0.8) * np.cos(
             np.array([[1 * 1, 1 * 3], [3 * 1, 3 * 3]]) * np.pi / 10
         )
-        np.testing.assert_allclose(b.entries, expected, atol=1e-15)
+        np.testing.assert_allclose(b, expected, atol=1e-15)
 
     def test_fourier_even_dim_rejected(self):
         with pytest.raises(InvalidDimension):
@@ -66,7 +63,7 @@ class TestBuildBasis:
             build_basis(BasisKind.SIML_COSINE, 0)
 
     def test_columns_prefix_of_full_matrix(self):
-        full = build_basis(BasisKind.DST_SINE, 17).entries
+        full = build_basis(BasisKind.DST_SINE, 17)
         np.testing.assert_array_equal(basis_columns(BasisKind.DST_SINE, 17, 5), full[:, :5])
 
     @pytest.mark.parametrize("kind", list(BasisKind))
@@ -91,7 +88,7 @@ class TestBuildBasis:
 def test_orthogonality(kind):
     """B^T B = I to 1e-10 across a dimension sweep (full sweep in acceptance)."""
     for dim in _valid_dims(kind):
-        b = build_basis(kind, dim).entries
+        b = build_basis(kind, dim)
         err = np.max(np.abs(b.T @ b - np.eye(dim)))
         assert err < 1e-10, f"{kind} dim={dim}: {err}"
 
@@ -99,7 +96,7 @@ def test_orthogonality(kind):
 @pytest.mark.parametrize("kind", list(BasisKind))
 def test_columns_unit_norm(kind):
     for dim in [1, 7, 64] if kind is not BasisKind.FOURIER_REAL else [3, 7, 65]:
-        b = build_basis(kind, dim).entries
+        b = build_basis(kind, dim)
         np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, atol=1e-12)
 
 
@@ -178,43 +175,11 @@ def test_diagonalization(basis_kind, jacobi_kind):
     for dim in _valid_dims(basis_kind):
         if basis_kind is BasisKind.FOURIER_REAL and dim < 3:
             continue
-        b = build_basis(basis_kind, dim).entries
+        b = build_basis(basis_kind, dim)
         jac = build_jacobi(jacobi_kind, dim)
         lam = eigenvalues_closed_form(jacobi_kind, dim)
         err = np.max(np.abs(b.T @ jac @ b - np.diag(lam)))
         assert err < 1e-10, f"{basis_kind} dim={dim}: {err}"
-
-
-class TestProject:
-    def test_identity_like_case(self):
-        b = build_basis(BasisKind.DST_SINE, 1)
-        np.testing.assert_allclose(project(b, np.array([3.0]), 1), [3.0], rtol=1e-15)
-
-    def test_first_cosine_coefficient(self):
-        """project(B, e_1, 1) picks the (1,1) entry sqrt(0.8) cos(pi/10)."""
-        b = build_basis(BasisKind.SIML_COSINE, 2)
-        out = project(b, np.array([1.0, 0.0]), 1)
-        np.testing.assert_allclose(out, [np.sqrt(0.8) * np.cos(0.1 * np.pi)], rtol=1e-14)
-
-    def test_zero_vector(self):
-        b = build_basis(BasisKind.SIML_COSINE, 8)
-        np.testing.assert_array_equal(project(b, np.zeros(8), 5), np.zeros(5))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6), st.floats(-5, 5))
-    def test_linearity(self, values, scale):
-        b = build_basis(BasisKind.DST_SINE, 6)
-        x = np.array(values)
-        np.testing.assert_allclose(
-            project(b, scale * x, 4), scale * project(b, x, 4), atol=1e-9
-        )
-
-    def test_dimension_mismatch(self):
-        b = build_basis(BasisKind.SIML_COSINE, 4)
-        with pytest.raises(DimensionMismatch):
-            project(b, np.zeros(5), 2)
-        with pytest.raises(DimensionMismatch):
-            project(b, np.zeros(4), 5)
 
 
 class TestBasisCoefficients:

@@ -272,6 +272,7 @@ class TestBadConfig:
         [
             [("m_exponent = 0.4", "m_exponent = 1.5")],
             [("m_exponent = 0.4", "m_exponent = -1")],
+            [("m_exponent = 0.4", "m_exponent = 400")],
             [("vol = constant", "vol = ou"), ("type = noise_bounds", "type = normality")],
             [("type = noise_bounds", "type = nope")],
             [("vol_level = 0.0", "vol_level = 1.0")],
@@ -286,10 +287,10 @@ class TestBadConfig:
             [("variance = 0.01", "variance = 0.01\nvariance = 0.02")],
             [("kinds = siml, ina_sine", "kinds = siml%")],
         ],
-        ids=["m_above_n", "m_below_one", "ou_vol_for_normality", "unknown_type",
-             "noise_bounds_with_signal", "contrast_without_initial_noise", "zero_refinement",
-             "zero_threads", "nan_vol_level", "replications_above_2_32", "no_section_header",
-             "duplicate_section", "duplicate_key", "percent_in_value"],
+        ids=["m_above_n", "m_below_one", "m_exponent_overflow", "ou_vol_for_normality",
+             "unknown_type", "noise_bounds_with_signal", "contrast_without_initial_noise",
+             "zero_refinement", "zero_threads", "nan_vol_level", "replications_above_2_32",
+             "no_section_header", "duplicate_section", "duplicate_key", "percent_in_value"],
     )
     def test_exits_78_without_traceback(self, tmp_path, edits):
         text = NOISE_BOUNDS_CFG

@@ -1,6 +1,7 @@
 """Tests for the estimators and their pure-noise functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,31 @@ class TestNoiseExpectationExact:
     def test_zero_variance(self):
         assert noise_expectation_exact(EstimatorKind.SIML, 16, 3, 0.0) == 0.0
 
+    def test_never_negative(self):
+        """The trace of a positive semidefinite form; 0.0 for one increment with both ends out."""
+        for kind, (basis, per_mode, constant, _) in _REAL_FORMS.items():
+            for n in range(1, 9):
+                if basis is BasisKind.FOURIER_REAL and n % 2 == 0:
+                    continue
+                for m in range(1 - constant, (n - constant) // per_mode + 1):
+                    for ends in [(True, True), (False, True), (True, False), (False, False)]:
+                        value = noise_expectation_exact(kind, n, m, 0.37, *ends)
+                        assert value >= 0.0, (kind, n, m, ends)
+                        if n == 1 and ends == (False, False):
+                            assert value == 0.0, kind
+
+    @pytest.mark.parametrize("kind", sorted(_REAL_FORMS, key=lambda k: k.value),
+                             ids=lambda k: k.value)
+    def test_builds_nothing_longer_than_its_columns(self, kind):
+        """At n = 2^20 + 1 a one-period cosine table alone would take 64 MiB."""
+        tracemalloc.start()
+        try:
+            noise_expectation_exact(kind, 2**20 + 1, 256, 1.0, False, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_cosine_floor_with_initial_noise(self):
         """The exact expectation sits above nu/2 whenever m <= n/2 (sampled)."""
         nu = 0.3
@@ -388,28 +414,39 @@ class TestNoiseExpectationExact:
         )
 
 
+def _trace_cases():
+    """(kind, n, full) for the dense check: the n^0.5 cutoff, and the whole basis."""
+    cases = []
+    for kind in sorted(_REAL_FORMS, key=lambda k: k.value):
+        odd_only = _REAL_FORMS[kind][0] is BasisKind.FOURIER_REAL
+        for n, full in [(n, False) for n in (1, 2, 3, 5, 1023, 1024, 1025, 2049)] + [
+            (n, True) for n in (2, 3, 5, 64, 65, 1023, 1024)
+        ]:
+            if n % 2 or not odd_only:
+                name = f"{kind.value}-{n}" + ("-full" if full else "")
+                cases.append(pytest.param(kind, n, full, id=name))
+    return cases
+
+
 class TestTiledNoiseTrace:
-    """The oracle's tile-by-tile trace against the dense pref * nu * trace(B.T @ C @ B)."""
+    """The closed-form oracle against the dense pref * nu * trace(B.T @ C @ B)."""
 
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
-    @pytest.mark.parametrize(
-        "kind,n",
-        [(kind, n) for kind in sorted(_REAL_FORMS, key=lambda k: k.value)
-         for n in (5, 1023, 1024, 1025, 2049)
-         if n % 2 or _REAL_FORMS[kind][0] is not BasisKind.FOURIER_REAL],  # Fourier: odd n only
-    )
-    def test_matches_dense_trace(self, kind, n, ends):
+    @pytest.mark.parametrize("kind,n,full", _trace_cases())
+    def test_matches_dense_trace(self, kind, n, full, ends):
         basis, per_mode, constant, shift = _REAL_FORMS[kind]
-        m = max(1, int(n**0.5) // per_mode)
+        m = (n - constant) // per_mode if full else max(1 - constant, int(n**0.5) // per_mode)
         columns = per_mode * m + constant
-        b = build_basis(basis, n).entries[:, :columns]
+        b = build_basis(basis, n)[:, :columns]
         c = 2.0 * np.eye(n) - build_jacobi(JacobiKind.JN_TILDE_PRIME, n)
         c[0, 0] -= 0.0 if ends[0] else 1.0
         c[-1, -1] -= 0.0 if ends[1] else 1.0
         nu = 0.37
         dense = (n + shift) / columns * nu * np.trace(b.T @ c @ b)
         got = noise_expectation_exact(kind, n, m, nu, *ends)
-        assert abs(got - dense) <= 1e-12 * abs(dense)
+        # Where the form is exactly 0 (with both ends out: n = 1, and the sine
+        # basis's constant column at n = 2) the dense trace is rounding, 1.4e-32.
+        assert abs(got - dense) <= 1e-12 * abs(dense) + 1e-30
 
 
 class TestErrors:

@@ -11,7 +11,7 @@ import pytest
 from spectralvol import estimators, experiments
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
-from spectralvol.estimators import EstimatorKind, _form, _halo, noise_expectation_exact
+from spectralvol.estimators import EstimatorKind, _form, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -214,13 +214,13 @@ class TestSchedule:
         config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
                          replications=reps, base_seed=19, refinement=refinement)
         for split in (False, True):
-            runs = _run_replications(config, cutoffs, split, split, want_exact=True)
+            runs = _run_replications(config, cutoffs, split, split)
             assert len(runs) == len(schedule)
             for n, m, got in zip(schedule, cutoffs, runs):
                 (one,) = _run_replications(
-                    dataclasses.replace(config, n_schedule=(n,)), (m,), split, split, True
+                    dataclasses.replace(config, n_schedule=(n,)), (m,), split, split
                 )
-                for key in ("estimates", "noise_parts", "cross_parts", "truths", "noise_exact"):
+                for key in ("estimates", "noise_parts", "cross_parts", "truths"):
                     if split or not key.endswith("parts"):
                         assert np.array_equal(got[key], one[key]), (n, key)
 
@@ -363,7 +363,7 @@ class TestNoiseBoundsRun:
 
 
 class TestNoiseOracleColumns:
-    """The studies' exact noise column comes from the columns their replications use."""
+    """The engine builds each column tile once per live block; the oracle builds no columns."""
 
     @pytest.mark.parametrize(
         "study,kinds,ends",
@@ -375,7 +375,7 @@ class TestNoiseOracleColumns:
         ids=["bounds_both_ends", "bounds_no_initial", "contrast_no_terminal"],
     )
     def test_one_column_build_per_kind_and_n(self, monkeypatch, study, kinds, ends):
-        """Each (kind, n) builds each tile of its column rows, with its halo, once per live block."""
+        """Each (kind, n) builds each tile's rows (lo, hi) once per live block."""
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         cfg = _config(kinds=kinds, n_schedule=(63, _TILE_WIDTH + 1), noise=noise,
                       replications=_TILE_ROWS + 1, base_seed=4,
@@ -389,7 +389,7 @@ class TestNoiseOracleColumns:
         summary = study(cfg)
         monkeypatch.undo()
         want = [
-            (_form(kind, n, 1)[0], n, _halo(lo, hi, n))
+            (_form(kind, n, 1)[0], n, (lo, hi))
             for kind in kinds for n in cfg.n_schedule for lo, hi in _tiles(n)
         ]
         assert Counter(built) == Counter(want * 2)
@@ -421,12 +421,12 @@ class TestLiveBlocks:
                          replications=2 * _TILE_ROWS + 3, base_seed=29, refinement=refinement)
         assert experiments._LIVE_ROWS >= config.replications  # one block by default
         for split in (False, True):
-            whole = _run_replications(config, cutoffs, split, split, want_exact=True)
+            whole = _run_replications(config, cutoffs, split, split)
             monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
-            blocks = _run_replications(config, cutoffs, split, split, want_exact=True)
+            blocks = _run_replications(config, cutoffs, split, split)
             monkeypatch.undo()
             for n, a, b in zip(schedule, whole, blocks):
-                for key in ("estimates", "noise_parts", "cross_parts", "truths", "noise_exact"):
+                for key in ("estimates", "noise_parts", "cross_parts", "truths"):
                     if split or not key.endswith("parts"):
                         assert np.array_equal(a[key], b[key]), (n, key)
 

@@ -288,9 +288,14 @@ def cmd_experiment(config_path: str, out_dir: str, seed, threads) -> int:
         # The output is opened before the study runs, so a bad --out-dir fails at once.
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / f"{experiment}.csv", "w", newline="") as fh:
-            summary = run_experiment(experiment, config)
-            summary.write_csv(fh)
+        path = out / f"{experiment}.csv"
+        with open(path, "w", newline="") as fh:
+            try:
+                summary = run_experiment(experiment, config)
+                summary.write_csv(fh)
+            except BaseException:  # a failed study leaves no partial CSV behind
+                path.unlink()
+                raise
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EX_IOERR

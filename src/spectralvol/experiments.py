@@ -20,13 +20,10 @@ reads a prefix of them, so the estimates of one replication at different n
 share their shocks (common random numbers).  Replications run in tiles of
 _TILE_ROWS replications by _TILE_WIDTH observed increments, in live blocks
 of _LIVE_ROWS replications whose streams stay keyed while the block walks
-the tiles.  For each tile, every n that reaches it builds the matching rows
-of its estimators' basis columns once (one column tile per n, looked up in
-one-period tables built once per run); each group of the block draws the
-tile's normals once, and each n scales them into its own increments and
-multiplies them with its column tile.  No n x sum(m) array exists: a run
-holds the tile buffers, one column tile per n, the tables and the
-replications x sum(m) coefficients of each n.
+the tiles; the normals go straight into products with weights built from
+each n's basis rows (see :func:`_run_replications`).  No n x sum(m) array
+exists, and :func:`check_experiment` refuses a config whose buffers would
+exceed :data:`MAX_ENGINE_BYTES`.
 Within a replication every configured estimator sees the same series.  The
 noise studies take each (kind, n)'s exact noise expectation from one call
 of the closed-form oracle, :func:`estimators.noise_expectation_exact`.
@@ -50,6 +47,7 @@ from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wr
     ConstantVol,
     DriftModel,
     NoiseModel,
+    OrnsteinUhlenbeckVol,
     PiecewiseVol,
     VolModel,
     _TILE_WIDTH,
@@ -73,6 +71,7 @@ __all__ = [
     "run_experiment",
     "check_experiment",
     "CSV_COLUMNS",
+    "MAX_ENGINE_BYTES",
 ]
 
 # Replications per tile.  A tile of _TILE_ROWS x _TILE_WIDTH increments and
@@ -85,6 +84,9 @@ _TILE_ROWS = 128
 # each tile of basis columns, built once, serves all of them.  A multiple of
 # _TILE_ROWS; it bounds the generators and per-replication state held at once.
 _LIVE_ROWS = 8 * _TILE_ROWS
+
+#: Bytes a run's buffers (:func:`_engine_bytes`) may take; check_experiment refuses more.
+MAX_ENGINE_BYTES = 2**30
 
 CSV_COLUMNS = [
     "experiment",
@@ -204,8 +206,9 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     """The cutoff m at each n of the schedule, once ``experiment`` is known to run.
 
     Raises :class:`InvalidParameter`, before any simulation, for an unknown
-    study, a design the study does not support, or a cutoff that needs more
-    basis columns than there are increments for some kind at some n.
+    study, a design the study does not support, a cutoff that needs more
+    basis columns than there are increments for some kind at some n, or
+    buffers larger than :data:`MAX_ENGINE_BYTES`.
     """
     if experiment not in _RUNNERS:
         raise InvalidParameter(
@@ -221,10 +224,33 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
         raise InvalidParameter("contrast runs need noise on the initial observation")
     alpha = _RUNNERS[experiment][1]
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
-    for n, m in zip(config.n_schedule, cutoffs):
-        for kind in config.kinds:
-            _form(kind, n, m)
+    need = _engine_bytes(config, cutoffs)  # checks each kind's columns at each n first
+    if need > MAX_ENGINE_BYTES:
+        mib = need / 2**20 if need < 2**1000 else math.inf
+        raise InvalidParameter(f"the run's buffers would take {mib:.3g} MiB, more than the "
+                               f"{MAX_ENGINE_BYTES >> 20} MiB of experiments.MAX_ENGINE_BYTES")
     return cutoffs
+
+
+def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
+    """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
+
+    A group's tile of normals (OU: two streams and about four stream-sized
+    temporaries); per n, the column tile and two lookup temporaries, the
+    weights, the coefficients and their sum, and tables of at most 4(2n+1)
+    floats per kind; per replication its truths and seeds, and per live
+    replication a generator of about 640 bytes for each stream.
+    """
+    reps, r = config.replications, config.refinement
+    ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
+    width = min(config.n_schedule[-1], _TILE_WIDTH)
+    floats = min(_TILE_ROWS, reps) * ((1 + 5 * ou) * width * r + _TILE_WIDTH + 1)
+    floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
+    for n, m in zip(config.n_schedule, cutoffs):
+        columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
+        floats += (min(n, _TILE_WIDTH) * (4 + r) + 1 + 3 * reps) * columns
+        floats += len(config.kinds) * 4 * (2 * n + 1)
+    return 8 * floats
 
 
 def _run_replications(
@@ -238,27 +264,26 @@ def _run_replications(
     Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
     while the block walks the tiles of the largest n.  For each tile, every
     n that reaches it builds the matching rows of its kinds' basis columns
-    once, side by side in one column tile, from tables built once per run;
-    then each group of up to _TILE_ROWS replications of the block draws the
-    tile's normals once, and every such n scales a prefix of them into its
-    latent increments and noise differences and adds their product with
-    its column tile to the coefficients.  The estimates need only
-    ``(dX + dV) @ cols``; for the noise or cross parts ``dX @ cols`` and
-    ``dV @ cols`` are accumulated apart.  Returns one result per n, in
-    order.
+    once, side by side in one column tile, from tables built once per run,
+    and turns them into latent and noise weights; then each group of up to
+    _TILE_ROWS replications of the block draws the tile's normals once, and
+    every such n adds their products with the weights to its coefficients
+    ``dX @ cols`` and ``dV @ cols``.  Returns one result per n, in order.
     """
-    kinds, noise, reps, r = config.kinds, config.noise, config.replications, config.refinement
-    split = want_noise or want_cross
+    kinds, reps, r = config.kinds, config.replications, config.refinement
     sizes = []  # largest n first
     for n, m in reversed(list(zip(config.n_schedule, cutoffs))):
         forms = [_form_columns(kind, n, m) for kind in kinds]
         edges = np.cumsum([0] + [columns for _, columns, _ in forms])
+        w = min(n, _TILE_WIDTH)
         sizes.append({
             "n": n,
             "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
                       zip(forms, edges, edges[1:])],
-            "cols": np.empty((min(n, _TILE_WIDTH), edges[-1])),
-            "coef": np.zeros((2 if split else 1, reps, edges[-1])),
+            "cols": np.empty((w, edges[-1])),
+            "latent": np.empty((w * r, edges[-1])),
+            "noise": np.empty((w + 1, edges[-1])),
+            "coef": np.zeros((2, reps, edges[-1])),  # dX @ cols, then dV @ cols
         })
 
     rows, live = min(_TILE_ROWS, reps), min(_LIVE_ROWS, reps)
@@ -267,47 +292,36 @@ def _run_replications(
     )
     latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds,
                           rows, live)
-    noisy = _NoiseTiles(noise, noise_seeds, rows, live)
-    tile = np.empty((2 * rows, _TILE_WIDTH))  # latent increments, then noise differences
-    fine = np.empty((rows, _TILE_WIDTH * r)) if r > 1 else None
+    noisy = _NoiseTiles(config.noise, noise_seeds, rows, live)
     truths = np.empty((len(sizes), reps))
     for block in range(0, reps, live):
         stop = min(block + live, reps)
         latent.start(block, stop)
         noisy.start(block, stop)
         for lo, hi in _tiles(sizes[0]["n"]):
-            reached = []  # (grid, n, width, column rows, coefficients) of each n reaching the tile
+            reached = []  # (grid, width, latent and noise weights, coefficients) of each n
             for i, size in enumerate(sizes):
-                n = size["n"]
+                n, coef = size["n"], size["coef"]
                 if n <= lo:
                     continue
                 w = min(hi, n) - lo
                 cols = size["cols"][:w]
                 for build, at, _ in size["forms"]:
                     build(lo, lo + w, cols[:, at])
-                reached.append((i, n, w, cols, size["coef"]))
+                if latent.drift_level:  # the same row for every replication
+                    coef[0, block:stop] += latent.offset(i, cols)
+                lat = None if latent.shocks is None else latent.weights(i, lo, cols, size["latent"])
+                reached.append((i, w, lat, noisy.weights(n, lo, cols, size["noise"]), coef))
             for first in range(block, stop, rows):
                 g = min(first + rows, stop) - first
                 group = slice(first - block, first - block + g)
                 latent.draw(group, lo, hi - lo)
                 noisy.draw(group, lo, hi - lo)
-                for i, n, w, cols, coef in reached:
+                for i, w, lat, noi, coef in reached:
                     coef = coef[:, first : first + g]
-                    dx, dv = tile[:g, :w], tile[g : 2 * g, :w]
-                    noisy.tile(dv, n)
-                    if latent.silent:
-                        coef[-1] += dv @ cols
-                        continue
-                    if r > 1:  # an observed increment sums its r fine increments
-                        latent.tile(i, fine[:g, : w * r])
-                        fine[:g, : w * r].reshape(g, w, r).sum(axis=2, out=dx)
-                    else:
-                        latent.tile(i, dx)
-                    if split:
-                        coef += (tile[: 2 * g, :w] @ cols).reshape(2, g, -1)
-                    else:
-                        dx += dv
-                        coef[0] += dx @ cols
+                    if lat is not None:
+                        coef[0] += latent.normals(i, g, w) @ lat
+                    coef[1] += noisy.values[:g, : w + 1] @ noi
         truths[:, block:stop] = latent.truths
 
     def parts(forms, a, b, scale=1.0):
@@ -317,9 +331,8 @@ def _run_replications(
 
     results = []
     for size, truth in zip(reversed(sizes), truths[::-1]):
-        forms, coef = size["forms"], size["coef"]
-        wy = coef.sum(axis=0)  # (dX + dV) @ cols
-        wx, wv = coef[0], coef[-1]  # dX @ cols and dV @ cols, when split
+        forms, (wx, wv) = size["forms"], size["coef"]
+        wy = wx + wv
         results.append({
             "estimates": parts(forms, wy, wy),
             "noise_parts": parts(forms, wv, wv) if want_noise else None,

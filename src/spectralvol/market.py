@@ -363,13 +363,14 @@ class _LatentTiles:
     Grid i has ``ns[i] * refinement`` fine steps.  Row j follows the path
     stream of ``seeds[j]`` (spawn key 0 under OU volatility, whose state
     follows spawn key 1): on every grid, fine step k is driven by normal k
-    of the stream.  :meth:`start` begins up to ``live`` paths;
+    of the stream.  :meth:`start` begins up to ``live`` paths and
     :meth:`draw` draws one tile's normals for a group of up to ``rows`` of
-    them, once, and :meth:`tile` scales a prefix of them into one grid's
-    increments.  Each path's OU state on each grid and, for OU, its
-    integrated variance (the trapezoid rule, summed tile by tile) carry over
-    from tile to tile.  Paths whose spot variance is zero everywhere draw no
-    shocks, and ``silent`` says that their increments are all zero.
+    them, once.  :meth:`tile` scales a prefix of them into one grid's
+    increments.  The Monte Carlo engine forms no increments: it multiplies
+    :meth:`normals` by :meth:`weights` and adds :meth:`offset`, the drift's
+    part.  Each path's OU state on each grid and, for OU, its integrated
+    variance (the trapezoid rule, summed tile by tile) carry over from tile
+    to tile.  Paths whose spot variance is zero everywhere draw no shocks.
     """
 
     def __init__(
@@ -389,7 +390,6 @@ class _LatentTiles:
             silent = not any(vol.levels)
         else:
             silent = False
-        self.silent = silent and not self.drift_level
         self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live)
         self.vol_shocks = _Streams(seeds, 1, live) if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid
@@ -415,32 +415,63 @@ class _LatentTiles:
             if streams is not None:
                 streams.fill(raw[:rows, : w * self.r], group.start)
 
+    def _spot_scale(self, i: int, first: int, w: int, rows: int):
+        """Spot variance at grid i's fine points first..first+w, and sqrt(spot dt) of its steps.
+
+        A row per path for OU (which steps the drawn group's state), one row
+        shared by all paths for piecewise volatility, the level for constant
+        volatility.
+        """
+        vol, dt = self.vol, self.dts[i]
+        if isinstance(vol, ConstantVol):
+            return self.exact, math.sqrt(self.exact * dt)
+        if isinstance(vol, PiecewiseVol):
+            times = np.arange(first, first + w + 1) / self.n_fines[i]
+            idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
+            spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
+        else:
+            spot = self._ou_spot(i, rows, w)
+        return spot, np.sqrt(spot[:, :-1] * dt)
+
     def tile(self, i: int, dx: np.ndarray):
         """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps.
 
-        Returns the spot variance at their w + 1 grid points: a row per path
-        for OU, one row shared by all paths for piecewise volatility, the
-        level for constant volatility.
+        Returns the spot variance at their w + 1 grid points.
         """
         rows, w = dx.shape
-        vol, dt = self.vol, self.dts[i]
-        if isinstance(vol, ConstantVol):
-            spot, scale = self.exact, math.sqrt(self.exact * dt)
-        elif isinstance(vol, PiecewiseVol):
-            times = np.arange(self.first, self.first + w + 1) / self.n_fines[i]
-            idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
-            spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
-            scale = np.sqrt(spot[:, :-1] * dt)
-        else:
-            spot = self._ou_spot(i, rows, w)
-            scale = np.sqrt(spot[:, :-1] * dt)
+        spot, scale = self._spot_scale(i, self.first, w, rows)
         if self.shocks is None:
-            dx[...] = self.drift_level * dt
+            dx[...] = self.drift_level * self.dts[i]
         else:
             np.multiply(self.raw[0, :rows, :w], scale, out=dx)
             if self.drift_level:
-                dx += self.drift_level * dt
+                dx += self.drift_level * self.dts[i]
         return spot
+
+    def weights(self, i: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Weights L in ``out``: ``normals(i, rows, w) @ L + offset(i, cols)`` is grid i's
+        increments over observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
+
+        Fine step k takes its observed step's row, times sqrt(spot dt) unless
+        the scale is per path (OU), when :meth:`normals` applies it.
+        """
+        w, k = cols.shape
+        out = out[: w * self.r]
+        out.reshape(w, self.r, k)[...] = cols[:, np.newaxis]
+        if self.vol_shocks is None:
+            out *= np.reshape(self._spot_scale(i, lo * self.r, w * self.r, 0)[1], (-1, 1))
+        return out
+
+    def normals(self, i: int, rows: int, w: int) -> np.ndarray:
+        """The drawn normals of w observed steps of grid i, scaled per path under OU."""
+        raw = self.raw[0, :rows, : w * self.r]
+        if self.vol_shocks is None:
+            return raw
+        return raw * self._spot_scale(i, self.first, w * self.r, rows)[1]
+
+    def offset(self, i: int, cols: np.ndarray) -> np.ndarray:
+        """The drift's part of grid i's increments times ``cols``, the same for every path."""
+        return self.drift_level * self.r * self.dts[i] * cols.sum(axis=0)
 
     def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
         # OU state stepped for all rows at once; the spot variance is the
@@ -466,11 +497,10 @@ class _NoiseTiles:
 
     Row j follows the noise stream of ``seeds[j]``: the noise at time k is
     normal k of the stream times the noise scale, whatever the length n.
-    :meth:`start` begins up to ``live`` series; :meth:`draw` draws the noise
-    at a tile's w + 1 times for a group of up to ``rows`` of them, scaled as
-    it is drawn (the value at the tile's first time carries over from the
-    previous tile), into ``values``; and :meth:`tile` differences a prefix of
-    it for one n, with the end points it excludes set to zero.
+    :meth:`start` begins up to ``live`` series; :meth:`draw` draws the
+    normals at a tile's w + 1 times for a group of up to ``rows`` of them
+    into ``values`` (the one at the tile's first time carries over from the
+    previous tile), which the Monte Carlo engine multiplies by :meth:`weights`.
     """
 
     def __init__(self, noise: NoiseModel, seeds, rows: int = 1, live: int | None = None):
@@ -478,34 +508,39 @@ class _NoiseTiles:
         self.noise, self.scale = noise, np.sqrt(noise.variance)
         self.streams = _Streams(seeds, None, live)
         self.values = np.empty((rows, _TILE_WIDTH + 1))
-        self.carry = np.empty(live)  # each started series' noise at the last drawn time
+        self.carry = np.empty(live)  # each started series' normal at the last drawn time
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the series of seeds[lo:hi] at time 0."""
         self.streams.start(lo, hi)
 
     def draw(self, group: slice, lo: int, w: int) -> None:
-        """Draw the noise of the started series ``group`` at times lo..lo+w."""
-        self.first = lo
+        """Draw the normals of the started series ``group`` at times lo..lo+w."""
         v = self.values[: group.stop - group.start, : w + 1]
         if lo:
             v[:, 0] = self.carry[group]
             v = v[:, 1:]
         self.streams.fill(v, group.start)
-        v *= self.scale
         self.carry[group] = v[:, -1]
 
-    def tile(self, dv: np.ndarray, n: int) -> None:
-        """Fill ``dv`` (rows x w) with the noise differences of a series of n over the first w."""
-        w = dv.shape[1]
-        v = self.values[: len(dv)]
-        np.subtract(v[:, 1 : w + 1], v[:, :w], out=dv)
-        initial = self.first == 0 and not self.noise.include_initial
-        terminal = self.first + w == n and not self.noise.include_terminal
-        if terminal:  # v_n = 0
-            dv[:, -1] = 0.0 - v[:, w - 1]
-        if initial:  # v_0 = 0
-            dv[:, 0] = 0.0 if terminal and w == 1 else v[:, 1]
+    def weights(self, n: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Weights N in ``out``: ``values[:, :w + 1] @ N`` is a series of n's noise
+        differences over steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
+
+        Summation by parts, sum_j (v_{j+1} - v_j) c_j = sum_t v_t (c_{t-1} - c_t)
+        with c_{-1} = c_w = 0, gives row t; the rows of excluded end points are zero.
+        """
+        w = len(cols)
+        out = out[: w + 1]
+        out[0] = 0.0
+        out[1:] = cols
+        out[:w] -= cols
+        out *= self.scale
+        if lo == 0 and not self.noise.include_initial:
+            out[0] = 0.0
+        if lo + w == n and not self.noise.include_terminal:
+            out[w] = 0.0
+        return out
 
 
 def simulate_latent(
@@ -604,7 +639,7 @@ def observe(
     v = np.empty(scheme.n + 1)
     for lo, hi in _tiles(scheme.n):
         sampler.draw(slice(0, 1), lo, hi - lo)
-        v[lo : hi + 1] = sampler.values[0, : hi - lo + 1]
+        v[lo : hi + 1] = sampler.values[0, : hi - lo + 1] * sampler.scale
     if not noise.include_initial:
         v[0] = 0.0
     if not noise.include_terminal:

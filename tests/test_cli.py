@@ -224,6 +224,19 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == EX_IOERR
         assert "cannot write to" in capsys.readouterr().err
 
+    def test_failed_study_leaves_no_csv(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "nb.cfg"
+        cfg.write_text(NOISE_BOUNDS_CFG)
+
+        def fail(experiment, config):
+            raise RuntimeError("study failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        out_dir = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="study failed"):
+            main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)])
+        assert list(out_dir.iterdir()) == []
+
     def test_noise_bounds_run_passes(self, tmp_path, capsys):
         cfg = tmp_path / "nb.cfg"
         cfg.write_text(NOISE_BOUNDS_CFG)
@@ -286,11 +299,13 @@ class TestBadConfig:
             [("[estimators]", "[noise]\n\n[estimators]")],
             [("variance = 0.01", "variance = 0.01\nvariance = 0.02")],
             [("kinds = siml, ina_sine", "kinds = siml%")],
+            [("refinement = 1", "refinement = 99999999999999999999999999999")],
         ],
         ids=["m_above_n", "m_below_one", "m_exponent_overflow", "ou_vol_for_normality",
              "unknown_type", "noise_bounds_with_signal", "contrast_without_initial_noise",
              "zero_refinement", "zero_threads", "nan_vol_level", "replications_above_2_32",
-             "no_section_header", "duplicate_section", "duplicate_key", "percent_in_value"],
+             "no_section_header", "duplicate_section", "duplicate_key", "percent_in_value",
+             "huge_refinement"],
     )
     def test_exits_78_without_traceback(self, tmp_path, edits):
         text = NOISE_BOUNDS_CFG
@@ -309,6 +324,7 @@ class TestBadConfig:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

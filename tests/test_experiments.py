@@ -1,22 +1,28 @@
 """Tests for the Monte Carlo harness: reproducibility, bookkeeping, bound flags."""
 
+import csv
 import dataclasses
 import io
+import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectralvol import estimators, experiments
+from spectralvol.cli import parse_config
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
 from spectralvol.estimators import EstimatorKind, _form, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
+    MAX_ENGINE_BYTES,
     ExperimentConfig,
     _TILE_ROWS,
     _TILE_WIDTH,
+    _engine_bytes,
     _run_replications,
     check_experiment,
     run_consistency,
@@ -261,13 +267,25 @@ class TestCheckExperiment:
             ("normality", {"vol": OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0)}),
             ("noise_bounds", {"vol": ConstantVol(1.0)}),
             ("initial_noise_contrast", {"noise": NoiseModel(0.01, include_initial=False)}),
+            ("consistency", {"refinement": 10**29}),
+            ("consistency", {"replications": 2**32}),
+            ("consistency", {"n_schedule": (64, 2**26)}),
         ],
         ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
-             "noise_bounds_vol", "contrast_no_initial_noise"],
+             "noise_bounds_vol", "contrast_no_initial_noise", "huge_refinement",
+             "coefficients_above_limit", "tables_above_limit"],
     )
     def test_rejects(self, experiment, overrides):
         with pytest.raises(InvalidParameter):
             check_experiment(experiment, _config(**overrides))
+
+    def test_buffer_limit_is_the_module_constant(self, monkeypatch):
+        cfg = _config()
+        need = _engine_bytes(cfg, check_experiment("consistency", cfg))
+        assert need <= MAX_ENGINE_BYTES
+        monkeypatch.setattr(experiments, "MAX_ENGINE_BYTES", need - 1)
+        with pytest.raises(InvalidParameter, match="MAX_ENGINE_BYTES"):
+            check_experiment("consistency", cfg)
 
 
 class TestReproducibility:
@@ -443,6 +461,63 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+
+class TestEngineBytes:
+    """The preflight's count of the engine's buffers against what a run allocates."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"refinement": 40, "replications": _TILE_ROWS + 5},
+            {"vol": _OU, "refinement": 6, "replications": 40},
+            {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE), "n_schedule": (63, 255),
+             "replications": 5000, "m_exponent": 0.9},
+            {"n_schedule": (2**15,), "replications": 4},
+        ],
+        ids=["raw_tile", "ou", "coefficients", "tables"],
+    )
+    def test_bounds_the_traced_peak(self, overrides):
+        cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})
+        need = _engine_bytes(cfg, check_experiment("consistency", cfg))
+        run_consistency(cfg)  # a process's first run also loads numpy.random
+        tracemalloc.start()
+        try:
+            run_consistency(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert need / 2 < peak < need + 2**20
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SHIPPED = ("prop1", "prop2", "ina_bound", "consistency", "contrast")
+# Columns compared to a relative 1e-9, as the benchmark's verifier compares them.
+_NUMERIC = ("true_value", "mean", "bias", "rmse", "se_mean", "std_err_mean", "std_err_var",
+            "noise_mc_mean", "noise_exact", "bound_value")
+
+
+class TestShippedReference:
+    """The shipped configs at seed 11 against the benchmark's perfbench/reference.json."""
+
+    @pytest.mark.parametrize("name", _SHIPPED)
+    def test_matches_reference(self, name):
+        with open(_ROOT / "perfbench" / "reference.json") as fh:
+            want = list(csv.DictReader(io.StringIO(json.load(fh)["mc_configs"][name])))
+        experiment, config = parse_config(str(_ROOT / "configs" / f"{name}.cfg"), 11, 1)
+        buf = io.StringIO()
+        run_experiment(experiment, config).write_csv(buf)
+        got = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(got) == len(want)
+        for row, ref in zip(got, want):
+            for col, value in ref.items():
+                if col == "bound_satisfied":  # the verifier skips it too
+                    continue
+                if col in _NUMERIC and value != "":
+                    a, b = float(row[col]), float(value)
+                    assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (row["n"], col)
+                else:
+                    assert row[col] == value, (row["n"], col)
 
 
 class TestContrastRun:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spectralvol.basis import BasisKind, build_basis
 from spectralvol.errors import GridMismatch, InvalidParameter, TooShort
 from spectralvol import market
 from spectralvol.market import (
@@ -56,13 +57,25 @@ class TestSimulateLatent:
         assert flat.values[-1] == pytest.approx(2.0, rel=1e-12)
 
     def test_terminal_variance_matches_level(self):
-        """Monte Carlo moment oracle: Var(X_1 - X_0) = c over many seeds."""
+        """Monte Carlo moment oracle: Var(X_1 - X_0) = c over many seeds.
+
+        The one-step paths of seeds 0..n_seeds-1 are drawn through the keyed
+        streams a block of live generators at a time; every 997th has the
+        bits of its own simulate_latent call.
+        """
         c = 2.3
         scheme = EquidistantScheme(1)
-        n_seeds = 100_000
-        ends = np.empty(n_seeds)
-        for seed in range(n_seeds):
-            ends[seed] = simulate_latent(ConstantVol(c), ZeroDrift(), scheme, 1, seed).values[-1]
+        n_seeds, block = 100_000, 1000
+        latent = _LatentTiles(ConstantVol(c), ZeroDrift(), (1,), 1, np.arange(n_seeds), block)
+        ends = np.empty((n_seeds, 1))
+        for lo in range(0, n_seeds, block):
+            latent.start(lo, lo + block)
+            latent.draw(slice(0, block), 0, 1)
+            latent.tile(0, ends[lo : lo + block])
+        ends = ends[:, 0]
+        for seed in range(0, n_seeds, 997):
+            path = simulate_latent(ConstantVol(c), ZeroDrift(), scheme, 1, seed)
+            assert ends[seed] == path.values[-1]
         sample_var = np.var(ends, ddof=1)
         se = c * np.sqrt(2.0 / n_seeds)
         assert abs(sample_var - c) <= 3 * se
@@ -190,8 +203,8 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     All rows start as one live block, and each tile is drawn and scaled for
     groups of ``group`` rows in turn, so every row's streams, OU state,
     truth and noise carry must persist from tile to tile.  Returns the
-    latent increments, spot variances, truths, noise differences and the
-    noise with its excluded end points zeroed, as ``observe`` zeroes them.
+    latent increments, spot variances, truths and the noise with its
+    excluded end points zeroed, as ``observe`` zeroes them.
     """
     rows, r = len(path_seeds), refinement
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
@@ -200,7 +213,7 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     latent.start(0, rows)
     sampler.start(0, rows)
     dx, spot = np.empty((rows, n * r)), np.empty((rows, n * r + 1))
-    dv, v = np.empty((rows, n)), np.empty((rows, n + 1))
+    v = np.empty((rows, n + 1))
     for lo, hi in _tiles(n):
         w = hi - lo
         for first in range(0, rows, group):
@@ -208,11 +221,10 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
             latent.draw(g, lo, w)
             spot[g, lo * r : hi * r + 1] = latent.tile(0, dx[g, lo * r : hi * r])
             sampler.draw(g, lo, w)
-            sampler.tile(dv[g, lo:hi], n)
-            v[g, lo : hi + 1] = sampler.values[: g.stop - first, : w + 1]
+            v[g, lo : hi + 1] = sampler.values[: g.stop - first, : w + 1] * sampler.scale
     v[:, 0] = v[:, 0] if noise.include_initial else 0.0
     v[:, -1] = v[:, -1] if noise.include_terminal else 0.0
-    return dx, spot, latent.truths[0], dv, v
+    return dx, spot, latent.truths[0], v
 
 
 class TestBlockHelpers:
@@ -228,7 +240,7 @@ class TestBlockHelpers:
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         path_seeds = [derive_seed(4, rep, 0) for rep in range(5)]
         noise_seeds = [derive_seed(4, rep, 1) for rep in range(5)]
-        dx, spot, truths, dv, v = _tiled(
+        dx, spot, truths, v = _tiled(
             _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
         )
         assert dx.shape == (5, n * refinement) and v.shape == (5, n + 1)
@@ -240,7 +252,6 @@ class TestBlockHelpers:
             np.testing.assert_allclose(dx[j], np.diff(path.values), rtol=0, atol=tol)
             np.testing.assert_array_equal(spot[j], path.spot_variance)
             np.testing.assert_array_equal(v[j], obs.noise)
-            assert dv[j].tobytes() == np.diff(obs.noise).tobytes()
             assert truths[j] == path.true_integrated_vol
 
 
@@ -250,12 +261,73 @@ class TestBlockHelpers:
         scheme = EquidistantScheme(1)
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         seeds = [derive_seed(6, rep, 1) for rep in range(3)]
-        _, _, _, dv, v = _tiled(ConstantVol(1.0), ZeroDrift(), noise, 1, 1, seeds, seeds)
+        _, _, _, v = _tiled(ConstantVol(1.0), ZeroDrift(), noise, 1, 1, seeds, seeds)
         for j, seed in enumerate(seeds):
             path = simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, 1, seed)
             obs = observe(path, noise, scheme, seed)
             np.testing.assert_array_equal(v[j], obs.noise)
-            assert dv[j].tobytes() == np.diff(obs.noise).tobytes()
+
+
+# (vol, drift, refinement) of each latent setting of TestWeights; the four end
+# settings of the noise take turns along them.
+_LATENT_SETTINGS = [
+    (vol, drift, r)
+    for vol in sorted(_VOLS)
+    for drift in (ZeroDrift(), ConstantDrift(-0.4))
+    for r in (1, 3)
+]
+_ENDS = [(True, True), (False, True), (True, False), (False, False)]
+
+
+class TestWeights:
+    """The engine's weights against the dense oracle.
+
+    Summed over the tiles of n, ``normals @ L + offset + values @ N`` must be
+    ``(dX + dV) @ B[:, :columns]`` for the increments of simulate_latent and
+    observe and the dense basis B of build_basis, for every basis and end
+    setting: the weights fold in the path scale, the drift, the noise
+    differencing and scale, and the excluded end points.
+    """
+
+    @staticmethod
+    def _weighted(vol, drift, noise, n, r, path_seeds, noise_seeds, cols):
+        rows = len(path_seeds)
+        latent = _LatentTiles(vol, drift, (n,), r, path_seeds, rows)
+        sampler = _NoiseTiles(noise, noise_seeds, rows)
+        latent.start(0, rows)
+        sampler.start(0, rows)
+        width = min(n, _TILE_WIDTH)
+        lat, noi = np.empty((width * r, cols.shape[1])), np.empty((width + 1, cols.shape[1]))
+        got = np.zeros((rows, cols.shape[1]))
+        for lo, hi in _tiles(n):
+            w, c = hi - lo, cols[lo:hi]
+            latent.draw(slice(0, rows), lo, w)
+            sampler.draw(slice(0, rows), lo, w)
+            got += latent.normals(0, rows, w) @ latent.weights(0, lo, c, lat)
+            got += latent.offset(0, c)
+            got += sampler.values[:, : w + 1] @ sampler.weights(n, lo, c, noi)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2, _TILE_WIDTH, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1])
+    def test_match_dense_basis(self, n):
+        kinds = [BasisKind.SIML_COSINE, BasisKind.DST_SINE]
+        if n % 2:
+            kinds.append(BasisKind.FOURIER_REAL)
+        cols = np.hstack([build_basis(kind, n)[:, : min(n, 7)] for kind in kinds])
+        path_seeds = np.array([derive_seed(8, rep, 0) for rep in range(2)], dtype=np.uint64)
+        noise_seeds = np.array([derive_seed(8, rep, 1) for rep in range(2)], dtype=np.uint64)
+        scheme = EquidistantScheme(n)
+        for (vol, drift, r), ends in zip(_LATENT_SETTINGS, _ENDS * 3):
+            noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+            got = self._weighted(_VOLS[vol], drift, noise, n, r, path_seeds, noise_seeds, cols)
+            for row, ps, ns in zip(got, path_seeds, noise_seeds):
+                path = simulate_latent(_VOLS[vol], drift, scheme, r, int(ps))
+                obs = observe(path, noise, scheme, int(ns))
+                want = (np.diff(obs.latent) + np.diff(obs.noise)) @ cols
+                np.testing.assert_allclose(
+                    row, want, rtol=0, atol=1e-12 * np.max(np.abs(want)),
+                    err_msg=f"{vol}, {drift}, refinement {r}, ends {ends}",
+                )
 
 
 class TestObserve:
@@ -442,7 +514,7 @@ class TestZeroVarianceBlock:
             _Streams, "fill",
             lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
         )
-        dx, spot, truths, _, v = _tiled(
+        dx, spot, truths, v = _tiled(
             ConstantVol(0.0), drift, noise, n, refinement, seeds, seeds, group=4
         )
         assert drawn == [(4, n + 1)]  # the noise tile alone

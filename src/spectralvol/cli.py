@@ -32,6 +32,7 @@ from .market import (
     OrnsteinUhlenbeckVol,
     PiecewiseVol,
     ZeroDrift,
+    increments,
     read_observations_csv,
 )
 
@@ -43,6 +44,10 @@ EX_DATAERR = 65
 EX_CONFIG = 78
 
 CHECK_TOLERANCE = 1e-9
+
+#: Largest ``basis-check --max-dim``: the sweep builds dense D x D matrices for
+#: every D up to it, so its cost grows as D^4 (about 8 s at 513, 2 min at 1025).
+MAX_CHECK_DIM = 1025
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,8 +95,8 @@ def _basis_check_rows(max_dim: int):
 
 
 def cmd_basis_check(max_dim: int, out_path: str) -> int:
-    if max_dim < 3:
-        print("error: --max-dim must be >= 3", file=sys.stderr)
+    if not 3 <= max_dim <= MAX_CHECK_DIM:
+        print(f"error: --max-dim must be in [3, {MAX_CHECK_DIM}]", file=sys.stderr)
         return EX_USAGE
     try:
         with open(out_path, "w", newline="") as fh:
@@ -115,20 +120,18 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
     try:
         with open(input_path, newline="") as fh:
             obs = read_observations_csv(fh)
+        deltas = increments(obs)
     except OSError as exc:
         print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
         return EX_DATAERR
     except (SpectralVolError, ValueError) as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return EX_DATAERR
-    if len(obs.values) < 2:
-        print("error: need at least 2 rows", file=sys.stderr)
-        return EX_DATAERR
     try:
         if kind is EstimatorKind.MM_FOURIER_COMPLEX:
             result = mm_fourier_complex([obs], q, m)
         else:
-            result = _real_estimate(kind, [np.diff(obs.values)], m)
+            result = _real_estimate(kind, [deltas], m)
     except SpectralVolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -137,154 +140,131 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
     return EX_OK
 
 
-_KNOWN_KEYS = {
-    "simulation": {
-        "vol",
-        "vol_level",
-        "breakpoints",
-        "levels",
-        "mean_level",
-        "reversion_rate",
-        "vol_of_vol",
-        "initial_level",
-        "drift",
-        "drift_level",
-        "n_schedule",
-        "refinement",
-    },
-    "noise": {"variance", "include_initial", "include_terminal"},
-    "estimators": {"kinds"},
-    "experiment": {"type", "replications", "m_exponent", "base_seed", "threads"},
-}
-
-
 class ConfigError(Exception):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _parse_float(text: str) -> float:
+def _number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _flag(text: str) -> bool:
+    """true/yes/1/on or false/no/0/off, in any case, as configparser reads booleans."""
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _listed(parse):
+    """A parser of comma-separated items, each read by ``parse``; empty items are skipped."""
+    return lambda text: tuple(parse(item.strip()) for item in text.split(",") if item.strip())
+
+
+# Each section's keys, with the value an absent key takes and the parser of
+# its text (configparser has stripped it).  The unknown-key check, the
+# defaults and the parsing all read this table; no other list of keys exists.
+_CONFIG_KEYS = {
+    "simulation": {
+        "vol": ("constant", str.lower),
+        "vol_level": (1.0, _number),
+        "breakpoints": ((), _listed(_number)),
+        "levels": ((), _listed(_number)),
+        "mean_level": (1.0, _number),
+        "reversion_rate": (1.0, _number),
+        "vol_of_vol": (0.5, _number),
+        "initial_level": (1.0, _number),
+        "drift": ("zero", str.lower),
+        "drift_level": (0.0, _number),
+        "n_schedule": ((), _listed(int)),
+        "refinement": (1, int),
+    },
+    "noise": {
+        "variance": (0.0, _number),
+        "include_initial": (True, _flag),
+        "include_terminal": (True, _flag),
+    },
+    "estimators": {"kinds": ((), _listed(EstimatorKind))},
+    "experiment": {
+        "type": ("", str.lower),
+        "replications": (100, int),
+        "m_exponent": (None, _number),
+        "base_seed": (0, int),
+        "threads": (1, int),
+    },
+}
 
 
 def parse_config(path: str, seed_override=None, threads_override=None):
     """Parse the INI experiment config into (experiment_type, ExperimentConfig).
 
-    Raises :class:`ConfigError` for a config the experiment cannot run, such
-    as a cutoff out of range at some n or a design the study does not
-    support.  The thread count is accepted and checked, but runs do not
-    depend on it.
+    Raises :class:`ConfigError` for a key whose value does not parse (named
+    as ``[section] key``, also when its model does not read it) and for a
+    config the experiment cannot run, such as a cutoff out of range at some
+    n or a design the study does not support.  The thread count is accepted
+    and checked, but runs do not depend on it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _CONFIG_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+        unknown = set(parser[section]) - set(_CONFIG_KEYS[section])
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    for section in ("simulation", "noise", "estimators", "experiment"):
+    v = {}  # every key of the table, parsed or at its default
+    for section, keys in _CONFIG_KEYS.items():
         if section not in parser:
             raise ConfigError(f"missing section [{section}]")
-
-    sim = parser["simulation"]
-    vol_name = sim.get("vol", "constant").strip().lower()
-    if vol_name == "constant":
-        vol = ConstantVol(_parse_float(sim.get("vol_level", "1.0")))
-    elif vol_name == "piecewise":
-        bps = tuple(_parse_float(v) for v in sim.get("breakpoints", "").split(",") if v.strip())
-        lvs = tuple(_parse_float(v) for v in sim.get("levels", "").split(",") if v.strip())
-        vol = PiecewiseVol(bps, lvs)
-    elif vol_name == "ou":
-        vol = OrnsteinUhlenbeckVol(
-            mean_level=_parse_float(sim.get("mean_level", "1.0")),
-            reversion_rate=_parse_float(sim.get("reversion_rate", "1.0")),
-            vol_of_vol=_parse_float(sim.get("vol_of_vol", "0.5")),
-            initial_level=_parse_float(sim.get("initial_level", "1.0")),
-        )
-    else:
-        raise ConfigError(f"unknown vol model {vol_name!r}")
-
-    drift_name = sim.get("drift", "zero").strip().lower()
-    if drift_name == "zero":
-        drift = ZeroDrift()
-    elif drift_name == "constant":
-        drift = ConstantDrift(_parse_float(sim.get("drift_level", "0.0")))
-    else:
-        raise ConfigError(f"unknown drift model {drift_name!r}")
-
-    schedule = tuple(
-        int(v.strip()) for v in sim.get("n_schedule", "").split(",") if v.strip()
-    )
-    if not schedule:
-        raise ConfigError("simulation.n_schedule is required")
-
-    noise_sec = parser["noise"]
-    noise = NoiseModel(
-        variance=_parse_float(noise_sec.get("variance", "0.0")),
-        include_initial=_parse_bool(noise_sec.get("include_initial", "true")),
-        include_terminal=_parse_bool(noise_sec.get("include_terminal", "true")),
-    )
-
-    kinds = tuple(
-        EstimatorKind(v.strip())
-        for v in parser["estimators"].get("kinds", "").split(",")
-        if v.strip()
-    )
-
-    exp = parser["experiment"]
-    experiment = exp.get("type", "").strip().lower()
-    m_exp = exp.get("m_exponent", None)
-    base_seed = int(exp.get("base_seed", "0"))
-    threads = int(exp.get("threads", "1"))
-    if seed_override is not None:
-        base_seed = seed_override
-    if threads_override is not None:
-        threads = threads_override
-
+        for key, (default, parse) in keys.items():
+            text = parser[section].get(key)
+            try:
+                v[key] = default if text is None else parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    if not v["n_schedule"]:
+        raise ConfigError("[simulation] n_schedule is required")
     try:
+        if v["vol"] == "constant":
+            vol = ConstantVol(v["vol_level"])
+        elif v["vol"] == "piecewise":
+            vol = PiecewiseVol(v["breakpoints"], v["levels"])
+        elif v["vol"] == "ou":
+            vol = OrnsteinUhlenbeckVol(v["mean_level"], v["reversion_rate"], v["vol_of_vol"],
+                                       v["initial_level"])
+        else:
+            raise ConfigError(f"[simulation] vol: unknown model {v['vol']!r}")
+
+        if v["drift"] == "zero":
+            drift = ZeroDrift()
+        elif v["drift"] == "constant":
+            drift = ConstantDrift(v["drift_level"])
+        else:
+            raise ConfigError(f"[simulation] drift: unknown model {v['drift']!r}")
+
         config = ExperimentConfig(
-            kinds=kinds,
-            n_schedule=schedule,
-            vol=vol,
-            drift=drift,
-            noise=noise,
-            replications=int(exp.get("replications", "100")),
-            base_seed=base_seed,
-            m_exponent=None if m_exp is None else _parse_float(m_exp),
-            refinement=int(sim.get("refinement", "1")),
-            threads=threads,
+            kinds=v["kinds"], n_schedule=v["n_schedule"], vol=vol, drift=drift,
+            noise=NoiseModel(v["variance"], v["include_initial"], v["include_terminal"]),
+            replications=v["replications"], m_exponent=v["m_exponent"], refinement=v["refinement"],
+            base_seed=v["base_seed"] if seed_override is None else seed_override,
+            threads=v["threads"] if threads_override is None else threads_override,
         )
-        check_experiment(experiment, config)
+        check_experiment(v["type"], config)
     except SpectralVolError as exc:
         raise ConfigError(str(exc)) from exc
-    return experiment, config
+    return v["type"], config
 
 
 def cmd_experiment(config_path: str, out_dir: str, seed, threads) -> int:
     try:
         experiment, config = parse_config(config_path, seed, threads)
-    except (ConfigError, SpectralVolError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EX_CONFIG
-
-    try:
         # The output is opened before the study runs, so a bad --out-dir fails at once.
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -296,6 +276,9 @@ def cmd_experiment(config_path: str, out_dir: str, seed, threads) -> int:
             except BaseException:  # a failed study leaves no partial CSV behind
                 path.unlink()
                 raise
+    except (ConfigError, SpectralVolError) as exc:  # a bad config, or results that overflow
+        print(f"config error: {exc}", file=sys.stderr)
+        return EX_CONFIG
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EX_IOERR

@@ -67,13 +67,17 @@ class EstimatorKind(str, Enum):
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A J x J integrated-volatility estimate with its tuning parameters."""
+    """A J x J integrated-volatility estimate with its tuning parameters; its value is finite."""
 
     kind: EstimatorKind
     n_per_asset: tuple[int, ...]
     m: int
     value: np.ndarray
     q: int | None = None
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.value)):
+            raise InvalidParameter("the estimate overflows float64 at the data's scale")
 
 
 def _as_delta_list(deltas) -> list[np.ndarray]:
@@ -121,6 +125,7 @@ def _form(kind: EstimatorKind, n: int, m: int) -> tuple[BasisKind, int, int]:
     return basis, columns, shift
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by EstimateResult
 def _real_estimate(kind: EstimatorKind, deltas, m: int) -> EstimateResult:
     """A real kind's estimate from the first columns of its basis, scaled by its form.
 
@@ -166,6 +171,7 @@ def mm_fourier_real_zero(deltas, m: int) -> EstimateResult:
 _GRID_ULPS = 4
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by EstimateResult
 def mm_fourier_complex(
     obs: Sequence[ObservationSeries] | ObservationSeries, q: int, m: int
 ) -> EstimateResult:
@@ -177,10 +183,10 @@ def mm_fourier_complex(
     conjugation; on the grid t_k = k/n, to within a few ulps of each time
     (as ``np.linspace`` gives it), they are one inverse DFT,
     F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
-    real.  Raises :class:`InvalidParameter` for non-finite input or times
-    that do not strictly increase, and :class:`CutoffTooLarge` when m + |q|
-    exceeds the shortest series' n increments: on t_k = k/n the frequencies
-    repeat with period n.
+    real.  Raises :class:`InvalidParameter` for non-finite input, times
+    that do not strictly increase or an estimate that overflows, and
+    :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
+    increments: on t_k = k/n the frequencies repeat with period n.
     """
     if isinstance(obs, ObservationSeries):
         obs = [obs]

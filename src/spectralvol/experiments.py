@@ -174,6 +174,12 @@ class McRow:
     cross_mean: float | None = None
     cross_se: float | None = None
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParameter(f"{self.kind} at n={self.n}: {name} is {value}; the "
+                                       "results overflow float64 at the config's scales")
+
 
 @dataclass(frozen=True)
 class McSummary:
@@ -214,6 +220,8 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
         raise InvalidParameter(
             f"unknown experiment {experiment!r}; expected one of {sorted(_RUNNERS)}"
         )
+    if config.replications < 2:
+        raise InvalidParameter("a study needs at least 2 replications for its standard errors")
     if experiment == "normality":
         _limit_variance(config.vol)
     if experiment == "noise_bounds" and not (
@@ -253,12 +261,7 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     return 8 * floats
 
 
-def _run_replications(
-    config: ExperimentConfig,
-    cutoffs: tuple[int, ...],
-    want_noise: bool = False,
-    want_cross: bool = False,
-) -> list[dict]:
+def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> list[dict]:
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
     Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
@@ -335,8 +338,8 @@ def _run_replications(
         wy = wx + wv
         results.append({
             "estimates": parts(forms, wy, wy),
-            "noise_parts": parts(forms, wv, wv) if want_noise else None,
-            "cross_parts": parts(forms, wx, wv, 2.0) if want_cross else None,
+            "noise_parts": parts(forms, wv, wv),
+            "cross_parts": parts(forms, wx, wv, 2.0),
             "truths": truth,
         })
     return results
@@ -371,11 +374,10 @@ def _row(
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     mean = float(np.mean(x))
     centered = x - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    # numpy scalars: a power that overflows is inf (refused by McRow), not an OverflowError
+    m2, m3, m4 = (np.mean(centered**p) for p in (2, 3, 4))
     var = float(np.var(x, ddof=1))
-    return mean, var, m3 / m2**1.5, m4 / m2**2
+    return mean, var, float(m3 / m2**1.5), float(m4 / m2**2)
 
 
 def run_consistency(config: ExperimentConfig) -> McSummary:
@@ -397,13 +399,17 @@ def run_consistency(config: ExperimentConfig) -> McSummary:
 
 
 def _limit_variance(vol: VolModel) -> float:
-    """Single-asset limit variance 2 * integral of Sigma(s)^2 ds (deterministic vol only)."""
+    """Single-asset limit variance 2 * integral of Sigma(s)^2 ds: deterministic vol, > 0, finite."""
     if isinstance(vol, ConstantVol):
-        return 2.0 * vol.level**2
-    if isinstance(vol, PiecewiseVol):
-        edges = np.array((0.0,) + vol.breakpoints + (1.0,))
-        return 2.0 * float(np.sum(np.asarray(vol.levels) ** 2 * np.diff(edges)))
-    raise InvalidParameter("normality runs need a deterministic volatility model")
+        vol = PiecewiseVol((), (vol.level,))
+    if not isinstance(vol, PiecewiseVol):
+        raise InvalidParameter("normality runs need a deterministic volatility model")
+    edges = np.array((0.0,) + vol.breakpoints + (1.0,))
+    with np.errstate(over="ignore"):
+        limit = 2.0 * float(np.sum(np.asarray(vol.levels) ** 2 * np.diff(edges)))
+    if not 0.0 < limit < math.inf:
+        raise InvalidParameter(f"normality runs need a limit variance in (0, inf), got {limit}")
+    return limit
 
 
 def run_normality(config: ExperimentConfig) -> McSummary:
@@ -437,7 +443,7 @@ def _noise_bound(kind: EstimatorKind, n: int, m: int, noise: NoiseModel) -> tupl
     if kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
         ends = int(noise.include_initial) + int(noise.include_terminal)
         return nu * ends, True
-    weights = float(np.sum(np.arange(1, m + 1) ** 2)) / m
+    weights = (m + 1) * (2 * m + 1) / 6  # the mean of l^2 over l = 1..m, exactly rounded
     bound = 2.0 * nu * math.pi**2 * (1.0 / (n + 1) + 1.0 / (n + 1) ** 2) * weights
     return bound, False
 
@@ -483,8 +489,7 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     noise = config.noise
     largest = config.n_schedule[-1]
     rows: list[McRow] = []
-    runs = _run_replications(config, cutoffs, want_noise=True, want_cross=True)
-    for n, m, data in zip(config.n_schedule, cutoffs, runs):
+    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
         for i, kind in enumerate(config.kinds):
             cross = data["cross_parts"][i]
             row = _row(
@@ -515,6 +520,7 @@ _RUNNERS: dict[str, tuple[Callable[[ExperimentConfig], McSummary], float]] = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # McRow refuses a result that overflows
 def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
     check_experiment(experiment, config)
     return _RUNNERS[experiment][0](config)

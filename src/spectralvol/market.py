@@ -653,10 +653,14 @@ def observe(
 
 
 def increments(obs: ObservationSeries) -> np.ndarray:
-    """First differences Delta Y_k = Y_{t_k} - Y_{t_{k-1}}, k = 1..n."""
+    """First differences Delta Y_k = Y_{t_k} - Y_{t_{k-1}}, k = 1..n, all finite."""
     if len(obs.values) < 2:
         raise TooShort(f"need at least 2 observations, got {len(obs.values)}")
-    return np.diff(obs.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.diff(obs.values)
+    if not np.all(np.isfinite(deltas)):
+        raise InvalidParameter("increments must be finite; a difference of values overflows")
+    return deltas
 
 
 def write_observations_csv(obs: ObservationSeries, fileobj) -> None:

@@ -1,7 +1,9 @@
 """CLI behaviour: subcommands, exit codes, reproducible outputs."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,17 @@ class TestBasisCheck:
     def test_max_dim_too_small_is_usage_error(self, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["basis-check", "--max-dim", "2", "--out", str(out)]) == EX_USAGE
+
+    def test_max_dim_above_the_cap_is_usage_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_basis_check_rows", pytest.fail)
+        out = tmp_path / "report.csv"
+        args = ["basis-check", "--max-dim", str(cli.MAX_CHECK_DIM + 1), "--out", str(out)]
+        assert main(args) == EX_USAGE
+        err = capsys.readouterr().err
+        assert str(cli.MAX_CHECK_DIM) in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "no-such-dir" / "report.csv"
@@ -183,10 +196,11 @@ class TestBadCsvInput:
             "time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0,1.9\n1.0,1.5,1.4,0.1\n",
             "time,value\n0.0,1.0\n0.5,abc\n1.0,2.0\n",
             "time,value\n0.0,1.0\n0.5,2.0\n1.5,1.5\n",
+            "time,value\n0,0\n0.5,1e308\n1,-1e308\n",
         ],
         ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time",
              "two_cell_oracle_row", "three_cell_oracle_row", "non_numeric_cell",
-             "time_outside_unit_interval"],
+             "time_outside_unit_interval", "overflowing_increment"],
     )
     def test_exits_65_with_one_line_message(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -201,6 +215,20 @@ class TestBadCsvInput:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_complex_kind_rejects_overflowing_increments(self, tmp_path):
+        """Its estimate was nan,nan with exit 0 when the increments overflowed."""
+        path = tmp_path / "big.csv"
+        path.write_text("time,value\n0,0\n0.5,1e308\n1,-1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralvol.cli", "estimate", "--input", str(path),
+             "--kind", "mm_fourier_complex", "--m", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EX_DATAERR
+        assert proc.stdout == ""
+        assert "overflows" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestExperimentCommand:
@@ -325,6 +353,71 @@ class TestBadConfig:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("vol_level = 0.0", "vol_level = 1e308"),
+             ("drift = zero", "drift = constant\ndrift_level = 1e308"),
+             ("variance = 0.01", "variance = 1e308")],
+            [("vol = constant", "vol = ou\nvol_of_vol = 1e200\ninitial_level = 1e200")],
+            [("vol_level = 0.0", "vol_level = 1.0"), ("variance = 0.01", "variance = 1e100"),
+             ("type = consistency", "type = normality")],
+        ],
+        ids=["constant_levels_1e308", "ou_levels_1e200", "normality_moments"],
+    )
+    def test_overflowing_study_exits_78_and_leaves_no_csv(self, tmp_path, edits):
+        """Finite levels whose simulation overflows: once inf or nan cells with exit 1, or,
+        for the normality moments, an OverflowError traceback."""
+        text = NOISE_BOUNDS_CFG.replace("type = noise_bounds", "type = consistency")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spectralvol.cli", "experiment", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EX_CONFIG
+        assert proc.stdout == ""
+        assert "overflow" in proc.stderr and len(proc.stderr.strip().splitlines()) == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("vol = constant", "vol = heston", "[simulation] vol"),
+            ("drift = zero", "drift = linear", "[simulation] drift"),
+        ],
+        ids=["vol", "drift"],
+    )
+    def test_unknown_model_names_its_key(self, tmp_path, capsys, old, new, named):
+        """Values that fail to parse are named by tests/test_cli_fuzz.py, key by key."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(NOISE_BOUNDS_CFG.replace(old, new))
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EX_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}:") and len(err.strip().splitlines()) == 1
+
+
+class TestConfigKeysInReadme:
+    def test_table_matches_the_code(self):
+        """README's (section, key, default) rows are the parser's table, in its order."""
+        def cell(default):
+            if default in (None, (), ""):
+                return "(none)"
+            return f"`{str(default).lower() if isinstance(default, bool) else default}`"
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (.*?) \|$", readme, re.MULTILINE)
+        assert rows == [
+            (section, key, cell(default))
+            for section, keys in cli._CONFIG_KEYS.items()
+            for key, (default, _) in keys.items()
+        ]
 
 
 class TestUsage:

@@ -245,6 +245,23 @@ class TestNonFiniteAndUnordered:
         with pytest.raises(InvalidParameter):
             mm_fourier_complex([obs], 0, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_complex_rejects_overflowing_increments(self):
+        values = np.array([0.0, 1e308, -1e308])
+        obs = ObservationSeries(times=np.array([0.0, 0.5, 1.0]), values=values, latent=values,
+                                noise=0 * values)
+        with pytest.raises(InvalidParameter, match="overflows"):
+            mm_fourier_complex([obs], 0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_increments_whose_estimate_overflows_are_rejected(self):
+        deltas = np.array([1e200, -1e200, 1e200])
+        for estimator in REAL_ESTIMATORS.values():
+            with pytest.raises(InvalidParameter, match="overflows"):
+                estimator([deltas], 1)
+        with pytest.raises(InvalidParameter, match="overflows"):
+            mm_fourier_complex([_series_from_deltas(deltas)], 0, 1)
+
 
 class TestMonteCarloMeans:
     def test_cosine_basis_unbiased_without_noise(self):
@@ -286,7 +303,7 @@ class TestMultiAsset:
         np.testing.assert_allclose(pair, single * np.ones((2, 2)), rtol=1e-12)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.lists(st.floats(-10, 10), min_size=8, max_size=8),
     st.floats(-4, 4).filter(lambda s: abs(s) > 1e-6),

@@ -156,7 +156,7 @@ class TestBlockedReplications:
             refinement=refinement,
         )
         m = 9
-        (got,) = _run_replications(config, (m,), want_noise=True, want_cross=True)
+        (got,) = _run_replications(config, (m,))
         want = self._per_replication(config, n, m)
         assert got["estimates"].shape == (len(kinds), reps)
         assert np.array_equal(got["truths"], want["truths"])
@@ -164,8 +164,7 @@ class TestBlockedReplications:
             scale = np.max(np.abs(want[key]))
             np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("split", [False, True], ids=["estimates", "parts"])
-    def test_prefix_matches_shorter_run(self, split):
+    def test_prefix_matches_shorter_run(self):
         """A replication's values do not depend on how many replications run with it."""
         n = _TILE_WIDTH + 5
         config = _config(
@@ -175,13 +174,11 @@ class TestBlockedReplications:
             replications=2 * _TILE_ROWS + 3,
             base_seed=21,
         )
-        (full,) = _run_replications(config, (7,), want_noise=split, want_cross=split)
+        (full,) = _run_replications(config, (7,))
         for k in (1, _TILE_ROWS - 1, _TILE_ROWS + 2):
-            (short,) = _run_replications(
-                dataclasses.replace(config, replications=k), (7,), want_noise=split, want_cross=split
-            )
+            (short,) = _run_replications(dataclasses.replace(config, replications=k), (7,))
             assert np.array_equal(short["truths"], full["truths"][:k])
-            for key in ("estimates", "noise_parts", "cross_parts") if split else ("estimates",):
+            for key in ("estimates", "noise_parts", "cross_parts"):
                 scale = np.max(np.abs(full[key]))
                 np.testing.assert_allclose(
                     short[key], full[key][:, :k], rtol=1e-13, atol=1e-13 * scale
@@ -219,16 +216,12 @@ class TestSchedule:
         cutoffs = (2, 7, 8, 9)
         config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
                          replications=reps, base_seed=19, refinement=refinement)
-        for split in (False, True):
-            runs = _run_replications(config, cutoffs, split, split)
-            assert len(runs) == len(schedule)
-            for n, m, got in zip(schedule, cutoffs, runs):
-                (one,) = _run_replications(
-                    dataclasses.replace(config, n_schedule=(n,)), (m,), split, split
-                )
-                for key in ("estimates", "noise_parts", "cross_parts", "truths"):
-                    if split or not key.endswith("parts"):
-                        assert np.array_equal(got[key], one[key]), (n, key)
+        runs = _run_replications(config, cutoffs)
+        assert len(runs) == len(schedule)
+        for n, m, got in zip(schedule, cutoffs, runs):
+            (one,) = _run_replications(dataclasses.replace(config, n_schedule=(n,)), (m,))
+            for key in ("estimates", "noise_parts", "cross_parts", "truths"):
+                assert np.array_equal(got[key], one[key]), (n, key)
 
     @pytest.mark.parametrize("vol", [ConstantVol(1.0), _OU], ids=["constant", "ou"])
     def test_draws_only_the_largest_n(self, monkeypatch, vol):
@@ -270,10 +263,14 @@ class TestCheckExperiment:
             ("consistency", {"refinement": 10**29}),
             ("consistency", {"replications": 2**32}),
             ("consistency", {"n_schedule": (64, 2**26)}),
+            ("consistency", {"replications": 1}),
+            ("normality", {"vol": ConstantVol(0.0)}),
+            ("normality", {"vol": ConstantVol(1e200)}),
         ],
         ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
              "noise_bounds_vol", "contrast_no_initial_noise", "huge_refinement",
-             "coefficients_above_limit", "tables_above_limit"],
+             "coefficients_above_limit", "tables_above_limit", "one_replication",
+             "normality_zero_limit_variance", "normality_limit_variance_overflow"],
     )
     def test_rejects(self, experiment, overrides):
         with pytest.raises(InvalidParameter):
@@ -438,15 +435,12 @@ class TestLiveBlocks:
         config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
                          replications=2 * _TILE_ROWS + 3, base_seed=29, refinement=refinement)
         assert experiments._LIVE_ROWS >= config.replications  # one block by default
-        for split in (False, True):
-            whole = _run_replications(config, cutoffs, split, split)
-            monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
-            blocks = _run_replications(config, cutoffs, split, split)
-            monkeypatch.undo()
-            for n, a, b in zip(schedule, whole, blocks):
-                for key in ("estimates", "noise_parts", "cross_parts", "truths"):
-                    if split or not key.endswith("parts"):
-                        assert np.array_equal(a[key], b[key]), (n, key)
+        whole = _run_replications(config, cutoffs)
+        monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
+        blocks = _run_replications(config, cutoffs)
+        for n, a, b in zip(schedule, whole, blocks):
+            for key in ("estimates", "noise_parts", "cross_parts", "truths"):
+                assert np.array_equal(a[key], b[key]), (n, key)
 
 
 class TestMemory:

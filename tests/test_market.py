@@ -415,6 +415,14 @@ class TestIncrements:
         with pytest.raises(TooShort):
             increments(obs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_difference_rejected(self):
+        values = np.array([0.0, 1e308, -1e308])
+        obs = ObservationSeries(times=np.array([0.0, 0.5, 1.0]), values=values, latent=values,
+                                noise=np.zeros(3))
+        with pytest.raises(InvalidParameter, match="overflows"):
+            increments(obs)
+
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import basis as basis_mod
-from .errors import SpectralVolError
+from .errors import ResultOverflow, SpectralVolError
 from .estimators import EstimatorKind, _real_estimate, mm_fourier_complex, result_csv_rows
-from .experiments import ExperimentConfig, check_experiment, run_experiment
+from .experiments import ExperimentConfig, _study_name, check_experiment, run_experiment
 from .market import (
     ConstantDrift,
     ConstantVol,
@@ -132,9 +132,9 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
             result = mm_fourier_complex([obs], q, m)
         else:
             result = _real_estimate(kind, [deltas], m)
-    except SpectralVolError as exc:
+    except SpectralVolError as exc:  # the data's scale, or the arguments
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        return EX_DATAERR if isinstance(exc, ResultOverflow) else EX_USAGE
     for row in result_csv_rows(result):
         print(row)
     return EX_OK
@@ -188,7 +188,7 @@ _CONFIG_KEYS = {
     },
     "estimators": {"kinds": ((), _listed(EstimatorKind))},
     "experiment": {
-        "type": ("", str.lower),
+        "type": ("", lambda text: _study_name(text.lower())),
         "replications": (100, int),
         "m_exponent": (None, _number),
         "base_seed": (0, int),
@@ -229,8 +229,10 @@ def parse_config(path: str, seed_override=None, threads_override=None):
                 v[key] = default if text is None else parse(text)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
-    if not v["n_schedule"]:
-        raise ConfigError("[simulation] n_schedule is required")
+    for section, key in (("simulation", "n_schedule"), ("estimators", "kinds"),
+                         ("experiment", "type")):
+        if not v[key]:
+            raise ConfigError(f"[{section}] {key} is required")
     try:
         if v["vol"] == "constant":
             vol = ConstantVol(v["vol_level"])

@@ -17,6 +17,10 @@ class InvalidParameter(SpectralVolError):
     """A numeric parameter violates its contract (sign, range, ...)."""
 
 
+class ResultOverflow(InvalidParameter):
+    """A result overflows float64 at the scale of the data or the config."""
+
+
 class GridMismatch(SpectralVolError):
     """An observation grid is not a subset of the simulated fine grid."""
 

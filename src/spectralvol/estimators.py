@@ -42,6 +42,7 @@ from .errors import (
     EmptyInput,
     EvenLength,
     InvalidParameter,
+    ResultOverflow,
 )
 from .market import ObservationSeries
 
@@ -77,7 +78,7 @@ class EstimateResult:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.value)):
-            raise InvalidParameter("the estimate overflows float64 at the data's scale")
+            raise ResultOverflow("the estimate overflows float64 at the data's scale")
 
 
 def _as_delta_list(deltas) -> list[np.ndarray]:

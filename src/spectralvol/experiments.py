@@ -1,33 +1,18 @@
 """Monte Carlo studies of the spectral estimators.
 
-Four study types are provided, all reporting per-(kind, n) summary rows and
-a dictionary of named pass/fail checks:
+Every study is one call of :func:`run_experiment`, which takes the study's
+default cutoff exponent, design check, row rule and checks over all rows
+from the study table ``_STUDIES``.  :func:`run_consistency`,
+:func:`run_normality`, :func:`run_noise_bounds` and
+:func:`run_initial_noise_contrast` each name one study and say what it
+checks.
 
-* :func:`run_consistency` -- bias and RMSE of the estimators along a growing
-  sample-size schedule;
-* :func:`run_normality` -- first four sample moments of the standardized
-  errors sqrt(m) (V - truth) / sqrt(2 c^2);
-* :func:`run_noise_bounds` -- pure-noise design (zero volatility): Monte
-  Carlo mean of each estimator's noise functional next to its exact
-  expectation and the applicable analytic bound;
-* :func:`run_initial_noise_contrast` -- cosine-basis versus sine-basis bias
-  when the first observation is noisy, on shared data.
-
-Replication r draws its path and noise streams from sub-seeds keyed
-(base_seed, r, stream), derived for all replications at once.  The streams
-are drawn once per run, for the largest n, and every n of the schedule
-reads a prefix of them, so the estimates of one replication at different n
-share their shocks (common random numbers).  Replications run in tiles of
-_TILE_ROWS replications by _TILE_WIDTH observed increments, in live blocks
-of _LIVE_ROWS replications whose streams stay keyed while the block walks
-the tiles; the normals go straight into products with weights built from
-each n's basis rows (see :func:`_run_replications`).  No n x sum(m) array
-exists, and :func:`check_experiment` refuses a config whose buffers would
-exceed :data:`MAX_ENGINE_BYTES`.
-Within a replication every configured estimator sees the same series.  The
-noise studies take each (kind, n)'s exact noise expectation from one call
-of the closed-form oracle, :func:`estimators.noise_expectation_exact`.
-``threads`` is accepted but changes nothing.
+Replication r draws its streams from sub-seeds keyed (base_seed, r,
+stream), once per run for the largest n; every n reads a prefix of them
+(common random numbers), and every configured estimator sees the same
+series.  :func:`check_experiment` refuses a config whose engine buffers
+would exceed :data:`MAX_ENGINE_BYTES`.  ``threads`` is accepted but changes
+nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ResultOverflow
 from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
@@ -177,8 +162,8 @@ class McRow:
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidParameter(f"{self.kind} at n={self.n}: {name} is {value}; the "
-                                       "results overflow float64 at the config's scales")
+                raise ResultOverflow(f"{self.kind} at n={self.n}: {name} is {value}; the "
+                                     "results overflow float64 at the config's scales")
 
 
 @dataclass(frozen=True)
@@ -208,6 +193,13 @@ class McSummary:
             fileobj.write(",".join(cell(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
 
 
+def _study_name(experiment: str) -> str:
+    """``experiment``, once it names a study; :class:`InvalidParameter` lists them otherwise."""
+    if experiment in _STUDIES:
+        return experiment
+    raise InvalidParameter(f"unknown experiment {experiment!r}; expected one of {sorted(_STUDIES)}")
+
+
 def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ...]:
     """The cutoff m at each n of the schedule, once ``experiment`` is known to run.
 
@@ -216,21 +208,10 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     basis columns than there are increments for some kind at some n, or
     buffers larger than :data:`MAX_ENGINE_BYTES`.
     """
-    if experiment not in _RUNNERS:
-        raise InvalidParameter(
-            f"unknown experiment {experiment!r}; expected one of {sorted(_RUNNERS)}"
-        )
+    alpha, design, _, _ = _STUDIES[_study_name(experiment)]
     if config.replications < 2:
         raise InvalidParameter("a study needs at least 2 replications for its standard errors")
-    if experiment == "normality":
-        _limit_variance(config.vol)
-    if experiment == "noise_bounds" and not (
-        isinstance(config.vol, ConstantVol) and config.vol.level == 0.0
-    ):
-        raise InvalidParameter("noise-bound runs use the pure-noise design (zero volatility)")
-    if experiment == "initial_noise_contrast" and not config.noise.include_initial:
-        raise InvalidParameter("contrast runs need noise on the initial observation")
-    alpha = _RUNNERS[experiment][1]
+    design(config)
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
     need = _engine_bytes(config, cutoffs)  # checks each kind's columns at each n first
     if need > MAX_ENGINE_BYTES:
@@ -345,61 +326,24 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     return results
 
 
-def _row(
-    experiment: str,
-    kind: EstimatorKind,
-    n: int,
-    m: int,
-    estimates: np.ndarray,
-    truths: np.ndarray,
-    **fields,
-) -> McRow:
-    """A study's row for one (kind, n): the error statistics of the estimates, plus ``fields``."""
-    errors = estimates - truths
-    return McRow(
-        experiment=experiment,
-        kind=kind.value,
-        n=n,
-        m=m,
-        replications=len(estimates),
-        true_value=float(np.mean(truths)),
-        mean=float(np.mean(estimates)),
-        bias=float(np.mean(errors)),
-        rmse=float(np.sqrt(np.mean(errors**2))),
-        se_mean=float(np.std(errors, ddof=1) / np.sqrt(len(errors))),
-        **fields,
-    )
+def _consistency_row(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McRow:
+    """Flags a bias beyond 2 Monte Carlo standard errors."""
+    bound = 2.0 * row.se_mean
+    return replace(row, bound_value=bound, bound_satisfied=abs(row.bias) <= bound)
 
 
-def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
-    mean = float(np.mean(x))
-    centered = x - mean
-    # numpy scalars: a power that overflows is inf (refused by McRow), not an OverflowError
-    m2, m3, m4 = (np.mean(centered**p) for p in (2, 3, 4))
-    var = float(np.var(x, ddof=1))
-    return mean, var, float(m3 / m2**1.5), float(m4 / m2**2)
+def _rmse_decreasing(rows: list[McRow]) -> tuple[tuple[str, bool], ...]:
+    """Whether each kind's RMSE falls at every step of the schedule."""
+    rmse: dict[str, list[float]] = {}
+    for row in rows:
+        rmse.setdefault(row.kind, []).append(row.rmse)
+    return tuple((f"rmse_decreasing[{kind}]", all(a > b for a, b in zip(vals, vals[1:])))
+                 for kind, vals in rmse.items())
 
 
-def run_consistency(config: ExperimentConfig) -> McSummary:
-    """Bias and RMSE along the schedule; flags RMSE monotonicity per kind."""
-    cutoffs = check_experiment("consistency", config)
-    rows: list[McRow] = []
-    rmse_by_kind: dict[EstimatorKind, list[float]] = {k: [] for k in config.kinds}
-    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
-        for i, kind in enumerate(config.kinds):
-            row = _row("consistency", kind, n, m, data["estimates"][i], data["truths"])
-            rmse_by_kind[kind].append(row.rmse)
-            bound = 2.0 * row.se_mean
-            rows.append(replace(row, bound_value=bound, bound_satisfied=abs(row.bias) <= bound))
-    checks = tuple(
-        (f"rmse_decreasing[{kind.value}]", all(a > b for a, b in zip(vals, vals[1:])))
-        for kind, vals in rmse_by_kind.items()
-    )
-    return McSummary(experiment="consistency", rows=tuple(rows), checks=checks)
-
-
-def _limit_variance(vol: VolModel) -> float:
+def _limit_variance(config: ExperimentConfig) -> float:
     """Single-asset limit variance 2 * integral of Sigma(s)^2 ds: deterministic vol, > 0, finite."""
+    vol = config.vol
     if isinstance(vol, ConstantVol):
         vol = PiecewiseVol((), (vol.level,))
     if not isinstance(vol, PiecewiseVol):
@@ -412,40 +356,116 @@ def _limit_variance(vol: VolModel) -> float:
     return limit
 
 
+def _normality_row(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McRow:
+    """First four moments of sqrt(m) (V - truth) / sqrt(limit variance), flagged against N(0, 1)."""
+    x = np.sqrt(row.m) * (data["estimates"][i] - data["truths"]) / np.sqrt(_limit_variance(config))
+    mean = float(np.mean(x))
+    centered = x - mean
+    # numpy scalars: a power that overflows is inf (refused by McRow), not an OverflowError
+    m2, m3, m4 = (np.mean(centered**p) for p in (2, 3, 4))
+    var = float(np.var(x, ddof=1))
+    return replace(row, std_err_mean=mean, std_err_var=var, std_err_skew=float(m3 / m2**1.5),
+                   std_err_kurt=float(m4 / m2**2),
+                   bound_satisfied=abs(mean) <= 0.15 and 0.75 <= var <= 1.30)
+
+
+def _with_noise(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McRow:
+    """``row`` with the Monte Carlo mean of its noise functional and the oracle's exact value."""
+    noise = config.noise
+    exact = noise_expectation_exact(config.kinds[i], row.n, row.m, noise.variance,
+                                    noise.include_initial, noise.include_terminal)
+    return replace(row, noise_mc_mean=float(np.mean(data["noise_parts"][i])), noise_exact=exact)
+
+
+def _pure_noise(config: ExperimentConfig) -> None:
+    vol, drift = config.vol, config.drift
+    if not (isinstance(vol, ConstantVol) and vol.level == 0.0) or getattr(drift, "level", 0.0):
+        raise InvalidParameter("noise-bound runs use the pure-noise design: zero volatility and "
+                               "zero drift")
+
+
+def _noise_bounds_row(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McRow:
+    """Checks the exact and the Monte Carlo noise expectation against the kind's bound."""
+    n, m, kind, noise, nu = row.n, row.m, config.kinds[i], config.noise, config.noise.variance
+    row = _with_noise(row, config, data, i)
+    if kind is EstimatorKind.SIML:
+        bound = 0.5 * nu if noise.include_initial else 0.0
+    elif kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
+        bound = nu * (int(noise.include_initial) + int(noise.include_terminal))
+    else:
+        weights = (m + 1) * (2 * m + 1) / 6  # the mean of l^2 over l = 1..m, exactly rounded
+        bound = 2.0 * nu * math.pi**2 * (1.0 / (n + 1) + 1.0 / (n + 1) ** 2) * weights
+        ok = row.noise_exact <= bound + 1e-12 and row.mean <= bound + 4.0 * row.se_mean
+        return replace(row, bound_value=bound, bound_satisfied=ok)
+    ok = row.noise_exact >= bound - 1e-12 and row.mean >= bound - 4.0 * row.se_mean
+    return replace(row, bound_value=bound, bound_satisfied=ok)
+
+
+def _initial_noise(config: ExperimentConfig) -> None:
+    if not config.noise.include_initial:
+        raise InvalidParameter("contrast runs need noise on the initial observation")
+
+
+def _contrast_row(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McRow:
+    """Adds the noise and cross terms; flags the cosine floor or the sine kind's bias."""
+    cross = data["cross_parts"][i]
+    if config.kinds[i] is EstimatorKind.SIML:
+        bound = 0.5 * config.noise.variance
+        ok = row.bias >= bound - 4.0 * row.se_mean
+    else:
+        bound = (2.0 if row.n == config.n_schedule[-1] else 4.0) * row.se_mean
+        ok = abs(row.bias) <= bound
+    return replace(_with_noise(row, config, data, i), cross_mean=float(np.mean(cross)),
+                   cross_se=float(np.std(cross, ddof=1) / np.sqrt(len(cross))),
+                   bound_value=bound, bound_satisfied=ok)
+
+
+# Each study: the cutoff exponent it uses when the config sets none, the check
+# that refuses a design it does not support, the rule that completes a (kind,
+# n) row from its error statistics, and the checks it makes over all rows.
+_STUDIES: dict[str, tuple[float, Callable, Callable, Callable]] = {
+    "consistency": (0.4, lambda config: None, _consistency_row, _rmse_decreasing),
+    "normality": (0.35, _limit_variance, _normality_row, lambda rows: ()),
+    "noise_bounds": (0.4, _pure_noise, _noise_bounds_row, lambda rows: ()),
+    "initial_noise_contrast": (0.4, _initial_noise, _contrast_row, lambda rows: ()),
+}
+
+
+@np.errstate(over="ignore", invalid="ignore")  # McRow refuses a result that overflows
+def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
+    """Run the study named ``experiment``: every ``run_*`` function is this call.
+
+    One :func:`check_experiment` preflight, one engine pass over the
+    schedule (:func:`_run_replications`), and for each (kind, n) the error
+    statistics of the estimates against the truths, which the study's row
+    rule completes.
+    """
+    cutoffs = check_experiment(experiment, config)
+    _, _, complete, checks = _STUDIES[experiment]
+    rows = []
+    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
+        truths = data["truths"]
+        for i, kind in enumerate(config.kinds):
+            estimates = data["estimates"][i]
+            errors = estimates - truths
+            row = McRow(
+                experiment=experiment, kind=kind.value, n=n, m=m, replications=len(errors),
+                true_value=float(np.mean(truths)), mean=float(np.mean(estimates)),
+                bias=float(np.mean(errors)), rmse=float(np.sqrt(np.mean(errors**2))),
+                se_mean=float(np.std(errors, ddof=1) / np.sqrt(len(errors))),
+            )
+            rows.append(complete(row, config, data, i))
+    return McSummary(experiment=experiment, rows=tuple(rows), checks=checks(rows))
+
+
+def run_consistency(config: ExperimentConfig) -> McSummary:
+    """Bias and RMSE along the schedule; flags RMSE monotonicity per kind."""
+    return run_experiment("consistency", config)
+
+
 def run_normality(config: ExperimentConfig) -> McSummary:
     """Moments of standardized errors against the known limit variance."""
-    cutoffs = check_experiment("normality", config)
-    limit_var = _limit_variance(config.vol)
-    rows: list[McRow] = []
-    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
-        for i, kind in enumerate(config.kinds):
-            ests = data["estimates"][i]
-            std_err = np.sqrt(m) * (ests - data["truths"]) / np.sqrt(limit_var)
-            e_mean, e_var, e_skew, e_kurt = _moments(std_err)
-            rows.append(
-                _row(
-                    "normality", kind, n, m, ests, data["truths"],
-                    std_err_mean=e_mean,
-                    std_err_var=e_var,
-                    std_err_skew=e_skew,
-                    std_err_kurt=e_kurt,
-                    bound_satisfied=(abs(e_mean) <= 0.15) and (0.75 <= e_var <= 1.30),
-                )
-            )
-    return McSummary(experiment="normality", rows=tuple(rows), checks=())
-
-
-def _noise_bound(kind: EstimatorKind, n: int, m: int, noise: NoiseModel) -> tuple[float, bool]:
-    """(bound value, is_lower_bound) for the pure-noise expectation of each kind."""
-    nu = noise.variance
-    if kind is EstimatorKind.SIML:
-        return (0.5 * nu if noise.include_initial else 0.0), True
-    if kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
-        ends = int(noise.include_initial) + int(noise.include_terminal)
-        return nu * ends, True
-    weights = (m + 1) * (2 * m + 1) / 6  # the mean of l^2 over l = 1..m, exactly rounded
-    bound = 2.0 * nu * math.pi**2 * (1.0 / (n + 1) + 1.0 / (n + 1) ** 2) * weights
-    return bound, False
+    return run_experiment("normality", config)
 
 
 def run_noise_bounds(config: ExperimentConfig) -> McSummary:
@@ -455,27 +475,7 @@ def run_noise_bounds(config: ExperimentConfig) -> McSummary:
     Monte Carlo standard errors empirically); the sine kind must sit below
     its explicit decay bound.
     """
-    cutoffs = check_experiment("noise_bounds", config)
-    noise = config.noise
-    rows: list[McRow] = []
-    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
-        for i, kind in enumerate(config.kinds):
-            row = _row("noise_bounds", kind, n, m, data["estimates"][i], data["truths"])
-            exact = noise_expectation_exact(
-                kind, n, m, noise.variance, noise.include_initial, noise.include_terminal
-            )
-            mean, se = row.mean, row.se_mean
-            bound, is_lower = _noise_bound(kind, n, m, noise)
-            if is_lower:
-                ok = exact >= bound - 1e-12 and mean >= bound - 4.0 * se
-            else:
-                ok = exact <= bound + 1e-12 and mean <= bound + 4.0 * se
-            rows.append(
-                replace(
-                    row, noise_mc_mean=mean, noise_exact=exact, bound_value=bound, bound_satisfied=ok
-                )
-            )
-    return McSummary(experiment="noise_bounds", rows=tuple(rows), checks=())
+    return run_experiment("noise_bounds", config)
 
 
 def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
@@ -485,42 +485,4 @@ def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
     the sine row at the largest n must be unbiased within 2 standard errors
     (4 at smaller n, where the finite-sample noise term is still visible).
     """
-    cutoffs = check_experiment("initial_noise_contrast", config)
-    noise = config.noise
-    largest = config.n_schedule[-1]
-    rows: list[McRow] = []
-    for n, m, data in zip(config.n_schedule, cutoffs, _run_replications(config, cutoffs)):
-        for i, kind in enumerate(config.kinds):
-            cross = data["cross_parts"][i]
-            row = _row(
-                "initial_noise_contrast", kind, n, m, data["estimates"][i], data["truths"],
-                noise_mc_mean=float(np.mean(data["noise_parts"][i])),
-                noise_exact=noise_expectation_exact(
-                    kind, n, m, noise.variance, noise.include_initial, noise.include_terminal
-                ),
-                cross_mean=float(np.mean(cross)),
-                cross_se=float(np.std(cross, ddof=1) / np.sqrt(len(cross))),
-            )
-            if kind is EstimatorKind.SIML:
-                bound = 0.5 * noise.variance
-                ok = row.bias >= bound - 4.0 * row.se_mean
-            else:
-                bound = (2.0 if n == largest else 4.0) * row.se_mean
-                ok = abs(row.bias) <= bound
-            rows.append(replace(row, bound_value=bound, bound_satisfied=ok))
-    return McSummary(experiment="initial_noise_contrast", rows=tuple(rows), checks=())
-
-
-# Each study's runner and the cutoff exponent it uses when the config sets none.
-_RUNNERS: dict[str, tuple[Callable[[ExperimentConfig], McSummary], float]] = {
-    "consistency": (run_consistency, 0.4),
-    "normality": (run_normality, 0.35),
-    "noise_bounds": (run_noise_bounds, 0.4),
-    "initial_noise_contrast": (run_initial_noise_contrast, 0.4),
-}
-
-
-@np.errstate(over="ignore", invalid="ignore")  # McRow refuses a result that overflows
-def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
-    check_experiment(experiment, config)
-    return _RUNNERS[experiment][0](config)
+    return run_experiment("initial_noise_contrast", config)

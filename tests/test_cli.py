@@ -128,6 +128,16 @@ class TestEstimate:
         _write_csv(path, [0.0, 1.0, 0.5])
         assert main(["estimate", "--input", str(path), "--kind", "siml", "--m", "5"]) == EX_USAGE
 
+    @pytest.mark.parametrize("kind", sorted(LIBRARY_ESTIMATES))
+    def test_overflowing_estimate_is_data_error(self, tmp_path, capsys, kind):
+        """Finite increments whose squares overflow: the data's scale, once exit 64."""
+        path = tmp_path / "big.csv"
+        _write_csv(path, [0.0, 1e200, -1e200, 0.0])
+        assert main(["estimate", "--input", str(path), "--kind", kind, "--m", "1"]) == EX_DATAERR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the estimate overflows float64 at the data's scale\n"
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,value\n0.0,not-a-number\n1.0,2.0\n")
@@ -317,6 +327,7 @@ class TestBadConfig:
             [("vol = constant", "vol = ou"), ("type = noise_bounds", "type = normality")],
             [("type = noise_bounds", "type = nope")],
             [("vol_level = 0.0", "vol_level = 1.0")],
+            [("drift = zero", "drift = constant\ndrift_level = 1.0")],
             [("type = noise_bounds", "type = initial_noise_contrast"),
              ("include_initial = true", "include_initial = false")],
             [("refinement = 1", "refinement = 0")],
@@ -330,7 +341,8 @@ class TestBadConfig:
             [("refinement = 1", "refinement = 99999999999999999999999999999")],
         ],
         ids=["m_above_n", "m_below_one", "m_exponent_overflow", "ou_vol_for_normality",
-             "unknown_type", "noise_bounds_with_signal", "contrast_without_initial_noise",
+             "unknown_type", "noise_bounds_with_signal", "noise_bounds_with_drift",
+             "contrast_without_initial_noise",
              "zero_refinement", "zero_threads", "nan_vol_level", "replications_above_2_32",
              "no_section_header", "duplicate_section", "duplicate_key", "percent_in_value",
              "huge_refinement"],
@@ -350,6 +362,7 @@ class TestBadConfig:
         )
         assert proc.returncode == EX_CONFIG
         assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: ")
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
@@ -391,8 +404,9 @@ class TestBadConfig:
         [
             ("vol = constant", "vol = heston", "[simulation] vol"),
             ("drift = zero", "drift = linear", "[simulation] drift"),
+            ("type = noise_bounds", "type = nope", "[experiment] type"),
         ],
-        ids=["vol", "drift"],
+        ids=["vol", "drift", "type"],
     )
     def test_unknown_model_names_its_key(self, tmp_path, capsys, old, new, named):
         """Values that fail to parse are named by tests/test_cli_fuzz.py, key by key."""
@@ -401,6 +415,20 @@ class TestBadConfig:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EX_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {named}:") and len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "section,line",
+        [("simulation", "n_schedule = 63, 255"), ("estimators", "kinds = siml, ina_sine"),
+         ("experiment", "type = noise_bounds")],
+        ids=["n_schedule", "kinds", "type"],
+    )
+    def test_required_key_is_named(self, tmp_path, capsys, section, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(NOISE_BOUNDS_CFG.replace(line + "\n", ""))
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EX_CONFIG
+        key = line.split()[0]
+        assert capsys.readouterr().err == f"config error: [{section}] {key} is required\n"
 
 
 class TestConfigKeysInReadme:

@@ -2,9 +2,12 @@
 
 import csv
 import dataclasses
+import importlib
+import importlib.util
 import io
 import json
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -248,6 +251,8 @@ class TestCheckExperiment:
         cfg = _config(n_schedule=(64, 1024), m_exponent=None)
         assert check_experiment("consistency", cfg) == (5, 16)
         assert check_experiment("normality", cfg) == (4, 11)
+        pure = _config(vol=ConstantVol(0.0), drift=ConstantDrift(0.0))
+        assert check_experiment("noise_bounds", pure) == (5, 6)
 
     @pytest.mark.parametrize(
         "experiment,overrides",
@@ -259,6 +264,7 @@ class TestCheckExperiment:
             ("consistency", {"m_exponent": -1.0}),
             ("normality", {"vol": OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0)}),
             ("noise_bounds", {"vol": ConstantVol(1.0)}),
+            ("noise_bounds", {"vol": ConstantVol(0.0), "drift": ConstantDrift(1.0)}),
             ("initial_noise_contrast", {"noise": NoiseModel(0.01, include_initial=False)}),
             ("consistency", {"refinement": 10**29}),
             ("consistency", {"replications": 2**32}),
@@ -268,7 +274,7 @@ class TestCheckExperiment:
             ("normality", {"vol": ConstantVol(1e200)}),
         ],
         ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
-             "noise_bounds_vol", "contrast_no_initial_noise", "huge_refinement",
+             "noise_bounds_vol", "noise_bounds_drift", "contrast_no_initial_noise", "huge_refinement",
              "coefficients_above_limit", "tables_above_limit", "one_replication",
              "normality_zero_limit_variance", "normality_limit_variance_overflow"],
     )
@@ -283,6 +289,50 @@ class TestCheckExperiment:
         monkeypatch.setattr(experiments, "MAX_ENGINE_BYTES", need - 1)
         with pytest.raises(InvalidParameter, match="MAX_ENGINE_BYTES"):
             check_experiment("consistency", cfg)
+
+
+_STUDY_CONFIGS = {
+    "consistency": {},
+    "normality": {},
+    "noise_bounds": {"vol": ConstantVol(0.0), "noise": NoiseModel(0.01)},
+    "initial_noise_contrast": {"noise": NoiseModel(0.01)},
+}
+_RUN = {"consistency": run_consistency, "normality": run_normality,
+        "noise_bounds": run_noise_bounds, "initial_noise_contrast": run_initial_noise_contrast}
+
+
+class TestOneDriver:
+    """Every study is one run_experiment call: one preflight, under its errstate."""
+
+    @pytest.mark.parametrize("by_name", [False, True], ids=["run_study", "run_experiment"])
+    @pytest.mark.parametrize("study", list(_STUDY_CONFIGS))
+    def test_one_preflight_per_call(self, monkeypatch, study, by_name):
+        seen = []
+        real = experiments.check_experiment
+        monkeypatch.setattr(experiments, "check_experiment", lambda *a: seen.append(a) or real(*a))
+        cfg = _config(n_schedule=(64,), replications=10, **_STUDY_CONFIGS[study])
+        summary = run_experiment(study, cfg) if by_name else _RUN[study](cfg)
+        assert summary.experiment == study
+        assert seen == [(study, cfg)]
+
+    @pytest.mark.parametrize(
+        "study,overrides",
+        [
+            (run_consistency, {}),
+            (run_normality, {"vol": ConstantVol(1.0), "drift": ZeroDrift(), "noise": NoiseModel(1e100)}),
+            (run_noise_bounds, {"vol": ConstantVol(0.0), "drift": ZeroDrift()}),
+            (run_initial_noise_contrast, {}),
+        ],
+        ids=["consistency", "normality", "noise_bounds", "initial_noise_contrast"],
+    )
+    def test_overflow_is_refused_without_a_warning(self, study, overrides):
+        """Called directly, the runners printed numpy RuntimeWarnings before the refusal."""
+        cfg = _config(**{"vol": ConstantVol(1e308), "drift": ConstantDrift(1e308),
+                         "noise": NoiseModel(1e308), **overrides})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="overflow"):
+                study(cfg)
 
 
 class TestReproducibility:
@@ -512,6 +562,18 @@ class TestShippedReference:
                     assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (row["n"], col)
                 else:
                     assert row[col] == value, (row["n"], col)
+
+
+class TestPerfbenchWrapPoints:
+    def test_every_wrap_point_resolves(self):
+        """The benchmark's tracer wraps each name with a bare getattr on its module."""
+        spec = importlib.util.spec_from_file_location("tracer", _ROOT / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.WRAP_POINTS
+        for module, attr, _ in tracer.WRAP_POINTS:
+            assert module.startswith("spectralvol.")
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 class TestContrastRun:

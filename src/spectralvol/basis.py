@@ -1,27 +1,21 @@
 """Orthogonal trigonometric bases and the tridiagonal matrices they diagonalize.
 
-Three closed-form orthogonal families are provided:
+``SIML_COSINE`` is the shifted cosine matrix
+``p[k,l] = sqrt(2/(n+1/2)) cos((l-1/2)(k-1/2)pi/(n+1/2))``, ``DST_SINE`` the
+type-I sine matrix ``r[k,l] = sqrt(2/(n+1)) sin(k l pi/(n+1))`` (k, l = 1..n)
+and ``FOURIER_REAL`` the real discrete Fourier matrix on an odd dimension,
+with columns constant, sin(1), cos(1), sin(2), ....  Each diagonalizes the
+0/1 tridiagonal ("Jacobi-type") matrix of one end-point convention for the
+covariance of noise first differences (``DIAGONALIZING_BASIS``): ``JN`` has
+an extra 1 in the (1,1) corner (no noise on the first observation),
+``JN_TILDE`` wrap-around corners (first and last noise identified) and
+``JN_TILDE_PRIME`` none (independent noise at both ends).  :func:`spectrum`
+is what the rest of the package reads of that diagonalization: the
+eigen-gaps 2 - lambda_l and basis rows 1 and n of the leading columns, in
+O(columns), from eigen-angles that no code but ``_angles`` evaluates.
 
-* ``SIML_COSINE`` -- the shifted cosine matrix
-  ``p[k,l] = sqrt(2/(n+1/2)) * cos((l-1/2)(k-1/2)pi/(n+1/2))``, k,l = 1..n;
-* ``FOURIER_REAL`` -- the real discrete Fourier matrix on an odd dimension
-  ``N = 2n+1`` with columns ordered constant, sin(1), cos(1), sin(2), cos(2), ...;
-* ``DST_SINE`` -- the type-I discrete sine matrix
-  ``r[k,l] = sqrt(2/(n+1)) * sin(k*l*pi/(n+1))``, k,l = 1..n.
-
-Each family diagonalizes one member of a family of 0/1 tridiagonal
-("Jacobi-type") matrices that arise as scaled covariances of first
-differences of i.i.d. noise under three end-point conventions:
-
-* ``JN`` -- tridiagonal with a single extra 1 in the (1,1) corner
-  (no noise on the first observation), diagonalized by ``SIML_COSINE``;
-* ``JN_TILDE`` -- tridiagonal with wrap-around corners (first and last
-  noise identified), diagonalized by ``FOURIER_REAL``;
-* ``JN_TILDE_PRIME`` -- plain tridiagonal (independent noise at both ends),
-  diagonalized by ``DST_SINE``.
-
-Angles are computed from exact integer products reduced modulo the period
-before multiplying by pi, so orthogonality holds to ~1e-13 even at
+Basis entries are computed from exact integer products reduced modulo the
+period before multiplying by pi, so orthogonality holds to ~1e-13 even at
 dimension 513 and beyond.  The reduced units take one period of values,
 so each entry is looked up in a table of the function over one period.
 """
@@ -42,8 +36,10 @@ __all__ = [
     "basis_coefficients",
     "build_basis",
     "build_jacobi",
+    "eigen_gaps",
     "eigenvalues_closed_form",
     "cosine_square_sum",
+    "spectrum",
 ]
 
 
@@ -74,6 +70,46 @@ def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
         raise InvalidDimension(f"fourier_real needs an odd dimension, got {dim}")
     if not 1 <= num_modes <= dim:
         raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
+
+
+def _angles(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
+    """The eigen-angles t_l of columns l = 1..columns of a basis on dim rows."""
+    _check_modes(kind, dim, columns)
+    l = np.arange(1, columns + 1)
+    if kind is BasisKind.SIML_COSINE:
+        return (2 * l - 1) * np.pi / (2 * (2 * dim + 1))
+    if kind is BasisKind.DST_SINE:
+        return l * np.pi / (2 * (dim + 1))
+    return l // 2 * np.pi / dim  # FOURIER_REAL: column l-1 has frequency l // 2
+
+
+def eigen_gaps(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
+    """The gaps of the first ``columns`` basis columns, as in :func:`spectrum`, in O(columns)."""
+    return 4.0 * np.sin(_angles(BasisKind(kind), dim, columns)) ** 2
+
+
+def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gaps, first_row, last_row)`` of the first ``columns`` columns of a basis on dim rows.
+
+    Column l's gap is 2 - lambda_l = 4 sin^2 t_l, lambda_l its eigenvalue in
+    the Jacobi-type matrix the basis diagonalizes; the rows are rows 1 and dim
+    of :func:`build_basis`, in closed form in t_l.  O(columns).
+    """
+    kind = BasisKind(kind)
+    gaps, t = eigen_gaps(kind, dim, columns), _angles(kind, dim, columns)
+    twice = np.sin(2.0 * t)
+    if kind is BasisKind.FOURIER_REAL:  # rows k = 0, -1: s sin(2k t_l), s cos(2k t_l)
+        s = math.sqrt(2.0 / dim)
+        first, last = np.full(columns, s), s * np.cos(2.0 * t)
+        first[1::2], last[1::2] = 0.0, -s * twice[1::2]
+        first[0] = last[0] = 1.0 / math.sqrt(dim)
+        return gaps, first, last
+    # row 1 is s cos t_l (cosine) or s sin 2t_l (sine); row dim (-1)^(l+1) s sin 2t_l
+    cosine = kind is BasisKind.SIML_COSINE
+    s = math.sqrt(2.0 / (dim + (0.5 if cosine else 1)))
+    first, last = s * (np.cos(t) if cosine else twice), s * twice
+    last[1::2] *= -1.0
+    return gaps, first, last
 
 
 # Basis rows whose integer angle units are formed at a time.
@@ -230,27 +266,11 @@ def build_jacobi(kind: JacobiKind, dim: int) -> np.ndarray:
 
 
 def eigenvalues_closed_form(kind: JacobiKind, dim: int) -> np.ndarray:
-    """Closed-form eigenvalues, ordered to match the columns of the diagonalizing basis.
-
-    * ``JN``:             2*cos((2k-1)pi/(2*dim+1)), k = 1..dim (strictly decreasing);
-    * ``JN_TILDE_PRIME``: 2*cos(k pi/(dim+1)),       k = 1..dim;
-    * ``JN_TILDE`` (dim = 2n+1): 2, then 2*cos(2f pi/(2n+1)) twice for each
-      integer frequency f = 1..n, matching the (constant, sin, cos, sin, cos, ...)
-      column order of the real Fourier basis.
-    """
+    """Eigenvalues 2 - :func:`eigen_gaps` in basis column order; ``JN_TILDE`` needs odd dim >= 3."""
     kind = JacobiKind(kind)
-    if dim < 1:
-        raise InvalidDimension(f"dim must be >= 1, got {dim}")
-    if kind is JacobiKind.JN:
-        k = np.arange(1, dim + 1)
-        return 2.0 * np.cos((2 * k - 1) * np.pi / (2 * dim + 1))
-    if kind is JacobiKind.JN_TILDE_PRIME:
-        k = np.arange(1, dim + 1)
-        return 2.0 * np.cos(k * np.pi / (dim + 1))
-    if dim < 3 or dim % 2 == 0:
+    if kind is JacobiKind.JN_TILDE and (dim < 3 or dim % 2 == 0):
         raise InvalidDimension(f"jn_tilde needs an odd dimension >= 3, got {dim}")
-    freqs = np.repeat(np.arange(1, (dim - 1) // 2 + 1), 2)
-    return np.concatenate(([2.0], 2.0 * np.cos(2.0 * np.pi * freqs / dim)))
+    return 2.0 - eigen_gaps(DIAGONALIZING_BASIS[kind], dim, dim)
 
 
 def cosine_square_sum(m: int, n: int) -> float:

@@ -19,13 +19,10 @@ the prefactor (n + s)/columns:
 
 :func:`noise_functional` applies an estimator's quadratic form to a raw
 noise vector (latent price identically zero), and
-:func:`noise_expectation_exact` gives its exact expectation in O(m) from
-the diagonalization: each basis diagonalizes the tridiagonal covariance of
-noise first differences up to a corner term and rank-one end terms, so the
-expectation is a sum of closed-form eigen-gaps plus terms in basis rows 1
-and n.  The expectation oracle is the single source of truth for the noise
-floors of the cosine and Fourier forms (>= nu/2 and >= 2 nu with noisy end
-points) and the vanishing noise term of the sine form.
+:func:`noise_expectation_exact` gives its exact expectation in O(m) from the
+gaps and end rows of :func:`basis.spectrum`.  It is the single source of
+truth for the noise floors of the cosine and Fourier forms (>= nu/2 and
+>= 2 nu with noisy end points) and the vanishing noise term of the sine form.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, _basis_tables, basis_coefficients, basis_columns
+from .basis import BasisKind, _basis_tables, basis_coefficients, basis_columns, spectrum
 from .errors import (
     CutoffTooLarge,
     EmptyInput,
@@ -208,7 +205,7 @@ def mm_fourier_complex(
     if top > shortest:
         raise CutoffTooLarge(f"m + |q| = {top} exceeds the {shortest} increments of a series")
 
-    def spectrum(o: ObservationSeries) -> np.ndarray:
+    def transform(o: ObservationSeries) -> np.ndarray:
         """F(u) for u = -top..top, at index u + top."""
         dy = np.diff(o.values)
         n = len(dy)
@@ -220,7 +217,7 @@ def mm_fourier_complex(
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     ls = np.arange(-m, m + 1)
-    spectra = [spectrum(o) for o in obs]
+    spectra = [transform(o) for o in obs]
     left = [f[top + q + ls] for f in spectra]
     right = [f[top + ls] for f in spectra]
     j_count = len(obs)
@@ -273,6 +270,13 @@ def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     return float((len(dv) + shift) / columns * np.sum(coef**2))
 
 
+# The oracle's corner as a u.u + b v.v - c |u - v|^2, weights (a, b, c): so
+# spelled, 2 u.v less the excluded ends loses no small gap to rounding.
+_CORNERS = {BasisKind.SIML_COSINE: (1, 0, 0),  # e_1 e_1^T
+            BasisKind.FOURIER_REAL: (1, 1, 1),  # e_1 e_n^T + e_n e_1^T
+            BasisKind.DST_SINE: (0, 0, 0)}
+
+
 def noise_expectation_exact(
     kind: EstimatorKind,
     n: int,
@@ -284,43 +288,25 @@ def noise_expectation_exact(
     """Exact expectation of :func:`noise_functional` under i.i.d. N(0, variance) noise.
 
     The covariance of the noise differences over nu is C = 2I - T, less
-    e_1 e_1^T or e_n e_n^T for an excluded initial or terminal noise, with
-    T the 0/1 tridiagonal matrix.  The form's basis diagonalizes T plus a
-    corner term with eigenvalues 2 - 4 sin^2(t_l), so the trace of the
-    first ``columns`` columns against C is the sum of the gaps 4 sin^2(t_l)
-    plus end terms in basis rows 1 and n, each a sin^2 or cos^2 of t_l (s^2
-    is the squared column scale):
+    e_1 e_1^T or e_n e_n^T for an excluded initial or terminal noise, with T
+    the 0/1 tridiagonal.  The form's basis diagonalizes T plus a corner, so
+    with the gaps and basis rows u (row 1) and v (row n) of
+    :func:`basis.spectrum` the trace of C over the form's columns is
 
-    * cosine, corner e_1 e_1^T, t_l = (2l-1) pi/(2(2n+1)), s^2 = 2/(n+1/2):
-      row 1 squares to s^2 cos^2 t_l and row n to 4 s^2 sin^2 t_l cos^2 t_l;
-    * sine, no corner, t_l = l pi/(2(n+1)), s^2 = 2/(n+1): rows 1 and n both
-      square to 4 s^2 sin^2 t_l cos^2 t_l;
-    * real Fourier, corner e_1 e_n^T + e_n e_1^T, t_l = floor(l/2) pi/n:
-      rows 1 and n each square-sum to columns/n, and twice their product
-      sums to 2 columns/n - (1/n) sum 4 sin^2 t_l.
+        sum gaps + corner - [initial out] u.u - [terminal out] v.v,
 
-    O(m): nothing longer than the column count is built.
+    the corner being u.u (cosine), 2 u.v (real Fourier) or 0 (sine).  O(m):
+    nothing longer than the column count is built.
     """
     if variance < 0:
         raise InvalidParameter(f"variance must be >= 0, got {variance}")
     if n < 1:
         raise InvalidParameter(f"need n >= 1 increments, got {n}")
     basis, columns, shift = _form(kind, n, m)
-    l = np.arange(1, columns + 1)
-    if basis is BasisKind.FOURIER_REAL:
-        gaps = 4.0 * np.sin(l // 2 * (np.pi / n)) ** 2
-        total = (1.0 - 1.0 / n) * np.sum(gaps) + (include_initial + include_terminal) * columns / n
-    else:
-        # ``out`` end rows leave the trace, each 4 s^2 sin^2 t cos^2 t, and
-        # ``back`` times row 1, s^2 cos^2 t, returns (the cosine corner)
-        if basis is BasisKind.SIML_COSINE:
-            t, s2 = (2 * l - 1) * (np.pi / (2 * (2 * n + 1))), 2.0 / (n + 0.5)
-            out, back = not include_terminal, include_initial
-        else:
-            t, s2 = l * (np.pi / (2 * (n + 1))), 2.0 / (n + 1)
-            out, back = 2 - include_initial - include_terminal, False
-        cos2 = s2 * np.cos(t) ** 2
-        total = np.sum(4.0 * np.sin(t) ** 2 * (1.0 - out * cos2) + back * cos2)
+    gaps, u, v = spectrum(basis, n, columns)
+    a, b, c = _CORNERS[basis]
+    total = (np.sum(gaps) - c * np.sum((u - v) ** 2)
+             + (a - (not include_initial)) * (u @ u) + (b - (not include_terminal)) * (v @ v))
     # A trace of a positive semidefinite form: where it is exactly 0 (one
     # increment with both ends out), rounding must not make it negative.
     return max(float((n + shift) / columns * variance * total), 0.0)

@@ -108,8 +108,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
-        if not self.kinds:
-            raise InvalidParameter("at least one estimator kind is required")
+        if not self.kinds or len(set(self.kinds)) < len(self.kinds):
+            raise InvalidParameter("kinds must name at least one estimator kind, each once")
         if not 1 <= self.replications <= 2**32:
             # replication r keys its streams with r, whose keys collide from 2**32 on
             raise InvalidParameter("replications must be in [1, 2**32]")

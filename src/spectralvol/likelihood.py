@@ -4,7 +4,8 @@ Working in the cosine-basis spectral domain, the scaled coefficients
 ``z_k = sqrt(n) * (column_k . dY)`` of equidistant increments are
 independent zero-mean Gaussians with variance ``c + a_k * nu`` under the
 constant-volatility working model with no noise on the first observation,
-where ``a_k = 4 n sin^2((2k-1) pi / (2(2n+1)))``.  The quasi-log-likelihood
+where ``a_k`` is n times the k-th cosine gap of :func:`basis.spectrum`
+(:func:`a_coefficients`).  The quasi-log-likelihood
 
     L(c, nu) = -1/2 sum_k [ log(c + a_k nu) + z_k^2 / (c + a_k nu) ]
 
@@ -25,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, basis_coefficients
+from .basis import BasisKind, basis_coefficients, eigen_gaps
 from .errors import (
     DegenerateData,
     DegenerateVariance,
     EmptyInput,
-    InvalidDimension,
     InvalidParameter,
 )
 
@@ -111,16 +111,8 @@ def spectral_transform(deltas: np.ndarray) -> SpectralCoefficients:
 
 
 def a_coefficients(n: int) -> np.ndarray:
-    """a_k = 4 n sin^2((2k-1) pi / (2(2n+1))), k = 1..n, strictly increasing.
-
-    Equals n * (2 - lambda_k) where lambda_k are the closed-form eigenvalues
-    of the corner-augmented tridiagonal matrix diagonalized by the cosine
-    basis.
-    """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got {n}")
-    k = np.arange(1, n + 1)
-    return 4.0 * n * np.sin((2 * k - 1) * np.pi / (2 * (2 * n + 1))) ** 2
+    """a_k = n times the gap of cosine column k (:func:`basis.spectrum`), k = 1..n; increasing."""
+    return n * eigen_gaps(BasisKind.SIML_COSINE, n, n)
 
 
 def _variances(z: SpectralCoefficients, params: LikelihoodParams) -> np.ndarray:

@@ -11,7 +11,9 @@ from spectralvol.basis import (
     build_basis,
     build_jacobi,
     cosine_square_sum,
+    eigen_gaps,
     eigenvalues_closed_form,
+    spectrum,
 )
 from spectralvol.errors import DimensionMismatch, InvalidDimension
 
@@ -167,6 +169,52 @@ class TestEigenvalues:
         lam = np.sort(eigenvalues_closed_form(kind, dim))
         num = np.sort(np.linalg.eigvalsh(build_jacobi(kind, dim)))
         np.testing.assert_allclose(lam, num, atol=1e-12)
+
+
+def _spectrum_dims(kind: BasisKind):
+    """Every dim to 65 and a few to 513; odd dims >= 3 for the Fourier family."""
+    dims = list(range(1, 66)) + [127, 128, 255, 256, 257, 511, 512, 513]
+    if kind is BasisKind.FOURIER_REAL:
+        return [d for d in dims if d % 2 == 1 and d >= 3]
+    return dims
+
+
+class TestSpectrum:
+    """basis.spectrum against the eigensolver and the dense basis, at 1e-13."""
+
+    @pytest.mark.parametrize("basis_kind,jacobi_kind", PAIRINGS)
+    def test_gaps_match_numerical_eigensolver(self, basis_kind, jacobi_kind):
+        for dim in _spectrum_dims(basis_kind):
+            gaps = spectrum(basis_kind, dim, dim)[0]
+            num = np.linalg.eigvalsh(build_jacobi(jacobi_kind, dim))
+            np.testing.assert_allclose(np.sort(2.0 - gaps), num, rtol=0, atol=1e-13,
+                                       err_msg=f"dim={dim}")
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_end_rows_match_dense_basis(self, kind):
+        for dim in _spectrum_dims(kind):
+            b = build_basis(kind, dim)
+            _, first, last = spectrum(kind, dim, dim)
+            np.testing.assert_allclose(first, b[0], rtol=0, atol=1e-13, err_msg=f"dim={dim}")
+            np.testing.assert_allclose(last, b[-1], rtol=0, atol=1e-13, err_msg=f"dim={dim}")
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_leading_columns_are_a_prefix(self, kind):
+        """Fewer columns give the same values; the gaps are :func:`eigen_gaps` bit for bit."""
+        dim = 65
+        full = spectrum(kind, dim, dim)
+        for columns in (1, 2, 7, 64):
+            part = spectrum(kind, dim, columns)
+            for whole, piece in zip(full, part):
+                assert piece.tobytes() == whole[:columns].tobytes()
+            assert eigen_gaps(kind, dim, columns).tobytes() == part[0].tobytes()
+
+    @pytest.mark.parametrize("kind,dim,columns", [
+        (BasisKind.FOURIER_REAL, 4, 1), (BasisKind.SIML_COSINE, 0, 1),
+        (BasisKind.DST_SINE, 5, 6), (BasisKind.SIML_COSINE, 5, 0)])
+    def test_invalid_shapes_rejected(self, kind, dim, columns):
+        with pytest.raises(InvalidDimension):
+            spectrum(kind, dim, columns)
 
 
 @pytest.mark.parametrize("basis_kind,jacobi_kind", PAIRINGS)

@@ -339,13 +339,14 @@ class TestBadConfig:
             [("variance = 0.01", "variance = 0.01\nvariance = 0.02")],
             [("kinds = siml, ina_sine", "kinds = siml%")],
             [("refinement = 1", "refinement = 99999999999999999999999999999")],
+            [("kinds = siml, ina_sine", "kinds = siml, siml")],
         ],
         ids=["m_above_n", "m_below_one", "m_exponent_overflow", "ou_vol_for_normality",
              "unknown_type", "noise_bounds_with_signal", "noise_bounds_with_drift",
              "contrast_without_initial_noise",
              "zero_refinement", "zero_threads", "nan_vol_level", "replications_above_2_32",
              "no_section_header", "duplicate_section", "duplicate_key", "percent_in_value",
-             "huge_refinement"],
+             "huge_refinement", "repeated_kind"],
     )
     def test_exits_78_without_traceback(self, tmp_path, edits):
         text = NOISE_BOUNDS_CFG

@@ -421,6 +421,14 @@ class TestNoiseExpectationExact:
             ) / m
             assert value <= bound
 
+    def test_fourier_small_gaps_survive_excluded_ends(self):
+        """With both ends out the Fourier trace is (1 - 1/n) sum gaps, 7e-11 here: rows 1
+        and n, each of norm^2 columns/n = 3e-6, must cancel without rounding it away."""
+        n = 2**20 + 1
+        expected = n / 3 * (1 - 1 / n) * np.sum(4 * np.sin(np.array([0, 1, 1]) * np.pi / n) ** 2)
+        got = noise_expectation_exact(EstimatorKind.MM_FOURIER_REAL_ZERO, n, 1, 1.0, False, False)
+        assert got == pytest.approx(expected, rel=1e-14)
+
     def test_sine_closed_form_expectation(self):
         """Full-noise sine expectation equals ((n+1)/m) nu sum 4 sin^2(l pi / (2(n+1)))."""
         n, m, nu = 40, 6, 2.0

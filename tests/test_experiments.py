@@ -88,6 +88,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             _config(refinement=0)
 
+    def test_repeated_kind_rejected(self):
+        """A repeated kind would write every row twice and fail its own RMSE check."""
+        with pytest.raises(InvalidParameter, match="each once"):
+            _config(kinds=(EstimatorKind.SIML, EstimatorKind.INA_SINE, "siml"))
+
     def test_complex_kind_rejected(self):
         with pytest.raises(InvalidParameter):
             _config(kinds=(EstimatorKind.MM_FOURIER_COMPLEX,))

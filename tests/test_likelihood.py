@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_closed_form
+from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_closed_form, spectrum
 from spectralvol.errors import (
     DegenerateData,
     DegenerateVariance,
@@ -91,6 +91,11 @@ class TestACoefficients:
         for n in (1, 5, 64, 257):
             lam = eigenvalues_closed_form(JacobiKind.JN, n)
             np.testing.assert_allclose(a_coefficients(n), n * (2.0 - lam), atol=1e-10)
+
+    def test_n_times_cosine_gaps_bit_for_bit(self):
+        for n in (1, 2, 390, 1560, 4680, 16384):
+            gaps = spectrum(BasisKind.SIML_COSINE, n, n)[0]
+            assert a_coefficients(n).tobytes() == (n * gaps).tobytes()
 
     def test_top_coefficient_near_four_n(self):
         for n in (50, 200, 1000):

@@ -118,7 +118,7 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
         print(f"error: --q applies to mm_fourier_complex only, not {kind.value}", file=sys.stderr)
         return EX_USAGE
     try:
-        with open(input_path, newline="") as fh:
+        with open(input_path, newline="", encoding="utf-8-sig") as fh:
             obs = read_observations_csv(fh)
         deltas = increments(obs)
     except OSError as exc:
@@ -208,7 +208,7 @@ def parse_config(path: str, seed_override=None, threads_override=None):
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path!r}: {' '.join(str(exc).split())}") from None
     if not read:

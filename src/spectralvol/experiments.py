@@ -67,7 +67,8 @@ _TILE_ROWS = 128
 
 # Replications whose streams stay keyed while they walk the tiles, so that
 # each tile of basis columns, built once, serves all of them.  A multiple of
-# _TILE_ROWS; it bounds the generators and per-replication state held at once.
+# _TILE_ROWS; it bounds the per-replication state held at once and the
+# generators each stream role keeps in its thread's pool.
 _LIVE_ROWS = 8 * _TILE_ROWS
 
 #: Bytes a run's buffers (:func:`_engine_bytes`) may take; check_experiment refuses more.
@@ -227,8 +228,10 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     A group's tile of normals (OU: two streams and about four stream-sized
     temporaries); per n, the column tile and two lookup temporaries, the
     weights, the coefficients and their sum, and tables of at most 4(2n+1)
-    floats per kind; per replication its truths and seeds, and per live
-    replication a generator of about 640 bytes for each stream.
+    floats per kind; per replication its truths and seeds; and per live
+    replication and stream a generator of about 640 bytes.  The generators
+    persist per thread across runs, at most _LIVE_ROWS per stream role
+    (market._generators); they are counted whether or not this run builds them.
     """
     reps, r = config.replications, config.refinement
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)

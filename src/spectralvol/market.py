@@ -12,12 +12,13 @@ stream is a pure function of its integer seed, and :func:`derive_seed`
 produces independent sub-seeds from ``(base_seed, replication, stream)`` so
 Monte Carlo replications can run in any order or in parallel.  Sub-seeds and
 Philox keys are numpy's SeedSequence hash, computed here on Python ints for
-one seed or on arrays for many seeds in one pass, and a pool of Philox
-generators is re-keyed for each group of streams: stream j has the bits of
-``Philox(SeedSequence(seeds[j]))`` without either object being built per
-stream.  Paths and noise are drawn in tiles of ``_TILE_WIDTH`` observed
-increments, each tile continuing its streams, so a group of paths drawn
-tile by tile has the bits of single paths drawn whole.  A tile is drawn
+one seed or on arrays for many seeds in one pass, and Philox generators
+from a per-thread pool that outlives runs are re-keyed for each group of
+streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))`` without
+either object being built per stream or per run.  Paths and noise are drawn
+in tiles of ``_TILE_WIDTH`` observed increments, each tile continuing its
+streams, so a group of paths drawn tile by tile has the bits of single
+paths drawn whole.  A tile is drawn
 once for paths of several lengths, each reading a prefix of its normals.
 Paths whose spot variance is zero everywhere draw no latent shocks.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -314,36 +316,51 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
     return int(_derive_seeds(base_seed, replication, stream)[0])
 
 
-_EMPTY_BLOCK = np.zeros(4, np.uint64)
+_EMPTY_BLOCK = (0, 0, 0, 0)
+
+# This thread's Philox generators, a list per stream role (path, state, noise).
+# Streams drawn at the same time take different roles, and a thread runs one
+# sampler at a time, so no two live streams share a generator.  Each list
+# grows to the most streams its role has held live at once and outlives runs.
+_POOLS = threading.local()
+
+
+def _generators(role: str, rows: int) -> list:
+    """The first ``rows`` generators of this thread's pool for ``role``, built as needed."""
+    pool = vars(_POOLS).setdefault(role, [])
+    if len(pool) < rows:
+        # start() replaces every key; a fixed placeholder seed reads no OS entropy
+        placeholder = np.random.SeedSequence(0)
+        pool.extend(np.random.Generator(np.random.Philox(placeholder))
+                    for _ in range(rows - len(pool)))
+    return pool[:rows]
 
 
 class _Streams:
-    """The Philox streams of some seeds, drawn through a pool of ``rows`` generators.
+    """The Philox streams of some seeds, drawn through ``rows`` generators of one role.
 
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
     buffer start empty.  The keys of all seeds come from one hash call;
-    :meth:`start` re-keys the pool to the streams of seeds[lo:hi], one
-    generator each, and each :meth:`fill` continues some of them, so a row
-    filled tile by tile gets the bits of one long draw.
+    :meth:`start` re-keys the generators to the streams of seeds[lo:hi], one
+    each, and each :meth:`fill` continues some of them, so a row filled tile
+    by tile gets the bits of one long draw.  The generators are this thread's
+    pool for ``role`` (:func:`_generators`), kept from run to run.
     """
 
-    def __init__(self, seeds, spawn: int | None = None, rows: int = 1):
+    def __init__(self, seeds, spawn: int | None = None, rows: int = 1, role: str = "path"):
         self.keys = _uint64(_seed_words((seeds,), 4, spawn))
-        # start() replaces every key; a fixed placeholder seed reads no OS entropy
-        placeholder = np.random.SeedSequence(0)
-        self.pool = [np.random.Generator(np.random.Philox(placeholder)) for _ in range(rows)]
+        self.pool = _generators(role, rows)
 
     def start(self, lo: int, hi: int) -> None:
-        for gen, key in zip(self.pool, self.keys[lo:hi]):
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _EMPTY_BLOCK, "key": key},
-                "buffer": _EMPTY_BLOCK,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        # The setter reads the dict, so one dict serves every generator; it
+        # reads Python ints faster than numpy scalars.
+        keyed = {"counter": _EMPTY_BLOCK, "key": None}
+        state = {"bit_generator": "Philox", "state": keyed, "buffer": _EMPTY_BLOCK,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for gen, key in zip(self.pool, self.keys[lo:hi].tolist()):
+            keyed["key"] = key
+            gen.bit_generator.state = state
 
     def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
         """Standard normals into each row of ``out``, row j from started stream first + j."""
@@ -390,8 +407,8 @@ class _LatentTiles:
             silent = not any(vol.levels)
         else:
             silent = False
-        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live)
-        self.vol_shocks = _Streams(seeds, 1, live) if ou else None
+        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live, "path")
+        self.vol_shocks = _Streams(seeds, 1, live, "state") if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid
         self.raw = np.empty((1 + ou, rows, min(max(ns), _TILE_WIDTH) * refinement))
 
@@ -506,7 +523,7 @@ class _NoiseTiles:
     def __init__(self, noise: NoiseModel, seeds, rows: int = 1, live: int | None = None):
         live = rows if live is None else live
         self.noise, self.scale = noise, np.sqrt(noise.variance)
-        self.streams = _Streams(seeds, None, live)
+        self.streams = _Streams(seeds, None, live, "noise")
         self.values = np.empty((rows, _TILE_WIDTH + 1))
         self.carry = np.empty(live)  # each started series' normal at the last drawn time
 

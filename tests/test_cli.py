@@ -117,6 +117,16 @@ class TestEstimate:
         row = capsys.readouterr().out.strip()
         assert float(row.split(",")[6]) == pytest.approx(1.6 * np.cos(0.1 * np.pi) ** 2, rel=1e-9)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A UTF-8 BOM before the header once failed the header check with exit 65."""
+        rows = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(prefix + b"time,value\n0,0\n0.5,0.1\n1,0.3\n")
+            assert main(["estimate", "--input", str(path), "--kind", "siml", "--m", "1"]) == EX_OK
+            rows.append(capsys.readouterr().out)
+        assert rows == ["siml,2,1,,0,0,0.0723606797749979,0.0\n"] * 2
+
     def test_even_length_fourier_is_usage_error(self, tmp_path):
         path = tmp_path / "even.csv"
         _write_csv(path, [0.0, 1.0, 0.0])  # two increments
@@ -284,6 +294,17 @@ class TestExperimentCommand:
         assert text.startswith("experiment,kind,n,m,")
         assert "false" not in text
         assert "=> ok" in capsys.readouterr().out
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A config saved with a UTF-8 BOM once exited 78: 'File contains no section headers'."""
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(prefix + b"# pure noise\n" + NOISE_BOUNDS_CFG.encode())
+            out_dir = tmp_path / name
+            assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == EX_OK
+            outputs.append((out_dir / "noise_bounds.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         cfg = tmp_path / "nb.cfg"

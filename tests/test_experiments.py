@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import io
 import json
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralvol import estimators, experiments
+from spectralvol import estimators, experiments, market
 from spectralvol.cli import parse_config
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
@@ -47,6 +49,7 @@ from spectralvol.market import (
     derive_seed,
     observe,
     simulate_latent,
+    simulate_latent_correlated,
 )
 
 
@@ -355,6 +358,89 @@ class TestReproducibility:
         a = run_consistency(_config(base_seed=1))
         b = run_consistency(_config(base_seed=2))
         assert a.rows != b.rows
+
+
+def _csv(experiment, config):
+    buf = io.StringIO()
+    run_experiment(experiment, config).write_csv(buf)
+    return buf.getvalue()
+
+
+def _on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a fresh thread, whose generator pool starts empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+# Every stream role: OU path and state shocks, and noise on both end points.
+_POOL_CONFIG = dict(vol=_OU, noise=NoiseModel(1e-3), n_schedule=(8, 1100),
+                    replications=_TILE_ROWS + 3)
+
+
+class TestGeneratorPool:
+    """Each thread keeps its Philox generators from run to run; the bits do not notice."""
+
+    def test_runs_in_a_row_and_on_a_fresh_thread(self):
+        cfg = _config(**_POOL_CONFIG)
+        first = _csv("consistency", cfg)
+        assert _csv("consistency", cfg) == first
+        assert _on_fresh_thread(_csv, "consistency", cfg) == first
+
+    def test_concurrent_threads_give_the_serial_bytes(self):
+        """More threads than cores, switching often, each running twice at once with the rest."""
+        configs = [_config(**{**_POOL_CONFIG, "base_seed": seed}) for seed in (123, 7, 8, 9)]
+        serial = [_csv("consistency", cfg) for cfg in configs]
+        barrier = threading.Barrier(len(configs), timeout=60)
+        got = [[] for _ in configs]
+
+        def run(i):
+            barrier.wait()
+            got[i].extend(_csv("consistency", configs[i]) for _ in range(2))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[csv_text] * 2 for csv_text in serial]
+
+    def test_single_path_samplers_between_runs_keep_their_bits(self):
+        scheme = EquidistantScheme(50)
+
+        def samplers():
+            path = simulate_latent(_OU, ZeroDrift(), scheme, 2, 5)
+            obs = observe(path, NoiseModel(0.01), scheme, 6)
+            paths, _ = simulate_latent_correlated(np.array([[1.0, 0.5]]), scheme, 2, 7)
+            return [a.tobytes() for a in (path.values, path.spot_variance, obs.noise,
+                                           paths[0].values)]
+
+        want = _on_fresh_thread(samplers)
+        cfg = _config(**_POOL_CONFIG)
+        first = _csv("consistency", cfg)
+        assert samplers() == want
+        assert _csv("consistency", cfg) == first
+        assert samplers() == want
+
+    def test_roles_hold_at_most_one_live_block(self):
+        def run_and_count():
+            cfg = _config(**{**_POOL_CONFIG, "n_schedule": (4, 8),
+                             "replications": experiments._LIVE_ROWS + 5})
+            run_consistency(cfg)
+            run_consistency(dataclasses.replace(cfg, replications=3))
+            return {role: len(pool) for role, pool in vars(market._POOLS).items()}
+
+        sizes = _on_fresh_thread(run_and_count)
+        assert sizes == dict.fromkeys(("path", "state", "noise"), experiments._LIVE_ROWS)
 
 
 class TestConsistencyRun:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -508,6 +509,57 @@ class TestSeedingKernel:
             streams = _Streams(seed, spawn)
             streams.start(0, 1)
             assert [v.hex() for v in streams.fill(np.empty((1, 2)))[0].tolist()] == want
+
+
+def _on_fresh_thread(fn):
+    """``fn()`` on a new thread, whose generator pools start empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+class TestGeneratorPool:
+    """Generators kept per thread and role, re-keyed by start(), keep every stream's bits."""
+
+    def test_reused_generators_keep_the_bits(self):
+        n, scheme, noise = _TILE_WIDTH + 9, EquidistantScheme(40), NoiseModel(0.01)
+        seeds = [derive_seed(3, rep, s) for s in (0, 1) for rep in range(5)]
+
+        def walk():
+            parts = _tiled(_VOLS["ou"], ZeroDrift(), noise, n, 2, seeds[:5], seeds[5:])
+            return [a.tobytes() for a in parts]
+
+        def samplers():
+            path = simulate_latent(_VOLS["ou"], ZeroDrift(), scheme, 3, 4)
+            paths, _ = simulate_latent_correlated(np.eye(2), scheme, 2, 4)
+            return [a.tobytes() for a in (path.values, observe(path, noise, scheme, 4).noise,
+                                           paths[1].values)]
+
+        want_walk, want_samplers = _on_fresh_thread(walk), _on_fresh_thread(samplers)
+        for _ in range(2):
+            assert walk() == want_walk
+            assert samplers() == want_samplers
+
+    def test_pool_grows_to_the_largest_block_and_is_reused(self):
+        def streams():
+            big = _Streams([1, 2, 3, 4, 5], None, 5, "noise")
+            small = _Streams([6, 7], None, 2, "noise")
+            return big.pool, small.pool, vars(market._POOLS)["noise"]
+
+        big, small, pool = _on_fresh_thread(streams)
+        assert len(pool) == 5 and all(a is b for a, b in zip(big, pool))
+        assert all(a is b for a, b in zip(small, big))
+
+    def test_roles_and_threads_share_no_generator(self):
+        def pools():
+            return [market._generators(role, 4) for role in ("path", "state", "noise")]
+
+        ids = [id(gen) for roles in (pools(), _on_fresh_thread(pools)) for gens in roles
+               for gen in gens]
+        assert len(set(ids)) == len(ids) == 24
 
 
 class TestZeroVarianceBlock:

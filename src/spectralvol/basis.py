@@ -115,11 +115,6 @@ def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.nd
 # Basis rows whose integer angle units are formed at a time.
 _ROW_BLOCK = 4096
 
-# np.take(mode="wrap") wraps an index by subtracting the period until it fits,
-# so units that can span this many periods (full bases, m near n) are reduced
-# with % first; the engine's cutoffs stay below it.
-_WRAP_PERIODS = 32
-
 
 def _table(func, period: int, step: float, scale: float) -> np.ndarray:
     """``scale * func(step * u)`` for the units u = 0..period-1 of one period."""
@@ -133,17 +128,18 @@ def _table(func, period: int, step: float, scale: float) -> np.ndarray:
 def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out) -> np.ndarray:
     """``table[outer(rows, cols) % len(table)]`` in ``out``, for int rows and cols.
 
-    The units wrap into one period of the table, whose values were computed
-    with the formula's operations: the bits are those of the formula.  Units
-    are formed a block of rows at a time and gathered straight into ``out``.
+    The units are reduced into one period of the table, whose values were
+    computed with the formula's operations: the bits are those of the
+    formula.  Units are formed a block of rows at a time and gathered
+    straight into ``out``.
     """
     period = len(table)
-    reduce = int(rows.max(initial=0)) * int(cols.max(initial=0)) >= _WRAP_PERIODS * period
     for first in range(0, len(rows), _ROW_BLOCK):
         units = np.multiply.outer(rows[first : first + _ROW_BLOCK], cols)
-        if reduce:
-            units %= period
-        np.take(table, units, mode="wrap", out=out[first : first + _ROW_BLOCK])
+        units %= period
+        # the units are in range; any mode but the default "raise" lets take
+        # write into a contiguous out without buffering it
+        np.take(table, units, mode="clip", out=out[first : first + _ROW_BLOCK])
     return out
 
 

@@ -318,16 +318,27 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
 
 _EMPTY_BLOCK = (0, 0, 0, 0)
 
-# This thread's Philox generators, a list per stream role (path, state, noise).
-# Streams drawn at the same time take different roles, and a thread runs one
-# sampler at a time, so no two live streams share a generator.  Each list
-# grows to the most streams its role has held live at once and outlives runs.
-_POOLS = threading.local()
+class _Pools(threading.local):
+    """This thread's Philox generators, a list per stream role (path, state, noise).
+
+    Streams drawn at the same time take different roles, so they never share
+    a generator, and no two threads do.  Each list grows to the most streams
+    its role has held live at once and outlives runs.  The newest _Streams of
+    a role owns its list (``owners`` holds its id); an older one that starts
+    or fills after that is refused rather than drawing from re-keyed streams.
+    """
+
+    def __init__(self):
+        self.generators: dict[str, list] = {}
+        self.owners: dict[str, int] = {}
+
+
+_POOLS = _Pools()
 
 
 def _generators(role: str, rows: int) -> list:
     """The first ``rows`` generators of this thread's pool for ``role``, built as needed."""
-    pool = vars(_POOLS).setdefault(role, [])
+    pool = _POOLS.generators.setdefault(role, [])
     if len(pool) < rows:
         # start() replaces every key; a fixed placeholder seed reads no OS entropy
         placeholder = np.random.SeedSequence(0)
@@ -345,14 +356,22 @@ class _Streams:
     :meth:`start` re-keys the generators to the streams of seeds[lo:hi], one
     each, and each :meth:`fill` continues some of them, so a row filled tile
     by tile gets the bits of one long draw.  The generators are this thread's
-    pool for ``role`` (:func:`_generators`), kept from run to run.
+    pool for ``role`` (:func:`_generators`), kept from run to run; only the
+    newest _Streams of a role on a thread may start or fill them.
     """
 
     def __init__(self, seeds, spawn: int | None = None, rows: int = 1, role: str = "path"):
         self.keys = _uint64(_seed_words((seeds,), 4, spawn))
-        self.pool = _generators(role, rows)
+        self.role, self.pool = role, _generators(role, rows)
+        _POOLS.owners[role] = id(self)
+
+    def _check_owner(self) -> None:
+        if _POOLS.owners.get(self.role) != id(self):
+            raise RuntimeError(f"the {self.role!r} generators of this thread were taken "
+                               "by a newer sampler, or belong to another thread")
 
     def start(self, lo: int, hi: int) -> None:
+        self._check_owner()
         # The setter reads the dict, so one dict serves every generator; it
         # reads Python ints faster than numpy scalars.
         keyed = {"counter": _EMPTY_BLOCK, "key": None}
@@ -364,6 +383,7 @@ class _Streams:
 
     def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
         """Standard normals into each row of ``out``, row j from started stream first + j."""
+        self._check_owner()
         for row, gen in zip(out, self.pool[first : first + len(out)]):
             gen.standard_normal(out=row)
         return out

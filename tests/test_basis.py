@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from spectralvol import basis
 from spectralvol.basis import (
     BasisKind,
     JacobiKind,
@@ -101,15 +100,6 @@ def test_columns_unit_norm(kind):
     for dim in [1, 7, 64] if kind is not BasisKind.FOURIER_REAL else [3, 7, 65]:
         b = build_basis(kind, dim)
         np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", list(BasisKind))
-def test_units_of_many_periods_keep_their_bits(monkeypatch, kind):
-    """A full basis reduces its units with % before the wrapping gather; the wrap alone gives
-    the same bits."""
-    reduced = basis_columns(kind, 301, 301)
-    monkeypatch.setattr(basis, "_WRAP_PERIODS", 2**62)
-    assert basis_columns(kind, 301, 301).tobytes() == reduced.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 7, 64, 390, 1023, 4680])

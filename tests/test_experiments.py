@@ -437,7 +437,7 @@ class TestGeneratorPool:
                              "replications": experiments._LIVE_ROWS + 5})
             run_consistency(cfg)
             run_consistency(dataclasses.replace(cfg, replications=3))
-            return {role: len(pool) for role, pool in vars(market._POOLS).items()}
+            return {role: len(pool) for role, pool in market._POOLS.generators.items()}
 
         sizes = _on_fresh_thread(run_and_count)
         assert sizes == dict.fromkeys(("path", "state", "noise"), experiments._LIVE_ROWS)

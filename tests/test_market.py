@@ -547,7 +547,7 @@ class TestGeneratorPool:
         def streams():
             big = _Streams([1, 2, 3, 4, 5], None, 5, "noise")
             small = _Streams([6, 7], None, 2, "noise")
-            return big.pool, small.pool, vars(market._POOLS)["noise"]
+            return big.pool, small.pool, market._POOLS.generators["noise"]
 
         big, small, pool = _on_fresh_thread(streams)
         assert len(pool) == 5 and all(a is b for a, b in zip(big, pool))
@@ -560,6 +560,32 @@ class TestGeneratorPool:
         ids = [id(gen) for roles in (pools(), _on_fresh_thread(pools)) for gens in roles
                for gen in gens]
         assert len(set(ids)) == len(ids) == 24
+
+    def test_older_sampler_of_a_role_is_refused(self):
+        """A newer _Streams of the same role takes the generators; the older one may not draw."""
+        older = _Streams([1, 2], None, 2, "noise")
+        older.start(0, 2)
+        newer = _Streams([3, 4], None, 2, "noise")
+        for draw in (lambda: older.start(0, 2), lambda: older.fill(np.empty((2, 3)))):
+            with pytest.raises(RuntimeError, match="'noise'"):
+                draw()
+        newer.start(0, 2)
+        newer.fill(np.empty((2, 3)))
+        other_role = _Streams([5], None, 1, "state")
+        other_role.start(0, 1)
+        newer.fill(np.empty((2, 3)))
+
+    def test_sampler_of_another_thread_is_refused(self):
+        streams = _Streams([1, 2], None, 2, "path")
+        streams.start(0, 2)
+
+        def fill_elsewhere():
+            try:
+                streams.fill(np.empty((2, 3)))
+            except RuntimeError as err:
+                return str(err)
+
+        assert "another thread" in _on_fresh_thread(fill_elsewhere)
 
 
 class TestZeroVarianceBlock:

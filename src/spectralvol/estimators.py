@@ -256,7 +256,7 @@ def _form_columns(kind: EstimatorKind, n: int, m: int):
 
 
 def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
-    """The estimator's quadratic form applied to a raw noise vector v_0..v_N.
+    """The estimator's quadratic form on a raw noise vector v_0..v_N: its estimate from diff(v).
 
     This is exactly the random variable whose expectation the noise-floor
     and noise-decay bounds control; the latent price is identically zero.
@@ -264,10 +264,7 @@ def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     v = np.asarray(noise, dtype=float)
     if v.size < 2:
         raise EmptyInput("noise vector needs at least 2 points")
-    dv = np.diff(v)
-    basis, columns, shift = _form(kind, len(dv), m)
-    coef = basis_coefficients(basis, dv, columns)
-    return float((len(dv) + shift) / columns * np.sum(coef**2))
+    return float(_real_estimate(kind, np.diff(v), m).value[0, 0])
 
 
 # The oracle's corner as a u.u + b v.v - c |u - v|^2, weights (a, b, c): so

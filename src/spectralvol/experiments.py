@@ -226,17 +226,20 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
 
     A group's tile of normals (OU: two streams and about four stream-sized
-    temporaries); per n, the column tile and two lookup temporaries, the
-    weights, the coefficients and their sum, and tables of at most 4(2n+1)
-    floats per kind; per replication its truths and seeds; and per live
-    replication and stream a generator of about 640 bytes.  The generators
-    persist per thread across runs, at most _LIVE_ROWS per stream role
-    (market._generators); they are counted whether or not this run builds them.
+    temporaries); under piecewise volatility five temporaries of a tile's
+    fine points (times, indices, spot, spot dt and scale); per n, the column
+    tile and two lookup temporaries, the weights, the coefficients and their
+    sum, and tables of at most 4(2n+1) floats per kind; per replication its
+    truths and seeds; and per live replication and stream a generator of
+    about 640 bytes.  The generators persist per thread across runs, at most
+    _LIVE_ROWS per stream role (market._generators); they are counted whether
+    or not this run builds them.
     """
     reps, r = config.replications, config.refinement
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
     width = min(config.n_schedule[-1], _TILE_WIDTH)
     floats = min(_TILE_ROWS, reps) * ((1 + 5 * ou) * width * r + _TILE_WIDTH + 1)
+    floats += 5 * isinstance(config.vol, PiecewiseVol) * (width * r + 1)
     floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
     for n, m in zip(config.n_schedule, cutoffs):
         columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
@@ -344,12 +347,17 @@ def _rmse_decreasing(rows: list[McRow]) -> tuple[tuple[str, bool], ...]:
                  for kind, vals in rmse.items())
 
 
+def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
+    """A deterministic volatility model as a PiecewiseVol (a constant is one level); None for OU."""
+    if isinstance(vol, ConstantVol):
+        return PiecewiseVol((), (vol.level,))
+    return vol if isinstance(vol, PiecewiseVol) else None
+
+
 def _limit_variance(config: ExperimentConfig) -> float:
     """Single-asset limit variance 2 * integral of Sigma(s)^2 ds: deterministic vol, > 0, finite."""
-    vol = config.vol
-    if isinstance(vol, ConstantVol):
-        vol = PiecewiseVol((), (vol.level,))
-    if not isinstance(vol, PiecewiseVol):
+    vol = _as_piecewise(config.vol)
+    if vol is None:
         raise InvalidParameter("normality runs need a deterministic volatility model")
     edges = np.array((0.0,) + vol.breakpoints + (1.0,))
     with np.errstate(over="ignore"):
@@ -381,8 +389,8 @@ def _with_noise(row: McRow, config: ExperimentConfig, data: dict, i: int) -> McR
 
 
 def _pure_noise(config: ExperimentConfig) -> None:
-    vol, drift = config.vol, config.drift
-    if not (isinstance(vol, ConstantVol) and vol.level == 0.0) or getattr(drift, "level", 0.0):
+    vol = _as_piecewise(config.vol)
+    if vol is None or any(vol.levels) or getattr(config.drift, "level", 0.0):
         raise InvalidParameter("noise-bound runs use the pure-noise design: zero volatility and "
                                "zero drift")
 

@@ -115,19 +115,20 @@ def a_coefficients(n: int) -> np.ndarray:
     return n * eigen_gaps(BasisKind.SIML_COSINE, n, n)
 
 
-def _variances(z: SpectralCoefficients, params: LikelihoodParams) -> np.ndarray:
-    d = params.c + a_coefficients(z.n) * params.nu
-    if np.any(d <= 0):
-        raise DegenerateVariance(
-            f"c + a_k nu must be positive for all k (c={params.c}, nu={params.nu})"
-        )
-    return d
+def _loglik(a: np.ndarray, z2: np.ndarray, c: float, nu: float) -> float:
+    """L(c, nu) from the a_k and the squared coefficients z_k^2; c + a_k nu is not checked."""
+    d = c + a * nu
+    return float(-0.5 * np.sum(np.log(d)) - 0.5 * np.sum(z2 / d))
 
 
 def log_likelihood(z: SpectralCoefficients, params: LikelihoodParams) -> float:
     """L(c, nu) = -1/2 sum [log(c + a_k nu) + z_k^2/(c + a_k nu)]."""
-    d = _variances(z, params)
-    return float(-0.5 * np.sum(np.log(d)) - 0.5 * np.sum(z.z**2 / d))
+    a = a_coefficients(z.n)
+    if np.any(params.c + a * params.nu <= 0):
+        raise DegenerateVariance(
+            f"c + a_k nu must be positive for all k (c={params.c}, nu={params.nu})"
+        )
+    return _loglik(a, z.z**2, params.c, params.nu)
 
 
 def decompose(
@@ -147,10 +148,10 @@ def decompose(
     if params.nu <= 0:
         raise DegenerateVariance(f"nu must be > 0 in the high-frequency part, got {params.nu}")
 
-    total = log_likelihood(z, params)
-    z2 = z.z**2
+    a, z2 = a_coefficients(z.n), z.z**2
+    total = _loglik(a, z2, params.c, params.nu)
     low = -m * math.log(params.c) - float(np.sum(z2[:m])) / params.c
-    a_tail = a_coefficients(z.n)[z.n - l :]
+    a_tail = a[z.n - l :]
     high = -float(np.sum(np.log(a_tail * params.nu))) - float(
         np.sum(z2[z.n - l :] / a_tail)
     ) / params.nu
@@ -255,10 +256,6 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     a = a_coefficients(z.n)
     z2 = z.z**2
 
-    def loglik(c: float, nu: float) -> float:
-        d = c + a * nu
-        return float(-0.5 * np.sum(np.log(d)) - 0.5 * np.sum(z2 / d))
-
     def ascend(theta: np.ndarray, best: float) -> tuple[np.ndarray, float, bool, int]:
         """Fisher scoring from theta, whose likelihood is best: (theta, L, converged, iterations)."""
         iterations = 0
@@ -278,7 +275,7 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
             t = 1.0
             while True:
                 trial = theta + t * step
-                value = loglik(*np.exp(trial))
+                value = _loglik(a, z2, *np.exp(trial))
                 if value >= best or t * span < _STEP_TOL:
                     break
                 t *= 0.5
@@ -288,7 +285,7 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
                 return theta, best, True, iterations
         return theta, best, False, iterations
 
-    best = loglik(init.c, init.nu)
+    best = _loglik(a, z2, init.c, init.nu)
     c0 = float(np.mean(z2))
     nu0 = float(np.mean(z2 / a))
     c_score = float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)) if nu0 > 0 else math.nan
@@ -298,7 +295,7 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     if c_score <= 0.0:
         boundary.append((0.0, nu0))
     for c, nu in boundary:
-        value = loglik(c, nu)
+        value = _loglik(a, z2, c, nu)
         if value >= best:
             return MleResult(
                 params=LikelihoodParams(c=c, nu=nu),
@@ -314,12 +311,12 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     # fit is flagged as not converged.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         theta, best, converged, iterations = ascend(np.log([init.c, init.nu]), best)
-        edge = loglik(0.0, nu0) if c_score > 0 else -math.inf
+        edge = _loglik(a, z2, 0.0, nu0) if c_score > 0 else -math.inf
         if edge > best:
             # A local maximum below the c = 0 edge, where L still rises in c:
             # climb again from one Fisher step in c off that edge.
             c1 = c_score / float(np.sum((a * nu0) ** -2.0))
-            theta, best, converged, more = ascend(np.log([c1, nu0]), loglik(c1, nu0))
+            theta, best, converged, more = ascend(np.log([c1, nu0]), _loglik(a, z2, c1, nu0))
             iterations += more
             if best < edge:
                 theta, best, converged = np.log([0.0, nu0]), edge, False

@@ -15,12 +15,12 @@ Philox keys are numpy's SeedSequence hash, computed here on Python ints for
 one seed or on arrays for many seeds in one pass, and Philox generators
 from a per-thread pool that outlives runs are re-keyed for each group of
 streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))`` without
-either object being built per stream or per run.  Paths and noise are drawn
-in tiles of ``_TILE_WIDTH`` observed increments, each tile continuing its
-streams, so a group of paths drawn tile by tile has the bits of single
-paths drawn whole.  A tile is drawn
-once for paths of several lengths, each reading a prefix of its normals.
-Paths whose spot variance is zero everywhere draw no latent shocks.
+either object being built per stream or per run.  Paths, and the Monte Carlo
+engine's noise (``_NoiseTiles``), are drawn in tiles of ``_TILE_WIDTH``
+observed increments, each drawn once for paths of several lengths (each
+reading a prefix) and continuing its streams, so a tile-by-tile draw has the
+bits of one long draw: :func:`observe` and the correlated paths make that in
+one fill.  Paths whose spot variance is zero everywhere draw no latent shocks.
 """
 
 from __future__ import annotations
@@ -530,7 +530,7 @@ class _LatentTiles:
 
 
 class _NoiseTiles:
-    """Observation noise of series of any length, tile by tile.
+    """Observation noise of the Monte Carlo engine's series of any length, tile by tile.
 
     Row j follows the noise stream of ``seeds[j]``: the noise at time k is
     normal k of the stream times the noise scale, whatever the length n.
@@ -632,11 +632,10 @@ def simulate_latent_correlated(
         raise InvalidParameter("loadings must be finite numbers")
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine
-    dt = 1.0 / n_fine
     streams = _Streams(rng_seed)
     streams.start(0, 1)
-    dw = streams.pool[0].standard_normal((n_fine, sigma.shape[1])) * np.sqrt(dt)
-    dx = dw @ sigma.T
+    dw = streams.fill(np.empty((1, n_fine * sigma.shape[1])))[0] * np.sqrt(1.0 / n_fine)
+    dx = dw.reshape(n_fine, -1) @ sigma.T
     cov = sigma @ sigma.T
     paths = []
     for j in range(sigma.shape[0]):
@@ -671,12 +670,9 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    sampler = _NoiseTiles(noise, rng_seed)
-    sampler.start(0, 1)
-    v = np.empty(scheme.n + 1)
-    for lo, hi in _tiles(scheme.n):
-        sampler.draw(slice(0, 1), lo, hi - lo)
-        v[lo : hi + 1] = sampler.values[0, : hi - lo + 1] * sampler.scale
+    streams = _Streams(rng_seed, role="noise")
+    streams.start(0, 1)
+    v = streams.fill(np.empty((1, scheme.n + 1)))[0] * np.sqrt(noise.variance)
     if not noise.include_initial:
         v[0] = 0.0
     if not noise.include_terminal:

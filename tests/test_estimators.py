@@ -261,6 +261,8 @@ class TestNonFiniteAndUnordered:
                 estimator([deltas], 1)
         with pytest.raises(InvalidParameter, match="overflows"):
             mm_fourier_complex([_series_from_deltas(deltas)], 0, 1)
+        with pytest.raises(InvalidParameter, match="overflows"):
+            noise_functional(EstimatorKind.SIML, np.concatenate(([0.0], np.cumsum(deltas))), 1)
 
 
 class TestMonteCarloMeans:
@@ -357,6 +359,14 @@ class TestNoiseFunctional:
         v = np.random.default_rng(n + m).standard_normal(n + 1)
         estimate = REAL_ESTIMATORS[kind]([np.diff(v)], m).value[0, 0]
         assert noise_functional(kind, v, m) == pytest.approx(estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(REAL_ESTIMATORS), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n, m", [(5, 1), (5, 2), (63, 4), (1025, 12)])
+    def test_is_public_estimator_bit_for_bit(self, kind, n, m):
+        """The functional is computed by the estimator itself, not by a second copy of its form."""
+        v = np.random.default_rng(n + m).standard_normal(n + 1)
+        estimate = REAL_ESTIMATORS[kind]([np.diff(v)], m).value[0, 0]
+        assert noise_functional(kind, v, m) == estimate
 
 
 class TestNoiseExpectationExact:

@@ -517,6 +517,13 @@ class TestNoiseBoundsRun:
         with pytest.raises(InvalidParameter):
             run_noise_bounds(self._cfg(vol=ConstantVol(1.0)))
 
+    def test_accepts_all_zero_piecewise_volatility(self):
+        """A piecewise volatility with every level zero is the pure-noise design too."""
+        zero = run_noise_bounds(self._cfg(vol=PiecewiseVol((0.5,), (0.0, 0.0))))
+        assert zero.rows == run_noise_bounds(self._cfg()).rows
+        with pytest.raises(InvalidParameter):
+            run_noise_bounds(self._cfg(vol=PiecewiseVol((0.5,), (0.0, 1.0))))
+
 
 class TestNoiseOracleColumns:
     """The engine builds each column tile once per live block; the oracle builds no columns."""
@@ -609,8 +616,10 @@ class TestEngineBytes:
             {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE), "n_schedule": (63, 255),
              "replications": 5000, "m_exponent": 0.9},
             {"n_schedule": (2**15,), "replications": 4},
+            {"vol": PiecewiseVol((0.5,), (1.0, 2.0)), "n_schedule": (1024,), "refinement": 400,
+             "replications": 2},
         ],
-        ids=["raw_tile", "ou", "coefficients", "tables"],
+        ids=["raw_tile", "ou", "coefficients", "tables", "piecewise_spot"],
     )
     def test_bounds_the_traced_peak(self, overrides):
         cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})

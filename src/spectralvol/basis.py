@@ -17,7 +17,8 @@ O(columns), from eigen-angles that no code but ``_angles`` evaluates.
 Basis entries are computed from exact integer products reduced modulo the
 period before multiplying by pi, so orthogonality holds to ~1e-13 even at
 dimension 513 and beyond.  The reduced units take one period of values,
-so each entry is looked up in a table of the function over one period.
+so each entry is looked up in a table of the function over one period
+(for the cosine basis, whose units are all odd, over its odd units).
 """
 
 from __future__ import annotations
@@ -116,27 +117,32 @@ def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.nd
 _ROW_BLOCK = 4096
 
 
-def _table(func, period: int, step: float, scale: float) -> np.ndarray:
-    """``scale * func(step * u)`` for the units u = 0..period-1 of one period."""
-    table = np.arange(period, dtype=float)
+def _table(func, period: int, step: float, scale: float, odd: bool = False) -> np.ndarray:
+    """``scale * func(step * u)`` for the units u = 0..period-1 of one period, or its odd units."""
+    table = np.arange(int(odd), period, 1 + odd, dtype=float)
     table *= step
     func(table, out=table)
     table *= scale
     return table
 
 
-def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out) -> np.ndarray:
+def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out,
+            odd: bool = False) -> np.ndarray:
     """``table[outer(rows, cols) % len(table)]`` in ``out``, for int rows and cols.
 
     The units are reduced into one period of the table, whose values were
     computed with the formula's operations: the bits are those of the
-    formula.  Units are formed a block of rows at a time and gathered
-    straight into ``out``.
+    formula.  With ``odd`` every unit is odd and the table holds the odd
+    units 1, 3, ... of a period twice its length, so unit u is entry
+    (u mod period) // 2.  Units are formed a block of rows at a time and
+    gathered straight into ``out``.
     """
-    period = len(table)
+    period = 2 * len(table) if odd else len(table)
     for first in range(0, len(rows), _ROW_BLOCK):
         units = np.multiply.outer(rows[first : first + _ROW_BLOCK], cols)
         units %= period
+        if odd:
+            units >>= 1
         # the units are in range; any mode but the default "raise" lets take
         # write into a contiguous out without buffering it
         np.take(table, units, mode="clip", out=out[first : first + _ROW_BLOCK])
@@ -146,13 +152,14 @@ def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out) -> np.nd
 def _basis_tables(kind: BasisKind, dim: int) -> tuple[np.ndarray, ...]:
     """The one-period tables :func:`basis_columns` looks the entries of a valid basis up in.
 
-    4(2n+1) cosines for the cosine basis, 2(n+1) sines for the sine basis,
+    2(2n+1) cosines for the cosine basis, 2(n+1) sines for the sine basis,
     and N sines and N cosines for the real Fourier basis on N = dim rows.
     """
     if kind is BasisKind.SIML_COSINE:
-        # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units
+        # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units,
+        # of which the odd products (2k-1)(2l-1) reach only the odd half
         return (_table(np.cos, 4 * (2 * dim + 1), np.pi / (2 * (2 * dim + 1)),
-                       np.sqrt(2.0 / (dim + 0.5))),)
+                       np.sqrt(2.0 / (dim + 0.5)), odd=True),)
     if kind is BasisKind.DST_SINE:
         # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
         return (_table(np.sin, 2 * (dim + 1), np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1))),)
@@ -193,7 +200,7 @@ def basis_columns(
     l = np.arange(1, num_modes + 1, dtype=np.int64)
 
     if kind is BasisKind.SIML_COSINE:
-        return _lookup(tables[0], 2 * k - 1, 2 * l - 1, out)
+        return _lookup(tables[0], 2 * k - 1, 2 * l - 1, out, odd=True)
     if kind is BasisKind.DST_SINE:
         return _lookup(tables[0], k, l, out)
     # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column c is

@@ -10,9 +10,11 @@ checks.
 Replication r draws its streams from sub-seeds keyed (base_seed, r,
 stream), once per run for the largest n; every n reads a prefix of them
 (common random numbers), and every configured estimator sees the same
-series.  :func:`check_experiment` refuses a config whose engine buffers
-would exceed :data:`MAX_ENGINE_BYTES`.  ``threads`` is accepted but changes
-nothing.
+series.  A group of replications draws a tile's path normals and then its
+noise normals into one buffer, and each n builds a tile's basis rows
+straight into its latent weights.  :func:`check_experiment` refuses a
+config whose engine buffers (:func:`_engine_bytes`) would exceed
+:data:`MAX_ENGINE_BYTES`.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_e
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
     PATH_STREAM,
-    ConstantVol,
     DriftModel,
     NoiseModel,
     OrnsteinUhlenbeckVol,
-    PiecewiseVol,
     VolModel,
     _TILE_WIDTH,
+    _as_piecewise,
     _derive_seeds,
     _LatentTiles,
     _NoiseTiles,
@@ -225,27 +226,30 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
 def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
 
-    A group's tile of normals (OU: two streams and about four stream-sized
-    temporaries); under piecewise volatility five temporaries of a tile's
-    fine points (times, indices, spot, spot dt and scale); per n, the column
-    tile and two lookup temporaries, the weights, the coefficients and their
-    sum, and tables of at most 4(2n+1) floats per kind; per replication its
-    truths and seeds; and per live replication and stream a generator of
-    about 640 bytes.  The generators persist per thread across runs, at most
-    _LIVE_ROWS per stream role (market._generators); they are counted whether
-    or not this run builds them.
+    A group's draw buffer, whose rows hold a tile's path normals and then
+    its noise normals (OU: a second row of state shocks and about four
+    stream-sized temporaries); per n, the latent and noise weights, two
+    lookup temporaries, the coefficients and their sum, and tables of at
+    most 2(2n+1) floats per kind; under refinement > 1 one tile of basis
+    rows of the widest n; per replication its truths and seeds; and per
+    live replication and stream a generator of about 640 bytes.  The
+    generators persist per thread across runs, at most _LIVE_ROWS per
+    stream role (market._generators); they are counted whether or not this
+    run builds them.
     """
     reps, r = config.replications, config.refinement
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
     width = min(config.n_schedule[-1], _TILE_WIDTH)
-    floats = min(_TILE_ROWS, reps) * ((1 + 5 * ou) * width * r + _TILE_WIDTH + 1)
-    floats += 5 * isinstance(config.vol, PiecewiseVol) * (width * r + 1)
+    floats = min(_TILE_ROWS, reps) * (1 + 5 * ou) * max(width * r, width + 1)
     floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
+    spread = 0
     for n, m in zip(config.n_schedule, cutoffs):
         columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
-        floats += (min(n, _TILE_WIDTH) * (4 + r) + 1 + 3 * reps) * columns
-        floats += len(config.kinds) * 4 * (2 * n + 1)
-    return 8 * floats
+        w = min(n, _TILE_WIDTH)
+        floats += (w * (3 + r) + 1 + 3 * reps) * columns
+        floats += len(config.kinds) * 2 * (2 * n + 1)
+        spread = max(spread, (r > 1) * w * columns)
+    return 8 * (floats + spread)
 
 
 def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> list[dict]:
@@ -254,11 +258,15 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
     while the block walks the tiles of the largest n.  For each tile, every
     n that reaches it builds the matching rows of its kinds' basis columns
-    once, side by side in one column tile, from tables built once per run,
-    and turns them into latent and noise weights; then each group of up to
-    _TILE_ROWS replications of the block draws the tile's normals once, and
-    every such n adds their products with the weights to its coefficients
-    ``dX @ cols`` and ``dV @ cols``.  Returns one result per n, in order.
+    once, side by side, from tables built once per run: straight into its
+    latent weights (into one scratch tile, to be spread over the fine steps,
+    under refinement > 1).  Its noise weights and drift offset are taken
+    from these rows before they are scaled into latent weights.  Then each
+    group of up to _TILE_ROWS replications of the block draws the tile's
+    path normals, every such n adds their products with its latent weights
+    to its coefficients ``dX @ cols``, and the group draws its noise normals
+    into the same buffer for ``dV @ cols``.  Returns one result per n, in
+    order.
     """
     kinds, reps, r = config.kinds, config.replications, config.refinement
     sizes = []  # largest n first
@@ -270,11 +278,12 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
             "n": n,
             "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
                       zip(forms, edges, edges[1:])],
-            "cols": np.empty((w, edges[-1])),
             "latent": np.empty((w * r, edges[-1])),
             "noise": np.empty((w + 1, edges[-1])),
             "coef": np.zeros((2, reps, edges[-1])),  # dX @ cols, then dV @ cols
         })
+    # refinement > 1: a tile's basis rows of one n, before they are spread over its fine steps
+    spread = None if r == 1 else np.empty(max(s["latent"].size // r for s in sizes))
 
     rows, live = min(_TILE_ROWS, reps), min(_LIVE_ROWS, reps)
     path_seeds, noise_seeds = (
@@ -282,7 +291,8 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     )
     latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds,
                           rows, live)
-    noisy = _NoiseTiles(config.noise, noise_seeds, rows, live)
+    # the noise normals go where the path normals were, once their products are added
+    noisy = _NoiseTiles(config.noise, noise_seeds, latent.raw[0], live)
     truths = np.empty((len(sizes), reps))
     for block in range(0, reps, live):
         stop = min(block + live, reps)
@@ -291,27 +301,28 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
         for lo, hi in _tiles(sizes[0]["n"]):
             reached = []  # (grid, width, latent and noise weights, coefficients) of each n
             for i, size in enumerate(sizes):
-                n, coef = size["n"], size["coef"]
+                n, coef, lat = size["n"], size["coef"], size["latent"]
                 if n <= lo:
                     continue
-                w = min(hi, n) - lo
-                cols = size["cols"][:w]
+                w, k = min(hi, n) - lo, lat.shape[1]
+                cols = lat[:w] if spread is None else spread[: w * k].reshape(w, k)
                 for build, at, _ in size["forms"]:
                     build(lo, lo + w, cols[:, at])
+                noi = noisy.weights(n, lo, cols, size["noise"])
                 if latent.drift_level:  # the same row for every replication
                     coef[0, block:stop] += latent.offset(i, cols)
-                lat = None if latent.shocks is None else latent.weights(i, lo, cols, size["latent"])
-                reached.append((i, w, lat, noisy.weights(n, lo, cols, size["noise"]), coef))
-            for first in range(block, stop, rows):
-                g = min(first + rows, stop) - first
-                group = slice(first - block, first - block + g)
+                lat = None if latent.shocks is None else latent.weights(i, lo, cols, lat)
+                reached.append((i, w, lat, noi, coef[:, block:stop]))
+            for first in range(0, stop - block, rows):
+                group = slice(first, min(first + rows, stop - block))
+                g = group.stop - first
                 latent.draw(group, lo, hi - lo)
-                noisy.draw(group, lo, hi - lo)
-                for i, w, lat, noi, coef in reached:
-                    coef = coef[:, first : first + g]
+                for i, w, lat, _, coef in reached:
                     if lat is not None:
-                        coef[0] += latent.normals(i, g, w) @ lat
-                    coef[1] += noisy.values[:g, : w + 1] @ noi
+                        coef[0, group] += latent.normals(i, g, w) @ lat
+                noisy.draw(group, lo, hi - lo)
+                for _, w, _, noi, coef in reached:
+                    coef[1, group] += noisy.values[:g, : w + 1] @ noi
         truths[:, block:stop] = latent.truths
 
     def parts(forms, a, b, scale=1.0):
@@ -345,13 +356,6 @@ def _rmse_decreasing(rows: list[McRow]) -> tuple[tuple[str, bool], ...]:
         rmse.setdefault(row.kind, []).append(row.rmse)
     return tuple((f"rmse_decreasing[{kind}]", all(a > b for a, b in zip(vals, vals[1:])))
                  for kind, vals in rmse.items())
-
-
-def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
-    """A deterministic volatility model as a PiecewiseVol (a constant is one level); None for OU."""
-    if isinstance(vol, ConstantVol):
-        return PiecewiseVol((), (vol.level,))
-    return vol if isinstance(vol, PiecewiseVol) else None
 
 
 def _limit_variance(config: ExperimentConfig) -> float:

@@ -389,6 +389,23 @@ class _Streams:
         return out
 
 
+def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
+    """A deterministic volatility model as a PiecewiseVol (a constant is one level); None for OU."""
+    if isinstance(vol, ConstantVol):
+        return PiecewiseVol((), (vol.level,))
+    return vol if isinstance(vol, PiecewiseVol) else None
+
+
+def _first_point(b: float, n_fine: int) -> int:
+    """The first fine point p at or past breakpoint b: p / n_fine >= b, as floats compare."""
+    p = math.ceil(b * n_fine)
+    while p > 0 and (p - 1) / n_fine >= b:
+        p -= 1
+    while p / n_fine < b:
+        p += 1
+    return p
+
+
 def _tiles(n: int) -> list[tuple[int, int]]:
     """(start, stop) of each tile of n observed increments."""
     return [(k, min(k + _TILE_WIDTH, n)) for k in range(0, n, _TILE_WIDTH)]
@@ -418,19 +435,22 @@ class _LatentTiles:
         self.vol, self.r, self.n_fines = vol, refinement, [n * refinement for n in ns]
         self.dts = [1.0 / n_fine for n_fine in self.n_fines]
         self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
-        ou = isinstance(vol, OrnsteinUhlenbeckVol)
-        if isinstance(vol, ConstantVol):
-            self.exact, silent = float(vol.level), vol.level == 0
-        elif isinstance(vol, PiecewiseVol):
-            edges = np.array((0.0,) + vol.breakpoints + (1.0,))
-            self.exact = float(np.sum(np.asarray(vol.levels) * np.diff(edges)))
-            silent = not any(vol.levels)
-        else:
-            silent = False
+        steps = _as_piecewise(vol)
+        ou = steps is None
+        if not ou:
+            self.levels = [float(level) for level in steps.levels]
+            edges = np.array((0.0,) + steps.breakpoints + (1.0,))
+            self.exact = float(np.sum(np.array(self.levels) * np.diff(edges)))
+            # grid i's first fine point at or past each breakpoint, between 0 and the end
+            self.cuts = [[0, *(_first_point(b, n_fine) for b in steps.breakpoints), n_fine + 1]
+                         for n_fine in self.n_fines]
+        silent = not ou and not any(self.levels)
         self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live, "path")
         self.vol_shocks = _Streams(seeds, 1, live, "state") if ou else None
-        # the path shocks, then the OU state shocks, of a tile of the largest grid
-        self.raw = np.empty((1 + ou, rows, min(max(ns), _TILE_WIDTH) * refinement))
+        # the path shocks, then the OU state shocks, of a tile of the largest grid; the
+        # first is wide enough for a tile's noise normals too (see _NoiseTiles)
+        width = min(max(ns), _TILE_WIDTH)
+        self.raw = np.empty((1 + ou, rows, max(width * refinement, width + 1)))
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the paths of seeds[lo:hi] at time 0 on every grid."""
@@ -452,35 +472,33 @@ class _LatentTiles:
             if streams is not None:
                 streams.fill(raw[:rows, : w * self.r], group.start)
 
-    def _spot_scale(self, i: int, first: int, w: int, rows: int):
-        """Spot variance at grid i's fine points first..first+w, and sqrt(spot dt) of its steps.
-
-        A row per path for OU (which steps the drawn group's state), one row
-        shared by all paths for piecewise volatility, the level for constant
-        volatility.
-        """
-        vol, dt = self.vol, self.dts[i]
-        if isinstance(vol, ConstantVol):
-            return self.exact, math.sqrt(self.exact * dt)
-        if isinstance(vol, PiecewiseVol):
-            times = np.arange(first, first + w + 1) / self.n_fines[i]
-            idx = np.searchsorted(np.array(vol.breakpoints), times, side="right")
-            spot = np.asarray(vol.levels, dtype=float)[idx][np.newaxis]
-        else:
-            spot = self._ou_spot(i, rows, w)
-        return spot, np.sqrt(spot[:, :-1] * dt)
+    def _runs(self, i: int, first: int, count: int):
+        """(start, stop, level) of each run of one deterministic level over grid i's fine
+        points first..first+count-1, start and stop counted from ``first``."""
+        edges = self.cuts[i]
+        for a, b, level in zip(edges, edges[1:], self.levels):
+            a, b = max(a - first, 0), min(b - first, count)
+            if a < b:
+                yield a, b, level
 
     def tile(self, i: int, dx: np.ndarray):
         """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps.
 
-        Returns the spot variance at their w + 1 grid points.
+        Returns the spot variance at their w + 1 grid points: a row per path
+        for OU (which steps the drawn group's state), one row shared by all
+        paths otherwise.
         """
         rows, w = dx.shape
-        spot, scale = self._spot_scale(i, self.first, w, rows)
+        if self.vol_shocks is None:
+            spot = np.empty(w + 1)
+            for a, b, level in self._runs(i, self.first, w + 1):
+                spot[a:b] = level
+        else:
+            spot = self._ou_spot(i, rows, w)
         if self.shocks is None:
             dx[...] = self.drift_level * self.dts[i]
         else:
-            np.multiply(self.raw[0, :rows, :w], scale, out=dx)
+            np.multiply(self.raw[0, :rows, :w], np.sqrt(spot[..., :-1] * self.dts[i]), out=dx)
             if self.drift_level:
                 dx += self.drift_level * self.dts[i]
         return spot
@@ -490,13 +508,19 @@ class _LatentTiles:
         increments over observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
 
         Fine step k takes its observed step's row, times sqrt(spot dt) unless
-        the scale is per path (OU), when :meth:`normals` applies it.
+        the scale is per path (OU), when :meth:`normals` applies it; the
+        scale is one product per run of one level.  At refinement 1 ``cols``
+        may be out's own first w rows, which are then scaled in place.
         """
         w, k = cols.shape
         out = out[: w * self.r]
-        out.reshape(w, self.r, k)[...] = cols[:, np.newaxis]
+        if self.r > 1:
+            out.reshape(w, self.r, k)[...] = cols[:, np.newaxis]
+        else:
+            out[...] = cols  # no copy when cols is out
         if self.vol_shocks is None:
-            out *= np.reshape(self._spot_scale(i, lo * self.r, w * self.r, 0)[1], (-1, 1))
+            for a, b, level in self._runs(i, lo * self.r, w * self.r):
+                out[a:b] *= math.sqrt(level * self.dts[i])
         return out
 
     def normals(self, i: int, rows: int, w: int) -> np.ndarray:
@@ -504,7 +528,7 @@ class _LatentTiles:
         raw = self.raw[0, :rows, : w * self.r]
         if self.vol_shocks is None:
             return raw
-        return raw * self._spot_scale(i, self.first, w * self.r, rows)[1]
+        return raw * np.sqrt(self._ou_spot(i, rows, w * self.r)[:, :-1] * self.dts[i])
 
     def offset(self, i: int, cols: np.ndarray) -> np.ndarray:
         """The drift's part of grid i's increments times ``cols``, the same for every path."""
@@ -535,16 +559,19 @@ class _NoiseTiles:
     Row j follows the noise stream of ``seeds[j]``: the noise at time k is
     normal k of the stream times the noise scale, whatever the length n.
     :meth:`start` begins up to ``live`` series; :meth:`draw` draws the
-    normals at a tile's w + 1 times for a group of up to ``rows`` of them
-    into ``values`` (the one at the tile's first time carries over from the
-    previous tile), which the Monte Carlo engine multiplies by :meth:`weights`.
+    normals at a tile's w + 1 times for a group of up to ``len(values)`` of
+    them into the buffer ``values`` (the one at the tile's first time
+    carries over from the previous tile), which the Monte Carlo engine
+    multiplies by :meth:`weights`.  The engine passes the path normals'
+    buffer (``_LatentTiles.raw[0]``) and draws the noise once it is done
+    with them.
     """
 
-    def __init__(self, noise: NoiseModel, seeds, rows: int = 1, live: int | None = None):
-        live = rows if live is None else live
+    def __init__(self, noise: NoiseModel, seeds, values: np.ndarray, live: int | None = None):
+        live = len(values) if live is None else live
         self.noise, self.scale = noise, np.sqrt(noise.variance)
         self.streams = _Streams(seeds, None, live, "noise")
-        self.values = np.empty((rows, _TILE_WIDTH + 1))
+        self.values = values
         self.carry = np.empty(live)  # each started series' normal at the last drawn time
 
     def start(self, lo: int, hi: int) -> None:

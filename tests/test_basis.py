@@ -102,10 +102,10 @@ def test_columns_unit_norm(kind):
         np.testing.assert_allclose(np.linalg.norm(b, axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 7, 64, 390, 1023, 4680])
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 390, 1023, 4680, 16384])
 def test_cosine_and_sine_columns_keep_their_bits(dim):
     """The one-period table lookup equals scale * f(units * step), the formula written out."""
-    for m in sorted({1, min(dim, 27), dim if dim <= 64 else 1}):
+    for m in sorted({1, min(dim, 27), min(dim, 48), dim if dim <= 64 else 1}):
         k = np.arange(1, dim + 1, dtype=np.int64)[:, None]
         l = np.arange(1, m + 1, dtype=np.int64)[None, :]
         units = (2 * k - 1) * (2 * l - 1) % (4 * (2 * dim + 1))

@@ -618,8 +618,10 @@ class TestEngineBytes:
             {"n_schedule": (2**15,), "replications": 4},
             {"vol": PiecewiseVol((0.5,), (1.0, 2.0)), "n_schedule": (1024,), "refinement": 400,
              "replications": 2},
+            {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE),
+             "n_schedule": (1024, 4096, 16384), "replications": 200},
         ],
-        ids=["raw_tile", "ou", "coefficients", "tables", "piecewise_spot"],
+        ids=["raw_tile", "ou", "coefficients", "tables", "piecewise_spot", "contrast_shape"],
     )
     def test_bounds_the_traced_peak(self, overrides):
         cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})

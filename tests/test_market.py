@@ -24,6 +24,7 @@ from spectralvol.market import (
     observe,
     _TILE_WIDTH,
     _derive_seeds,
+    _first_point,
     _LatentTiles,
     _NoiseTiles,
     _seed_words,
@@ -152,6 +153,27 @@ class TestSimulateLatentBits:
         assert path.true_integrated_vol == float(trapezoid(spot, dx=dt))
 
 
+    def test_piecewise_vol(self):
+        """Breakpoints on a fine point, just past one, and two between the same points."""
+        n, r, seed = _TILE_WIDTH + 40, 3, 17
+        n_fine = n * r
+        vol = PiecewiseVol((0.25, 0.1 * 3, 1 / 3, float(np.nextafter(0.5, 1.0)), 0.6, 0.6 + 1e-12),
+                           (1.0, 4.0, 0.5, 2.0, 3.0, 0.7, 1.5))
+        times = np.arange(n_fine + 1) / n_fine
+        spot = np.asarray(vol.levels)[np.searchsorted(vol.breakpoints, times, side="right")]
+        dx = np.sqrt(spot[:-1] * (1.0 / n_fine)) * _philox_normals(seed, n_fine)
+        path = simulate_latent(vol, ZeroDrift(), EquidistantScheme(n), r, seed)
+        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+        assert path.spot_variance.tobytes() == spot.tobytes()
+
+    def test_first_point_compares_as_the_fine_times(self):
+        for n_fine in (1, 3, 7, 3192, 10**6 + 1):
+            times = np.arange(n_fine + 1) / n_fine
+            on = times[1:-1:max(1, n_fine // 50)]
+            for b in np.concatenate((on, np.nextafter(on, 0.0), np.nextafter(on, 1.0),
+                                     [0.1 * 3, 1 / 3, 0.6, 1e-300, float(np.nextafter(1.0, 0))])):
+                assert _first_point(float(b), n_fine) == np.searchsorted(times, b), (n_fine, b)
+
     def test_streams_continue_across_tiles(self):
         """Paths over two tiles keep the bits of one long draw, OU state and truth included."""
         n = _TILE_WIDTH + 40
@@ -210,7 +232,7 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     rows, r = len(path_seeds), refinement
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
     latent = _LatentTiles(vol, drift, (n,), r, seeds[0], group, rows)
-    sampler = _NoiseTiles(noise, seeds[1], group, rows)
+    sampler = _NoiseTiles(noise, seeds[1], np.empty((group, _TILE_WIDTH + 1)), rows)
     latent.start(0, rows)
     sampler.start(0, rows)
     dx, spot = np.empty((rows, n * r)), np.empty((rows, n * r + 1))
@@ -294,7 +316,7 @@ class TestWeights:
     def _weighted(vol, drift, noise, n, r, path_seeds, noise_seeds, cols):
         rows = len(path_seeds)
         latent = _LatentTiles(vol, drift, (n,), r, path_seeds, rows)
-        sampler = _NoiseTiles(noise, noise_seeds, rows)
+        sampler = _NoiseTiles(noise, noise_seeds, np.empty((rows, _TILE_WIDTH + 1)))
         latent.start(0, rows)
         sampler.start(0, rows)
         width = min(n, _TILE_WIDTH)

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidParameter
+from .errors import DimensionMismatch, InvalidDimension, InvalidParameter, ResultOverflow, _index
 
 __all__ = [
     "BasisKind",
@@ -65,11 +65,11 @@ DIAGONALIZING_BASIS = {
 
 
 def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
-    if dim < 1:
+    if _index(dim, "dim") < 1:
         raise InvalidDimension(f"dim must be >= 1, got {dim}")
     if kind is BasisKind.FOURIER_REAL and dim % 2 == 0:
         raise InvalidDimension(f"fourier_real needs an odd dimension, got {dim}")
-    if not 1 <= num_modes <= dim:
+    if not 1 <= _index(num_modes, "num_modes") <= dim:
         raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
 
 
@@ -212,13 +212,15 @@ def basis_columns(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # coefficients that overflow are refused
 def basis_coefficients(kind: BasisKind, x: np.ndarray, num_modes: int) -> np.ndarray:
     """``basis_columns(kind, len(x), num_modes).T @ x`` by one FFT, in O(n log n).
 
     With N = 2n+1, j = k-1 and b = l-1 the cosine angle (2k-1)(2l-1)pi/(2N)
     is 2 pi j b/N + pi j/N + pi(2b+1)/(2N), a length-N DFT between two turns.
     The sine sums are -Im of a real DFT of length 2(n+1) with x_k at index
-    k; the real Fourier columns are read off the real DFT of x.
+    k; the real Fourier columns are read off the real DFT of x.  Raises
+    :class:`ResultOverflow` when a coefficient overflows float64.
     """
     kind = BasisKind(kind)
     x = np.asarray(x, dtype=float)
@@ -233,15 +235,19 @@ def basis_coefficients(kind: BasisKind, x: np.ndarray, num_modes: int) -> np.nda
         turned = x * np.exp(-1j * np.pi / period * np.arange(dim))
         bins = np.fft.fft(turned, period)[:num_modes]
         bins *= np.exp(-1j * np.pi / (2 * period) * np.arange(1, 2 * num_modes, 2))
-        return math.sqrt(2.0 / (dim + 0.5)) * bins.real
-    if kind is BasisKind.DST_SINE:
+        out = math.sqrt(2.0 / (dim + 0.5)) * bins.real
+    elif kind is BasisKind.DST_SINE:
         bins = np.fft.rfft(np.concatenate(([0.0], x)), 2 * (dim + 1))[1 : num_modes + 1]
-        return -math.sqrt(2.0 / (dim + 1)) * bins.imag
-    # FOURIER_REAL: -Im and Re of bins 0, 1, ... interleaved, less -Im F_0, are the
-    # constant, sin(1), cos(1), sin(2), ... sums; the constant column is 1/sqrt(n).
-    bins = np.fft.rfft(x)[: num_modes // 2 + 1]
-    out = math.sqrt(2.0 / dim) * np.column_stack((-bins.imag, bins.real)).ravel()[1 : num_modes + 1]
-    out[0] /= math.sqrt(2.0)
+        out = -math.sqrt(2.0 / (dim + 1)) * bins.imag
+    else:
+        # FOURIER_REAL: -Im and Re of bins 0, 1, ... interleaved, less -Im F_0, are the
+        # constant, sin(1), cos(1), sin(2), ... sums; the constant column is 1/sqrt(n).
+        bins = np.fft.rfft(x)[: num_modes // 2 + 1]
+        out = math.sqrt(2.0 / dim) * np.column_stack((-bins.imag, bins.real)).ravel()
+        out = out[1 : num_modes + 1]
+        out[0] /= math.sqrt(2.0)
+    if not np.all(np.isfinite(out)):
+        raise ResultOverflow("basis coefficients overflow float64 at the data's scale")
     return out
 
 

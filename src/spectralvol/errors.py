@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that raises one."""
+
+import operator
 
 
 class SpectralVolError(ValueError):
@@ -47,3 +49,11 @@ class DegenerateVariance(SpectralVolError):
 
 class DegenerateData(SpectralVolError):
     """Data is degenerate (all-zero where a positive sum is required)."""
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int when it is an integer (``operator.index``); InvalidParameter if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None

@@ -27,6 +27,7 @@ truth for the noise floors of the cosine and Fourier forms (>= nu/2 and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -40,8 +41,9 @@ from .errors import (
     EvenLength,
     InvalidParameter,
     ResultOverflow,
+    _index,
 )
-from .market import ObservationSeries
+from .market import ObservationSeries, _nonnegative
 
 __all__ = [
     "EstimatorKind",
@@ -105,11 +107,12 @@ _REAL_FORMS: dict[EstimatorKind, tuple[BasisKind, int, int, int]] = {
 def _form(kind: EstimatorKind, n: int, m: int) -> tuple[BasisKind, int, int]:
     """Basis, column count and scale shift of a real kind's form on n increments at cutoff m.
 
-    Raises :class:`InvalidParameter` for a complex kind or a cutoff that
-    leaves no column, :class:`EvenLength` for the Fourier form on even n and
-    :class:`CutoffTooLarge` for more columns than increments.
+    Raises :class:`InvalidParameter` for a complex kind, an n or m that is
+    not an integer or a cutoff that leaves no column, :class:`EvenLength` for
+    the Fourier form on even n and :class:`CutoffTooLarge` for more columns
+    than increments.
     """
-    kind = EstimatorKind(kind)
+    kind, n, m = EstimatorKind(kind), _index(n, "n"), _index(m, "m")
     if kind not in _REAL_FORMS:
         raise InvalidParameter(f"{kind.value} is not one of the real-valued kinds")
     basis, per_mode, constant, shift = _REAL_FORMS[kind]
@@ -182,7 +185,8 @@ def mm_fourier_complex(
     (as ``np.linspace`` gives it), they are one inverse DFT,
     F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
     real.  Raises :class:`InvalidParameter` for non-finite input, times
-    that do not strictly increase or an estimate that overflows, and
+    that do not strictly increase, an m or q that is not an integer or an
+    estimate that overflows, and
     :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
     increments: on t_k = k/n the frequencies repeat with period n.
     """
@@ -191,6 +195,7 @@ def mm_fourier_complex(
     obs = list(obs)
     if not obs:
         raise EmptyInput("no observation series given")
+    m, q = _index(m, "m"), _index(q, "q")
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
     shortest = min(len(o.values) - 1 for o in obs)
@@ -293,20 +298,26 @@ def noise_expectation_exact(
         sum gaps + corner - [initial out] u.u - [terminal out] v.v,
 
     the corner being u.u (cosine), 2 u.v (real Fourier) or 0 (sine).  O(m):
-    nothing longer than the column count is built.
+    nothing longer than the column count is built.  Raises
+    :class:`InvalidParameter` for a variance that is not finite and >= 0, or
+    an n or m that is not an integer, and :class:`ResultOverflow` when the
+    expectation overflows float64.
     """
-    if variance < 0:
-        raise InvalidParameter(f"variance must be >= 0, got {variance}")
-    if n < 1:
+    if not _nonnegative(variance):
+        raise InvalidParameter(f"variance must be finite and >= 0, got {variance}")
+    if _index(n, "n") < 1:
         raise InvalidParameter(f"need n >= 1 increments, got {n}")
     basis, columns, shift = _form(kind, n, m)
     gaps, u, v = spectrum(basis, n, columns)
     a, b, c = _CORNERS[basis]
     total = (np.sum(gaps) - c * np.sum((u - v) ** 2)
              + (a - (not include_initial)) * (u @ u) + (b - (not include_terminal)) * (v @ v))
+    value = (n + shift) / columns * variance * float(total)  # Python floats overflow silently
+    if not math.isfinite(value):
+        raise ResultOverflow(f"the noise expectation overflows float64 at variance {variance}")
     # A trace of a positive semidefinite form: where it is exactly 0 (one
     # increment with both ends out), rounding must not make it negative.
-    return max(float((n + shift) / columns * variance * total), 0.0)
+    return max(value, 0.0)
 
 
 def result_csv_rows(result: EstimateResult) -> list[str]:

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
-from .errors import InvalidParameter, ResultOverflow
+from .errors import InvalidParameter, ResultOverflow, _index
 from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
@@ -35,6 +35,7 @@ from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wr
     NoiseModel,
     OrnsteinUhlenbeckVol,
     VolModel,
+    _TILE_ROWS,
     _TILE_WIDTH,
     _as_piecewise,
     _derive_seeds,
@@ -59,12 +60,6 @@ __all__ = [
     "CSV_COLUMNS",
     "MAX_ENGINE_BYTES",
 ]
-
-# Replications per tile.  A tile of _TILE_ROWS x _TILE_WIDTH increments and
-# the _TILE_WIDTH rows of basis columns it meets fit in cache together.  Fixed,
-# like the tile width, so that a replication's coefficients do not depend on
-# how many replications run.
-_TILE_ROWS = 128
 
 # Replications whose streams stay keyed while they walk the tiles, so that
 # each tile of basis columns, built once, serves all of them.  A multiple of
@@ -109,7 +104,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
-        object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
+        schedule = tuple(_index(n, "n_schedule") for n in self.n_schedule)
+        object.__setattr__(self, "n_schedule", schedule)
+        for name in ("replications", "base_seed", "refinement", "threads"):
+            _index(getattr(self, name), name)
         if not self.kinds or len(set(self.kinds)) < len(self.kinds):
             raise InvalidParameter("kinds must name at least one estimator kind, each once")
         if not 1 <= self.replications <= 2**32:
@@ -131,7 +129,7 @@ class ExperimentConfig:
         alpha = self.m_exponent if self.m_exponent is not None else default_exponent
         try:
             m = int(math.floor(n**alpha))
-        except ArithmeticError:  # n^alpha overflows a float
+        except (ArithmeticError, ValueError):  # n^alpha overflows a float, or is nan
             raise InvalidParameter(f"cutoff rule n^{alpha} is out of range at n={n}") from None
         if m < 1:
             raise InvalidParameter(f"cutoff rule n^{alpha} gives m < 1 at n={n}")
@@ -227,20 +225,20 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
 
     A group's draw buffer, whose rows hold a tile's path normals and then
-    its noise normals (OU: a second row of state shocks and about four
-    stream-sized temporaries); per n, the latent and noise weights, two
-    lookup temporaries, the coefficients and their sum, and tables of at
-    most 2(2n+1) floats per kind; under refinement > 1 one tile of basis
-    rows of the widest n; per replication its truths and seeds; and per
-    live replication and stream a generator of about 640 bytes.  The
-    generators persist per thread across runs, at most _LIVE_ROWS per
-    stream role (market._generators); they are counted whether or not this
-    run builds them.
+    its noise normals (OU: a second row of state shocks, then the state, its
+    squared copy and the trapezoid's sums); per n, the latent and noise
+    weights, two lookup temporaries, the coefficients and their sum, and
+    tables of at most 2(2n+1) floats per kind; under refinement > 1 one tile
+    of basis rows of the widest n; per replication its truths and seeds; and
+    per live replication and stream a generator of about 640 bytes.  The
+    generators persist per thread across runs, at most _LIVE_ROWS per stream
+    role (market._generators); they are counted whether or not this run
+    builds them.
     """
     reps, r = config.replications, config.refinement
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
     width = min(config.n_schedule[-1], _TILE_WIDTH)
-    floats = min(_TILE_ROWS, reps) * (1 + 5 * ou) * max(width * r, width + 1)
+    floats = min(_TILE_ROWS, reps) * (1 + 4 * ou) * max(width * r, width + 1)
     floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
     spread = 0
     for n, m in zip(config.n_schedule, cutoffs):
@@ -256,21 +254,22 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
     Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
-    while the block walks the tiles of the largest n.  For each tile, every
-    n that reaches it builds the matching rows of its kinds' basis columns
-    once, side by side, from tables built once per run: straight into its
-    latent weights (into one scratch tile, to be spread over the fine steps,
-    under refinement > 1).  Its noise weights and drift offset are taken
-    from these rows before they are scaled into latent weights.  Then each
-    group of up to _TILE_ROWS replications of the block draws the tile's
-    path normals, every such n adds their products with its latent weights
-    to its coefficients ``dX @ cols``, and the group draws its noise normals
-    into the same buffer for ``dV @ cols``.  Returns one result per n, in
-    order.
+    while the block walks the tiles of the largest n; the samplers size the
+    rest, and take each block's generators and state as it starts.  For each
+    tile, every n that reaches it builds the matching rows of its kinds'
+    basis columns once, side by side, from tables built once per run:
+    straight into its latent weights (into one scratch tile, to be spread
+    over the fine steps, under refinement > 1).  Its noise weights and drift
+    offset are taken from these rows before they are scaled into latent
+    weights.  Then each group of up to _TILE_ROWS replications of the block
+    draws the tile's path normals, every such n adds their products with its
+    latent weights to its coefficients ``dX @ cols``, and the group draws
+    its noise normals into the same buffer for ``dV @ cols``.  Returns one
+    result per n, in schedule order.
     """
     kinds, reps, r = config.kinds, config.replications, config.refinement
-    sizes = []  # largest n first
-    for n, m in reversed(list(zip(config.n_schedule, cutoffs))):
+    sizes = []
+    for n, m in zip(config.n_schedule, cutoffs):
         forms = [_form_columns(kind, n, m) for kind in kinds]
         edges = np.cumsum([0] + [columns for _, columns, _ in forms])
         w = min(n, _TILE_WIDTH)
@@ -285,20 +284,18 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     # refinement > 1: a tile's basis rows of one n, before they are spread over its fine steps
     spread = None if r == 1 else np.empty(max(s["latent"].size // r for s in sizes))
 
-    rows, live = min(_TILE_ROWS, reps), min(_LIVE_ROWS, reps)
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds,
-                          rows, live)
+    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds)
     # the noise normals go where the path normals were, once their products are added
-    noisy = _NoiseTiles(config.noise, noise_seeds, latent.raw[0], live)
+    noisy = _NoiseTiles(config.noise, noise_seeds, latent.raw[0])
     truths = np.empty((len(sizes), reps))
-    for block in range(0, reps, live):
-        stop = min(block + live, reps)
+    for block in range(0, reps, _LIVE_ROWS):
+        stop = min(block + _LIVE_ROWS, reps)
         latent.start(block, stop)
         noisy.start(block, stop)
-        for lo, hi in _tiles(sizes[0]["n"]):
+        for lo, hi in _tiles(sizes[-1]["n"]):
             reached = []  # (grid, width, latent and noise weights, coefficients) of each n
             for i, size in enumerate(sizes):
                 n, coef, lat = size["n"], size["coef"], size["latent"]
@@ -313,8 +310,8 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
                     coef[0, block:stop] += latent.offset(i, cols)
                 lat = None if latent.shocks is None else latent.weights(i, lo, cols, lat)
                 reached.append((i, w, lat, noi, coef[:, block:stop]))
-            for first in range(0, stop - block, rows):
-                group = slice(first, min(first + rows, stop - block))
+            for first in range(0, stop - block, _TILE_ROWS):
+                group = slice(first, min(first + _TILE_ROWS, stop - block))
                 g = group.stop - first
                 latent.draw(group, lo, hi - lo)
                 for i, w, lat, _, coef in reached:
@@ -331,7 +328,7 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
         )
 
     results = []
-    for size, truth in zip(reversed(sizes), truths[::-1]):
+    for size, truth in zip(sizes, truths):
         forms, (wx, wv) = size["forms"], size["coef"]
         wy = wx + wv
         results.append({

@@ -16,7 +16,10 @@ frequencies, and Lr is the remainder.  :func:`spectral_transform` computes
 all n coefficients with one FFT in O(n log n); :func:`joint_mle` maximizes
 the full L by Fisher scoring in (log c, log nu) with step halving, checks
 the boundaries nu = 0 and c = 0 in closed form, and returns asymptotic
-standard errors from the inverse Fisher information.
+standard errors from the inverse Fisher information.  A coefficient vector
+must hold n >= 1 finite numbers, and parameters must be finite and sizes
+integers: anything else raises one of the package's errors, as does a result
+that overflows float64 (:class:`ResultOverflow`).
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from .basis import BasisKind, basis_coefficients, eigen_gaps
 from .errors import (
     DegenerateData,
     DegenerateVariance,
+    DimensionMismatch,
     EmptyInput,
     InvalidParameter,
+    ResultOverflow,
+    _index,
 )
 
 __all__ = [
@@ -51,10 +57,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralCoefficients:
-    """All n scaled spectral coefficients of an increment vector."""
+    """All n scaled spectral coefficients of an increment vector: n >= 1 finite numbers."""
 
     z: np.ndarray
     n: int
+
+    def __post_init__(self):
+        z = np.asarray(self.z, dtype=float)
+        if z.ndim != 1 or len(z) < 1 or _index(self.n, "n") != len(z):
+            raise DimensionMismatch(f"need a vector of n >= 1 coefficients, got shape {z.shape} "
+                                    f"and n={self.n}")
+        if not np.all(np.isfinite(z)):
+            raise InvalidParameter("coefficients must be finite numbers")
+        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -63,6 +78,16 @@ class LikelihoodParams:
 
     c: float
     nu: float
+
+
+def _check_finite(params: LikelihoodParams) -> None:
+    if not (math.isfinite(params.c) and math.isfinite(params.nu)):
+        raise InvalidParameter(f"c and nu must be finite, got c={params.c}, nu={params.nu}")
+
+
+def _refuse_overflow(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ResultOverflow("the likelihood overflows float64 at the data's scale")
 
 
 @dataclass(frozen=True)
@@ -82,6 +107,9 @@ class LikelihoodDecomposition:
     params: LikelihoodParams
     partition: PartitionChoice
 
+    def __post_init__(self):
+        _refuse_overflow(self.total, self.low_frequency, self.high_frequency, self.remainder)
+
 
 @dataclass(frozen=True)
 class MleResult:
@@ -94,7 +122,11 @@ class MleResult:
     log_likelihood: float
     std_errors: tuple[float, float]
 
+    def __post_init__(self):
+        _refuse_overflow(self.params.c, self.params.nu, self.log_likelihood)
 
+
+@np.errstate(over="ignore", invalid="ignore")  # SpectralCoefficients refuses an overflow
 def spectral_transform(deltas: np.ndarray) -> SpectralCoefficients:
     """z_k = sqrt(n) * sum_j p[j,k] dY_j for all n cosine-basis columns.
 
@@ -121,16 +153,21 @@ def _loglik(a: np.ndarray, z2: np.ndarray, c: float, nu: float) -> float:
     return float(-0.5 * np.sum(np.log(d)) - 0.5 * np.sum(z2 / d))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused
 def log_likelihood(z: SpectralCoefficients, params: LikelihoodParams) -> float:
-    """L(c, nu) = -1/2 sum [log(c + a_k nu) + z_k^2/(c + a_k nu)]."""
+    """L(c, nu) = -1/2 sum [log(c + a_k nu) + z_k^2/(c + a_k nu)]; c and nu must be finite."""
+    _check_finite(params)
     a = a_coefficients(z.n)
     if np.any(params.c + a * params.nu <= 0):
         raise DegenerateVariance(
             f"c + a_k nu must be positive for all k (c={params.c}, nu={params.nu})"
         )
-    return _loglik(a, z.z**2, params.c, params.nu)
+    value = _loglik(a, z.z**2, params.c, params.nu)
+    _refuse_overflow(value)
+    return value
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow is refused
 def decompose(
     z: SpectralCoefficients, params: LikelihoodParams, partition: PartitionChoice
 ) -> LikelihoodDecomposition:
@@ -138,11 +175,13 @@ def decompose(
 
     ``L1(c) = -m log c - (1/c) sum_{k<=m} z_k^2`` depends only on the first m
     coefficients; ``L2(nu)`` only on the last l; the remainder is defined as
-    ``2L - L1 - L2`` so the identity holds exactly.
+    ``2L - L1 - L2`` so the identity holds exactly.  Needs finite c and nu
+    and integers m and l.
     """
-    m, l = partition.m, partition.l
+    m, l = _index(partition.m, "m"), _index(partition.l, "l")
     if m < 1 or l < 1 or m + l > z.n:
         raise InvalidParameter(f"need 1 <= m, 1 <= l, m + l <= {z.n}; got m={m}, l={l}")
+    _check_finite(params)
     if params.c <= 0:
         raise DegenerateVariance(f"c must be > 0 in the low-frequency part, got {params.c}")
     if params.nu <= 0:
@@ -165,27 +204,31 @@ def decompose(
     )
 
 
+@np.errstate(over="ignore")  # an overflow is refused
 def maximize_L1(z: SpectralCoefficients, m: int) -> float:
     """Closed-form maximizer of the low-frequency part: mean of the first m z_k^2.
 
     Identical to the cosine-basis volatility estimate with the same cutoff.
     """
-    if not 1 <= m <= z.n:
+    if not 1 <= _index(m, "m") <= z.n:
         raise InvalidParameter(f"need 1 <= m <= {z.n}, got {m}")
     total = float(np.sum(z.z[:m] ** 2))
     if total == 0.0:
         raise DegenerateData("all low-frequency coefficients are zero")
+    _refuse_overflow(total)
     return total / m
 
 
+@np.errstate(over="ignore")  # an overflow is refused
 def noise_variance_estimate(z: SpectralCoefficients, l: int) -> float:
     """Closed-form maximizer of the high-frequency part: mean of z_k^2/a_k over the top l."""
-    if not 1 <= l <= z.n:
+    if not 1 <= _index(l, "l") <= z.n:
         raise InvalidParameter(f"need 1 <= l <= {z.n}, got {l}")
     a_tail = a_coefficients(z.n)[z.n - l :]
     total = float(np.sum(z.z[z.n - l :] ** 2 / a_tail))
     if total == 0.0:
         raise DegenerateData("all high-frequency coefficients are zero")
+    _refuse_overflow(total)
     return total / l
 
 
@@ -219,6 +262,7 @@ def _std_errors(a: np.ndarray, c: float, nu: float) -> tuple[float, float]:
     )
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # MleResult refuses an overflow
 def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     """Fisher-scoring maximizer of the full quasi-log-likelihood.
 
@@ -247,12 +291,14 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     L(0, nu0), (0, nu0) is returned, flagged as not converged.
 
     The returned point never has a lower likelihood than ``init``;
-    non-convergence is flagged, not raised.  ``std_errors`` are the square
-    roots of the diagonal of the inverse Fisher information in (c, nu) at
-    the returned point; the entry of a parameter on its boundary is nan.
+    non-convergence is flagged, not raised, and a likelihood or parameter
+    that overflows float64 raises :class:`ResultOverflow`.  ``std_errors``
+    are the square roots of the diagonal of the inverse Fisher information
+    in (c, nu) at the returned point; the entry of a parameter on its
+    boundary is nan.
     """
-    if init.c <= 0 or init.nu <= 0:
-        raise InvalidParameter("initial c and nu must be strictly positive")
+    if not (0 < init.c < math.inf and 0 < init.nu < math.inf):
+        raise InvalidParameter("initial c and nu must be finite and strictly positive")
     a = a_coefficients(z.n)
     z2 = z.z**2
 
@@ -309,19 +355,18 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     # a parameter underflows and the information overflows: clipping bounds
     # the step, a singular information or a nan step ends the loop, and the
     # fit is flagged as not converged.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        theta, best, converged, iterations = ascend(np.log([init.c, init.nu]), best)
-        edge = _loglik(a, z2, 0.0, nu0) if c_score > 0 else -math.inf
-        if edge > best:
-            # A local maximum below the c = 0 edge, where L still rises in c:
-            # climb again from one Fisher step in c off that edge.
-            c1 = c_score / float(np.sum((a * nu0) ** -2.0))
-            theta, best, converged, more = ascend(np.log([c1, nu0]), _loglik(a, z2, c1, nu0))
-            iterations += more
-            if best < edge:
-                theta, best, converged = np.log([0.0, nu0]), edge, False
-        c, nu = (float(v) for v in np.exp(theta))
-        std_errors = _std_errors(a, c, nu)
+    theta, best, converged, iterations = ascend(np.log([init.c, init.nu]), best)
+    edge = _loglik(a, z2, 0.0, nu0) if c_score > 0 else -math.inf
+    if edge > best:
+        # A local maximum below the c = 0 edge, where L still rises in c:
+        # climb again from one Fisher step in c off that edge.
+        c1 = c_score / float(np.sum((a * nu0) ** -2.0))
+        theta, best, converged, more = ascend(np.log([c1, nu0]), _loglik(a, z2, c1, nu0))
+        iterations += more
+        if best < edge:
+            theta, best, converged = np.log([0.0, nu0]), edge, False
+    c, nu = (float(v) for v in np.exp(theta))
+    std_errors = _std_errors(a, c, nu)
     return MleResult(
         params=LikelihoodParams(c=c, nu=nu),
         converged=converged,

@@ -20,7 +20,9 @@ engine's noise (``_NoiseTiles``), are drawn in tiles of ``_TILE_WIDTH``
 observed increments, each drawn once for paths of several lengths (each
 reading a prefix) and continuing its streams, so a tile-by-tile draw has the
 bits of one long draw: :func:`observe` and the correlated paths make that in
-one fill.  Paths whose spot variance is zero everywhere draw no latent shocks.
+one fill.  The tile samplers size their buffers from their seeds and grids,
+and their per-stream state from each ``start``.  Paths whose spot variance is
+zero everywhere draw no latent shocks.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidParameter, TooShort
+from .errors import GridMismatch, InvalidParameter, TooShort, _index
 
 __all__ = [
     "ConstantVol",
@@ -164,7 +166,7 @@ class EquidistantScheme:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _index(self.n, "n") < 1:
             raise InvalidParameter(f"need n >= 1 observation intervals, got {self.n}")
 
     @property
@@ -203,9 +205,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Observed increments per tile of the samplers below.  Fixed, so that a
-# path's values do not depend on how many paths are drawn with it.
-_TILE_WIDTH = 1024
+# Tiles of the samplers below: up to _TILE_ROWS paths by _TILE_WIDTH observed
+# increments, which fit in cache with the basis rows they meet.  Fixed, so
+# that a path's values do not depend on how many paths are drawn with it.
+_TILE_ROWS, _TILE_WIDTH = 128, 1024
 
 
 def _words(x) -> list[int]:
@@ -348,21 +351,21 @@ def _generators(role: str, rows: int) -> list:
 
 
 class _Streams:
-    """The Philox streams of some seeds, drawn through ``rows`` generators of one role.
+    """The Philox streams of some seeds, drawn through generators of one role.
 
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
     buffer start empty.  The keys of all seeds come from one hash call;
-    :meth:`start` re-keys the generators to the streams of seeds[lo:hi], one
-    each, and each :meth:`fill` continues some of them, so a row filled tile
-    by tile gets the bits of one long draw.  The generators are this thread's
-    pool for ``role`` (:func:`_generators`), kept from run to run; only the
-    newest _Streams of a role on a thread may start or fill them.
+    :meth:`start` re-keys one generator of this thread's pool for ``role``
+    (:func:`_generators`, kept from run to run) to each stream of seeds[lo:hi],
+    and each :meth:`fill` continues some of them, so a row filled tile by tile
+    gets the bits of one long draw, and refuses rows not started.  Only the
+    newest _Streams of a role on a thread may start or fill.
     """
 
-    def __init__(self, seeds, spawn: int | None = None, rows: int = 1, role: str = "path"):
+    def __init__(self, seeds, spawn: int | None = None, role: str = "path"):
         self.keys = _uint64(_seed_words((seeds,), 4, spawn))
-        self.role, self.pool = role, _generators(role, rows)
+        self.role, self.pool = role, []
         _POOLS.owners[role] = id(self)
 
     def _check_owner(self) -> None:
@@ -372,6 +375,7 @@ class _Streams:
 
     def start(self, lo: int, hi: int) -> None:
         self._check_owner()
+        self.pool = _generators(self.role, hi - lo)
         # The setter reads the dict, so one dict serves every generator; it
         # reads Python ints faster than numpy scalars.
         keyed = {"counter": _EMPTY_BLOCK, "key": None}
@@ -384,7 +388,7 @@ class _Streams:
     def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
         """Standard normals into each row of ``out``, row j from started stream first + j."""
         self._check_owner()
-        for row, gen in zip(out, self.pool[first : first + len(out)]):
+        for row, gen in zip(out, self.pool[first : first + len(out)], strict=True):
             gen.standard_normal(out=row)
         return out
 
@@ -417,21 +421,18 @@ class _LatentTiles:
     Grid i has ``ns[i] * refinement`` fine steps.  Row j follows the path
     stream of ``seeds[j]`` (spawn key 0 under OU volatility, whose state
     follows spawn key 1): on every grid, fine step k is driven by normal k
-    of the stream.  :meth:`start` begins up to ``live`` paths and
-    :meth:`draw` draws one tile's normals for a group of up to ``rows`` of
-    them, once.  :meth:`tile` scales a prefix of them into one grid's
-    increments.  The Monte Carlo engine forms no increments: it multiplies
-    :meth:`normals` by :meth:`weights` and adds :meth:`offset`, the drift's
-    part.  Each path's OU state on each grid and, for OU, its integrated
-    variance (the trapezoid rule, summed tile by tile) carry over from tile
-    to tile.  Paths whose spot variance is zero everywhere draw no shocks.
+    of the stream.  :meth:`start` begins any run of them, and :meth:`draw`
+    draws one tile's normals for up to _TILE_ROWS of those, once, into
+    ``raw``, sized for the largest grid.  :meth:`tile` scales a prefix of
+    them into one grid's increments.  The Monte Carlo engine forms none: it
+    multiplies :meth:`normals` by :meth:`weights` and adds :meth:`offset`,
+    the drift's part.  Each path's OU state on each grid and, for OU, its
+    integrated variance (the trapezoid rule, summed tile by tile) carry over
+    from tile to tile.  Paths whose spot variance is zero everywhere draw no
+    shocks.
     """
 
-    def __init__(
-        self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds, rows: int = 1,
-        live: int | None = None,
-    ):
-        live = rows if live is None else live
+    def __init__(self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds):
         self.vol, self.r, self.n_fines = vol, refinement, [n * refinement for n in ns]
         self.dts = [1.0 / n_fine for n_fine in self.n_fines]
         self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
@@ -445,11 +446,12 @@ class _LatentTiles:
             self.cuts = [[0, *(_first_point(b, n_fine) for b in steps.breakpoints), n_fine + 1]
                          for n_fine in self.n_fines]
         silent = not ou and not any(self.levels)
-        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, live, "path")
-        self.vol_shocks = _Streams(seeds, 1, live, "state") if ou else None
+        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, "path")
+        self.vol_shocks = _Streams(seeds, 1, "state") if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid; the
         # first is wide enough for a tile's noise normals too (see _NoiseTiles)
         width = min(max(ns), _TILE_WIDTH)
+        rows = min(_TILE_ROWS, np.size(seeds))
         self.raw = np.empty((1 + ou, rows, max(width * refinement, width + 1)))
 
     def start(self, lo: int, hi: int) -> None:
@@ -528,7 +530,8 @@ class _LatentTiles:
         raw = self.raw[0, :rows, : w * self.r]
         if self.vol_shocks is None:
             return raw
-        return raw * np.sqrt(self._ou_spot(i, rows, w * self.r)[:, :-1] * self.dts[i])
+        scaled = np.sqrt(self._ou_spot(i, rows, w * self.r)[:, :-1] * self.dts[i])
+        return np.multiply(raw, scaled, out=scaled)
 
     def offset(self, i: int, cols: np.ndarray) -> np.ndarray:
         """The drift's part of grid i's increments times ``cols``, the same for every path."""
@@ -537,18 +540,18 @@ class _LatentTiles:
     def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
         # OU state stepped for all rows at once; the spot variance is the
         # squared state, hence nonnegative by construction.
-        vol, dt = self.vol, self.dts[i]
-        shocks = self.raw[1, :rows, :w].T * np.sqrt(dt)
+        vol, dt, sqrt_dt = self.vol, self.dts[i], np.sqrt(self.dts[i])
+        shocks = self.raw[1, :rows, :w]
         state = np.empty((w + 1, rows))
         state[0] = self.state[i, self.group]
         for k in range(w):
             state[k + 1] = (
                 state[k]
                 + vol.reversion_rate * (vol.mean_level - state[k]) * dt
-                + vol.vol_of_vol * shocks[k]
+                + vol.vol_of_vol * (shocks[:, k] * sqrt_dt)
             )
         self.state[i, self.group] = state[-1]
-        spot = (state**2).T.copy()
+        spot = np.square(state, out=state).T.copy()  # the truths' bits need this layout
         self.truths[i, self.group] += _trapezoid(spot, dx=dt, axis=1)
         return spot
 
@@ -558,25 +561,24 @@ class _NoiseTiles:
 
     Row j follows the noise stream of ``seeds[j]``: the noise at time k is
     normal k of the stream times the noise scale, whatever the length n.
-    :meth:`start` begins up to ``live`` series; :meth:`draw` draws the
-    normals at a tile's w + 1 times for a group of up to ``len(values)`` of
-    them into the buffer ``values`` (the one at the tile's first time
-    carries over from the previous tile), which the Monte Carlo engine
-    multiplies by :meth:`weights`.  The engine passes the path normals'
-    buffer (``_LatentTiles.raw[0]``) and draws the noise once it is done
-    with them.
+    :meth:`start` begins any run of the series, each with a carry: its
+    normal at the last drawn time.  :meth:`draw` draws the normals at a
+    tile's w + 1 times for a group of up to ``len(values)`` of them into the
+    buffer ``values`` (the one at the tile's first time is the carry), which
+    the Monte Carlo engine multiplies by :meth:`weights`.  The engine passes
+    the path normals' buffer (``_LatentTiles.raw[0]``) and draws the noise
+    once it is done with them.
     """
 
-    def __init__(self, noise: NoiseModel, seeds, values: np.ndarray, live: int | None = None):
-        live = len(values) if live is None else live
+    def __init__(self, noise: NoiseModel, seeds, values: np.ndarray):
         self.noise, self.scale = noise, np.sqrt(noise.variance)
-        self.streams = _Streams(seeds, None, live, "noise")
+        self.streams = _Streams(seeds, None, "noise")
         self.values = values
-        self.carry = np.empty(live)  # each started series' normal at the last drawn time
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the series of seeds[lo:hi] at time 0."""
         self.streams.start(lo, hi)
+        self.carry = np.empty(hi - lo)
 
     def draw(self, group: slice, lo: int, w: int) -> None:
         """Draw the normals of the started series ``group`` at times lo..lo+w."""

@@ -13,6 +13,7 @@ from spectralvol.errors import (
     EmptyInput,
     EvenLength,
     InvalidParameter,
+    ResultOverflow,
 )
 from spectralvol.basis import BasisKind, JacobiKind, build_basis, build_jacobi
 from spectralvol.estimators import (
@@ -373,6 +374,20 @@ class TestNoiseExpectationExact:
     def test_zero_variance(self):
         assert noise_expectation_exact(EstimatorKind.SIML, 16, 3, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "n,m,variance",
+        [(64, 4, math.nan), (64, 4, math.inf), (64.5, 4, 1.0), (64, 4.5, 1.0), (64.0, 4, 1.0),
+         (math.nan, 4, 1.0)],
+        ids=["variance_nan", "variance_inf", "n_half", "m_half", "n_float", "n_nan"],
+    )
+    def test_refuses_bad_variance_and_non_integer_sizes(self, n, m, variance):
+        with pytest.raises(InvalidParameter):
+            noise_expectation_exact(EstimatorKind.SIML, n, m, variance)
+
+    def test_refuses_an_overflowing_expectation(self):
+        with pytest.raises(ResultOverflow):
+            noise_expectation_exact(EstimatorKind.SIML, 40, 4, 1e308)
+
     def test_never_negative(self):
         """The trace of a positive semidefinite form; 0.0 for one increment with both ends out."""
         for kind, (basis, per_mode, constant, _) in _REAL_FORMS.items():
@@ -516,6 +531,16 @@ class TestErrors:
     def test_nonpositive_cutoff(self):
         with pytest.raises(InvalidParameter):
             siml([np.ones(4)], 0)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0, math.nan])
+    def test_non_integer_cutoff_or_shift(self, size):
+        for estimator in REAL_ESTIMATORS.values():
+            with pytest.raises(InvalidParameter):
+                estimator([np.ones(5)], size)
+        obs = _series_from_deltas(np.ones(5))
+        for q, m in ((0, size), (size, 1)):
+            with pytest.raises(InvalidParameter):
+                mm_fourier_complex(obs, q, m)
 
     @pytest.mark.parametrize(
         "kind, n, m, error",

@@ -91,6 +91,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameter):
             _config(refinement=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_schedule", (64.7, 128)), ("replications", 10.5), ("base_seed", 1.5),
+         ("refinement", 2.0), ("threads", float("nan"))],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        """n_schedule = (64.7, 128) once ran at n = 64; replications = 10.5 ended in a TypeError."""
+        with pytest.raises(InvalidParameter, match=field):
+            _config(**{field: value})
+
     def test_repeated_kind_rejected(self):
         """A repeated kind would write every row twice and fail its own RMSE check."""
         with pytest.raises(InvalidParameter, match="each once"):
@@ -280,11 +290,13 @@ class TestCheckExperiment:
             ("consistency", {"replications": 1}),
             ("normality", {"vol": ConstantVol(0.0)}),
             ("normality", {"vol": ConstantVol(1e200)}),
+            ("consistency", {"m_exponent": float("nan")}),
         ],
         ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
              "noise_bounds_vol", "noise_bounds_drift", "contrast_no_initial_noise", "huge_refinement",
              "coefficients_above_limit", "tables_above_limit", "one_replication",
-             "normality_zero_limit_variance", "normality_limit_variance_overflow"],
+             "normality_zero_limit_variance", "normality_limit_variance_overflow",
+             "m_exponent_nan"],
     )
     def test_rejects(self, experiment, overrides):
         with pytest.raises(InvalidParameter):

@@ -9,8 +9,10 @@ from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_
 from spectralvol.errors import (
     DegenerateData,
     DegenerateVariance,
+    DimensionMismatch,
     EmptyInput,
     InvalidParameter,
+    ResultOverflow,
 )
 from spectralvol.estimators import siml
 from spectralvol.likelihood import (
@@ -59,6 +61,25 @@ class TestSpectralTransform:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidParameter):
             spectral_transform(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize(
+        "z,n,error",
+        [
+            (np.array([1.0, np.nan, 0.5]), 3, InvalidParameter),
+            (np.array([1.0, np.inf, 0.5]), 3, InvalidParameter),
+            (np.array([-np.inf]), 1, InvalidParameter),
+            (np.array([1.0, 2.0]), 3, DimensionMismatch),
+            (np.array([1.0, 2.0, 3.0]), 2, DimensionMismatch),
+            (np.array([]), 0, DimensionMismatch),
+            (np.ones((2, 2)), 2, DimensionMismatch),
+            (np.array([1.0, 2.0]), 2.0, InvalidParameter),
+        ],
+        ids=["nan", "inf", "minus_inf", "short", "long", "empty", "matrix", "float_n"],
+    )
+    def test_coefficients_are_checked_where_made(self, z, n, error):
+        """A NaN coefficient once came back from joint_mle as its start point, with L = nan."""
+        with pytest.raises(error):
+            SpectralCoefficients(z, n)
 
     def test_matches_dense_cosine_basis(self):
         """The FFT path equals sqrt(n) P^T dY with the dense basis, to 1e-12 ||z||.
@@ -125,6 +146,12 @@ class TestLogLikelihood:
         with pytest.raises(DegenerateVariance):
             log_likelihood(z, LikelihoodParams(c=0.0, nu=0.0))
 
+    @pytest.mark.parametrize("c,nu", [(np.nan, 0.1), (1.0, np.nan), (np.inf, 0.1), (1.0, -np.inf)])
+    def test_non_finite_params_rejected(self, c, nu):
+        z = SpectralCoefficients(z=np.array([1.0, 0.5, 0.7]), n=3)
+        with pytest.raises(InvalidParameter):
+            log_likelihood(z, LikelihoodParams(c, nu))
+
     def test_grid_maximum_near_truth(self):
         """Averaged over replications, the likelihood peaks at the generating point."""
         n, c_true, nu_true, reps = 256, 1.0, 1e-3, 200
@@ -184,6 +211,20 @@ class TestDecompose:
     def test_bad_partition(self):
         with pytest.raises(InvalidParameter):
             decompose(self._z(), LikelihoodParams(1.0, 1.0), PartitionChoice(2, 1))
+
+    @pytest.mark.parametrize(
+        "params,partition",
+        [
+            (LikelihoodParams(np.nan, 0.1), PartitionChoice(1, 1)),
+            (LikelihoodParams(0.5, np.inf), PartitionChoice(1, 1)),
+            (LikelihoodParams(0.5, 0.25), PartitionChoice(1.0, 1)),
+            (LikelihoodParams(0.5, 0.25), PartitionChoice(1, 1.0)),
+        ],
+        ids=["c_nan", "nu_inf", "float_m", "float_l"],
+    )
+    def test_non_finite_params_and_non_integer_partition_rejected(self, params, partition):
+        with pytest.raises(InvalidParameter):
+            decompose(self._z(), params, partition)
 
 
 class TestClosedFormMaximizers:
@@ -267,6 +308,44 @@ class TestClosedFormMaximizers:
             maximize_L1(z, 2)
         with pytest.raises(DegenerateData):
             noise_variance_estimate(z, 2)
+
+    @pytest.mark.parametrize("size", [1.5, 2.0])
+    def test_non_integer_sizes_rejected(self, size):
+        z = SpectralCoefficients(z=np.array([1.0, 0.5, 0.7]), n=3)
+        with pytest.raises(InvalidParameter):
+            maximize_L1(z, size)
+        with pytest.raises(InvalidParameter):
+            noise_variance_estimate(z, size)
+
+
+class TestOverflowRefused:
+    """Finite input whose likelihood or estimate overflows float64 raises, without a warning."""
+
+    pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+    def test_transform(self):
+        with pytest.raises(InvalidParameter, match="overflow"):
+            spectral_transform(np.array([1e308, 1e308]))
+
+    def test_closed_form_maximizers(self):
+        z = SpectralCoefficients(np.array([1e308, 1.0]), 2)
+        with pytest.raises(ResultOverflow):
+            maximize_L1(z, 1)
+        with pytest.raises(ResultOverflow):
+            noise_variance_estimate(SpectralCoefficients(np.array([1.0, 1e308]), 2), 1)
+
+    @pytest.mark.parametrize("c,nu", [(5e-324, 0.0), (1.0, 1e308)])
+    def test_likelihood_and_decomposition(self, c, nu):
+        z = SpectralCoefficients(np.array([0.0, 1e308]), 2)
+        with pytest.raises(ResultOverflow):
+            log_likelihood(z, LikelihoodParams(c, nu))
+        with pytest.raises(ResultOverflow):
+            decompose(z, LikelihoodParams(c, nu or 1.0), PartitionChoice(1, 1))
+
+    def test_joint_mle(self):
+        with pytest.raises(ResultOverflow):
+            joint_mle(SpectralCoefficients(np.array([1e200, 1.0, 1e200]), 3),
+                      LikelihoodParams(1.0, 0.1))
 
 
 class TestCovarianceModel:
@@ -456,3 +535,10 @@ class TestJointMle:
         z = SpectralCoefficients(z=np.ones(4), n=4)
         with pytest.raises(InvalidParameter):
             joint_mle(z, LikelihoodParams(0.0, 1e-4))
+
+    @pytest.mark.parametrize("c,nu", [(np.nan, 0.1), (1.0, np.inf), (np.inf, 0.1)])
+    def test_non_finite_init(self, c, nu):
+        """A NaN start once came back as c = nan; nu = inf as a converged boundary fit."""
+        z = SpectralCoefficients(z=np.ones(4), n=4)
+        with pytest.raises(InvalidParameter):
+            joint_mle(z, LikelihoodParams(c, nu))

@@ -22,6 +22,7 @@ from spectralvol.market import (
     derive_seed,
     increments,
     observe,
+    _TILE_ROWS,
     _TILE_WIDTH,
     _derive_seeds,
     _first_point,
@@ -62,18 +63,20 @@ class TestSimulateLatent:
         """Monte Carlo moment oracle: Var(X_1 - X_0) = c over many seeds.
 
         The one-step paths of seeds 0..n_seeds-1 are drawn through the keyed
-        streams a block of live generators at a time; every 997th has the
-        bits of its own simulate_latent call.
+        streams a block of live generators at a time, in groups of _TILE_ROWS;
+        every 997th has the bits of its own simulate_latent call.
         """
         c = 2.3
         scheme = EquidistantScheme(1)
         n_seeds, block = 100_000, 1000
-        latent = _LatentTiles(ConstantVol(c), ZeroDrift(), (1,), 1, np.arange(n_seeds), block)
+        latent = _LatentTiles(ConstantVol(c), ZeroDrift(), (1,), 1, np.arange(n_seeds))
         ends = np.empty((n_seeds, 1))
         for lo in range(0, n_seeds, block):
             latent.start(lo, lo + block)
-            latent.draw(slice(0, block), 0, 1)
-            latent.tile(0, ends[lo : lo + block])
+            for first in range(0, block, _TILE_ROWS):
+                group = slice(first, min(first + _TILE_ROWS, block))
+                latent.draw(group, 0, 1)
+                latent.tile(0, ends[lo + group.start : lo + group.stop])
         ends = ends[:, 0]
         for seed in range(0, n_seeds, 997):
             path = simulate_latent(ConstantVol(c), ZeroDrift(), scheme, 1, seed)
@@ -231,8 +234,8 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     """
     rows, r = len(path_seeds), refinement
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
-    latent = _LatentTiles(vol, drift, (n,), r, seeds[0], group, rows)
-    sampler = _NoiseTiles(noise, seeds[1], np.empty((group, _TILE_WIDTH + 1)), rows)
+    latent = _LatentTiles(vol, drift, (n,), r, seeds[0])
+    sampler = _NoiseTiles(noise, seeds[1], np.empty((group, _TILE_WIDTH + 1)))
     latent.start(0, rows)
     sampler.start(0, rows)
     dx, spot = np.empty((rows, n * r)), np.empty((rows, n * r + 1))
@@ -278,6 +281,17 @@ class TestBlockHelpers:
             assert truths[j] == path.true_integrated_vol
 
 
+    def test_samplers_size_themselves(self):
+        """The draw buffer from the seeds and grids; the generators and carry from start()."""
+        many = np.arange(_TILE_ROWS + 5)
+        latent = _LatentTiles(_VOLS["ou"], ZeroDrift(), (5, 40), 3, many)
+        assert latent.raw.shape == (2, _TILE_ROWS, 120)
+        latent = _LatentTiles(ConstantVol(1.0), ZeroDrift(), (5,), 1, [1, 2, 3])
+        assert latent.raw.shape == (1, 3, 6)
+        sampler = _NoiseTiles(NoiseModel(0.01), many, np.empty((_TILE_ROWS, 6)))
+        sampler.start(10, 17)
+        assert sampler.carry.shape == (7,) and len(sampler.streams.pool) == 7
+
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
     def test_one_increment_series(self, ends):
         """At n = 1 both end points fall in the one noise difference."""
@@ -315,7 +329,7 @@ class TestWeights:
     @staticmethod
     def _weighted(vol, drift, noise, n, r, path_seeds, noise_seeds, cols):
         rows = len(path_seeds)
-        latent = _LatentTiles(vol, drift, (n,), r, path_seeds, rows)
+        latent = _LatentTiles(vol, drift, (n,), r, path_seeds)
         sampler = _NoiseTiles(noise, noise_seeds, np.empty((rows, _TILE_WIDTH + 1)))
         latent.start(0, rows)
         sampler.start(0, rows)
@@ -495,7 +509,7 @@ class TestSeedingKernel:
     def test_normals_rows_match_per_seed_philox(self, spawn):
         """A pool re-keyed per group of seeds, filled in uneven tiles, draws each seed's stream."""
         seeds = [3, 2**32 + 5] + [derive_seed(2, rep, 0) for rep in range(6)]
-        streams = _Streams(seeds, spawn, rows=3)
+        streams = _Streams(seeds, spawn)
         for lo in range(0, len(seeds), 3):
             group = seeds[lo : lo + 3]
             streams.start(lo, lo + len(group))
@@ -567,13 +581,15 @@ class TestGeneratorPool:
 
     def test_pool_grows_to_the_largest_block_and_is_reused(self):
         def streams():
-            big = _Streams([1, 2, 3, 4, 5], None, 5, "noise")
-            small = _Streams([6, 7], None, 2, "noise")
+            big = _Streams([1, 2, 3, 4, 5], None, "noise")
+            big.start(0, 5)
+            small = _Streams([6, 7], None, "noise")
+            small.start(0, 2)
             return big.pool, small.pool, market._POOLS.generators["noise"]
 
         big, small, pool = _on_fresh_thread(streams)
         assert len(pool) == 5 and all(a is b for a, b in zip(big, pool))
-        assert all(a is b for a, b in zip(small, big))
+        assert len(small) == 2 and all(a is b for a, b in zip(small, big))
 
     def test_roles_and_threads_share_no_generator(self):
         def pools():
@@ -585,20 +601,31 @@ class TestGeneratorPool:
 
     def test_older_sampler_of_a_role_is_refused(self):
         """A newer _Streams of the same role takes the generators; the older one may not draw."""
-        older = _Streams([1, 2], None, 2, "noise")
+        older = _Streams([1, 2], None, "noise")
         older.start(0, 2)
-        newer = _Streams([3, 4], None, 2, "noise")
+        newer = _Streams([3, 4], None, "noise")
         for draw in (lambda: older.start(0, 2), lambda: older.fill(np.empty((2, 3)))):
             with pytest.raises(RuntimeError, match="'noise'"):
                 draw()
         newer.start(0, 2)
         newer.fill(np.empty((2, 3)))
-        other_role = _Streams([5], None, 1, "state")
+        other_role = _Streams([5], None, "state")
         other_role.start(0, 1)
         newer.fill(np.empty((2, 3)))
 
+    def test_fill_draws_only_started_streams(self):
+        """A fill before any start, or past the started streams, raises instead of drawing."""
+        streams = _Streams([1, 2, 3], None, "noise")
+        with pytest.raises(ValueError):
+            streams.fill(np.empty((1, 3)))
+        streams.start(0, 2)
+        for rows, first in ((3, 0), (2, 1)):
+            with pytest.raises(ValueError):
+                streams.fill(np.empty((rows, 3)), first)
+        streams.fill(np.empty((1, 3)), 1)
+
     def test_sampler_of_another_thread_is_refused(self):
-        streams = _Streams([1, 2], None, 2, "path")
+        streams = _Streams([1, 2], None, "path")
         streams.start(0, 2)
 
         def fill_elsewhere():
@@ -639,7 +666,7 @@ class TestZeroVarianceBlock:
             _Streams, "fill",
             lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
         )
-        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2], rows=2)
+        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2])
         latent.start(0, 2)
         latent.draw(slice(0, 2), 0, 8)
         latent.tile(0, np.empty((2, 8)))
@@ -667,10 +694,13 @@ class TestNonFiniteParameters:
             lambda: OrnsteinUhlenbeckVol(1.0, _INF, 0.5, 1.0),
             lambda: ConstantDrift(_NAN),
             lambda: ConstantDrift(-_INF),
+            lambda: EquidistantScheme(2.5),
+            lambda: EquidistantScheme(_NAN),
         ],
         ids=["noise_nan", "noise_inf", "const_nan", "const_inf", "piecewise_level_nan",
              "piecewise_level_inf", "piecewise_breakpoint_nan", "ou_mean_nan", "ou_rate_nan",
-             "ou_volvol_nan", "ou_initial_nan", "ou_rate_inf", "drift_nan", "drift_inf"],
+             "ou_volvol_nan", "ou_initial_nan", "ou_rate_inf", "drift_nan", "drift_inf",
+             "scheme_non_integer", "scheme_nan"],
     )
     def test_rejected(self, make):
         with pytest.raises(InvalidParameter):

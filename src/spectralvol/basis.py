@@ -28,7 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidParameter, ResultOverflow, _index
+from .errors import (DimensionMismatch, InvalidDimension, InvalidParameter, ResultOverflow,
+                     _index, _real_array)
 
 __all__ = [
     "BasisKind",
@@ -220,10 +221,11 @@ def basis_coefficients(kind: BasisKind, x: np.ndarray, num_modes: int) -> np.nda
     is 2 pi j b/N + pi j/N + pi(2b+1)/(2N), a length-N DFT between two turns.
     The sine sums are -Im of a real DFT of length 2(n+1) with x_k at index
     k; the real Fourier columns are read off the real DFT of x.  Raises
-    :class:`ResultOverflow` when a coefficient overflows float64.
+    :class:`ResultOverflow` when a coefficient overflows float64 and
+    :class:`InvalidParameter` for an x that is not finite and real.
     """
     kind = BasisKind(kind)
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, "x")
     if x.ndim != 1:
         raise DimensionMismatch(f"x must be a vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -264,7 +266,7 @@ def build_jacobi(kind: JacobiKind, dim: int) -> np.ndarray:
     since at smaller sizes the wrap-around corners collide with the
     off-diagonal band.
     """
-    kind = JacobiKind(kind)
+    kind, dim = JacobiKind(kind), _index(dim, "dim")
     if dim < 1:
         raise InvalidDimension(f"dim must be >= 1, got {dim}")
     if kind is JacobiKind.JN_TILDE and (dim < 3 or dim % 2 == 0):
@@ -284,7 +286,7 @@ def build_jacobi(kind: JacobiKind, dim: int) -> np.ndarray:
 
 def eigenvalues_closed_form(kind: JacobiKind, dim: int) -> np.ndarray:
     """Eigenvalues 2 - :func:`eigen_gaps` in basis column order; ``JN_TILDE`` needs odd dim >= 3."""
-    kind = JacobiKind(kind)
+    kind, dim = JacobiKind(kind), _index(dim, "dim")
     if kind is JacobiKind.JN_TILDE and (dim < 3 or dim % 2 == 0):
         raise InvalidDimension(f"jn_tilde needs an odd dimension >= 3, got {dim}")
     return 2.0 - eigen_gaps(DIAGONALIZING_BASIS[kind], dim, dim)
@@ -295,8 +297,10 @@ def cosine_square_sum(m: int, n: int) -> float:
 
     Equals ``m/2 + sin(2m pi/(2n+1)) / (4 sin(pi/(2n+1)))``; this is the
     exact first-coordinate weight that drives the initial-noise floor of the
-    cosine-basis estimator.
+    cosine-basis estimator.  Raises :class:`InvalidParameter` for an m or n
+    that is not an integer.
     """
+    m, n = _index(m, "m"), _index(n, "n")
     if n < 1 or not 1 <= m <= n:
         raise InvalidDimension(f"need 1 <= m <= n, got m={m}, n={n}")
     return m / 2.0 + 0.25 * math.sin(2.0 * m * math.pi / (2 * n + 1)) / math.sin(

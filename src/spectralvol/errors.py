@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the size check that raises one."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 import operator
+
+import numpy as np
 
 
 class SpectralVolError(ValueError):
@@ -51,9 +53,22 @@ class DegenerateData(SpectralVolError):
     """Data is degenerate (all-zero where a positive sum is required)."""
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int when it is an integer (``operator.index``); InvalidParameter if not."""
+def _index(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int when it is an integer (``operator.index``) and at least ``low``
+    when that is given; InvalidParameter if not."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise InvalidParameter(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array if its dtype is boolean, integer or real; InvalidParameter if not
+    (a cast would drop an imaginary part with only a warning)."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)

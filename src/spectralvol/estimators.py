@@ -42,6 +42,7 @@ from .errors import (
     InvalidParameter,
     ResultOverflow,
     _index,
+    _real_array,
 )
 from .market import ObservationSeries, _nonnegative
 
@@ -83,7 +84,7 @@ class EstimateResult:
 def _as_delta_list(deltas) -> list[np.ndarray]:
     if isinstance(deltas, np.ndarray) and deltas.ndim == 1:
         deltas = [deltas]
-    out = [np.asarray(d, dtype=float) for d in deltas]
+    out = [_real_array(d, "increments") for d in deltas]
     if not out or any(d.size == 0 for d in out):
         raise EmptyInput("increment input is empty")
     return out
@@ -184,7 +185,7 @@ def mm_fourier_complex(
     conjugation; on the grid t_k = k/n, to within a few ulps of each time
     (as ``np.linspace`` gives it), they are one inverse DFT,
     F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
-    real.  Raises :class:`InvalidParameter` for non-finite input, times
+    real.  Raises :class:`InvalidParameter` for non-finite or non-real input, times
     that do not strictly increase, an m or q that is not an integer or an
     estimate that overflows, and
     :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
@@ -202,8 +203,9 @@ def mm_fourier_complex(
     if shortest < 1:
         raise EmptyInput("observation series has fewer than 2 points")
     for o in obs:
-        if not (np.all(np.isfinite(o.values)) and np.all(np.isfinite(o.times))
-                and np.all(np.diff(o.times) > 0)):
+        values, times = _real_array(o.values, "values"), _real_array(o.times, "times")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(times))
+                and np.all(np.diff(times) > 0)):
             raise InvalidParameter("values and times must be finite, times strictly increasing")
     # Real increments give F(-u) = conj(F(u)): compute u = 0..top only.
     top = m + abs(q)
@@ -260,13 +262,14 @@ def _form_columns(kind: EstimatorKind, n: int, m: int):
     return build, columns, (n + shift) / columns
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a difference that overflows is refused
 def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     """The estimator's quadratic form on a raw noise vector v_0..v_N: its estimate from diff(v).
 
     This is exactly the random variable whose expectation the noise-floor
     and noise-decay bounds control; the latent price is identically zero.
     """
-    v = np.asarray(noise, dtype=float)
+    v = _real_array(noise, "noise")
     if v.size < 2:
         raise EmptyInput("noise vector needs at least 2 points")
     return float(_real_estimate(kind, np.diff(v), m).value[0, 0])
@@ -305,8 +308,7 @@ def noise_expectation_exact(
     """
     if not _nonnegative(variance):
         raise InvalidParameter(f"variance must be finite and >= 0, got {variance}")
-    if _index(n, "n") < 1:
-        raise InvalidParameter(f"need n >= 1 increments, got {n}")
+    _index(n, "n", 1)
     basis, columns, shift = _form(kind, n, m)
     gaps, u, v = spectrum(basis, n, columns)
     a, b, c = _CORNERS[basis]

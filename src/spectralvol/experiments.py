@@ -106,21 +106,15 @@ class ExperimentConfig:
         object.__setattr__(self, "kinds", tuple(EstimatorKind(k) for k in self.kinds))
         schedule = tuple(_index(n, "n_schedule") for n in self.n_schedule)
         object.__setattr__(self, "n_schedule", schedule)
-        for name in ("replications", "base_seed", "refinement", "threads"):
-            _index(getattr(self, name), name)
+        for name, low in (("replications", 1), ("base_seed", 0), ("refinement", 1), ("threads", 1)):
+            _index(getattr(self, name), name, low)
         if not self.kinds or len(set(self.kinds)) < len(self.kinds):
             raise InvalidParameter("kinds must name at least one estimator kind, each once")
-        if not 1 <= self.replications <= 2**32:
+        if self.replications > 2**32:
             # replication r keys its streams with r, whose keys collide from 2**32 on
             raise InvalidParameter("replications must be in [1, 2**32]")
         if not self.n_schedule or list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise InvalidParameter("n_schedule must be strictly increasing and non-empty")
-        if self.base_seed < 0:
-            raise InvalidParameter("base_seed must be >= 0")
-        if self.refinement < 1:
-            raise InvalidParameter("refinement must be >= 1")
-        if self.threads < 1:
-            raise InvalidParameter("threads must be >= 1")
         for kind in self.kinds:
             for n in self.n_schedule:
                 _form(kind, n, 1)  # m = 1 is the smallest cutoff a run uses
@@ -225,29 +219,28 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
 
     A group's draw buffer, whose rows hold a tile's path normals and then
-    its noise normals (OU: a second row of state shocks, then the state, its
-    squared copy and the trapezoid's sums); per n, the latent and noise
-    weights, two lookup temporaries, the coefficients and their sum, and
-    tables of at most 2(2n+1) floats per kind; under refinement > 1 one tile
-    of basis rows of the widest n; per replication its truths and seeds; and
-    per live replication and stream a generator of about 640 bytes.  The
-    generators persist per thread across runs, at most _LIVE_ROWS per stream
-    role (market._generators); they are counted whether or not this run
-    builds them.
+    its noise normals (OU: ``refinement`` normals per observed step, a row of
+    state shocks, the state, its squared copy and the trapezoid's sums); per
+    n, the latent and noise weights, two lookup temporaries, the coefficients
+    and their sum, tables of at most 2(2n+1) floats per kind and the n step
+    scales of deterministic volatility; per replication its truths and
+    seeds; and per live replication and stream a generator of about 640
+    bytes.  The generators persist per thread across runs, at most
+    _LIVE_ROWS per stream role (market._generators); they are counted
+    whether or not this run builds them.
     """
-    reps, r = config.replications, config.refinement
+    reps = config.replications
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
+    r = config.refinement if ou else 1
     width = min(config.n_schedule[-1], _TILE_WIDTH)
     floats = min(_TILE_ROWS, reps) * (1 + 4 * ou) * max(width * r, width + 1)
     floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
-    spread = 0
     for n, m in zip(config.n_schedule, cutoffs):
         columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
         w = min(n, _TILE_WIDTH)
-        floats += (w * (3 + r) + 1 + 3 * reps) * columns
+        floats += (4 * w + 1 + 3 * reps) * columns + (not ou) * n
         floats += len(config.kinds) * 2 * (2 * n + 1)
-        spread = max(spread, (r > 1) * w * columns)
-    return 8 * (floats + spread)
+    return 8 * floats
 
 
 def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> list[dict]:
@@ -257,17 +250,17 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     while the block walks the tiles of the largest n; the samplers size the
     rest, and take each block's generators and state as it starts.  For each
     tile, every n that reaches it builds the matching rows of its kinds'
-    basis columns once, side by side, from tables built once per run:
-    straight into its latent weights (into one scratch tile, to be spread
-    over the fine steps, under refinement > 1).  Its noise weights and drift
-    offset are taken from these rows before they are scaled into latent
-    weights.  Then each group of up to _TILE_ROWS replications of the block
-    draws the tile's path normals, every such n adds their products with its
-    latent weights to its coefficients ``dX @ cols``, and the group draws
-    its noise normals into the same buffer for ``dV @ cols``.  Returns one
-    result per n, in schedule order.
+    basis columns once, side by side, from tables built once per run,
+    straight into its latent weights: one row per observed step.  Its noise
+    weights and drift offset are taken from these rows before they are
+    scaled in place into latent weights.  Then each group of up to
+    _TILE_ROWS replications of the block draws the tile's path normals,
+    every such n adds their products with its latent weights to its
+    coefficients ``dX @ cols``, and the group draws its noise normals into
+    the same buffer for ``dV @ cols``.  Returns one result per n, in
+    schedule order.
     """
-    kinds, reps, r = config.kinds, config.replications, config.refinement
+    kinds, reps = config.kinds, config.replications
     sizes = []
     for n, m in zip(config.n_schedule, cutoffs):
         forms = [_form_columns(kind, n, m) for kind in kinds]
@@ -277,17 +270,16 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
             "n": n,
             "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
                       zip(forms, edges, edges[1:])],
-            "latent": np.empty((w * r, edges[-1])),
+            "latent": np.empty((w, edges[-1])),
             "noise": np.empty((w + 1, edges[-1])),
             "coef": np.zeros((2, reps, edges[-1])),  # dX @ cols, then dV @ cols
         })
-    # refinement > 1: a tile's basis rows of one n, before they are spread over its fine steps
-    spread = None if r == 1 else np.empty(max(s["latent"].size // r for s in sizes))
 
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], r, path_seeds)
+    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], config.refinement,
+                          path_seeds)
     # the noise normals go where the path normals were, once their products are added
     noisy = _NoiseTiles(config.noise, noise_seeds, latent.raw[0])
     truths = np.empty((len(sizes), reps))
@@ -298,17 +290,17 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
         for lo, hi in _tiles(sizes[-1]["n"]):
             reached = []  # (grid, width, latent and noise weights, coefficients) of each n
             for i, size in enumerate(sizes):
-                n, coef, lat = size["n"], size["coef"], size["latent"]
+                n, coef = size["n"], size["coef"]
                 if n <= lo:
                     continue
-                w, k = min(hi, n) - lo, lat.shape[1]
-                cols = lat[:w] if spread is None else spread[: w * k].reshape(w, k)
+                w = min(hi, n) - lo
+                cols = size["latent"][:w]
                 for build, at, _ in size["forms"]:
                     build(lo, lo + w, cols[:, at])
                 noi = noisy.weights(n, lo, cols, size["noise"])
                 if latent.drift_level:  # the same row for every replication
                     coef[0, block:stop] += latent.offset(i, cols)
-                lat = None if latent.shocks is None else latent.weights(i, lo, cols, lat)
+                lat = None if latent.shocks is None else latent.weights(i, lo, cols)
                 reached.append((i, w, lat, noi, coef[:, block:stop]))
             for first in range(0, stop - block, _TILE_ROWS):
                 group = slice(first, min(first + _TILE_ROWS, stop - block))

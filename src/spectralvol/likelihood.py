@@ -38,6 +38,7 @@ from .errors import (
     InvalidParameter,
     ResultOverflow,
     _index,
+    _real_array,
 )
 
 __all__ = [
@@ -63,7 +64,7 @@ class SpectralCoefficients:
     n: int
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        z = _real_array(self.z, "coefficients")
         if z.ndim != 1 or len(z) < 1 or _index(self.n, "n") != len(z):
             raise DimensionMismatch(f"need a vector of n >= 1 coefficients, got shape {z.shape} "
                                     f"and n={self.n}")
@@ -134,7 +135,7 @@ def spectral_transform(deltas: np.ndarray) -> SpectralCoefficients:
     (:func:`basis.basis_coefficients`, which rejects non-finite input).  By
     orthogonality, ||z||^2 = n ||dY||^2.
     """
-    dy = np.asarray(deltas, dtype=float)
+    dy = _real_array(deltas, "increments")
     if dy.size == 0:
         raise EmptyInput("increment vector is empty")
     n = len(dy)

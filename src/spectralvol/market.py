@@ -1,11 +1,13 @@
 """Latent price-path simulation, noisy observation, and ground-truth volatility.
 
-The latent log-price follows an Ito process on [0, 1], simulated by
-Euler-Maruyama on a fine grid (``refinement`` steps per observation
-interval).  Observations are ``Y_k = X_{t_k} + v_k`` on the equidistant grid
-``t_k = k/n`` with i.i.d. Gaussian noise whose presence at the first and
-last points is individually switchable; the generated series keeps its
-latent/noise decomposition so tests can use it as an oracle.
+The latent log-price follows an Ito process on [0, 1]: each observed
+increment is drawn by its exact law under constant or piecewise-constant
+volatility, and by Euler-Maruyama on a fine grid (``refinement`` steps per
+observation interval) under OU volatility.  Observations are ``Y_k =
+X_{t_k} + v_k`` on the equidistant grid ``t_k = k/n`` with i.i.d. Gaussian
+noise whose presence at the first and last points is individually
+switchable; the generated series keeps its latent/noise decomposition so
+tests can use it as an oracle.
 
 Randomness is counter-based (Philox) and fully keyed: every path or noise
 stream is a pure function of its integer seed, and :func:`derive_seed`
@@ -36,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidParameter, TooShort, _index
+from .errors import GridMismatch, InvalidParameter, ResultOverflow, TooShort, _index, _real_array
 
 __all__ = [
     "ConstantVol",
@@ -166,12 +168,7 @@ class EquidistantScheme:
     n: int
 
     def __post_init__(self):
-        if _index(self.n, "n") < 1:
-            raise InvalidParameter(f"need n >= 1 observation intervals, got {self.n}")
-
-    @property
-    def mesh(self) -> float:
-        return 1.0 / self.n
+        _index(self.n, "n", 1)
 
     def times(self) -> np.ndarray:
         return np.arange(self.n + 1) / self.n
@@ -179,7 +176,7 @@ class EquidistantScheme:
 
 @dataclass(frozen=True)
 class LatentPath:
-    """A fine-grid realization of the latent process with its exact target value."""
+    """A realization of the latent process on its grid, with its exact target value."""
 
     fine_times: np.ndarray
     values: np.ndarray
@@ -215,7 +212,7 @@ def _words(x) -> list[int]:
     """Little-endian uint32 words of a non-negative int: max(1, ceil(bits / 32)) of them."""
     x = operator.index(x)
     if x < 0:
-        raise ValueError("seeds must be non-negative integers")
+        raise InvalidParameter("seeds must be non-negative integers")
     return [x >> shift & _MASK32 for shift in range(0, max(1, x.bit_length()), 32)]
 
 
@@ -281,7 +278,7 @@ def _seed_words(parts, n_words: int, spawn: int | None = None) -> np.ndarray:
     v = np.asarray(parts[at])
     if v.dtype.kind != "u":
         if np.any(v < 0):
-            raise ValueError("seeds must be non-negative integers")
+            raise InvalidParameter("seeds must be non-negative integers")
         v = np.array(parts[at], dtype=np.uint64)
     lo, hi = (v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)
     head, tail = ints(parts[:at]), ints(parts[at + 1 :])
@@ -314,9 +311,12 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
     distinct entropy words, so their seeds are as independent as SeedSequence
     makes them.  Beyond 2**32 that fails: entropy shorter than four words
     hashes like its zero-padded form, so ``derive_seed(b, 2**32, 0) ==
-    derive_seed(b, 0, 1)`` for b < 2**32.
+    derive_seed(b, 0, 1)`` for b < 2**32.  Raises :class:`InvalidParameter`
+    for an argument that is not an integer >= 0.
     """
-    return int(_derive_seeds(base_seed, replication, stream)[0])
+    seeds = (_index(base_seed, "base_seed", 0), _index(replication, "replication", 0),
+             _index(stream, "stream", 0))
+    return int(_derive_seeds(*seeds)[0])
 
 
 _EMPTY_BLOCK = (0, 0, 0, 0)
@@ -400,14 +400,23 @@ def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
     return vol if isinstance(vol, PiecewiseVol) else None
 
 
-def _first_point(b: float, n_fine: int) -> int:
-    """The first fine point p at or past breakpoint b: p / n_fine >= b, as floats compare."""
-    p = math.ceil(b * n_fine)
-    while p > 0 and (p - 1) / n_fine >= b:
-        p -= 1
-    while p / n_fine < b:
-        p += 1
-    return p
+def _levels_at(steps: PiecewiseVol, times: np.ndarray) -> np.ndarray:
+    """The spot variance of step volatility at each of ``times``: the level in force there."""
+    return np.array(steps.levels, dtype=float)[np.searchsorted(steps.breakpoints, times, "right")]
+
+
+def _step_scales(steps: PiecewiseVol, n: int) -> np.ndarray:
+    """Each of n observed steps' standard deviation under step volatility: the root of
+    ``level * (1.0 / n)``, or of the levels' shares of a step that breakpoints fall inside."""
+    times = np.arange(n + 1) / n
+    var = _levels_at(steps, times[:-1]) * (1.0 / n)
+    edges = (0.0, *steps.breakpoints, 1.0)
+    first = np.searchsorted(times, steps.breakpoints)  # the first grid point at or past each
+    for k in {int(p) - 1 for p, b in zip(first, steps.breakpoints) if times[p] != b}:
+        lo, hi = times[k], times[k + 1]
+        var[k] = sum(level * (min(b, hi) - max(a, lo))
+                     for a, b, level in zip(edges, edges[1:], steps.levels) if a < hi and b > lo)
+    return np.sqrt(var, out=var)
 
 
 def _tiles(n: int) -> list[tuple[int, int]]:
@@ -416,50 +425,48 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 class _LatentTiles:
-    """Euler-Maruyama increments of latent paths on several grids, tile by tile.
+    """Latent increments of paths on several grids, tile by tile.
 
-    Grid i has ``ns[i] * refinement`` fine steps.  Row j follows the path
-    stream of ``seeds[j]`` (spawn key 0 under OU volatility, whose state
-    follows spawn key 1): on every grid, fine step k is driven by normal k
-    of the stream.  :meth:`start` begins any run of them, and :meth:`draw`
-    draws one tile's normals for up to _TILE_ROWS of those, once, into
-    ``raw``, sized for the largest grid.  :meth:`tile` scales a prefix of
-    them into one grid's increments.  The Monte Carlo engine forms none: it
-    multiplies :meth:`normals` by :meth:`weights` and adds :meth:`offset`,
-    the drift's part.  Each path's OU state on each grid and, for OU, its
-    integrated variance (the trapezoid rule, summed tile by tile) carry over
-    from tile to tile.  Paths whose spot variance is zero everywhere draw no
-    shocks.
+    Grid i has ``ns[i]`` observed steps; row j follows the path stream of
+    ``seeds[j]``.  Under deterministic volatility step k is normal k of the
+    stream times the step's standard deviation (``scales[i]``); under OU it
+    is ``refinement`` Euler-Maruyama steps driven by normals of the stream of
+    spawn key 0, the state by spawn key 1.  :meth:`start` begins any run of
+    paths, and :meth:`draw` draws one tile's normals for up to _TILE_ROWS of
+    those, once, into ``raw``, sized for the largest grid.  :meth:`tile`
+    scales a prefix of them into one grid's increments.  The Monte Carlo
+    engine forms none: it multiplies :meth:`normals`, a column per observed
+    step, by :meth:`weights` and adds :meth:`offset`, the drift's part.  OU
+    state and truths carry over from tile to tile.  Paths whose spot
+    variance is zero everywhere draw no shocks.
     """
 
     def __init__(self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds):
-        self.vol, self.r, self.n_fines = vol, refinement, [n * refinement for n in ns]
-        self.dts = [1.0 / n_fine for n_fine in self.n_fines]
-        self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
         steps = _as_piecewise(vol)
         ou = steps is None
+        self.vol, self.steps, self.ns = vol, steps, list(ns)
+        self.r = refinement if ou else 1
+        self.dts = [1.0 / (n * self.r) for n in ns]
+        self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
         if not ou:
-            self.levels = [float(level) for level in steps.levels]
             edges = np.array((0.0,) + steps.breakpoints + (1.0,))
-            self.exact = float(np.sum(np.array(self.levels) * np.diff(edges)))
-            # grid i's first fine point at or past each breakpoint, between 0 and the end
-            self.cuts = [[0, *(_first_point(b, n_fine) for b in steps.breakpoints), n_fine + 1]
-                         for n_fine in self.n_fines]
-        silent = not ou and not any(self.levels)
+            self.exact = float(np.sum(np.array(steps.levels, dtype=float) * np.diff(edges)))
+            self.scales = [_step_scales(steps, n) for n in ns]
+        silent = not ou and not any(steps.levels)
         self.shocks = None if silent else _Streams(seeds, 0 if ou else None, "path")
         self.vol_shocks = _Streams(seeds, 1, "state") if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid; the
         # first is wide enough for a tile's noise normals too (see _NoiseTiles)
         width = min(max(ns), _TILE_WIDTH)
         rows = min(_TILE_ROWS, np.size(seeds))
-        self.raw = np.empty((1 + ou, rows, max(width * refinement, width + 1)))
+        self.raw = np.empty((1 + ou, rows, max(width * self.r, width + 1)))
 
     def start(self, lo: int, hi: int) -> None:
         """Begin the paths of seeds[lo:hi] at time 0 on every grid."""
         for streams in (self.shocks, self.vol_shocks):
             if streams is not None:
                 streams.start(lo, hi)
-        shape = (len(self.n_fines), hi - lo)
+        shape = (len(self.ns), hi - lo)
         if self.vol_shocks is None:
             self.truths = np.full(shape, self.exact)
         else:
@@ -474,64 +481,42 @@ class _LatentTiles:
             if streams is not None:
                 streams.fill(raw[:rows, : w * self.r], group.start)
 
-    def _runs(self, i: int, first: int, count: int):
-        """(start, stop, level) of each run of one deterministic level over grid i's fine
-        points first..first+count-1, start and stop counted from ``first``."""
-        edges = self.cuts[i]
-        for a, b, level in zip(edges, edges[1:], self.levels):
-            a, b = max(a - first, 0), min(b - first, count)
-            if a < b:
-                yield a, b, level
-
     def tile(self, i: int, dx: np.ndarray):
-        """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps.
-
-        Returns the spot variance at their w + 1 grid points: a row per path
-        for OU (which steps the drawn group's state), one row shared by all
-        paths otherwise.
-        """
+        """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps
+        (observed steps, or fine steps under OU, which steps the group's state).  Returns the
+        spot variance at their w + 1 points: a row per path under OU, one row otherwise."""
         rows, w = dx.shape
         if self.vol_shocks is None:
-            spot = np.empty(w + 1)
-            for a, b, level in self._runs(i, self.first, w + 1):
-                spot[a:b] = level
+            spot = _levels_at(self.steps, np.arange(self.first, self.first + w + 1) / self.ns[i])
+            scale = self.scales[i][self.first : self.first + w]
         else:
             spot = self._ou_spot(i, rows, w)
+            scale = np.sqrt(spot[:, :-1] * self.dts[i])
         if self.shocks is None:
             dx[...] = self.drift_level * self.dts[i]
         else:
-            np.multiply(self.raw[0, :rows, :w], np.sqrt(spot[..., :-1] * self.dts[i]), out=dx)
+            np.multiply(self.raw[0, :rows, :w], scale, out=dx)
             if self.drift_level:
                 dx += self.drift_level * self.dts[i]
         return spot
 
-    def weights(self, i: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Weights L in ``out``: ``normals(i, rows, w) @ L + offset(i, cols)`` is grid i's
-        increments over observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
-
-        Fine step k takes its observed step's row, times sqrt(spot dt) unless
-        the scale is per path (OU), when :meth:`normals` applies it; the
-        scale is one product per run of one level.  At refinement 1 ``cols``
-        may be out's own first w rows, which are then scaled in place.
-        """
-        w, k = cols.shape
-        out = out[: w * self.r]
-        if self.r > 1:
-            out.reshape(w, self.r, k)[...] = cols[:, np.newaxis]
-        else:
-            out[...] = cols  # no copy when cols is out
+    def weights(self, i: int, lo: int, cols: np.ndarray) -> np.ndarray:
+        """Weights L: ``normals(i, rows, w) @ L + offset(i, cols)`` is grid i's increments over
+        observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).  L is ``cols``, scaled
+        in place by each step's standard deviation unless :meth:`normals` scales per path (OU)."""
         if self.vol_shocks is None:
-            for a, b, level in self._runs(i, lo * self.r, w * self.r):
-                out[a:b] *= math.sqrt(level * self.dts[i])
-        return out
+            cols *= self.scales[i][lo : lo + len(cols), np.newaxis]
+        return cols
 
     def normals(self, i: int, rows: int, w: int) -> np.ndarray:
-        """The drawn normals of w observed steps of grid i, scaled per path under OU."""
+        """The drawn normals of w observed steps of grid i, a column each; under OU the
+        sum of each observed step's r fine normals times their path's scale."""
         raw = self.raw[0, :rows, : w * self.r]
         if self.vol_shocks is None:
             return raw
         scaled = np.sqrt(self._ou_spot(i, rows, w * self.r)[:, :-1] * self.dts[i])
-        return np.multiply(raw, scaled, out=scaled)
+        np.multiply(raw, scaled, out=scaled)
+        return scaled.reshape(rows, w, self.r) @ np.ones(self.r)  # faster than sum(axis=2)
 
     def offset(self, i: int, cols: np.ndarray) -> np.ndarray:
         """The drift's part of grid i's increments times ``cols``, the same for every path."""
@@ -609,6 +594,7 @@ class _NoiseTiles:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a path that overflows is refused
 def simulate_latent(
     vol: VolModel,
     drift: DriftModel,
@@ -616,31 +602,31 @@ def simulate_latent(
     refinement: int = 10,
     rng_seed: int = 0,
 ) -> LatentPath:
-    """Euler-Maruyama path of the latent process on the refined grid.
+    """A latent path and its integrated variance, deterministic given ``rng_seed``.
 
-    For constant (or piecewise-constant) volatility and zero drift the scheme
-    is exact in distribution.  Deterministic given ``rng_seed``.
+    Deterministic volatility draws each observed step by its exact law, as
+    the Monte Carlo engine does: the path lies on the observation grid, and
+    ``refinement`` is only checked.  OU volatility is Euler-Maruyama on the
+    grid refined ``refinement`` times.  Raises :class:`InvalidParameter` for
+    a refinement < 1 or seed < 0 or either not an integer, and
+    :class:`ResultOverflow` for a path or truth that overflows float64.
     """
-    if refinement < 1:
-        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
-    n_fine = scheme.n * refinement
-    latent = _LatentTiles(vol, drift, (scheme.n,), refinement, rng_seed)
+    _index(refinement, "refinement", 1)
+    latent = _LatentTiles(vol, drift, (scheme.n,), refinement, _index(rng_seed, "rng_seed", 0))
+    r, n_fine = latent.r, scheme.n * latent.r
     latent.start(0, 1)
     dx = np.empty((1, n_fine))
     spot = np.empty(n_fine + 1)
     for lo, hi in _tiles(scheme.n):
         latent.draw(slice(0, 1), lo, hi - lo)
-        spot[lo * refinement : hi * refinement + 1] = latent.tile(
-            0, dx[:, lo * refinement : hi * refinement]
-        )
-    return LatentPath(
-        fine_times=np.arange(n_fine + 1) / n_fine,
-        values=np.concatenate(([0.0], np.cumsum(dx[0]))),
-        spot_variance=spot,
-        true_integrated_vol=float(latent.truths[0, 0]),
-    )
+        spot[lo * r : hi * r + 1] = latent.tile(0, dx[:, lo * r : hi * r])
+    values, truth = np.concatenate(([0.0], np.cumsum(dx[0]))), float(latent.truths[0, 0])
+    if not (math.isfinite(truth) and np.all(np.isfinite(values))):  # an inf spot makes truth inf
+        raise ResultOverflow("the path overflows float64 at the model's scale")
+    return LatentPath(np.arange(n_fine + 1) / n_fine, values, spot, truth)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a covariance that overflows is refused
 def simulate_latent_correlated(
     loadings: np.ndarray,
     scheme: EquidistantScheme,
@@ -651,32 +637,27 @@ def simulate_latent_correlated(
 
     ``loadings`` is the constant J x d matrix sigma; the exact integrated
     covariance matrix is ``loadings @ loadings.T`` and is returned alongside
-    the per-asset paths.  Raises :class:`InvalidParameter` for a non-finite
-    loading.
+    the per-asset paths.  Raises :class:`InvalidParameter` for a loading
+    that is not a finite real number and for a refinement or seed as
+    :func:`simulate_latent` does, and :class:`ResultOverflow` for a
+    covariance that overflows float64.
     """
-    if refinement < 1:
-        raise InvalidParameter(f"refinement must be >= 1, got {refinement}")
-    sigma = np.atleast_2d(np.asarray(loadings, dtype=float))
+    refinement = _index(refinement, "refinement", 1)
+    sigma = np.atleast_2d(_real_array(loadings, "loadings"))
     if not np.all(np.isfinite(sigma)):
         raise InvalidParameter("loadings must be finite numbers")
     n_fine = scheme.n * refinement
     fine_times = np.arange(n_fine + 1) / n_fine
-    streams = _Streams(rng_seed)
+    streams = _Streams(_index(rng_seed, "rng_seed", 0))
     streams.start(0, 1)
     dw = streams.fill(np.empty((1, n_fine * sigma.shape[1])))[0] * np.sqrt(1.0 / n_fine)
     dx = dw.reshape(n_fine, -1) @ sigma.T
     cov = sigma @ sigma.T
-    paths = []
-    for j in range(sigma.shape[0]):
-        values = np.concatenate(([0.0], np.cumsum(dx[:, j])))
-        paths.append(
-            LatentPath(
-                fine_times=fine_times,
-                values=values,
-                spot_variance=np.full(n_fine + 1, cov[j, j]),
-                true_integrated_vol=float(cov[j, j]),
-            )
-        )
+    if not np.all(np.isfinite(cov)):
+        raise ResultOverflow("the covariance overflows float64 at the loadings' scale")
+    paths = [LatentPath(fine_times, np.concatenate(([0.0], np.cumsum(dx[:, j]))),
+                        np.full(n_fine + 1, cov[j, j]), float(cov[j, j]))
+             for j in range(len(sigma))]
     return paths, cov
 
 
@@ -690,7 +671,8 @@ def observe(
 
     The noise stream is independent of the path stream by construction
     (separate seeds).  Raises :class:`GridMismatch` if the observation grid
-    is not a subset of the path's fine grid.
+    is not a subset of the path's grid and :class:`InvalidParameter` for a
+    seed that is not an integer >= 0.
     """
     n_fine = len(path.fine_times) - 1
     if n_fine % scheme.n != 0:
@@ -699,7 +681,7 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    streams = _Streams(rng_seed, role="noise")
+    streams = _Streams(_index(rng_seed, "rng_seed", 0), role="noise")
     streams.start(0, 1)
     v = streams.fill(np.empty((1, scheme.n + 1)))[0] * np.sqrt(noise.variance)
     if not noise.include_initial:

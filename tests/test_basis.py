@@ -15,7 +15,7 @@ from spectralvol.basis import (
     eigenvalues_closed_form,
     spectrum,
 )
-from spectralvol.errors import DimensionMismatch, InvalidDimension
+from spectralvol.errors import DimensionMismatch, InvalidDimension, InvalidParameter
 
 PAIRINGS = [
     (BasisKind.SIML_COSINE, JacobiKind.JN),
@@ -143,6 +143,14 @@ class TestJacobi:
             with pytest.raises(InvalidDimension):
                 build_jacobi(JacobiKind.JN_TILDE, dim)
 
+    @pytest.mark.parametrize("dim", [2.5, np.nan, np.inf])
+    def test_non_integer_dim_rejected(self, dim):
+        for kind in JacobiKind:
+            with pytest.raises(InvalidParameter):
+                build_jacobi(kind, dim)
+            with pytest.raises(InvalidParameter):
+                eigenvalues_closed_form(kind, dim)
+
 
 class TestEigenvalues:
     def test_corner_matrix_dim_two_roots(self):
@@ -267,6 +275,12 @@ class TestBasisCoefficients:
         with pytest.raises(DimensionMismatch):
             basis_coefficients(BasisKind.DST_SINE, np.ones((2, 2)), 1)
 
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_complex_input_rejected(self, kind):
+        """A cast to float would drop the imaginary part with only a warning."""
+        with pytest.raises(InvalidParameter, match="real"):
+            basis_coefficients(kind, np.array([1 + 5j, 2.0, 0.5]), 1)
+
 
 class TestCosineSquareSum:
     def test_single_term(self):
@@ -292,3 +306,9 @@ class TestCosineSquareSum:
             cosine_square_sum(0, 4)
         with pytest.raises(InvalidDimension):
             cosine_square_sum(5, 4)
+
+    @pytest.mark.parametrize("m,n", [(2.5, 10), (1, np.inf), (1, np.nan), (1.0, 4)])
+    def test_non_integer_arguments_rejected(self, m, n):
+        """(2.5, 10) returned 2.3909 and (1, inf) raised ZeroDivisionError."""
+        with pytest.raises(InvalidParameter):
+            cosine_square_sum(m, n)

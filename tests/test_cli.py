@@ -359,7 +359,8 @@ class TestBadConfig:
             [("[estimators]", "[noise]\n\n[estimators]")],
             [("variance = 0.01", "variance = 0.01\nvariance = 0.02")],
             [("kinds = siml, ina_sine", "kinds = siml%")],
-            [("refinement = 1", "refinement = 99999999999999999999999999999")],
+            [("vol = constant", "vol = ou"), ("type = noise_bounds", "type = consistency"),
+             ("refinement = 1", "refinement = 99999999999999999999999999999")],
             [("kinds = siml, ina_sine", "kinds = siml, siml")],
         ],
         ids=["m_above_n", "m_below_one", "m_exponent_overflow", "ou_vol_for_normality",

@@ -1,5 +1,6 @@
 """Tests for the estimators and their pure-noise functionals."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -236,6 +237,23 @@ class TestNonFiniteAndUnordered:
         getattr(obs, column)[1] = np.nan
         with pytest.raises(InvalidParameter):
             mm_fourier_complex([obs], 0, 1)
+
+    def test_complex_input_rejected(self):
+        """siml once returned 13.0165 here, dropping the imaginary part with only a warning."""
+        deltas = np.array([1 + 5j, 2.0, 0.5])
+        for estimator in REAL_ESTIMATORS.values():
+            with pytest.raises(InvalidParameter, match="real"):
+                estimator([deltas], 1)
+            with pytest.raises(InvalidParameter, match="real"):
+                estimator(deltas, 1)
+        with pytest.raises(InvalidParameter, match="real"):
+            noise_functional(EstimatorKind.SIML, np.array([0.0, 1 + 2j, 1.0, 0.5]), 1)
+        for column in ("values", "times"):  # mm_fourier_complex returned 10.809+0j for 1+2j
+            obs = _series_from_deltas(np.array([0.5, -0.25, 1.0]))
+            hostile = getattr(obs, column).astype(complex)
+            hostile[1] += 2j
+            with pytest.raises(InvalidParameter, match="real"):
+                mm_fourier_complex([dataclasses.replace(obs, **{column: hostile})], 0, 1)
 
     @pytest.mark.parametrize("times", [[0, 0.5, 0.25, 1], [0, 0.5, 0.5, 1]], ids=["swap", "tie"])
     def test_complex_rejects_unordered_times(self, times):

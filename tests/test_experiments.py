@@ -256,8 +256,10 @@ class TestSchedule:
         config = _config(n_schedule=(64, 1000, 2100), vol=vol, noise=NoiseModel(1e-2),
                          replications=_TILE_ROWS + 3, refinement=2)
         run_consistency(config)
-        per_path = 2 if vol is _OU else 1  # OU volatility has a stream of its own
-        assert sum(drawn) == config.replications * (per_path * 2100 * 2 + 2100 + 1)
+        # OU volatility draws each fine step, and its state has a stream of its own;
+        # deterministic volatility draws one normal per observed step
+        per_path = 2 * 2 if vol is _OU else 1
+        assert sum(drawn) == config.replications * (per_path * 2100 + 2100 + 1)
         schedule_draws = sum(drawn)
         drawn.clear()
         run_consistency(dataclasses.replace(config, n_schedule=(2100,)))
@@ -284,7 +286,7 @@ class TestCheckExperiment:
             ("noise_bounds", {"vol": ConstantVol(1.0)}),
             ("noise_bounds", {"vol": ConstantVol(0.0), "drift": ConstantDrift(1.0)}),
             ("initial_noise_contrast", {"noise": NoiseModel(0.01, include_initial=False)}),
-            ("consistency", {"refinement": 10**29}),
+            ("consistency", {"vol": OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0), "refinement": 10**29}),
             ("consistency", {"replications": 2**32}),
             ("consistency", {"n_schedule": (64, 2**26)}),
             ("consistency", {"replications": 1}),

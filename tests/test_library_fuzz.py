@@ -1,13 +1,15 @@
-"""Library fuzz suite: non-finite values and non-integer sizes end in a package error.
+"""Library fuzz suite: non-finite, complex or non-integer input ends in a package error.
 
-Each case mixes NaN, +-inf or a non-integer size into otherwise valid
-arguments of a public function of the library (the CLI has its own suite,
+Each case mixes NaN, +-inf, a complex value, a negative seed or a
+non-integer size into otherwise valid arguments of a public function of the
+library (the CLI has its own suite,
 ``test_cli_fuzz.py``).  The call must return finite values or raise a
 :class:`SpectralVolError`: any other exception, a non-finite result or a
 numpy ``RuntimeWarning`` (raised as an error here) fails.  Runs under
 ``conftest.py``'s derandomized hypothesis profile.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -15,7 +17,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralvol.basis import BasisKind, basis_coefficients
+from spectralvol.basis import (
+    BasisKind,
+    JacobiKind,
+    basis_coefficients,
+    basis_columns,
+    build_jacobi,
+    cosine_square_sum,
+    eigenvalues_closed_form,
+)
 from spectralvol.errors import SpectralVolError
 from spectralvol.estimators import (
     EstimateResult,
@@ -24,6 +34,7 @@ from spectralvol.estimators import (
     mm_fourier_complex,
     mm_fourier_real_zero,
     noise_expectation_exact,
+    noise_functional,
     siml,
 )
 from spectralvol.likelihood import (
@@ -39,13 +50,27 @@ from spectralvol.likelihood import (
     noise_variance_estimate,
     spectral_transform,
 )
-from spectralvol.market import ObservationSeries
+from spectralvol.market import (
+    ConstantDrift,
+    ConstantVol,
+    EquidistantScheme,
+    LatentPath,
+    NoiseModel,
+    ObservationSeries,
+    OrnsteinUhlenbeckVol,
+    PiecewiseVol,
+    derive_seed,
+    observe,
+    simulate_latent,
+    simulate_latent_correlated,
+)
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # Finite values, of ordinary and of extreme scale.
 _FINITE = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([1e308, -1e308, 1e-300, 5e-324]))
 _NON_INTEGER = st.one_of(st.sampled_from([math.nan, math.inf, 2.5, 3.0]), st.floats(0.5, 9.5))
+_COMPLEX = st.sampled_from([1 + 5j, 2j, complex(1.0, 0.0)])
 
 
 def _maybe(valid, hostile):
@@ -63,14 +88,18 @@ def _size(low, high):
 
 @st.composite
 def _vectors(draw, min_size=1, max_size=12):
-    """A finite vector, one entry of which may be non-finite."""
+    """A finite vector, one entry of which may be non-finite or complex (a complex vector)."""
     values = draw(st.lists(_FINITE, min_size=min_size, max_size=max_size))
     if values and draw(st.booleans()):
-        values[draw(st.integers(0, len(values) - 1))] = draw(_NON_FINITE)
-    return np.array(values, dtype=float)
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.one_of(_NON_FINITE, _COMPLEX))
+    return np.array(values)
 
 
 def _finite(value) -> bool:
+    if isinstance(value, (LatentPath, ObservationSeries)):
+        return all(_finite(getattr(value, field.name)) for field in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(_finite(part) for part in value)
     if isinstance(value, EstimateResult):
         return bool(np.all(np.isfinite(value.value)))
     if isinstance(value, SpectralCoefficients):
@@ -171,3 +200,88 @@ def test_mm_fourier_complex(values, nudge, q, m):
     times = np.linspace(0.0, 1.0, len(values))
     times[len(values) // 2] += nudge
     _check(lambda: mm_fourier_complex(_series(values, times), q, m))
+
+
+_SEEDS = (st.integers(0, 2**64 - 1), st.sampled_from([-1, 1.5, math.nan, math.inf]))
+_SIZES = (st.integers(1, 40), _NON_INTEGER)
+_LEVELS = (st.floats(0.0, 1.7e308), _NON_FINITE)
+
+
+@st.composite
+def _one_hostile(draw, **fields):
+    """A value for each field from its (valid, hostile) pair of strategies: all valid, or
+    one of them hostile, so that each argument's check is reached on its own."""
+    hostile = draw(st.sampled_from([None, *fields]))
+    return {name: draw(pair[name == hostile]) for name, pair in fields.items()}
+
+
+def _vol(kind, level, a, b, c):
+    """A volatility model of ``kind`` from drawn parameters, built inside the checked call."""
+    if kind == "constant":
+        return ConstantVol(level)
+    if kind == "piecewise":
+        return PiecewiseVol((min(abs(a), 0.99) or 0.5,), (level, abs(b)))
+    return OrnsteinUhlenbeckVol(level, abs(a), abs(b), c)
+
+
+@_EXAMPLES
+@given(kind=st.sampled_from(["constant", "piecewise", "ou"]),
+       shape=st.tuples(_FINITE, _FINITE, _FINITE),
+       args=_one_hostile(level=_LEVELS, drift=(_FINITE, _NON_FINITE), n=_SIZES,
+                         refinement=(st.integers(1, 4), _NON_INTEGER), seed=_SEEDS))
+def test_simulate_latent(kind, shape, args):
+    _check(lambda: simulate_latent(_vol(kind, args["level"], *shape), ConstantDrift(args["drift"]),
+                                   EquidistantScheme(args["n"]), args["refinement"], args["seed"]))
+
+
+@_EXAMPLES
+@given(every=st.integers(1, 3), args=_one_hostile(level=_LEVELS, variance=_LEVELS, n=_SIZES,
+                                                  seed=_SEEDS))
+def test_observe(every, args):
+    def call():
+        scheme = EquidistantScheme(args["n"])
+        path = simulate_latent(ConstantVol(args["level"]), ConstantDrift(0.0), scheme, 1, 3)
+        return observe(path, NoiseModel(args["variance"]),
+                       EquidistantScheme(max(1, args["n"] // every)), args["seed"])
+
+    _check(call)
+
+
+@_EXAMPLES
+@given(loadings=_vectors(min_size=3, max_size=6), assets=st.integers(1, 3),
+       args=_one_hostile(n=_SIZES, refinement=(st.integers(1, 3), _NON_INTEGER), seed=_SEEDS))
+def test_simulate_latent_correlated(loadings, assets, args):
+    sigma = loadings[: len(loadings) // assets * assets].reshape(assets, -1)
+    _check(lambda: simulate_latent_correlated(sigma, EquidistantScheme(args["n"]),
+                                              args["refinement"], args["seed"]))
+
+
+@_EXAMPLES
+@given(args=_one_hostile(base=_SEEDS, replication=_SEEDS, stream=_SEEDS))
+def test_derive_seed(args):
+    _check(lambda: derive_seed(args["base"], args["replication"], args["stream"]))
+
+
+@_EXAMPLES
+@given(kind=st.sampled_from(list(JacobiKind)), dim=_size(0, 12))
+def test_jacobi_matrices_and_eigenvalues(kind, dim):
+    _check(lambda: build_jacobi(kind, dim))
+    _check(lambda: eigenvalues_closed_form(kind, dim))
+
+
+@_EXAMPLES
+@given(m=_size(0, 12), n=_size(0, 12))
+def test_cosine_square_sum(m, n):
+    _check(lambda: cosine_square_sum(m, n))
+
+
+@_EXAMPLES
+@given(kind=st.sampled_from(list(BasisKind)), dim=_size(0, 12), columns=_size(0, 12))
+def test_basis_columns(kind, dim, columns):
+    _check(lambda: basis_columns(kind, dim, columns))
+
+
+@_EXAMPLES
+@given(kind=st.sampled_from(_REAL_KINDS), noise=_vectors(min_size=0), m=_size(0, 6))
+def test_noise_functional(kind, noise, m):
+    _check(lambda: noise_functional(kind, noise, m))

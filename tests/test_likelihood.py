@@ -62,6 +62,10 @@ class TestSpectralTransform:
         with pytest.raises(InvalidParameter):
             spectral_transform(np.array([1.0, bad, 2.0]))
 
+    def test_complex_rejected(self):
+        with pytest.raises(InvalidParameter, match="real"):
+            spectral_transform(np.array([1 + 5j, 2.0, 0.5]))
+
     @pytest.mark.parametrize(
         "z,n,error",
         [
@@ -73,8 +77,9 @@ class TestSpectralTransform:
             (np.array([]), 0, DimensionMismatch),
             (np.ones((2, 2)), 2, DimensionMismatch),
             (np.array([1.0, 2.0]), 2.0, InvalidParameter),
+            (np.array([1 + 5j, 2.0, 0.5]), 3, InvalidParameter),
         ],
-        ids=["nan", "inf", "minus_inf", "short", "long", "empty", "matrix", "float_n"],
+        ids=["nan", "inf", "minus_inf", "short", "long", "empty", "matrix", "float_n", "complex"],
     )
     def test_coefficients_are_checked_where_made(self, z, n, error):
         """A NaN coefficient once came back from joint_mle as its start point, with L = nan."""

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spectralvol.basis import BasisKind, build_basis
-from spectralvol.errors import GridMismatch, InvalidParameter, TooShort
+from spectralvol.errors import GridMismatch, InvalidParameter, ResultOverflow, TooShort
 from spectralvol import market
 from spectralvol.market import (
     ConstantDrift,
@@ -25,10 +25,10 @@ from spectralvol.market import (
     _TILE_ROWS,
     _TILE_WIDTH,
     _derive_seeds,
-    _first_point,
     _LatentTiles,
     _NoiseTiles,
     _seed_words,
+    _step_scales,
     _Streams,
     _tiles,
     read_observations_csv,
@@ -123,16 +123,39 @@ def _philox_normals(seed, size, spawn=None):
     return np.random.Generator(np.random.Philox(ss)).standard_normal(size)
 
 
+def _exact_scales(vol, n):
+    """Each observed step's standard deviation under step volatility, written out step by step.
+
+    A step inside one level has sqrt(level * (1.0 / n)); a step that
+    breakpoints fall inside has the root of its levels' shares, summed.
+    """
+    edges = (0.0, *vol.breakpoints, 1.0)
+    levels = list(zip(edges, edges[1:], vol.levels))
+    times = np.arange(n + 1) / n
+    scales = []
+    for lo, hi in zip(times, times[1:]):
+        whole = [level for a, b, level in levels if a <= lo and hi <= b]
+        if whole:
+            scales.append(math.sqrt(whole[0] * (1.0 / n)))
+        else:
+            shares = (level * (min(b, hi) - max(a, lo)) for a, b, level in levels if a < hi and b > lo)
+            scales.append(math.sqrt(sum(shares)))
+    return np.array(scales)
+
+
 class TestSimulateLatentBits:
-    """simulate_latent keeps the bits of the per-path Euler formula, written out here."""
+    """simulate_latent keeps the bits of the per-path formula, written out here: the exact
+    observed-step law under deterministic volatility, Euler-Maruyama under OU."""
 
     def test_constant_vol_with_drift(self):
-        n, r, c, b, seed = 50, 3, 2.3, 0.7, 2**40 + 3
-        dt = 1.0 / (n * r)
-        dx = b * dt + np.sqrt(np.full(n * r, c) * dt) * _philox_normals(seed, n * r)
-        path = simulate_latent(ConstantVol(c), ConstantDrift(b), EquidistantScheme(n), r, seed)
-        assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
-        assert path.spot_variance.tobytes() == np.full(n * r + 1, c).tobytes()
+        """Refinement 3 draws the observed steps, one normal each, as refinement 1 does."""
+        n, c, b, seed = 50, 2.3, 0.7, 2**40 + 3
+        dx = b * (1.0 / n) + math.sqrt(c * (1.0 / n)) * _philox_normals(seed, n)
+        for r in (1, 3):
+            path = simulate_latent(ConstantVol(c), ConstantDrift(b), EquidistantScheme(n), r, seed)
+            assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
+            assert path.spot_variance.tobytes() == np.full(n + 1, c).tobytes()
+            assert path.fine_times.tobytes() == EquidistantScheme(n).times().tobytes()
 
     def test_ou_vol(self):
         vol = OrnsteinUhlenbeckVol(mean_level=1.0, reversion_rate=2.0, vol_of_vol=0.8, initial_level=0.5)
@@ -157,33 +180,21 @@ class TestSimulateLatentBits:
 
 
     def test_piecewise_vol(self):
-        """Breakpoints on a fine point, just past one, and two between the same points."""
-        n, r, seed = _TILE_WIDTH + 40, 3, 17
-        n_fine = n * r
-        vol = PiecewiseVol((0.25, 0.1 * 3, 1 / 3, float(np.nextafter(0.5, 1.0)), 0.6, 0.6 + 1e-12),
-                           (1.0, 4.0, 0.5, 2.0, 3.0, 0.7, 1.5))
-        times = np.arange(n_fine + 1) / n_fine
+        """Breakpoints on a grid point, just past one, and two inside the same step."""
+        n, seed, vol = _TILE_WIDTH + 40, 17, _STEPS
+        times = np.arange(n + 1) / n
         spot = np.asarray(vol.levels)[np.searchsorted(vol.breakpoints, times, side="right")]
-        dx = np.sqrt(spot[:-1] * (1.0 / n_fine)) * _philox_normals(seed, n_fine)
-        path = simulate_latent(vol, ZeroDrift(), EquidistantScheme(n), r, seed)
+        dx = _exact_scales(vol, n) * _philox_normals(seed, n)
+        path = simulate_latent(vol, ZeroDrift(), EquidistantScheme(n), 3, seed)
         assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
         assert path.spot_variance.tobytes() == spot.tobytes()
-
-    def test_first_point_compares_as_the_fine_times(self):
-        for n_fine in (1, 3, 7, 3192, 10**6 + 1):
-            times = np.arange(n_fine + 1) / n_fine
-            on = times[1:-1:max(1, n_fine // 50)]
-            for b in np.concatenate((on, np.nextafter(on, 0.0), np.nextafter(on, 1.0),
-                                     [0.1 * 3, 1 / 3, 0.6, 1e-300, float(np.nextafter(1.0, 0))])):
-                assert _first_point(float(b), n_fine) == np.searchsorted(times, b), (n_fine, b)
 
     def test_streams_continue_across_tiles(self):
         """Paths over two tiles keep the bits of one long draw, OU state and truth included."""
         n = _TILE_WIDTH + 40
         assert len(_tiles(n)) == 2
         c, b, seed = 2.3, 0.7, 2**40 + 3
-        dt = 1.0 / (2 * n)
-        dx = b * dt + np.sqrt(np.full(2 * n, c) * dt) * _philox_normals(seed, 2 * n)
+        dx = b * (1.0 / n) + math.sqrt(c * (1.0 / n)) * _philox_normals(seed, n)
         path = simulate_latent(ConstantVol(c), ConstantDrift(b), EquidistantScheme(n), 2, seed)
         assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx))).tobytes()
 
@@ -216,6 +227,54 @@ class TestSimulateLatentBits:
             assert observe(path, noise, EquidistantScheme(n), seed).noise.tobytes() == v.tobytes()
 
 
+# Breakpoints on a grid point of some n, just past one, and two close together.
+_STEPS = PiecewiseVol((0.25, 0.1 * 3, 1 / 3, float(np.nextafter(0.5, 1.0)), 0.6, 0.6 + 1e-12),
+                      (1.0, 4.0, 0.5, 2.0, 3.0, 0.7, 1.5))
+
+
+def _count_fills(monkeypatch) -> list:
+    """The shape of every _Streams.fill from now on, in call order."""
+    drawn = []
+    fill = _Streams.fill
+    monkeypatch.setattr(
+        _Streams, "fill",
+        lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
+    )
+    return drawn
+
+
+class TestExactStepLaw:
+    """Under deterministic volatility each observed increment is drawn by its exact law."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1064])
+    def test_step_variances_integrate_the_spot_variance(self, n):
+        """Whole steps have sqrt(level * (1.0 / n)) and the squares sum to the truth."""
+        edges = (0.0, *_STEPS.breakpoints, 1.0)
+        truth = math.fsum(level * (b - a) for a, b, level in zip(edges, edges[1:], _STEPS.levels))
+        scales = _step_scales(_STEPS, n)
+        assert scales.tobytes() == _exact_scales(_STEPS, n).tobytes()
+        assert abs(math.fsum(scales**2) - truth) <= 1e-15 * truth
+
+    def test_straddled_breakpoint_keeps_the_mean_realized_variance(self):
+        """At n = 3 the breakpoint 0.5 falls inside the middle step; the realized variance
+        must still average the truth 2.5 (the left level gave 2.058 +- 0.033)."""
+        vol, scheme = PiecewiseVol((0.5,), (1.0, 4.0)), EquidistantScheme(3)
+        rv = [np.sum(np.diff(simulate_latent(vol, ZeroDrift(), scheme, 1, seed).values) ** 2)
+              for seed in range(4000)]
+        se = np.std(rv, ddof=1) / np.sqrt(len(rv))
+        assert abs(np.mean(rv) - 2.5) <= 3 * se
+
+    def test_refinement_draws_only_under_ou(self, monkeypatch):
+        """A refined deterministic path draws n normals; an OU path n * r per stream."""
+        drawn = _count_fills(monkeypatch)
+        n, r = 50, 4
+        path = simulate_latent(_STEPS, ConstantDrift(0.3), EquidistantScheme(n), r, 3)
+        assert drawn == [(1, n)] and len(path.values) == n + 1
+        drawn.clear()
+        path = simulate_latent(_VOLS["ou"], ZeroDrift(), EquidistantScheme(n), r, 3)
+        assert drawn == [(1, n * r)] * 2 and len(path.values) == n * r + 1
+
+
 _VOLS = {
     "constant": ConstantVol(1.3),
     "piecewise": PiecewiseVol(breakpoints=(0.25, 0.5), levels=(1.0, 4.0, 0.5)),
@@ -230,11 +289,13 @@ def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
     groups of ``group`` rows in turn, so every row's streams, OU state,
     truth and noise carry must persist from tile to tile.  Returns the
     latent increments, spot variances, truths and the noise with its
-    excluded end points zeroed, as ``observe`` zeroes them.
+    excluded end points zeroed, as ``observe`` zeroes them.  Latent
+    increments are per observed step, or per fine step under OU.
     """
-    rows, r = len(path_seeds), refinement
+    rows = len(path_seeds)
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
-    latent = _LatentTiles(vol, drift, (n,), r, seeds[0])
+    latent = _LatentTiles(vol, drift, (n,), refinement, seeds[0])
+    r = latent.r
     sampler = _NoiseTiles(noise, seeds[1], np.empty((group, _TILE_WIDTH + 1)))
     latent.start(0, rows)
     sampler.start(0, rows)
@@ -269,7 +330,8 @@ class TestBlockHelpers:
         dx, spot, truths, v = _tiled(
             _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
         )
-        assert dx.shape == (5, n * refinement) and v.shape == (5, n + 1)
+        steps = n * (refinement if vol == "ou" else 1)
+        assert dx.shape == (5, steps) and v.shape == (5, n + 1)
         assert truths.shape == (5,)
         for j, (ps, ns) in enumerate(zip(path_seeds, noise_seeds)):
             path = simulate_latent(_VOLS[vol], drift, scheme, refinement, ps)
@@ -286,8 +348,9 @@ class TestBlockHelpers:
         many = np.arange(_TILE_ROWS + 5)
         latent = _LatentTiles(_VOLS["ou"], ZeroDrift(), (5, 40), 3, many)
         assert latent.raw.shape == (2, _TILE_ROWS, 120)
-        latent = _LatentTiles(ConstantVol(1.0), ZeroDrift(), (5,), 1, [1, 2, 3])
-        assert latent.raw.shape == (1, 3, 6)
+        for refinement in (1, 3):  # one normal per observed step under deterministic volatility
+            latent = _LatentTiles(ConstantVol(1.0), ZeroDrift(), (5,), refinement, [1, 2, 3])
+            assert latent.raw.shape == (1, 3, 6)
         sampler = _NoiseTiles(NoiseModel(0.01), many, np.empty((_TILE_ROWS, 6)))
         sampler.start(10, 17)
         assert sampler.carry.shape == (7,) and len(sampler.streams.pool) == 7
@@ -333,14 +396,13 @@ class TestWeights:
         sampler = _NoiseTiles(noise, noise_seeds, np.empty((rows, _TILE_WIDTH + 1)))
         latent.start(0, rows)
         sampler.start(0, rows)
-        width = min(n, _TILE_WIDTH)
-        lat, noi = np.empty((width * r, cols.shape[1])), np.empty((width + 1, cols.shape[1]))
+        noi = np.empty((min(n, _TILE_WIDTH) + 1, cols.shape[1]))
         got = np.zeros((rows, cols.shape[1]))
         for lo, hi in _tiles(n):
             w, c = hi - lo, cols[lo:hi]
             latent.draw(slice(0, rows), lo, w)
             sampler.draw(slice(0, rows), lo, w)
-            got += latent.normals(0, rows, w) @ latent.weights(0, lo, c, lat)
+            got += latent.normals(0, rows, w) @ latent.weights(0, lo, c.copy())
             got += latent.offset(0, c)
             got += sampler.values[:, : w + 1] @ sampler.weights(n, lo, c, noi)
         return got
@@ -643,29 +705,19 @@ class TestZeroVarianceBlock:
         n, refinement = 40, 2
         noise = NoiseModel(0.01)
         seeds = [derive_seed(5, rep, 1) for rep in range(4)]
-        drawn = []
-        fill = _Streams.fill
-        monkeypatch.setattr(
-            _Streams, "fill",
-            lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
-        )
+        drawn = _count_fills(monkeypatch)
         dx, spot, truths, v = _tiled(
             ConstantVol(0.0), drift, noise, n, refinement, seeds, seeds, group=4
         )
         assert drawn == [(4, n + 1)]  # the noise tile alone
-        step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) / (n * refinement)
-        assert dx.tobytes() == np.full((4, n * refinement), step).tobytes()
+        step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) * (1.0 / n)
+        assert dx.tobytes() == np.full((4, n), step).tobytes()
         assert not spot.any() and truths.tolist() == [0.0] * 4
         for row, seed in zip(v, seeds):
             assert row.tobytes() == (_philox_normals(seed, n + 1) * np.sqrt(0.01)).tobytes()
 
     def test_positive_variance_still_draws(self, monkeypatch):
-        drawn = []
-        fill = _Streams.fill
-        monkeypatch.setattr(
-            _Streams, "fill",
-            lambda self, out, first=0: drawn.append(out.shape) or fill(self, out, first),
-        )
+        drawn = _count_fills(monkeypatch)
         latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2])
         latent.start(0, 2)
         latent.draw(slice(0, 2), 0, 8)
@@ -712,6 +764,51 @@ class TestNonFiniteParameters:
         PiecewiseVol((0.5,), (0.0, 2.0))
         OrnsteinUhlenbeckVol(-1.0, 0.0, 0.0, -0.5)
         ConstantDrift(-3.0)
+
+
+_FOUR = EquidistantScheme(4)
+
+
+class TestSamplerArguments:
+    """Sizes and seeds of the single-series samplers are integers, and their results finite."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 2.5, 1),
+            lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, _NAN, 1),
+            lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 1, 1.5),
+            lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 1, -1),
+            lambda: simulate_latent(ConstantVol(0.0), ZeroDrift(), _FOUR, 1, 1.5),
+            lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 1, -1),
+            lambda: observe(simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 1, 1),
+                            NoiseModel(0.01), _FOUR, 1.5),
+            lambda: observe(simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 1, 1),
+                            NoiseModel(0.01), _FOUR, -1),
+            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 2.5, 1),
+            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 1, -1),
+            lambda: simulate_latent_correlated(np.eye(2) * (1 + 1j), _FOUR, 1, 1),
+            lambda: derive_seed(-1, 0, 0),
+            lambda: derive_seed(1.5, 0, 0),
+            lambda: derive_seed(0, -1, 0),
+            lambda: derive_seed(0, 0, 1.5),
+        ],
+        ids=["refinement_non_integer", "refinement_nan", "seed_non_integer", "seed_negative",
+             "silent_seed_non_integer", "ou_seed_negative", "observe_seed_non_integer",
+             "observe_seed_negative", "correlated_refinement", "correlated_seed",
+             "correlated_complex_loadings", "derive_base_negative", "derive_base_non_integer",
+             "derive_replication_negative", "derive_stream_non_integer"],
+    )
+    def test_refused(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_refused_without_a_warning(self):
+        with pytest.raises(ResultOverflow, match="path"):
+            simulate_latent(OrnsteinUhlenbeckVol(1e200, 1.0, 1.0, 1e200), ZeroDrift(), _FOUR, 1, 1)
+        with pytest.raises(ResultOverflow, match="covariance"):
+            simulate_latent_correlated(np.eye(2) * 1e200, _FOUR, 1, 1)
 
 
 class TestCorrelatedPaths:

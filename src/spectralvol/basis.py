@@ -14,11 +14,10 @@ is what the rest of the package reads of that diagonalization: the
 eigen-gaps 2 - lambda_l and basis rows 1 and n of the leading columns, in
 O(columns), from eigen-angles that no code but ``_angles`` evaluates.
 
-Basis entries are computed from exact integer products reduced modulo the
-period before multiplying by pi, so orthogonality holds to ~1e-13 even at
-dimension 513 and beyond.  The reduced units take one period of values,
-so each entry is looked up in a table of the function over one period
-(for the cosine basis, whose units are all odd, over its odd units).
+Basis entries are computed from their formula, from exact integer
+products reduced modulo the period before multiplying by pi, so
+orthogonality holds to ~1e-13 even at dimension 513 and beyond; rows
+lo..hi-1 need no buffer that grows with the dimension.
 """
 
 from __future__ import annotations
@@ -118,55 +117,21 @@ def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.nd
 _ROW_BLOCK = 4096
 
 
-def _table(func, period: int, step: float, scale: float, odd: bool = False) -> np.ndarray:
-    """``scale * func(step * u)`` for the units u = 0..period-1 of one period, or its odd units."""
-    table = np.arange(int(odd), period, 1 + odd, dtype=float)
-    table *= step
-    func(table, out=table)
-    table *= scale
-    return table
+def _entries(func, rows: np.ndarray, cols: np.ndarray, period: int, step: float, scale: float,
+             out: np.ndarray) -> np.ndarray:
+    """``scale * func(step * (outer(rows, cols) % period))`` in ``out``, for int rows and cols.
 
-
-def _lookup(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, out,
-            odd: bool = False) -> np.ndarray:
-    """``table[outer(rows, cols) % len(table)]`` in ``out``, for int rows and cols.
-
-    The units are reduced into one period of the table, whose values were
-    computed with the formula's operations: the bits are those of the
-    formula.  With ``odd`` every unit is odd and the table holds the odd
-    units 1, 3, ... of a period twice its length, so unit u is entry
-    (u mod period) // 2.  Units are formed a block of rows at a time and
-    gathered straight into ``out``.
+    The units are formed and reduced a block of rows at a time, and each
+    block of entries is computed in place in ``out``, which may be strided.
     """
-    period = 2 * len(table) if odd else len(table)
     for first in range(0, len(rows), _ROW_BLOCK):
         units = np.multiply.outer(rows[first : first + _ROW_BLOCK], cols)
         units %= period
-        if odd:
-            units >>= 1
-        # the units are in range; any mode but the default "raise" lets take
-        # write into a contiguous out without buffering it
-        np.take(table, units, mode="clip", out=out[first : first + _ROW_BLOCK])
+        block = out[first : first + _ROW_BLOCK]
+        np.multiply(units, step, out=block)
+        func(block, out=block)
+        block *= scale
     return out
-
-
-def _basis_tables(kind: BasisKind, dim: int) -> tuple[np.ndarray, ...]:
-    """The one-period tables :func:`basis_columns` looks the entries of a valid basis up in.
-
-    2(2n+1) cosines for the cosine basis, 2(n+1) sines for the sine basis,
-    and N sines and N cosines for the real Fourier basis on N = dim rows.
-    """
-    if kind is BasisKind.SIML_COSINE:
-        # angle = (2k-1)(2l-1)pi / (2(2n+1)); period of cos is 4(2n+1) units,
-        # of which the odd products (2k-1)(2l-1) reach only the odd half
-        return (_table(np.cos, 4 * (2 * dim + 1), np.pi / (2 * (2 * dim + 1)),
-                       np.sqrt(2.0 / (dim + 0.5)), odd=True),)
-    if kind is BasisKind.DST_SINE:
-        # angle = k*l*pi / (n+1); period of sin is 2(n+1) units
-        return (_table(np.sin, 2 * (dim + 1), np.pi / (dim + 1), np.sqrt(2.0 / (dim + 1))),)
-    # FOURIER_REAL: angle = k * freq * 2pi / N, of period N units
-    step, scale = 2.0 * np.pi / dim, np.sqrt(2.0 / dim)
-    return _table(np.sin, dim, step, scale), _table(np.cos, dim, step, scale)
 
 
 def basis_columns(
@@ -175,40 +140,40 @@ def basis_columns(
     num_modes: int,
     out: np.ndarray | None = None,
     rows: tuple[int, int] | None = None,
-    tables: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Return the first ``num_modes`` columns of the basis as a (dim, num_modes) array.
 
     O(dim * num_modes), for the Monte Carlo engine, where one tile of
     columns serves many replications; one vector is projected by
     :func:`basis_coefficients`.  With ``rows = (lo, hi)`` only basis rows
-    lo..hi-1 are built, a (hi - lo, num_modes) array.  The columns are
-    written into ``out`` when given, and looked up in ``tables`` (the
-    one-period tables of the same kind and dim, built once for several row
-    ranges) when given; the full matrix is materialized only by
-    :func:`build_basis`.
+    lo..hi-1 are built, a (hi - lo, num_modes) array, in O(hi - lo) memory
+    beyond it whatever dim is.  The columns are written into ``out`` when
+    given; the full matrix is materialized only by :func:`build_basis`.
     """
     kind = BasisKind(kind)
     _check_modes(kind, dim, num_modes)
     lo, hi = (0, dim) if rows is None else rows
     if not 0 <= lo <= hi <= dim:
         raise InvalidDimension(f"rows must satisfy 0 <= lo <= hi <= {dim}, got {rows}")
-    if tables is None:
-        tables = _basis_tables(kind, dim)
     if out is None:
         out = np.empty((hi - lo, num_modes))
     k = np.arange(lo + 1, hi + 1, dtype=np.int64)
     l = np.arange(1, num_modes + 1, dtype=np.int64)
 
     if kind is BasisKind.SIML_COSINE:
-        return _lookup(tables[0], 2 * k - 1, 2 * l - 1, out, odd=True)
+        # angle (2k-1)(2l-1) pi / (2(2n+1)); cos has a period of 4(2n+1) units
+        return _entries(np.cos, 2 * k - 1, 2 * l - 1, 4 * (2 * dim + 1),
+                        np.pi / (2 * (2 * dim + 1)), np.sqrt(2.0 / (dim + 0.5)), out)
     if kind is BasisKind.DST_SINE:
-        return _lookup(tables[0], k, l, out)
-    # FOURIER_REAL, rows k = 0..N-1.  Column 0 is constant; odd column c is
-    # the sine and even column c the cosine of integer frequency (c+1)//2.
-    freq = l // 2  # l = c + 1
-    _lookup(tables[0], k - 1, freq, out)
-    _lookup(tables[1], k - 1, freq[0::2], out[:, 0::2])
+        # angle k l pi / (n+1); sin has a period of 2(n+1) units
+        return _entries(np.sin, k, l, 2 * (dim + 1), np.pi / (dim + 1),
+                        np.sqrt(2.0 / (dim + 1)), out)
+    # FOURIER_REAL, rows k = 0..N-1, angle k f 2pi / N of period N units.  Column 0
+    # is constant; odd column c is the sine and even column c the cosine of
+    # integer frequency f = (c+1)//2.
+    freq, step, scale = l // 2, 2.0 * np.pi / dim, np.sqrt(2.0 / dim)  # l = c + 1
+    _entries(np.sin, k - 1, freq[1::2], dim, step, scale, out[:, 1::2])
+    _entries(np.cos, k - 1, freq[0::2], dim, step, scale, out[:, 0::2])
     out[:, 0] = 1.0 / np.sqrt(dim)
     return out
 

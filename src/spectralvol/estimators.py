@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, _basis_tables, basis_coefficients, basis_columns, spectrum
+from .basis import BasisKind, basis_coefficients, basis_columns, spectrum
 from .errors import (
     CutoffTooLarge,
     EmptyInput,
@@ -250,14 +250,12 @@ def _form_columns(kind: EstimatorKind, n: int, m: int):
     """Row builder, column count and prefactor of a kind's quadratic form on n increments.
 
     ``build(lo, hi, out=None)`` returns basis rows lo..hi-1 of the form's
-    columns (written into ``out`` when given), looked up in one-period
-    tables built once here.
+    columns, computed from their formula (written into ``out`` when given).
     """
     basis, columns, shift = _form(kind, n, m)
-    tables = _basis_tables(basis, n)
 
     def build(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        return basis_columns(basis, n, columns, out, (lo, hi), tables)
+        return basis_columns(basis, n, columns, out, (lo, hi))
 
     return build, columns, (n + shift) / columns
 

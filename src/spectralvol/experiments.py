@@ -29,6 +29,7 @@ from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this
 from .errors import InvalidParameter, ResultOverflow, _index
 from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
+    MAX_BUFFER_BYTES,
     NOISE_STREAM,
     PATH_STREAM,
     DriftModel,
@@ -68,7 +69,7 @@ __all__ = [
 _LIVE_ROWS = 8 * _TILE_ROWS
 
 #: Bytes a run's buffers (:func:`_engine_bytes`) may take; check_experiment refuses more.
-MAX_ENGINE_BYTES = 2**30
+MAX_ENGINE_BYTES = MAX_BUFFER_BYTES
 
 CSV_COLUMNS = [
     "experiment",
@@ -221,11 +222,11 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     A group's draw buffer, whose rows hold a tile's path normals and then
     its noise normals (OU: ``refinement`` normals per observed step, a row of
     state shocks, the state, its squared copy and the trapezoid's sums); per
-    n, the latent and noise weights, two lookup temporaries, the coefficients
-    and their sum, tables of at most 2(2n+1) floats per kind and the n step
-    scales of deterministic volatility; per replication its truths and
-    seeds; and per live replication and stream a generator of about 640
-    bytes.  The generators persist per thread across runs, at most
+    n, the latent and noise weights, two temporaries of their size (a basis
+    build's angle units among them), the coefficients and their sum; per
+    replication its truths and seeds; and per live replication and stream a
+    generator of about 640 bytes.  No term grows with n except through the
+    cutoff.  The generators persist per thread across runs, at most
     _LIVE_ROWS per stream role (market._generators); they are counted
     whether or not this run builds them.
     """
@@ -238,8 +239,7 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     for n, m in zip(config.n_schedule, cutoffs):
         columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
         w = min(n, _TILE_WIDTH)
-        floats += (4 * w + 1 + 3 * reps) * columns + (not ou) * n
-        floats += len(config.kinds) * 2 * (2 * n + 1)
+        floats += (4 * w + 1 + 3 * reps) * columns
     return 8 * floats
 
 
@@ -250,8 +250,9 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     while the block walks the tiles of the largest n; the samplers size the
     rest, and take each block's generators and state as it starts.  For each
     tile, every n that reaches it builds the matching rows of its kinds'
-    basis columns once, side by side, from tables built once per run,
-    straight into its latent weights: one row per observed step.  Its noise
+    basis columns once, side by side, from their formula, straight into its
+    latent weights: one row per observed step, scaled by the step standard
+    deviations of the tile under deterministic volatility.  Its noise
     weights and drift offset are taken from these rows before they are
     scaled in place into latent weights.  Then each group of up to
     _TILE_ROWS replications of the block draws the tile's path normals,

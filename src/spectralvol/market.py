@@ -59,6 +59,7 @@ __all__ = [
     "increments",
     "write_observations_csv",
     "read_observations_csv",
+    "MAX_BUFFER_BYTES",
 ]
 
 PATH_STREAM = 0
@@ -206,6 +207,20 @@ _MASK32 = 0xFFFFFFFF
 # increments, which fit in cache with the basis rows they meet.  Fixed, so
 # that a path's values do not depend on how many paths are drawn with it.
 _TILE_ROWS, _TILE_WIDTH = 128, 1024
+
+#: Bytes a sampler's or Monte Carlo run's buffers may take: the single-series
+#: samplers refuse a finer grid, and ``experiments.MAX_ENGINE_BYTES`` is this.
+MAX_BUFFER_BYTES = 2**30
+
+
+def _fine_points(n: int, refinement: int, floats_per_point: int) -> int:
+    """The n * refinement points of a fine grid whose arrays hold ``floats_per_point``
+    floats per point, once they fit :data:`MAX_BUFFER_BYTES`; nothing is allocated."""
+    points = n * refinement
+    if 8 * floats_per_point * (points + 1) > MAX_BUFFER_BYTES:
+        raise InvalidParameter(f"a grid of {n} x {refinement} steps needs more than the "
+                               f"{MAX_BUFFER_BYTES >> 20} MiB of market.MAX_BUFFER_BYTES")
+    return points
 
 
 def _words(x) -> list[int]:
@@ -405,17 +420,19 @@ def _levels_at(steps: PiecewiseVol, times: np.ndarray) -> np.ndarray:
     return np.array(steps.levels, dtype=float)[np.searchsorted(steps.breakpoints, times, "right")]
 
 
-def _step_scales(steps: PiecewiseVol, n: int) -> np.ndarray:
-    """Each of n observed steps' standard deviation under step volatility: the root of
-    ``level * (1.0 / n)``, or of the levels' shares of a step that breakpoints fall inside."""
-    times = np.arange(n + 1) / n
+def _step_scales(steps: PiecewiseVol, n: int, lo: int, hi: int) -> np.ndarray:
+    """The standard deviation of observed steps lo..hi-1 of n under step volatility: the root
+    of ``level * (1.0 / n)``, or of the levels' shares of a step that breakpoints fall inside."""
+    times = np.arange(lo, hi + 1) / n
     var = _levels_at(steps, times[:-1]) * (1.0 / n)
     edges = (0.0, *steps.breakpoints, 1.0)
-    first = np.searchsorted(times, steps.breakpoints)  # the first grid point at or past each
-    for k in {int(p) - 1 for p, b in zip(first, steps.breakpoints) if times[p] != b}:
-        lo, hi = times[k], times[k + 1]
-        var[k] = sum(level * (min(b, hi) - max(a, lo))
-                     for a, b, level in zip(edges, edges[1:], steps.levels) if a < hi and b > lo)
+    first = np.searchsorted(times, steps.breakpoints)  # the first point at or past each
+    for k in {int(p) - 1 for p, b in zip(first, steps.breakpoints)
+              if 0 < p < len(times) and times[p] != b}:
+        start, end = times[k], times[k + 1]
+        var[k] = sum(level * (min(b, end) - max(a, start))
+                     for a, b, level in zip(edges, edges[1:], steps.levels)
+                     if a < end and b > start)
     return np.sqrt(var, out=var)
 
 
@@ -429,7 +446,8 @@ class _LatentTiles:
 
     Grid i has ``ns[i]`` observed steps; row j follows the path stream of
     ``seeds[j]``.  Under deterministic volatility step k is normal k of the
-    stream times the step's standard deviation (``scales[i]``); under OU it
+    stream times the step's standard deviation (:func:`_step_scales`, taken
+    per tile); under OU it
     is ``refinement`` Euler-Maruyama steps driven by normals of the stream of
     spawn key 0, the state by spawn key 1.  :meth:`start` begins any run of
     paths, and :meth:`draw` draws one tile's normals for up to _TILE_ROWS of
@@ -451,7 +469,6 @@ class _LatentTiles:
         if not ou:
             edges = np.array((0.0,) + steps.breakpoints + (1.0,))
             self.exact = float(np.sum(np.array(steps.levels, dtype=float) * np.diff(edges)))
-            self.scales = [_step_scales(steps, n) for n in ns]
         silent = not ou and not any(steps.levels)
         self.shocks = None if silent else _Streams(seeds, 0 if ou else None, "path")
         self.vol_shocks = _Streams(seeds, 1, "state") if ou else None
@@ -488,7 +505,7 @@ class _LatentTiles:
         rows, w = dx.shape
         if self.vol_shocks is None:
             spot = _levels_at(self.steps, np.arange(self.first, self.first + w + 1) / self.ns[i])
-            scale = self.scales[i][self.first : self.first + w]
+            scale = _step_scales(self.steps, self.ns[i], self.first, self.first + w)
         else:
             spot = self._ou_spot(i, rows, w)
             scale = np.sqrt(spot[:, :-1] * self.dts[i])
@@ -505,7 +522,7 @@ class _LatentTiles:
         observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).  L is ``cols``, scaled
         in place by each step's standard deviation unless :meth:`normals` scales per path (OU)."""
         if self.vol_shocks is None:
-            cols *= self.scales[i][lo : lo + len(cols), np.newaxis]
+            cols *= _step_scales(self.steps, self.ns[i], lo, lo + len(cols))[:, np.newaxis]
         return cols
 
     def normals(self, i: int, rows: int, w: int) -> np.ndarray:
@@ -608,12 +625,16 @@ def simulate_latent(
     the Monte Carlo engine does: the path lies on the observation grid, and
     ``refinement`` is only checked.  OU volatility is Euler-Maruyama on the
     grid refined ``refinement`` times.  Raises :class:`InvalidParameter` for
-    a refinement < 1 or seed < 0 or either not an integer, and
+    a refinement < 1 or seed < 0 or either not an integer, or a path grid
+    whose arrays would exceed :data:`MAX_BUFFER_BYTES`, and
     :class:`ResultOverflow` for a path or truth that overflows float64.
     """
-    _index(refinement, "refinement", 1)
+    refinement = _index(refinement, "refinement", 1)
+    r = refinement if _as_piecewise(vol) is None else 1  # deterministic: the observation grid
+    # the increments, spot, sums, values and times, and an OU tile's draws and state
+    # (a traced peak of 5.2 floats per point, 7.1 under OU)
+    n_fine = _fine_points(scheme.n, r, 8)
     latent = _LatentTiles(vol, drift, (scheme.n,), refinement, _index(rng_seed, "rng_seed", 0))
-    r, n_fine = latent.r, scheme.n * latent.r
     latent.start(0, 1)
     dx = np.empty((1, n_fine))
     spot = np.empty(n_fine + 1)
@@ -646,18 +667,21 @@ def simulate_latent_correlated(
     sigma = np.atleast_2d(_real_array(loadings, "loadings"))
     if not np.all(np.isfinite(sigma)):
         raise InvalidParameter("loadings must be finite numbers")
-    n_fine = scheme.n * refinement
+    j_count, d = len(sigma), sigma.shape[1]
+    # the shocks and their scaled copy, the increments, each path's sums, values and
+    # spot, and the times (a traced peak of 11 floats per point at J = 3, d = 1)
+    n_fine = _fine_points(scheme.n, refinement, 3 * j_count + 2 * d + 1)
     fine_times = np.arange(n_fine + 1) / n_fine
     streams = _Streams(_index(rng_seed, "rng_seed", 0))
     streams.start(0, 1)
-    dw = streams.fill(np.empty((1, n_fine * sigma.shape[1])))[0] * np.sqrt(1.0 / n_fine)
+    dw = streams.fill(np.empty((1, n_fine * d)))[0] * np.sqrt(1.0 / n_fine)
     dx = dw.reshape(n_fine, -1) @ sigma.T
     cov = sigma @ sigma.T
     if not np.all(np.isfinite(cov)):
         raise ResultOverflow("the covariance overflows float64 at the loadings' scale")
     paths = [LatentPath(fine_times, np.concatenate(([0.0], np.cumsum(dx[:, j]))),
                         np.full(n_fine + 1, cov[j, j]), float(cov[j, j]))
-             for j in range(len(sigma))]
+             for j in range(j_count)]
     return paths, cov
 
 

@@ -288,7 +288,7 @@ class TestCheckExperiment:
             ("initial_noise_contrast", {"noise": NoiseModel(0.01, include_initial=False)}),
             ("consistency", {"vol": OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0), "refinement": 10**29}),
             ("consistency", {"replications": 2**32}),
-            ("consistency", {"n_schedule": (64, 2**26)}),
+            ("consistency", {"n_schedule": (64, 2**20), "m_exponent": 0.99}),
             ("consistency", {"replications": 1}),
             ("normality", {"vol": ConstantVol(0.0)}),
             ("normality", {"vol": ConstantVol(1e200)}),
@@ -296,7 +296,7 @@ class TestCheckExperiment:
         ],
         ids=["unknown", "m_above_n", "fourier_columns_above_n", "m_below_one", "normality_ou",
              "noise_bounds_vol", "noise_bounds_drift", "contrast_no_initial_noise", "huge_refinement",
-             "coefficients_above_limit", "tables_above_limit", "one_replication",
+             "coefficients_above_limit", "weights_at_a_cutoff_near_n", "one_replication",
              "normality_zero_limit_variance", "normality_limit_variance_overflow",
              "m_exponent_nan"],
     )
@@ -618,6 +618,22 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    def test_peak_does_not_grow_with_n_at_a_fixed_cutoff(self):
+        """At m = 1 (n^0.05 < 2 at both sizes) no buffer may grow from n = 2^12 to 2^18."""
+        peaks = []
+        for n in (2**12, 2**18):
+            cfg = _config(kinds=(EstimatorKind.SIML, EstimatorKind.INA_SINE), n_schedule=(n,),
+                          noise=NoiseModel(0.01), replications=2, m_exponent=0.05)
+            assert check_experiment("consistency", cfg) == (1,)
+            run_consistency(cfg)  # a process's first run also loads numpy.random
+            tracemalloc.start()
+            try:
+                run_consistency(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**19, [p / 2**20 for p in peaks]
+
 
 class TestEngineBytes:
     """The preflight's count of the engine's buffers against what a run allocates."""
@@ -635,7 +651,7 @@ class TestEngineBytes:
             {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE),
              "n_schedule": (1024, 4096, 16384), "replications": 200},
         ],
-        ids=["raw_tile", "ou", "coefficients", "tables", "piecewise_spot", "contrast_shape"],
+        ids=["raw_tile", "ou", "coefficients", "large_n", "piecewise_spot", "contrast_shape"],
     )
     def test_bounds_the_traced_peak(self, overrides):
         cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})

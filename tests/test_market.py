@@ -251,9 +251,19 @@ class TestExactStepLaw:
         """Whole steps have sqrt(level * (1.0 / n)) and the squares sum to the truth."""
         edges = (0.0, *_STEPS.breakpoints, 1.0)
         truth = math.fsum(level * (b - a) for a, b, level in zip(edges, edges[1:], _STEPS.levels))
-        scales = _step_scales(_STEPS, n)
+        scales = _step_scales(_STEPS, n, 0, n)
         assert scales.tobytes() == _exact_scales(_STEPS, n).tobytes()
         assert abs(math.fsum(scales**2) - truth) <= 1e-15 * truth
+
+    @pytest.mark.parametrize("n", [3, 10, 1064, 3 * _TILE_WIDTH + 7])
+    def test_steps_of_any_range_keep_the_bits_of_the_whole(self, n):
+        """Steps lo..hi-1, taken alone as a tile takes them, are those steps of the whole grid,
+        whether a breakpoint falls inside, at an end of or outside the range."""
+        whole = _exact_scales(_STEPS, n)
+        cuts = sorted({0, 1, n // 3, n // 2, n // 2 + 1, n - 1, n, *range(0, n, _TILE_WIDTH)})
+        for lo in cuts:
+            for hi in (h for h in cuts if h >= lo):
+                assert _step_scales(_STEPS, n, lo, hi).tobytes() == whole[lo:hi].tobytes()
 
     def test_straddled_breakpoint_keeps_the_mean_realized_variance(self):
         """At n = 3 the breakpoint 0.5 falls inside the middle step; the realized variance
@@ -792,16 +802,34 @@ class TestSamplerArguments:
             lambda: derive_seed(1.5, 0, 0),
             lambda: derive_seed(0, -1, 0),
             lambda: derive_seed(0, 0, 1.5),
+            lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 10**20, 1),
+            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 10**20, 1),
         ],
         ids=["refinement_non_integer", "refinement_nan", "seed_non_integer", "seed_negative",
              "silent_seed_non_integer", "ou_seed_negative", "observe_seed_non_integer",
              "observe_seed_negative", "correlated_refinement", "correlated_seed",
              "correlated_complex_loadings", "derive_base_negative", "derive_base_non_integer",
-             "derive_replication_negative", "derive_stream_non_integer"],
+             "derive_replication_negative", "derive_stream_non_integer", "ou_refinement_huge",
+             "correlated_refinement_huge"],
     )
     def test_refused(self, call):
         with pytest.raises(InvalidParameter):
             call()
+
+    def test_grid_bound_is_the_module_constant(self, monkeypatch):
+        """A grid whose arrays would pass market.MAX_BUFFER_BYTES is refused before any draw."""
+        drawn = _count_fills(monkeypatch)
+        monkeypatch.setattr(market, "MAX_BUFFER_BYTES", 8 * 8 * 41)  # 8 floats at 41 points
+        simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 10, 1)
+        simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(40), 10**20, 1)
+        drawn.clear()
+        for call in (lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 11, 1),
+                     lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(41),
+                                             1, 1),
+                     lambda: simulate_latent_correlated(np.eye(2), _FOUR, 10, 1)):
+            with pytest.raises(InvalidParameter, match="MAX_BUFFER_BYTES"):
+                call()
+        assert drawn == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused_without_a_warning(self):

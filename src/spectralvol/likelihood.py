@@ -14,8 +14,8 @@ maximized by the cosine-basis volatility estimate (same m), the
 high-frequency part L2 by an average of ``z_k^2 / a_k`` over the top l
 frequencies, and Lr is the remainder.  :func:`spectral_transform` computes
 all n coefficients with one FFT in O(n log n); :func:`joint_mle` maximizes
-the full L by Fisher scoring in (log c, log nu) with step halving, checks
-the boundaries nu = 0 and c = 0 in closed form, and returns asymptotic
+the full L with c profiled out, a search over the one ratio nu/c whose two
+ends, nu = 0 and c = 0, are settled in closed form, and returns asymptotic
 standard errors from the inverse Fisher information.  A coefficient vector
 must hold n >= 1 finite numbers, and parameters must be finite and sizes
 integers: anything else raises one of the package's errors, as does a result
@@ -114,7 +114,7 @@ class LikelihoodDecomposition:
 
 @dataclass(frozen=True)
 class MleResult:
-    """A joint fit: ``sweeps`` counts Fisher-scoring iterations (0 on the boundary
+    """A joint fit: ``sweeps`` counts profile evaluations (0 on the boundary
     shortcuts); ``std_errors`` are the asymptotic standard errors of (c, nu)."""
 
     params: LikelihoodParams
@@ -233,145 +233,141 @@ def noise_variance_estimate(z: SpectralCoefficients, l: int) -> float:
     return total / l
 
 
-_STEP_CLIP = 10.0
-_STEP_TOL = 1e-8
-_MAX_ITERATIONS = 500
-
-
-def _information(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Fisher information of L in (c, nu): 1/2 sum_k (1, a_k)^T (1, a_k) / d_k^2."""
-    w = 0.5 / d**2
-    aw = a * w
-    return np.array([[w.sum(), aw.sum()], [aw.sum(), (a * aw).sum()]])
-
-
-def _inverse(info: np.ndarray) -> np.ndarray | None:
-    """Inverse of a 2 x 2 information matrix; None when it is singular or not finite."""
-    det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-    if not det > 1e-12 * info[0, 0] * info[1, 1]:
-        return None
-    return np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
+_RATIO_SPAN = 1e8
+_CLIMB_STEP = 2.0
+_STEP_TOL = 1e-9
+_MAX_ITERATIONS = 100
 
 
 def _std_errors(a: np.ndarray, c: float, nu: float) -> tuple[float, float]:
-    inv = _inverse(_information(a, c + a * nu))
-    if inv is None:
+    """Square roots of the diagonal of the inverse of the Fisher information in (c, nu),
+    1/2 sum_k (1, a_k)^T (1, a_k) / (c + a_k nu)^2: both nan when it is singular or not
+    finite, and nan for a parameter on its boundary."""
+    w = 0.5 / (c + a * nu) ** 2
+    aw = a * w
+    i00, i01, i11 = w.sum(), aw.sum(), (a * aw).sum()
+    det = i00 * i11 - i01**2
+    if not det > 1e-12 * i00 * i11:
         return math.nan, math.nan
     return (
-        math.sqrt(inv[0, 0]) if c > 0 else math.nan,
-        math.sqrt(inv[1, 1]) if nu > 0 else math.nan,
+        math.sqrt(i11 / det) if c > 0 else math.nan,
+        math.sqrt(i00 / det) if nu > 0 else math.nan,
     )
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # MleResult refuses an overflow
 def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
-    """Fisher-scoring maximizer of the full quasi-log-likelihood.
+    """Maximizer of the full quasi-log-likelihood over c >= 0, nu >= 0.
 
-    Works in theta = (log c, log nu).  With d_k = c + a_k nu, Jacobian rows
-    J_k = (c, a_k nu) and r_k = (z_k^2 - d_k)/d_k^2, the score is
-    g = J^T r / 2 and the Fisher information I = (J/d)^T (J/d) / 2.  Each
-    iteration moves theta by t I^-1 g, each component clipped to +-10, halving
-    t until L does not decrease, and stops once the move is below 1e-8 or
-    after 500 iterations.
+    At a ratio rho = nu/c, L peaks in c at c(rho) = mean(z_k^2 w_k),
+    w_k = 1/(1 + a_k rho), so the fit maximizes that profile over s = log rho.
+    With u_k = 1 - w_k and p_k = z_k^2 w_k / sum_j z_j^2 w_j, its slope in s
+    is (n sum p_k u_k - sum u_k)/2 and its curvature
+    (n (sum p_k u_k (w_k - u_k) + (sum p_k u_k)^2) - sum u_k w_k)/2.
 
-    On the boundaries nu = 0 and c = 0 the log of that parameter has no
-    finite maximizer, so both are settled in closed form first.  L(c, 0)
-    peaks at c0 = mean(z_k^2), and (c0, 0) is returned as converged when the
-    nu-score there, proportional to sum a_k (z_k^2 - c0), is not positive
-    and L(c0, 0) >= L(init).  Likewise L(0, nu) peaks at
-    nu0 = mean(z_k^2 / a_k), and (0, nu0) is returned when the c-score
-    there, proportional to sum (z_k^2 - a_k nu0) / (a_k nu0)^2, is not
-    positive and L(0, nu0) >= L(init).  A boundary point with a positive
-    score is not a maximizer; one below L(init) stays below the iterates,
-    which never lose likelihood.
+    Its ends, rho = 0 at (c0, 0) with c0 = mean(z_k^2) and rho -> inf at
+    (0, nu0) with nu0 = mean(z_k^2 / a_k), are settled first: an end is
+    returned as converged, with ``sweeps`` 0, when L there is at least
+    L(init) and the score into the domain, proportional to
+    sum a_k (z_k^2 - c0) at (c0, 0) and to sum (z_k^2 - a_k nu0)/(a_k nu0)^2
+    at (0, nu0), is not positive.
 
-    L need not be concave in c: with a positive c-score at (0, nu0) the
-    iterates can stop at a local maximum below L(0, nu0).  Scoring then
-    starts again from (c1, nu0), c1 the Fisher step in c off that edge, and
-    ``sweeps`` counts both runs; should the second run also end below
-    L(0, nu0), (0, nu0) is returned, flagged as not converged.
+    Otherwise the search climbs from init's ratio in steps of 2 in s until
+    the slope changes sign, then takes Newton steps inside that bracket,
+    bisecting where one would leave it, until a step moves s by less than
+    1e-9 (converged) or for 100 steps; it keeps 1e-8 <= a_k rho <= 1e8 at
+    the extreme k.  L need not be concave: an end with a positive score that
+    beats the climbed point is climbed from in turn, and returned, flagged
+    as not converged, should it still win.  ``sweeps`` counts profile
+    evaluations.
 
-    The returned point never has a lower likelihood than ``init``;
-    non-convergence is flagged, not raised, and a likelihood or parameter
-    that overflows float64 raises :class:`ResultOverflow`.  ``std_errors``
-    are the square roots of the diagonal of the inverse Fisher information
-    in (c, nu) at the returned point; the entry of a parameter on its
-    boundary is nan.
+    The result never has a lower likelihood than ``init``.  All-zero
+    coefficients, where L grows without bound as c and nu go to 0, raise
+    :class:`DegenerateData`; a likelihood or parameter that overflows
+    float64 raises :class:`ResultOverflow`.  ``std_errors`` are
+    :func:`_std_errors` at the result.
     """
     if not (0 < init.c < math.inf and 0 < init.nu < math.inf):
         raise InvalidParameter("initial c and nu must be finite and strictly positive")
     a = a_coefficients(z.n)
     z2 = z.z**2
-
-    def ascend(theta: np.ndarray, best: float) -> tuple[np.ndarray, float, bool, int]:
-        """Fisher scoring from theta, whose likelihood is best: (theta, L, converged, iterations)."""
-        iterations = 0
-        for iterations in range(1, _MAX_ITERATIONS + 1):
-            p = np.exp(theta)
-            d = p[0] + a * p[1]
-            r = (z2 - d) / d**2
-            score = 0.5 * np.array([r.sum(), (a * r).sum()])
-            inv = _inverse(_information(a, d))
-            if inv is None:
-                break
-            # The theta step I^-1 g is the (c, nu) step divided by (c, nu).
-            step = np.clip((inv @ score) / p, -_STEP_CLIP, _STEP_CLIP)
-            span = float(np.max(np.abs(step)))
-            if not math.isfinite(span):
-                break
-            t = 1.0
-            while True:
-                trial = theta + t * step
-                value = _loglik(a, z2, *np.exp(trial))
-                if value >= best or t * span < _STEP_TOL:
-                    break
-                t *= 0.5
-            if value >= best:
-                theta, best = trial, value
-            if t * span < _STEP_TOL:
-                return theta, best, True, iterations
-        return theta, best, False, iterations
-
-    best = _loglik(a, z2, init.c, init.nu)
     c0 = float(np.mean(z2))
+    if c0 == 0.0:
+        raise DegenerateData("all coefficients are zero: the likelihood has no maximum")
+    _refuse_overflow(c0)
     nu0 = float(np.mean(z2 / a))
-    c_score = float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)) if nu0 > 0 else math.nan
-    boundary = []
-    if c0 > 0 and float(np.sum(a * (z2 - c0))) <= 0.0:
-        boundary.append((c0, 0.0))
-    if c_score <= 0.0:
-        boundary.append((0.0, nu0))
-    for c, nu in boundary:
-        value = _loglik(a, z2, c, nu)
-        if value >= best:
-            return MleResult(
-                params=LikelihoodParams(c=c, nu=nu),
-                converged=True,
-                sweeps=0,
-                log_likelihood=value,
-                std_errors=_std_errors(a, c, nu),
-            )
+    lo, hi = math.log(1 / _RATIO_SPAN / a[-1]), math.log(_RATIO_SPAN / a[0])
 
-    # Should the iterates still head for a boundary, or with all-zero data,
-    # a parameter underflows and the information overflows: clipping bounds
-    # the step, a singular information or a nan step ends the loop, and the
-    # fit is flagged as not converged.
-    theta, best, converged, iterations = ascend(np.log([init.c, init.nu]), best)
-    edge = _loglik(a, z2, 0.0, nu0) if c_score > 0 else -math.inf
-    if edge > best:
-        # A local maximum below the c = 0 edge, where L still rises in c:
-        # climb again from one Fisher step in c off that edge.
-        c1 = c_score / float(np.sum((a * nu0) ** -2.0))
-        theta, best, converged, more = ascend(np.log([c1, nu0]), _loglik(a, z2, c1, nu0))
-        iterations += more
-        if best < edge:
-            theta, best, converged = np.log([0.0, nu0]), edge, False
-    c, nu = (float(v) for v in np.exp(theta))
-    std_errors = _std_errors(a, c, nu)
+    def profile(s: float) -> tuple[float, tuple[float, float, float], float, float]:
+        """(s, (L, c, nu), slope, curvature) of the profile at s = log rho."""
+        rho = math.exp(s)
+        w = 1.0 / (1.0 + a * rho)
+        u = a * rho * w
+        p = z2 * w
+        c = float(np.mean(p))
+        p /= p.sum()
+        pu = float(p @ u)
+        slope = 0.5 * (z.n * pu - float(u.sum()))
+        curvature = 0.5 * (z.n * (float(p @ (u * (w - u))) + pu**2) - float(u @ w))
+        return s, (_loglik(a, z2, c, rho * c), c, rho * c), slope, curvature
+
+    def climb(s: float) -> tuple[tuple[float, float, float], bool, int]:
+        """Ascend the profile from s: ((L, c, nu) at the maximum found, converged, evaluations)."""
+        points = [profile(s)]
+        step = math.copysign(_CLIMB_STEP, points[0][2])
+        converged = False
+        while points[-1][2] * step > 0:
+            s = min(max(s + step, lo), hi)
+            if s == points[-1][0]:  # still uphill at the end of the range
+                break
+            points.append(profile(s))
+        else:  # the slope changed sign across the last step, or is 0 or nan
+            left, right = min(q[0] for q in points[-2:]), max(q[0] for q in points[-2:])
+            s, _, slope, curvature = max(points[-2:], key=lambda q: q[1][0])
+            for _ in range(_MAX_ITERATIONS):
+                if not abs(slope) > 0:
+                    converged = slope == 0
+                    break
+                left, right = (s, right) if slope > 0 else (left, s)
+                target = s - slope / curvature if curvature < 0 else math.nan
+                if not left < target < right:
+                    target = 0.5 * (left + right)
+                move = abs(target - s)
+                points.append(profile(target))
+                s, _, slope, curvature = points[-1]
+                if move < _STEP_TOL:
+                    converged = True
+                    break
+        # Near the maximum L is flat to rounding: a converged climb ends at its last point.
+        best = points[-1][1] if converged else max((q[1] for q in points), key=lambda v: v[0])
+        return best, converged, len(points)
+
+    start = _loglik(a, z2, init.c, init.nu)
+    ends = [
+        ((_loglik(a, z2, c0, 0.0), c0, 0.0), float(np.sum(a * (z2 - c0))), lo),
+        ((_loglik(a, z2, 0.0, nu0), 0.0, nu0), float(np.sum((z2 - a * nu0) / (a * nu0) ** 2)), hi),
+    ]
+    settled = [end for end, score, _ in ends if score <= 0.0 and end[0] >= start]
+    if settled:
+        best, converged, sweeps = settled[0], True, 0
+    else:
+        best, converged, sweeps = climb(min(max(math.log(init.nu) - math.log(init.c), lo), hi))
+        for end, score, s in ends:
+            if score > 0.0 and end[0] > best[0]:
+                # A local maximum below an end where L still rises into the domain.
+                again, again_converged, more = climb(s)
+                sweeps += more
+                if again[0] > best[0]:
+                    best, converged = again, again_converged
+                if end[0] > best[0]:
+                    best, converged = end, False
+        if start > best[0]:  # the profile at init's own ratio can round below L(init)
+            best = (start, init.c, init.nu)
+    value, c, nu = best
     return MleResult(
         params=LikelihoodParams(c=c, nu=nu),
         converged=converged,
-        sweeps=iterations,
-        log_likelihood=best,
-        std_errors=std_errors,
+        sweeps=sweeps,
+        log_likelihood=value,
+        std_errors=_std_errors(a, c, nu),
     )

@@ -1,6 +1,8 @@
 """Tests for the spectral quasi-likelihood and its separating decomposition."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from spectralvol.market import (
     observe,
     simulate_latent,
 )
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSpectralTransform:
@@ -385,6 +389,26 @@ def _gradient_and_hessian(z, c, nu):
     return grad, hess
 
 
+def _profile(z, rho):
+    """The profile likelihood max_c L(c, rho c) at each ratio rho = nu/c.
+
+    The maximizer is c(rho) = mean(z_k^2 / (1 + a_k rho)), where
+    sum z_k^2 / (c + a_k nu) = n, so the profile is -(n log c(rho) + sum log(1 + a_k rho) + n)/2.
+    """
+    scale = 1.0 + a_coefficients(z.n) * np.asarray(rho)[:, None]
+    c = np.mean(z.z**2 / scale, axis=1)
+    return -0.5 * (z.n * np.log(c) + np.sum(np.log(scale), axis=1) + z.n)
+
+
+def _profile_grid_best(z):
+    """Best L over both ends and the profile at 400 log-spaced rho, 1e-6 <= a_k rho <= 1e6."""
+    a, z2 = a_coefficients(z.n), z.z**2
+    rho = np.logspace(math.log10(1e-6 / a[-1]), math.log10(1e6 / a[0]), 400)
+    ends = [LikelihoodParams(float(np.mean(z2)), 0.0),
+            LikelihoodParams(0.0, float(np.mean(z2 / a)))]
+    return max(float(_profile(z, rho).max()), *(log_likelihood(z, end) for end in ends))
+
+
 def _desk_fit(n, nu, noisy_start, seed):
     """A constant-volatility day series, fitted from the closed-form L1 and L2 maximizers."""
     scheme = EquidistantScheme(n)
@@ -427,6 +451,26 @@ class TestJointMle:
                         assert fit.log_likelihood >= at_c0 - slack, label
                         kinds.add("boundary")
         assert kinds == {"interior", "boundary"}
+
+    def test_fit_is_the_global_maximum(self):
+        """The fits of test_fit_is_the_maximum and the ten pure-noise draws of
+        test_local_maximum_below_zero_signal_edge_is_left beat both ends and a
+        400-point profile grid, to 1e-12 |L|."""
+        fits = []
+        seed = 100
+        for n in (390, 1560, 4680):
+            for nu in (0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for noisy_start in (False, True):
+                    seed += 2
+                    fits.append(((n, nu, noisy_start), *_desk_fit(n, nu, noisy_start, seed)))
+        a = a_coefficients(512)
+        rng = np.random.default_rng(12)
+        for draw in range(10):
+            z = SpectralCoefficients(z=np.sqrt(a * 1e-3) * rng.standard_normal(512), n=512)
+            fits.append((("pure noise", draw), z, joint_mle(z, LikelihoodParams(0.5, 1e-4))))
+        for label, z, fit in fits:
+            slack = 1e-12 * abs(fit.log_likelihood)
+            assert fit.log_likelihood >= _profile_grid_best(z) - slack, label
 
     def test_std_errors_match_observed_information(self):
         """At an interior fit, SEs from the Fisher information agree with -H^-1 to 5%."""
@@ -516,6 +560,36 @@ class TestJointMle:
             assert np.all(np.linalg.eigvalsh(hess) < 0)
             assert 0.5 * grad @ np.linalg.solve(-hess, grad) <= 1e-12 * abs(out.log_likelihood)
 
+    def test_local_maximum_below_an_end_is_left_by_a_second_climb(self):
+        """Pure noise, n = 16: from (0.5, 1e-4) the profile peaks near rho = 0.04, below
+        L(0, nu0), whose c-score is positive; the fit climbs again from that end and
+        reaches the global maximum near rho = 20."""
+        n = 16
+        a = a_coefficients(n)
+        noise = np.random.default_rng(790).standard_normal(n)
+        z = SpectralCoefficients(z=np.sqrt(a * 1e-3) * noise, n=n)
+        z2 = z.z**2
+        nu0 = float(np.mean(z2 / a))
+        assert np.sum((z2 - a * nu0) / (a * nu0) ** 2) > 0
+        edge = log_likelihood(z, LikelihoodParams(0.0, nu0))
+        near = _profile(z, np.logspace(math.log10(2e-4), 0.0, 200))
+        assert near.max() < edge and near.argmax() < len(near) - 1
+        out = joint_mle(z, LikelihoodParams(0.5, 1e-4))
+        assert out.converged and out.params.c > 0 and out.params.nu / out.params.c > 1
+        assert out.log_likelihood >= _profile_grid_best(z) - 1e-12 * abs(out.log_likelihood)
+
+    def test_restart_at_a_fit_keeps_its_likelihood(self):
+        """The profile at a fit's own ratio can round below the fit (n = 64, seed 70):
+        started there, joint_mle still returns at least the fit's likelihood."""
+        n = 64
+        a = a_coefficients(n)
+        draws = np.random.default_rng(70).standard_normal(n)
+        z = SpectralCoefficients(z=np.sqrt(1 + a * 1e-3) * draws, n=n)
+        fit = joint_mle(z, LikelihoodParams(0.5, 1e-4))
+        assert fit.params.c > 0 and fit.params.nu > 0
+        again = joint_mle(z, fit.params)
+        assert again.converged and again.log_likelihood >= fit.log_likelihood
+
     def test_never_below_initial_likelihood(self):
         rng = np.random.default_rng(9)
         z = spectral_transform(rng.normal(size=128))
@@ -536,6 +610,11 @@ class TestJointMle:
         )
         assert out.log_likelihood >= grid_best - 1e-6
 
+    def test_all_zero_coefficients_raise(self):
+        """L has no maximum there: it grows without bound as c and nu go to 0."""
+        with pytest.raises(DegenerateData):
+            joint_mle(SpectralCoefficients(np.zeros(8), 8), LikelihoodParams(0.5, 1e-3))
+
     def test_bad_init(self):
         z = SpectralCoefficients(z=np.ones(4), n=4)
         with pytest.raises(InvalidParameter):
@@ -547,3 +626,24 @@ class TestJointMle:
         z = SpectralCoefficients(z=np.ones(4), n=4)
         with pytest.raises(InvalidParameter):
             joint_mle(z, LikelihoodParams(c, nu))
+
+
+class TestDeskBenchmarkCheck:
+    def test_seed_11_requests_pass_every_check(self):
+        """The benchmark's desk_series op and verifier on all 72 seed-11 requests.
+
+        With perfbench/reference.json loaded, the verifier compares siml, ina and
+        fourier to 1e-9, c and nu to 1e-4 and L to 1e-7, and checks mle_at_maximum.
+        """
+        path = _ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        desk = workloads.DeskSeries(11, _ROOT)
+        desk.reference = workloads.load_reference()
+        failed = {}
+        for i in range(desk.POOL):
+            count, names = desk.verify(desk.op(i))
+            if count:
+                failed[i] = names
+        assert desk.POOL == 72 and not failed, failed

@@ -11,12 +11,12 @@ an extra 1 in the (1,1) corner (no noise on the first observation),
 ``JN_TILDE`` wrap-around corners (first and last noise identified) and
 ``JN_TILDE_PRIME`` none (independent noise at both ends).  :func:`spectrum`
 is what the rest of the package reads of that diagonalization: the
-eigen-gaps 2 - lambda_l and basis rows 1 and n of the leading columns, in
-O(columns), from eigen-angles that no code but ``_angles`` evaluates.
+eigen-gaps 2 - lambda_l (:func:`eigen_gaps`, the only code that evaluates an
+eigen-angle) and basis rows 1 and n of the leading columns, in O(columns).
 
-Basis entries are computed from their formula, from exact integer
-products reduced modulo the period before multiplying by pi, so
-orthogonality holds to ~1e-13 even at dimension 513 and beyond; rows
+:func:`basis_columns` is the only code that computes a basis entry, from
+exact integer products reduced modulo the period before multiplying by pi,
+so orthogonality holds to ~1e-13 even at dimension 513 and beyond; rows
 lo..hi-1 need no buffer that grows with the dimension.
 """
 
@@ -73,43 +73,28 @@ def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
         raise InvalidDimension(f"num_modes must be in [1, {dim}], got {num_modes}")
 
 
-def _angles(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
-    """The eigen-angles t_l of columns l = 1..columns of a basis on dim rows."""
+def eigen_gaps(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
+    """Gaps 2 - lambda_l = 4 sin^2 t_l of the first ``columns`` columns, t_l their eigen-angles."""
+    kind = BasisKind(kind)
     _check_modes(kind, dim, columns)
     l = np.arange(1, columns + 1)
     if kind is BasisKind.SIML_COSINE:
-        return (2 * l - 1) * np.pi / (2 * (2 * dim + 1))
-    if kind is BasisKind.DST_SINE:
-        return l * np.pi / (2 * (dim + 1))
-    return l // 2 * np.pi / dim  # FOURIER_REAL: column l-1 has frequency l // 2
-
-
-def eigen_gaps(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
-    """The gaps of the first ``columns`` basis columns, as in :func:`spectrum`, in O(columns)."""
-    return 4.0 * np.sin(_angles(BasisKind(kind), dim, columns)) ** 2
+        t = (2 * l - 1) * np.pi / (2 * (2 * dim + 1))
+    elif kind is BasisKind.DST_SINE:
+        t = l * np.pi / (2 * (dim + 1))
+    else:  # FOURIER_REAL: column l-1 has frequency l // 2
+        t = l // 2 * np.pi / dim
+    return 4.0 * np.sin(t) ** 2
 
 
 def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(gaps, first_row, last_row)`` of the first ``columns`` columns of a basis on dim rows.
 
-    Column l's gap is 2 - lambda_l = 4 sin^2 t_l, lambda_l its eigenvalue in
-    the Jacobi-type matrix the basis diagonalizes; the rows are rows 1 and dim
-    of :func:`build_basis`, in closed form in t_l.  O(columns).
+    The gaps are :func:`eigen_gaps`; the rows are rows 1 and dim of
+    :func:`basis_columns`, built alone.  O(columns).
     """
-    kind = BasisKind(kind)
-    gaps, t = eigen_gaps(kind, dim, columns), _angles(kind, dim, columns)
-    twice = np.sin(2.0 * t)
-    if kind is BasisKind.FOURIER_REAL:  # rows k = 0, -1: s sin(2k t_l), s cos(2k t_l)
-        s = math.sqrt(2.0 / dim)
-        first, last = np.full(columns, s), s * np.cos(2.0 * t)
-        first[1::2], last[1::2] = 0.0, -s * twice[1::2]
-        first[0] = last[0] = 1.0 / math.sqrt(dim)
-        return gaps, first, last
-    # row 1 is s cos t_l (cosine) or s sin 2t_l (sine); row dim (-1)^(l+1) s sin 2t_l
-    cosine = kind is BasisKind.SIML_COSINE
-    s = math.sqrt(2.0 / (dim + (0.5 if cosine else 1)))
-    first, last = s * (np.cos(t) if cosine else twice), s * twice
-    last[1::2] *= -1.0
+    gaps = eigen_gaps(kind, dim, columns)
+    first, last = (basis_columns(kind, dim, columns, rows=(k, k + 1))[0] for k in (0, dim - 1))
     return gaps, first, last
 
 
@@ -149,14 +134,25 @@ def basis_columns(
     lo..hi-1 are built, a (hi - lo, num_modes) array, in O(hi - lo) memory
     beyond it whatever dim is.  The columns are written into ``out`` when
     given; the full matrix is materialized only by :func:`build_basis`.
+    Raises :class:`InvalidParameter` for ``rows`` that are not two integers
+    or an ``out`` that is not a writeable float64 array (it may be strided),
+    and :class:`DimensionMismatch` for one not of shape (hi - lo, num_modes).
     """
     kind = BasisKind(kind)
     _check_modes(kind, dim, num_modes)
-    lo, hi = (0, dim) if rows is None else rows
+    try:
+        lo, hi = (0, dim) if rows is None else rows
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"rows must be a pair (lo, hi), got {rows!r}") from None
+    lo, hi = _index(lo, "lo"), _index(hi, "hi")
     if not 0 <= lo <= hi <= dim:
         raise InvalidDimension(f"rows must satisfy 0 <= lo <= hi <= {dim}, got {rows}")
     if out is None:
         out = np.empty((hi - lo, num_modes))
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.writeable):
+        raise InvalidParameter("out must be a writeable float64 array")
+    elif out.shape != (hi - lo, num_modes):
+        raise DimensionMismatch(f"out must have shape {(hi - lo, num_modes)}, got {out.shape}")
     k = np.arange(lo + 1, hi + 1, dtype=np.int64)
     l = np.arange(1, num_modes + 1, dtype=np.int64)
 

@@ -23,6 +23,9 @@ noise vector (latent price identically zero), and
 gaps and end rows of :func:`basis.spectrum`.  It is the single source of
 truth for the noise floors of the cosine and Fourier forms (>= nu/2 and
 >= 2 nu with noisy end points) and the vanishing noise term of the sine form.
+No function here builds a basis column: the Monte Carlo engine reads each
+kind's basis, column count and prefactor from ``_form`` and calls
+:func:`basis.basis_columns` itself.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, basis_coefficients, basis_columns, spectrum
+from .basis import BasisKind, basis_coefficients, spectrum
+from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
 from .errors import (
     CutoffTooLarge,
+    DimensionMismatch,
     EmptyInput,
     EvenLength,
     InvalidParameter,
@@ -185,9 +190,10 @@ def mm_fourier_complex(
     conjugation; on the grid t_k = k/n, to within a few ulps of each time
     (as ``np.linspace`` gives it), they are one inverse DFT,
     F(u) = n ifft(dY)[u mod n].  For q = 0 the diagonal entries are exactly
-    real.  Raises :class:`InvalidParameter` for non-finite or non-real input, times
-    that do not strictly increase, an m or q that is not an integer or an
-    estimate that overflows, and
+    real.  Raises :class:`DimensionMismatch` for a series whose times and
+    values are not vectors of one length, :class:`InvalidParameter` for
+    non-finite or non-real input, times that do not strictly increase, an m
+    or q that is not an integer or an estimate that overflows, and
     :class:`CutoffTooLarge` when m + |q| exceeds the shortest series' n
     increments: on t_k = k/n the frequencies repeat with period n.
     """
@@ -199,6 +205,8 @@ def mm_fourier_complex(
     m, q = _index(m, "m"), _index(q, "q")
     if m < 0:
         raise InvalidParameter(f"m must be >= 0, got {m}")
+    if any(np.ndim(o.values) != 1 or np.shape(o.times) != np.shape(o.values) for o in obs):
+        raise DimensionMismatch("times and values must be vectors of one length")
     shortest = min(len(o.values) - 1 for o in obs)
     if shortest < 1:
         raise EmptyInput("observation series has fewer than 2 points")
@@ -246,28 +254,17 @@ def mm_fourier_complex(
     )
 
 
-def _form_columns(kind: EstimatorKind, n: int, m: int):
-    """Row builder, column count and prefactor of a kind's quadratic form on n increments.
-
-    ``build(lo, hi, out=None)`` returns basis rows lo..hi-1 of the form's
-    columns, computed from their formula (written into ``out`` when given).
-    """
-    basis, columns, shift = _form(kind, n, m)
-
-    def build(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        return basis_columns(basis, n, columns, out, (lo, hi))
-
-    return build, columns, (n + shift) / columns
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a difference that overflows is refused
 def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     """The estimator's quadratic form on a raw noise vector v_0..v_N: its estimate from diff(v).
 
     This is exactly the random variable whose expectation the noise-floor
     and noise-decay bounds control; the latent price is identically zero.
+    Raises :class:`DimensionMismatch` unless the noise is a vector.
     """
     v = _real_array(noise, "noise")
+    if v.ndim != 1:
+        raise DimensionMismatch(f"noise must be a vector, got shape {v.shape}")
     if v.size < 2:
         raise EmptyInput("noise vector needs at least 2 points")
     return float(_real_estimate(kind, np.diff(v), m).value[0, 0])

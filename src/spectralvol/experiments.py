@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
+from .basis import basis_columns
 from .errors import InvalidParameter, ResultOverflow, _index
-from .estimators import EstimatorKind, _form, _form_columns, noise_expectation_exact
+from .estimators import EstimatorKind, _form, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     MAX_BUFFER_BYTES,
     NOISE_STREAM,
@@ -264,13 +264,13 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     kinds, reps = config.kinds, config.replications
     sizes = []
     for n, m in zip(config.n_schedule, cutoffs):
-        forms = [_form_columns(kind, n, m) for kind in kinds]
+        forms = [_form(kind, n, m) for kind in kinds]
         edges = np.cumsum([0] + [columns for _, columns, _ in forms])
         w = min(n, _TILE_WIDTH)
         sizes.append({
             "n": n,
-            "forms": [(build, slice(lo, hi), pref) for (build, _, pref), lo, hi in
-                      zip(forms, edges, edges[1:])],
+            "forms": [(basis, slice(lo, hi), (n + shift) / columns)
+                      for (basis, columns, shift), lo, hi in zip(forms, edges, edges[1:])],
             "latent": np.empty((w, edges[-1])),
             "noise": np.empty((w + 1, edges[-1])),
             "coef": np.zeros((2, reps, edges[-1])),  # dX @ cols, then dV @ cols
@@ -296,8 +296,8 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
                     continue
                 w = min(hi, n) - lo
                 cols = size["latent"][:w]
-                for build, at, _ in size["forms"]:
-                    build(lo, lo + w, cols[:, at])
+                for basis, at, _ in size["forms"]:
+                    basis_columns(basis, n, at.stop - at.start, cols[:, at], (lo, lo + w))
                 noi = noisy.weights(n, lo, cols, size["noise"])
                 if latent.drift_level:  # the same row for every replication
                     coef[0, block:stop] += latent.offset(i, cols)

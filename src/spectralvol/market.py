@@ -38,7 +38,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidParameter, ResultOverflow, TooShort, _index, _real_array
+from .errors import (DimensionMismatch, GridMismatch, InvalidParameter, ResultOverflow, TooShort,
+                     _index, _real_array)
 
 __all__ = [
     "ConstantVol",
@@ -656,15 +657,18 @@ def simulate_latent_correlated(
 ) -> tuple[list[LatentPath], np.ndarray]:
     """Simulate J latent paths sharing one d-dimensional Wiener driver.
 
-    ``loadings`` is the constant J x d matrix sigma; the exact integrated
-    covariance matrix is ``loadings @ loadings.T`` and is returned alongside
-    the per-asset paths.  Raises :class:`InvalidParameter` for a loading
-    that is not a finite real number and for a refinement or seed as
-    :func:`simulate_latent` does, and :class:`ResultOverflow` for a
-    covariance that overflows float64.
+    ``loadings`` is the constant J x d matrix sigma (a vector is one row);
+    the exact integrated covariance matrix is ``loadings @ loadings.T`` and
+    is returned alongside the per-asset paths.  Raises
+    :class:`DimensionMismatch` for loadings that are not a non-empty J x d
+    matrix, :class:`InvalidParameter` for a loading that is not a finite
+    real number and for a refinement or seed as :func:`simulate_latent`
+    does, and :class:`ResultOverflow` for a covariance that overflows float64.
     """
     refinement = _index(refinement, "refinement", 1)
     sigma = np.atleast_2d(_real_array(loadings, "loadings"))
+    if sigma.ndim != 2 or sigma.size == 0:
+        raise DimensionMismatch(f"loadings must be a non-empty J x d matrix, got {sigma.shape}")
     if not np.all(np.isfinite(sigma)):
         raise InvalidParameter("loadings must be finite numbers")
     j_count, d = len(sigma), sigma.shape[1]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralvol import estimators, experiments, market
+from spectralvol import experiments, market
 from spectralvol.cli import parse_config
 from spectralvol.basis import BasisKind, basis_columns
 from spectralvol.errors import InvalidParameter
@@ -540,7 +540,7 @@ class TestNoiseBoundsRun:
 
 
 class TestNoiseOracleColumns:
-    """The engine builds each column tile once per live block; the oracle builds no columns."""
+    """The engine builds each column tile once per live block; the oracle builds only end rows."""
 
     @pytest.mark.parametrize(
         "study,kinds,ends",
@@ -552,15 +552,20 @@ class TestNoiseOracleColumns:
         ids=["bounds_both_ends", "bounds_no_initial", "contrast_no_terminal"],
     )
     def test_one_column_build_per_kind_and_n(self, monkeypatch, study, kinds, ends):
-        """Each (kind, n) builds each tile's rows (lo, hi) once per live block."""
+        """Each (kind, n) builds each tile's rows (lo, hi) once per live block.
+
+        The engine looks ``basis_columns`` up in ``experiments``; the oracle
+        builds its two one-row slices per (kind, n) through ``basis.spectrum``,
+        which this patch does not count.
+        """
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         cfg = _config(kinds=kinds, n_schedule=(63, _TILE_WIDTH + 1), noise=noise,
                       replications=_TILE_ROWS + 1, base_seed=4,
                       vol=ConstantVol(0.0 if study is run_noise_bounds else 1.0))
         built = []
-        real = estimators.basis_columns
+        real = experiments.basis_columns
         monkeypatch.setattr(
-            estimators, "basis_columns", lambda *a: built.append((a[0], a[1], a[4])) or real(*a)
+            experiments, "basis_columns", lambda *a: built.append((a[0], a[1], a[4])) or real(*a)
         )
         monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # two live blocks
         summary = study(cfg)

@@ -1,12 +1,13 @@
 """Library fuzz suite: non-finite, complex or non-integer input ends in a package error.
 
-Each case mixes NaN, +-inf, a complex value, a negative seed or a
-non-integer size into otherwise valid arguments of a public function of the
-library (the CLI has its own suite,
+Each case mixes NaN, +-inf, a complex value, a negative seed, a
+non-integer size or an array of the wrong shape into otherwise valid
+arguments of a public function of the library (the CLI has its own suite,
 ``test_cli_fuzz.py``).  The call must return finite values or raise a
 :class:`SpectralVolError`: any other exception, a non-finite result or a
 numpy ``RuntimeWarning`` (raised as an error here) fails.  Runs under
-``conftest.py``'s derandomized hypothesis profile.
+``conftest.py``'s derandomized hypothesis profile.  Where a wrong shape
+used to give a quiet wrong answer, a direct test pins the refusal.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,7 @@ from spectralvol.basis import (
     cosine_square_sum,
     eigenvalues_closed_form,
 )
-from spectralvol.errors import SpectralVolError
+from spectralvol.errors import DimensionMismatch, InvalidParameter, SpectralVolError
 from spectralvol.estimators import (
     EstimateResult,
     EstimatorKind,
@@ -93,6 +95,17 @@ def _vectors(draw, min_size=1, max_size=12):
     if values and draw(st.booleans()):
         values[draw(st.integers(0, len(values) - 1))] = draw(st.one_of(_NON_FINITE, _COMPLEX))
     return np.array(values)
+
+
+# Each turns an array into one of another shape, with the same or fewer entries.
+_MANGLES = {
+    "row": lambda a: a[np.newaxis],
+    "column": lambda a: a[..., np.newaxis],
+    "block": lambda a: a[np.newaxis, np.newaxis],
+    "empty": lambda a: a[:0],
+    "short": lambda a: a[:-1],
+}
+_MANGLE = st.sampled_from(sorted(_MANGLES))
 
 
 def _finite(value) -> bool:
@@ -202,6 +215,27 @@ def test_mm_fourier_complex(values, nudge, q, m):
     _check(lambda: mm_fourier_complex(_series(values, times), q, m))
 
 
+@_EXAMPLES
+@given(values=_vectors(min_size=2), m=_size(0, 3), mangle=_MANGLE, of_times=st.booleans())
+def test_mm_fourier_complex_mangled_shapes(values, m, mangle, of_times):
+    times = np.linspace(0.0, 1.0, len(values))
+    if of_times:
+        times = _MANGLES[mangle](times)
+    else:
+        values = _MANGLES[mangle](values)
+    _check(lambda: mm_fourier_complex(_series(values, times), 0, m))
+
+
+@pytest.mark.parametrize("values,times", [
+    (np.arange(10.0).reshape(2, 5), np.linspace(0.0, 1.0, 5)),
+    (np.arange(5.0), np.linspace(0.0, 1.0, 6)),
+    (np.arange(6.0), np.linspace(0.0, 1.0, 5)),
+], ids=["matrix_values", "more_times", "more_values"])
+def test_mm_fourier_complex_refuses_series_of_two_shapes(values, times):
+    with pytest.raises(DimensionMismatch):
+        mm_fourier_complex(_series(values, times), 0, 1)
+
+
 _SEEDS = (st.integers(0, 2**64 - 1), st.sampled_from([-1, 1.5, math.nan, math.inf]))
 _SIZES = (st.integers(1, 40), _NON_INTEGER)
 _LEVELS = (st.floats(0.0, 1.7e308), _NON_FINITE)
@@ -257,6 +291,25 @@ def test_simulate_latent_correlated(loadings, assets, args):
 
 
 @_EXAMPLES
+@given(loadings=_vectors(min_size=3, max_size=6), assets=st.integers(1, 3), mangle=_MANGLE)
+def test_simulate_latent_correlated_mangled_shapes(loadings, assets, mangle):
+    sigma = _MANGLES[mangle](loadings[: len(loadings) // assets * assets].reshape(assets, -1))
+    _check(lambda: simulate_latent_correlated(sigma, EquidistantScheme(4), 1, 3))
+
+
+@pytest.mark.parametrize("loadings", [[], np.ones((0, 2)), np.ones((2, 2, 2))],
+                         ids=["empty_list", "no_asset", "three_dimensional"])
+def test_simulate_latent_correlated_refuses_loadings_that_are_not_a_matrix(loadings):
+    with pytest.raises(DimensionMismatch):
+        simulate_latent_correlated(loadings, EquidistantScheme(4), 1, 3)
+
+
+def test_simulate_latent_correlated_reads_a_vector_as_one_asset():
+    paths, cov = simulate_latent_correlated([0.3, 0.4], EquidistantScheme(4), 1, 3)
+    assert len(paths) == 1 and cov.shape == (1, 1) and cov[0, 0] == pytest.approx(0.25, rel=1e-15)
+
+
+@_EXAMPLES
 @given(args=_one_hostile(base=_SEEDS, replication=_SEEDS, stream=_SEEDS))
 def test_derive_seed(args):
     _check(lambda: derive_seed(args["base"], args["replication"], args["stream"]))
@@ -281,7 +334,45 @@ def test_basis_columns(kind, dim, columns):
     _check(lambda: basis_columns(kind, dim, columns))
 
 
+# (rows, out) for basis_columns on 9 rows and 3 columns, each refused with its error.
+_BAD_ROWS_AND_OUT = {
+    "non_integer_row": ((0.5, 2), None, InvalidParameter),
+    "one_row_bound": ((1,), None, InvalidParameter),
+    "bare_integer_rows": (5, None, InvalidParameter),
+    "out_of_too_few_columns": (None, np.empty((9, 2)), DimensionMismatch),
+    "out_of_too_many_rows": ((2, 4), np.empty((3, 3)), DimensionMismatch),
+    "vector_out": ((2, 3), np.empty(3), DimensionMismatch),
+    "int_out": (None, np.empty((9, 3), dtype=np.int64), InvalidParameter),
+    "float32_out": (None, np.empty((9, 3), dtype=np.float32), InvalidParameter),
+    "complex_out": (None, np.empty((9, 3), dtype=complex), InvalidParameter),
+    "list_out": (None, [[0.0] * 3] * 9, InvalidParameter),
+    "read_only_out": (None, np.broadcast_to(np.empty(3), (9, 3)), InvalidParameter),
+}
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("case", sorted(_BAD_ROWS_AND_OUT))
+def test_basis_columns_refuses_bad_rows_and_out(kind, case):
+    rows, out, error = _BAD_ROWS_AND_OUT[case]
+    with pytest.raises(error):
+        basis_columns(kind, 9, 3, out, rows)
+
+
 @_EXAMPLES
 @given(kind=st.sampled_from(_REAL_KINDS), noise=_vectors(min_size=0), m=_size(0, 6))
 def test_noise_functional(kind, noise, m):
     _check(lambda: noise_functional(kind, noise, m))
+
+
+@_EXAMPLES
+@given(kind=st.sampled_from(_REAL_KINDS), noise=_vectors(min_size=0), m=_size(0, 6),
+       mangle=_MANGLE)
+def test_noise_functional_mangled_shapes(kind, noise, m, mangle):
+    _check(lambda: noise_functional(kind, _MANGLES[mangle](noise), m))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (3, 3)])
+def test_noise_functional_refuses_a_matrix(shape):
+    noise = np.random.default_rng(5).normal(size=shape)
+    with pytest.raises(DimensionMismatch):
+        noise_functional(EstimatorKind.SIML, noise, 1)

@@ -536,12 +536,13 @@ class TestJointMle:
         assert on_boundary >= 3
 
     def test_local_maximum_below_zero_signal_edge_is_left(self):
-        """Pure noise, 7th draw: scoring from (0.5, 1e-4) meets a local maximum below L(0, nu0).
+        """Pure noise, 7th draw: from (0.5, 1e-4) the fit climbs past L(0, nu0) to a maximum.
 
         The c-score at (0, nu0) is positive, so the closed-form shortcut does
-        not apply; the fit must still reach L(0, nu0), and a fit reported
-        converged must be a maximum (negative definite Hessian, Newton gain
-        at most 1e-12 |L|).
+        not apply; the profile climb reaches the interior maximum (15
+        evaluations, about 0.011 above L(0, nu0)).  The fit must reach
+        L(0, nu0), and a fit reported converged must be a maximum (negative
+        definite Hessian, Newton gain at most 1e-12 |L|).
         """
         n, nu = 512, 1e-3
         a = a_coefficients(n)

@@ -210,8 +210,8 @@ def mm_fourier_complex(
     shortest = min(len(o.values) - 1 for o in obs)
     if shortest < 1:
         raise EmptyInput("observation series has fewer than 2 points")
-    for o in obs:
-        values, times = _real_array(o.values, "values"), _real_array(o.times, "times")
+    series = [(_real_array(o.times, "times"), _real_array(o.values, "values")) for o in obs]
+    for times, values in series:
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(times))
                 and np.all(np.diff(times) > 0)):
             raise InvalidParameter("values and times must be finite, times strictly increasing")
@@ -220,19 +220,19 @@ def mm_fourier_complex(
     if top > shortest:
         raise CutoffTooLarge(f"m + |q| = {top} exceeds the {shortest} increments of a series")
 
-    def transform(o: ObservationSeries) -> np.ndarray:
+    def transform(times: np.ndarray, values: np.ndarray) -> np.ndarray:
         """F(u) for u = -top..top, at index u + top."""
-        dy = np.diff(o.values)
+        dy = np.diff(values)
         n = len(dy)
         grid = np.arange(n + 1) / n
-        if np.all(np.abs(o.times - grid) <= _GRID_ULPS * np.spacing(grid)):
+        if np.all(np.abs(times - grid) <= _GRID_ULPS * np.spacing(grid)):
             half = np.fft.ifft(dy, norm="forward")[np.arange(top + 1) % n]
         else:
-            half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), o.times[:-1])) @ dy
+            half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), times[:-1])) @ dy
         return np.concatenate((np.conj(half[:0:-1]), half))
 
     ls = np.arange(-m, m + 1)
-    spectra = [transform(o) for o in obs]
+    spectra = [transform(*pair) for pair in series]
     left = [f[top + q + ls] for f in spectra]
     right = [f[top + ls] for f in spectra]
     j_count = len(obs)

@@ -65,7 +65,7 @@ __all__ = [
 # Replications whose streams stay keyed while they walk the tiles, so that
 # each tile of basis columns, built once, serves all of them.  A multiple of
 # _TILE_ROWS; it bounds the per-replication state held at once and the
-# generators each stream role keeps in its thread's pool.
+# generators each sampler's spare list grows to.
 _LIVE_ROWS = 8 * _TILE_ROWS
 
 #: Bytes a run's buffers (:func:`_engine_bytes`) may take; check_experiment refuses more.
@@ -226,9 +226,9 @@ def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
     build's angle units among them), the coefficients and their sum; per
     replication its truths and seeds; and per live replication and stream a
     generator of about 640 bytes.  No term grows with n except through the
-    cutoff.  The generators persist per thread across runs, at most
-    _LIVE_ROWS per stream role (market._generators); they are counted
-    whether or not this run builds them.
+    cutoff.  The generators are spare lists kept across runs, at most
+    _LIVE_ROWS per stream (market._Streams); they are counted whether or
+    not this run builds them.
     """
     reps = config.replications
     ou = isinstance(config.vol, OrnsteinUhlenbeckVol)

@@ -14,17 +14,18 @@ stream is a pure function of its integer seed, and :func:`derive_seed`
 produces independent sub-seeds from ``(base_seed, replication, stream)`` so
 Monte Carlo replications can run in any order or in parallel.  Sub-seeds and
 Philox keys are numpy's SeedSequence hash, computed here on Python ints for
-one seed or on arrays for many seeds in one pass, and Philox generators
-from a per-thread pool that outlives runs are re-keyed for each group of
-streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))`` without
-either object being built per stream or per run.  Paths, and the Monte Carlo
-engine's noise (``_NoiseTiles``), are drawn in tiles of ``_TILE_WIDTH``
-observed increments, each drawn once for paths of several lengths (each
-reading a prefix) and continuing its streams, so a tile-by-tile draw has the
-bits of one long draw: :func:`observe` and the correlated paths make that in
-one fill.  The tile samplers size their buffers from their seeds and grids,
-and their per-stream state from each ``start``.  Paths whose spot variance is
-zero everywhere draw no latent shocks.
+one seed or on arrays for many seeds in one pass, and each sampler re-keys
+Philox generators of its own, a spare list that outlives runs, for each
+group of streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))``
+without either object being built per stream or per run.  Paths, and the
+Monte Carlo engine's noise (``_NoiseTiles``), are drawn in tiles of
+``_TILE_WIDTH`` observed increments, each drawn once for paths of several
+lengths (each reading a prefix) and continuing its streams, so a
+tile-by-tile draw has the bits of one long draw: :func:`observe` and the
+correlated paths make that in one fill.  The tile samplers size their
+buffers from their seeds and grids, and their per-stream state from each
+``start``.  Paths whose spot variance is zero everywhere draw no latent
+shocks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import threading
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -337,61 +338,42 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
 
 _EMPTY_BLOCK = (0, 0, 0, 0)
 
-class _Pools(threading.local):
-    """This thread's Philox generators, a list per stream role (path, state, noise).
-
-    Streams drawn at the same time take different roles, so they never share
-    a generator, and no two threads do.  Each list grows to the most streams
-    its role has held live at once and outlives runs.  The newest _Streams of
-    a role owns its list (``owners`` holds its id); an older one that starts
-    or fills after that is refused rather than drawing from re-keyed streams.
-    """
-
-    def __init__(self):
-        self.generators: dict[str, list] = {}
-        self.owners: dict[str, int] = {}
-
-
-_POOLS = _Pools()
-
-
-def _generators(role: str, rows: int) -> list:
-    """The first ``rows`` generators of this thread's pool for ``role``, built as needed."""
-    pool = _POOLS.generators.setdefault(role, [])
-    if len(pool) < rows:
-        # start() replaces every key; a fixed placeholder seed reads no OS entropy
-        placeholder = np.random.SeedSequence(0)
-        pool.extend(np.random.Generator(np.random.Philox(placeholder))
-                    for _ in range(rows - len(pool)))
-    return pool[:rows]
+# Spare lists of Philox generators, one from each collected _Streams.  A list
+# has one owner at a time, so no two live samplers share a generator.
+_SPARES: list[list] = []
 
 
 class _Streams:
-    """The Philox streams of some seeds, drawn through generators of one role.
+    """The Philox streams of some seeds, drawn through generators of its own.
 
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
-    buffer start empty.  The keys of all seeds come from one hash call;
-    :meth:`start` re-keys one generator of this thread's pool for ``role``
-    (:func:`_generators`, kept from run to run) to each stream of seeds[lo:hi],
-    and each :meth:`fill` continues some of them, so a row filled tile by tile
-    gets the bits of one long draw, and refuses rows not started.  Only the
-    newest _Streams of a role on a thread may start or fill.
+    buffer start empty.  The keys of all seeds come from one hash call.  The
+    generators are a spare list taken from :data:`_SPARES` (a new one if none
+    is spare) and put back there once this sampler is collected.
+    :meth:`start` grows that list as needed and re-keys one of its generators
+    to each stream of seeds[lo:hi], and each :meth:`fill` continues some of
+    them, so a row filled tile by tile gets the bits of one long draw, and
+    refuses rows not started.
     """
 
-    def __init__(self, seeds, spawn: int | None = None, role: str = "path"):
+    def __init__(self, seeds, spawn: int | None = None):
         self.keys = _uint64(_seed_words((seeds,), 4, spawn))
-        self.role, self.pool = role, []
-        _POOLS.owners[role] = id(self)
-
-    def _check_owner(self) -> None:
-        if _POOLS.owners.get(self.role) != id(self):
-            raise RuntimeError(f"the {self.role!r} generators of this thread were taken "
-                               "by a newer sampler, or belong to another thread")
+        try:
+            self.owned = _SPARES.pop()
+        except IndexError:
+            self.owned = []
+        weakref.finalize(self, _SPARES.append, self.owned)
+        self.pool = []
 
     def start(self, lo: int, hi: int) -> None:
-        self._check_owner()
-        self.pool = _generators(self.role, hi - lo)
+        rows, owned = hi - lo, self.owned
+        if len(owned) < rows:
+            # the loop below replaces every key; a fixed placeholder seed reads no OS entropy
+            placeholder = np.random.SeedSequence(0)
+            owned.extend(np.random.Generator(np.random.Philox(placeholder))
+                         for _ in range(rows - len(owned)))
+        self.pool = owned[:rows]
         # The setter reads the dict, so one dict serves every generator; it
         # reads Python ints faster than numpy scalars.
         keyed = {"counter": _EMPTY_BLOCK, "key": None}
@@ -403,7 +385,6 @@ class _Streams:
 
     def fill(self, out: np.ndarray, first: int = 0) -> np.ndarray:
         """Standard normals into each row of ``out``, row j from started stream first + j."""
-        self._check_owner()
         for row, gen in zip(out, self.pool[first : first + len(out)], strict=True):
             gen.standard_normal(out=row)
         return out
@@ -471,8 +452,8 @@ class _LatentTiles:
             edges = np.array((0.0,) + steps.breakpoints + (1.0,))
             self.exact = float(np.sum(np.array(steps.levels, dtype=float) * np.diff(edges)))
         silent = not ou and not any(steps.levels)
-        self.shocks = None if silent else _Streams(seeds, 0 if ou else None, "path")
-        self.vol_shocks = _Streams(seeds, 1, "state") if ou else None
+        self.shocks = None if silent else _Streams(seeds, 0 if ou else None)
+        self.vol_shocks = _Streams(seeds, 1) if ou else None
         # the path shocks, then the OU state shocks, of a tile of the largest grid; the
         # first is wide enough for a tile's noise normals too (see _NoiseTiles)
         width = min(max(ns), _TILE_WIDTH)
@@ -575,7 +556,7 @@ class _NoiseTiles:
 
     def __init__(self, noise: NoiseModel, seeds, values: np.ndarray):
         self.noise, self.scale = noise, np.sqrt(noise.variance)
-        self.streams = _Streams(seeds, None, "noise")
+        self.streams = _Streams(seeds)
         self.values = values
 
     def start(self, lo: int, hi: int) -> None:
@@ -709,7 +690,7 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    streams = _Streams(_index(rng_seed, "rng_seed", 0), role="noise")
+    streams = _Streams(_index(rng_seed, "rng_seed", 0))
     streams.start(0, 1)
     v = streams.fill(np.empty((1, scheme.n + 1)))[0] * np.sqrt(noise.variance)
     if not noise.include_initial:
@@ -725,11 +706,16 @@ def observe(
 
 
 def increments(obs: ObservationSeries) -> np.ndarray:
-    """First differences Delta Y_k = Y_{t_k} - Y_{t_{k-1}}, k = 1..n, all finite."""
-    if len(obs.values) < 2:
-        raise TooShort(f"need at least 2 observations, got {len(obs.values)}")
+    """First differences Delta Y_k = Y_{t_k} - Y_{t_{k-1}}, k = 1..n, all finite.
+
+    Boolean and integer values are differenced as floats; complex ones raise
+    :class:`InvalidParameter`.
+    """
+    values = _real_array(obs.values, "values")
+    if len(values) < 2:
+        raise TooShort(f"need at least 2 observations, got {len(values)}")
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.diff(obs.values)
+        deltas = np.diff(values)
     if not np.all(np.isfinite(deltas)):
         raise InvalidParameter("increments must be finite; a difference of values overflows")
     return deltas
@@ -746,10 +732,11 @@ def write_observations_csv(obs: ObservationSeries, fileobj) -> None:
 def read_observations_csv(fileobj) -> ObservationSeries:
     """Read a ``time,value[,latent,noise]`` CSV; missing oracle columns are tolerated.
 
-    Raises :class:`InvalidParameter` for a data row with fewer than two cells
+    Blank rows are skipped.  Raises :class:`InvalidParameter`, naming the
+    file line of the first bad row, for a data row with fewer than two cells
     (four when the header names the oracle columns), a cell that is not a
-    finite number, a time outside [0, 1], or times that do not strictly
-    increase.
+    finite number, a time outside [0, 1], or a time that does not follow the
+    one before it.
     """
     reader = csv.reader(fileobj)
     header = next(reader, None)
@@ -757,36 +744,40 @@ def read_observations_csv(fileobj) -> ObservationSeries:
         raise InvalidParameter("expected a CSV header starting with 'time,value'")
     has_oracle = len(header) >= 4
     width = 4 if has_oracle else 2
-    times, values, latent, noise = [], [], [], []
+    lines, times, values, latent, noise = [], [], [], [], []
     for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < width:
-            raise InvalidParameter(
-                f"line {reader.line_num}: expected at least {width} cells, got {len(row)}"
-            )
         try:
+            if len(row) < width:
+                raise ValueError(f"expected at least {width} cells, got {len(row)}")
             times.append(float(row[0]))
             values.append(float(row[1]))
             if has_oracle:
                 latent.append(float(row[2]))
                 noise.append(float(row[3]))
         except ValueError as exc:
-            raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
-        if not 0.0 <= times[-1] <= 1.0:
-            raise InvalidParameter(
-                f"line {reader.line_num}: time {row[0].strip()} is outside [0, 1]; rescale times "
-                "to [0, 1] (the Fourier estimator is periodic on [0, 1])"
-            )
+            if any(cell.strip() for cell in row):
+                raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
+            continue  # a blank row, which fails before any of its cells is kept
+        lines.append(reader.line_num)
     times = np.array(times)
     values = np.array(values)
-    if not all(np.all(np.isfinite(col)) for col in (times, values, latent, noise)):
-        raise InvalidParameter("times and values must be finite numbers")
-    unordered = np.flatnonzero(np.diff(times) <= 0)
-    if unordered.size:
-        raise InvalidParameter(
-            f"times must be strictly increasing; data row {unordered[0] + 2} is not"
-        )
+    finite = np.isfinite(times) & np.isfinite(values)
+    if has_oracle:
+        finite &= np.isfinite(latent) & np.isfinite(noise)
+    inside = (0.0 <= times) & (times <= 1.0)
+    rising = np.concatenate(([True], np.diff(times) > 0))
+    bad = np.flatnonzero(~(finite & inside & rising))
+    if bad.size:
+        k = bad[0]
+        if not finite[k]:
+            why = "cells must be finite numbers"
+        elif not inside[k]:
+            why = (f"time {float(times[k])!r} is outside [0, 1]; rescale times to [0, 1] "
+                   "(the Fourier estimator is periodic on [0, 1])")
+        else:
+            why = (f"times must be strictly increasing; {float(times[k])!r} follows "
+                   f"{float(times[k - 1])!r}")
+        raise InvalidParameter(f"line {lines[k]}: {why}")
     if not latent:
         latent = values.copy()
         noise = np.zeros_like(values)

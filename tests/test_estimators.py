@@ -255,6 +255,16 @@ class TestNonFiniteAndUnordered:
             with pytest.raises(InvalidParameter, match="real"):
                 mm_fourier_complex([dataclasses.replace(obs, **{column: hostile})], 0, 1)
 
+    def test_complex_differences_boolean_values_as_floats(self):
+        """np.diff of booleans is their not-equal: this gave 0.269+0.649j, not 0.317+0.766j."""
+        flags = np.array([0, 1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)
+        times = np.arange(9) / 8
+        as_bool = ObservationSeries(times=times, values=flags, latent=flags, noise=0 * times)
+        as_float = dataclasses.replace(as_bool, values=flags.astype(float))
+        got = mm_fourier_complex(as_bool, 1, 2).value
+        np.testing.assert_array_equal(got, mm_fourier_complex(as_float, 1, 2).value)
+        assert got[0, 0] == pytest.approx(0.3171572875253809 + 0.765685424949238j, rel=1e-12)
+
     @pytest.mark.parametrize("times", [[0, 0.5, 0.25, 1], [0, 0.5, 0.5, 1]], ids=["swap", "tie"])
     def test_complex_rejects_unordered_times(self, times):
         values = np.array([0.0, 1.0, 0.5, 2.0])
@@ -545,6 +555,12 @@ class TestErrors:
             siml([], 1)
         with pytest.raises(EmptyInput):
             noise_functional(EstimatorKind.SIML, np.array([1.0]), 1)
+        with pytest.raises(EmptyInput):
+            mm_fourier_complex([], 0, 1)
+        one = ObservationSeries(times=np.zeros(1), values=np.ones(1), latent=np.ones(1),
+                                noise=np.zeros(1))
+        with pytest.raises(EmptyInput):
+            mm_fourier_complex(one, 0, 1)
 
     def test_nonpositive_cutoff(self):
         with pytest.raises(InvalidParameter):

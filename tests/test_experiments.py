@@ -381,7 +381,7 @@ def _csv(experiment, config):
 
 
 def _on_fresh_thread(fn, *args):
-    """``fn(*args)`` on a fresh thread, whose generator pool starts empty."""
+    """``fn(*args)`` on a new thread."""
     out = []
     thread = threading.Thread(target=lambda: out.append(fn(*args)))
     thread.start()
@@ -390,19 +390,21 @@ def _on_fresh_thread(fn, *args):
     return out[0]
 
 
-# Every stream role: OU path and state shocks, and noise on both end points.
+# Every kind of stream: OU path and state shocks, and noise on both end points.
 _POOL_CONFIG = dict(vol=_OU, noise=NoiseModel(1e-3), n_schedule=(8, 1100),
                     replications=_TILE_ROWS + 3)
 
 
 class TestGeneratorPool:
-    """Each thread keeps its Philox generators from run to run; the bits do not notice."""
+    """Spare Philox generator lists serve run after run; the bits do not notice."""
 
-    def test_runs_in_a_row_and_on_a_fresh_thread(self):
+    def test_runs_in_a_row_and_on_a_fresh_thread(self, monkeypatch):
         cfg = _config(**_POOL_CONFIG)
         first = _csv("consistency", cfg)
         assert _csv("consistency", cfg) == first
         assert _on_fresh_thread(_csv, "consistency", cfg) == first
+        monkeypatch.setattr(market, "_SPARES", [])
+        assert _csv("consistency", cfg) == first
 
     def test_concurrent_threads_give_the_serial_bytes(self):
         """More threads than cores, switching often, each running twice at once with the rest."""
@@ -428,7 +430,7 @@ class TestGeneratorPool:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[csv_text] * 2 for csv_text in serial]
 
-    def test_single_path_samplers_between_runs_keep_their_bits(self):
+    def test_single_path_samplers_between_runs_keep_their_bits(self, monkeypatch):
         scheme = EquidistantScheme(50)
 
         def samplers():
@@ -438,23 +440,29 @@ class TestGeneratorPool:
             return [a.tobytes() for a in (path.values, path.spot_variance, obs.noise,
                                            paths[0].values)]
 
-        want = _on_fresh_thread(samplers)
+        monkeypatch.setattr(market, "_SPARES", [])
+        want = samplers()
         cfg = _config(**_POOL_CONFIG)
         first = _csv("consistency", cfg)
         assert samplers() == want
         assert _csv("consistency", cfg) == first
         assert samplers() == want
 
-    def test_roles_hold_at_most_one_live_block(self):
-        def run_and_count():
-            cfg = _config(**{**_POOL_CONFIG, "n_schedule": (4, 8),
-                             "replications": experiments._LIVE_ROWS + 5})
-            run_consistency(cfg)
-            run_consistency(dataclasses.replace(cfg, replications=3))
-            return {role: len(pool) for role, pool in market._POOLS.generators.items()}
-
-        sizes = _on_fresh_thread(run_and_count)
-        assert sizes == dict.fromkeys(("path", "state", "noise"), experiments._LIVE_ROWS)
+    def test_spare_lists_hold_at_most_one_live_block(self, monkeypatch):
+        """A run's three samplers (OU path and state shocks, noise) leave three lists of
+        at most _LIVE_ROWS generators, and a later run builds no generator."""
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
+        monkeypatch.setattr(market, "_SPARES", [])
+        cfg = _config(**{**_POOL_CONFIG, "n_schedule": (4, 8),
+                         "replications": experiments._LIVE_ROWS + 5})
+        run_consistency(cfg)
+        run_consistency(dataclasses.replace(cfg, replications=3))
+        assert [len(spare) for spare in market._SPARES] == [experiments._LIVE_ROWS] * 3
+        assert len(built) == 3 * experiments._LIVE_ROWS
+        run_consistency(cfg)
+        assert len(built) == 3 * experiments._LIVE_ROWS
 
 
 class TestConsistencyRun:

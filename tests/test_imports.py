@@ -1,8 +1,10 @@
-"""Each module of the package uses every name it imports.
+"""Each module of the package uses every name it imports, and some code of the
+package reads every private name a module defines.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
-wraps it on that module: the tracer looks it up there.
+wraps it on that module: the tracer looks it up there.  A private helper,
+class or constant that no code reads is left over from a change and fails.
 """
 
 import ast
@@ -47,3 +49,42 @@ def test_every_import_is_used(path):
     module = f"spectralvol.{path.stem}"
     wrapped = {attr for name, attr in _wrap_points() if name == module}
     assert _unused(path.read_text()) - wrapped == set()
+
+
+def _private_definitions(source: str) -> set[str]:
+    """Private (one leading underscore) functions, classes and constants ``source`` defines
+    at module level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(source: str) -> set[str]:
+    """Names ``source`` reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_finds_an_unread_private_name():
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\ndef _f(): return _A\n"
+              "class _K: pass\ndef g(): return mod._K\n")
+    assert _private_definitions(source) - _reads(source) == {"_B", "_C", "_f"}
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in (_ROOT / "src" / "spectralvol").glob("*.py")}
+    read = set().union(*map(_reads, sources.values()))
+    unread = {(stem, name) for stem, source in sources.items()
+              for name in _private_definitions(source) - read}
+    assert unread == set()

@@ -326,6 +326,12 @@ class TestClosedFormMaximizers:
         with pytest.raises(InvalidParameter):
             noise_variance_estimate(z, size)
 
+    @pytest.mark.parametrize("size", [0, 4])
+    def test_sizes_outside_one_to_n_rejected(self, size):
+        z = SpectralCoefficients(z=np.array([1.0, 0.5, 0.7]), n=3)
+        with pytest.raises(InvalidParameter, match="1 <= l <= 3"):
+            noise_variance_estimate(z, size)
+
 
 class TestOverflowRefused:
     """Finite input whose likelihood or estimate overflows float64 raises, without a warning."""

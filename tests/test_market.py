@@ -115,6 +115,8 @@ class TestSimulateLatent:
             simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(4), 0, 0)
         with pytest.raises(InvalidParameter):
             PiecewiseVol((0.5, 0.25), (1.0, 1.0, 1.0))
+        with pytest.raises(InvalidParameter, match="len"):
+            PiecewiseVol((0.5,), (1.0,))
 
 
 def _philox_normals(seed, size, spawn=None):
@@ -524,6 +526,15 @@ class TestIncrements:
         with pytest.raises(TooShort):
             increments(obs)
 
+    def test_boolean_values_are_differenced_as_floats(self):
+        """np.diff of booleans is their not-equal, True where a value falls from 1 to 0."""
+        flags = np.array([0, 1, 1, 0, 0], dtype=bool)
+        obs = ObservationSeries(times=np.linspace(0, 1, 5), values=flags, latent=flags,
+                                noise=np.zeros(5))
+        got = increments(obs)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [1.0, 0.0, -1.0, 0.0])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_difference_rejected(self):
         values = np.array([0.0, 1e308, -1e308])
@@ -619,8 +630,8 @@ class TestSeedingKernel:
             assert [v.hex() for v in streams.fill(np.empty((1, 2)))[0].tolist()] == want
 
 
-def _on_fresh_thread(fn):
-    """``fn()`` on a new thread, whose generator pools start empty."""
+def _on_another_thread(fn):
+    """``fn()`` on a new thread."""
     out = []
     thread = threading.Thread(target=lambda: out.append(fn()))
     thread.start()
@@ -629,10 +640,18 @@ def _on_fresh_thread(fn):
     return out[0]
 
 
-class TestGeneratorPool:
-    """Generators kept per thread and role, re-keyed by start(), keep every stream's bits."""
+def _lone_draws(seeds, tiles=2):
+    """``tiles`` fills of three normals from each stream of a lone sampler of ``seeds``."""
+    streams = _Streams(seeds)
+    streams.start(0, len(seeds))
+    return np.hstack([streams.fill(np.empty((len(seeds), 3))) for _ in range(tiles)])
 
-    def test_reused_generators_keep_the_bits(self):
+
+class TestGeneratorPool:
+    """Generators owned by one live sampler at a time, re-keyed by start(), keep every
+    stream's bits; spare lists of them outlive their samplers and serve the next ones."""
+
+    def test_reused_generators_keep_the_bits(self, monkeypatch):
         n, scheme, noise = _TILE_WIDTH + 9, EquidistantScheme(40), NoiseModel(0.01)
         seeds = [derive_seed(3, rep, s) for s in (0, 1) for rep in range(5)]
 
@@ -646,48 +665,50 @@ class TestGeneratorPool:
             return [a.tobytes() for a in (path.values, observe(path, noise, scheme, 4).noise,
                                            paths[1].values)]
 
-        want_walk, want_samplers = _on_fresh_thread(walk), _on_fresh_thread(samplers)
+        monkeypatch.setattr(market, "_SPARES", [])
+        want_walk = walk()
+        monkeypatch.setattr(market, "_SPARES", [])
+        want_samplers = samplers()
         for _ in range(2):
             assert walk() == want_walk
             assert samplers() == want_samplers
 
-    def test_pool_grows_to_the_largest_block_and_is_reused(self):
-        def streams():
-            big = _Streams([1, 2, 3, 4, 5], None, "noise")
-            big.start(0, 5)
-            small = _Streams([6, 7], None, "noise")
-            small.start(0, 2)
-            return big.pool, small.pool, market._POOLS.generators["noise"]
+    def test_spare_list_grows_to_the_largest_block_and_is_reused(self, monkeypatch):
+        monkeypatch.setattr(market, "_SPARES", [])
+        streams = _Streams([1, 2, 3, 4, 5])
+        for lo, hi in ((0, 2), (0, 5), (1, 3)):
+            streams.start(lo, hi)
+        owned = streams.owned
+        assert len(owned) == 5 and streams.pool == owned[:2]
+        del streams
+        assert len(market._SPARES) == 1 and market._SPARES[0] is owned
+        assert _Streams([6]).owned is owned and market._SPARES == []
 
-        big, small, pool = _on_fresh_thread(streams)
-        assert len(pool) == 5 and all(a is b for a, b in zip(big, pool))
-        assert len(small) == 2 and all(a is b for a, b in zip(small, big))
+    def test_live_samplers_share_no_generator(self):
+        samplers = [_Streams([1, 2, 3], spawn) for spawn in (None, 0, 1, None)]
+        for streams in samplers:
+            streams.start(0, 3)
+        ids = [id(gen) for streams in samplers for gen in streams.pool]
+        assert len(set(ids)) == len(ids) == 12
 
-    def test_roles_and_threads_share_no_generator(self):
-        def pools():
-            return [market._generators(role, 4) for role in ("path", "state", "noise")]
-
-        ids = [id(gen) for roles in (pools(), _on_fresh_thread(pools)) for gens in roles
-               for gen in gens]
-        assert len(set(ids)) == len(ids) == 24
-
-    def test_older_sampler_of_a_role_is_refused(self):
-        """A newer _Streams of the same role takes the generators; the older one may not draw."""
-        older = _Streams([1, 2], None, "noise")
+    def test_interleaved_samplers_give_a_lone_samplers_bits(self):
+        """Two samplers made one after the other and filled in turn each draw their own
+        streams, however the older one is used after the newer one is made."""
+        want = [_lone_draws([1, 2]), _lone_draws([3, 4])]
+        older = _Streams([1, 2])
         older.start(0, 2)
-        newer = _Streams([3, 4], None, "noise")
-        for draw in (lambda: older.start(0, 2), lambda: older.fill(np.empty((2, 3)))):
-            with pytest.raises(RuntimeError, match="'noise'"):
-                draw()
+        newer = _Streams([3, 4])
         newer.start(0, 2)
-        newer.fill(np.empty((2, 3)))
-        other_role = _Streams([5], None, "state")
-        other_role.start(0, 1)
-        newer.fill(np.empty((2, 3)))
+        got = [[], []]
+        for _ in range(2):
+            for out, streams in zip(got, (older, newer)):
+                out.append(streams.fill(np.empty((2, 3))))
+        for drawn, lone in zip(got, want):
+            np.testing.assert_array_equal(np.hstack(drawn), lone)
 
     def test_fill_draws_only_started_streams(self):
         """A fill before any start, or past the started streams, raises instead of drawing."""
-        streams = _Streams([1, 2, 3], None, "noise")
+        streams = _Streams([1, 2, 3])
         with pytest.raises(ValueError):
             streams.fill(np.empty((1, 3)))
         streams.start(0, 2)
@@ -696,17 +717,12 @@ class TestGeneratorPool:
                 streams.fill(np.empty((rows, 3)), first)
         streams.fill(np.empty((1, 3)), 1)
 
-    def test_sampler_of_another_thread_is_refused(self):
-        streams = _Streams([1, 2], None, "path")
+    def test_sampler_filled_on_another_thread_gives_its_bits(self):
+        want = _lone_draws([1, 2], tiles=1)
+        streams = _Streams([1, 2])
         streams.start(0, 2)
-
-        def fill_elsewhere():
-            try:
-                streams.fill(np.empty((2, 3)))
-            except RuntimeError as err:
-                return str(err)
-
-        assert "another thread" in _on_fresh_thread(fill_elsewhere)
+        got = _on_another_thread(lambda: streams.fill(np.empty((2, 3))))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestZeroVarianceBlock:
@@ -902,6 +918,36 @@ class TestCsvRoundTrip:
                 read_observations_csv(io.StringIO(text))
         back = read_observations_csv(io.StringIO("time,value\n0.0,1.0\n1.0,2.0\n"))
         np.testing.assert_array_equal(back.times, [0.0, 1.0])
+
+    def test_blank_rows_are_skipped(self):
+        """An empty line, a line of spaces and a row of empty cells carry no data."""
+        for header, width in (("time,value", 2), ("time,value,latent,noise", 4)):
+            text = f"{header}\n0.0,1.0{',0' * (width - 2)}\n\n   \n,,\n{',' * width}\n"
+            text += f"1.0,1.5{',0' * (width - 2)}\n"
+            back = read_observations_csv(io.StringIO(text))
+            np.testing.assert_array_equal(back.values, [1.0, 1.5])
+
+    @pytest.mark.parametrize(
+        "text,line,says",
+        [
+            ("time,value\n0.0,1.0\n\n0.5,2.0\n0.4,3.0\n", 5, "strictly increasing"),
+            ("time,value\n0.0,1.0\n0.5,2.0\n0.5,3.0\n", 4, "strictly increasing"),
+            ("time,value\n0.0,1.0\nnan,2.0\n", 3, "finite"),
+            ("time,value\n0.0,1.0\n\n0.5,inf\n", 4, "finite"),
+            ("time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,2.0,-inf,0.0\n", 3, "finite"),
+            ("time,value,latent,noise\n0.0,1.0,1.0,0.0\n\n0.5,2.0,2.0,nan\n", 4, "finite"),
+            ("time,value\n0.0,1.0\n\n1.5,nan\n", 4, "finite"),
+            ("time,value\n0.5,1.0\n0.2,nan\n", 3, "finite"),
+            ("time,value\n0.5,1.0\n0.2,2.0\n1.5,nan\n", 3, "strictly increasing"),
+        ],
+        ids=["unordered_after_blank", "tie", "nan_time", "inf_value_after_blank",
+             "inf_latent", "nan_noise_after_blank", "nan_value_outside", "nan_value_unordered",
+             "first_of_two_faults"],
+    )
+    def test_refusals_name_the_file_line(self, text, line, says):
+        with pytest.raises(InvalidParameter, match=rf"^line {line}: .*{says}") as err:
+            read_observations_csv(io.StringIO(text))
+        assert "rescale" not in str(err.value)
 
     def test_bad_header_rejected(self):
         with pytest.raises(InvalidParameter):

@@ -23,11 +23,7 @@ from .experiments import (
     ExperimentConfig,
     McRow,
     McSummary,
-    run_consistency,
     run_experiment,
-    run_initial_noise_contrast,
-    run_noise_bounds,
-    run_normality,
 )
 from .likelihood import (
     LikelihoodDecomposition,

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import basis as basis_mod
 from .errors import ResultOverflow, SpectralVolError
-from .estimators import EstimatorKind, _real_estimate, mm_fourier_complex, result_csv_rows
+from .estimators import (EstimatorKind, _off_grid, _real_estimate, mm_fourier_complex,
+                         result_csv_rows)
 from .experiments import ExperimentConfig, _study_name, check_experiment, run_experiment
 from .market import (
     ConstantDrift,
@@ -126,6 +127,11 @@ def cmd_estimate(input_path: str, kind: str, m: int, q: int) -> int:
         return EX_DATAERR
     except (SpectralVolError, ValueError) as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
+        return EX_DATAERR
+    k = None if kind is EstimatorKind.MM_FOURIER_COMPLEX else _off_grid(obs.times)
+    if k is not None:  # the real kinds read the times as t_k = k/n
+        print(f"error: malformed CSV: {kind.value} needs the times k/n, and time "
+              f"{float(obs.times[k])!r} is not {k}/{len(obs.times) - 1}", file=sys.stderr)
         return EX_DATAERR
     try:
         if kind is EstimatorKind.MM_FOURIER_COMPLEX:

@@ -178,6 +178,14 @@ def mm_fourier_real_zero(deltas, m: int) -> EstimateResult:
 _GRID_ULPS = 4
 
 
+def _off_grid(times: np.ndarray) -> int | None:
+    """The first k whose time is not k/n, n = len(times) - 1, to within _GRID_ULPS ulps;
+    None when every time is, or there are fewer than two."""
+    grid = np.arange(len(times)) / max(len(times) - 1, 1)
+    off = np.flatnonzero(~(np.abs(times - grid) <= _GRID_ULPS * np.spacing(grid)))
+    return int(off[0]) if off.size and len(times) > 1 else None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by EstimateResult
 def mm_fourier_complex(
     obs: Sequence[ObservationSeries] | ObservationSeries, q: int, m: int
@@ -224,8 +232,7 @@ def mm_fourier_complex(
         """F(u) for u = -top..top, at index u + top."""
         dy = np.diff(values)
         n = len(dy)
-        grid = np.arange(n + 1) / n
-        if np.all(np.abs(times - grid) <= _GRID_ULPS * np.spacing(grid)):
+        if _off_grid(times) is None:
             half = np.fft.ifft(dy, norm="forward")[np.arange(top + 1) % n]
         else:
             half = np.exp(2j * np.pi * np.outer(np.arange(top + 1), times[:-1])) @ dy

@@ -2,10 +2,8 @@
 
 Every study is one call of :func:`run_experiment`, which takes the study's
 default cutoff exponent, design check, row rule and checks over all rows
-from the study table ``_STUDIES``.  :func:`run_consistency`,
-:func:`run_normality`, :func:`run_noise_bounds` and
-:func:`run_initial_noise_contrast` each name one study and say what it
-checks.
+from the study table ``_STUDIES``; a comment on each entry says what that
+study checks.
 
 Replication r draws its streams from sub-seeds keyed (base_seed, r,
 stream), once per run for the largest n; every n reads a prefix of them
@@ -14,7 +12,7 @@ series.  A group of replications draws a tile's path normals and then its
 noise normals into one buffer, and each n builds a tile's basis rows
 straight into its latent weights.  :func:`check_experiment` refuses a
 config whose engine buffers (:func:`_engine_bytes`) would exceed
-:data:`MAX_ENGINE_BYTES`.  ``threads`` is accepted but changes nothing.
+``market.MAX_BUFFER_BYTES``.  ``threads`` is accepted but changes nothing.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import market
 from .basis import basis_columns
 from .errors import InvalidParameter, ResultOverflow, _index
 from .estimators import EstimatorKind, _form, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
-    MAX_BUFFER_BYTES,
     NOISE_STREAM,
     PATH_STREAM,
     DriftModel,
@@ -52,14 +50,9 @@ __all__ = [
     "ExperimentConfig",
     "McRow",
     "McSummary",
-    "run_consistency",
-    "run_normality",
-    "run_noise_bounds",
-    "run_initial_noise_contrast",
     "run_experiment",
     "check_experiment",
     "CSV_COLUMNS",
-    "MAX_ENGINE_BYTES",
 ]
 
 # Replications whose streams stay keyed while they walk the tiles, so that
@@ -67,9 +60,6 @@ __all__ = [
 # _TILE_ROWS; it bounds the per-replication state held at once and the
 # generators each sampler's spare list grows to.
 _LIVE_ROWS = 8 * _TILE_ROWS
-
-#: Bytes a run's buffers (:func:`_engine_bytes`) may take; check_experiment refuses more.
-MAX_ENGINE_BYTES = MAX_BUFFER_BYTES
 
 CSV_COLUMNS = [
     "experiment",
@@ -201,7 +191,7 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     Raises :class:`InvalidParameter`, before any simulation, for an unknown
     study, a design the study does not support, a cutoff that needs more
     basis columns than there are increments for some kind at some n, or
-    buffers larger than :data:`MAX_ENGINE_BYTES`.
+    buffers larger than ``market.MAX_BUFFER_BYTES``, read when it is called.
     """
     alpha, design, _, _ = _STUDIES[_study_name(experiment)]
     if config.replications < 2:
@@ -209,10 +199,10 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     design(config)
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
     need = _engine_bytes(config, cutoffs)  # checks each kind's columns at each n first
-    if need > MAX_ENGINE_BYTES:
+    if need > market.MAX_BUFFER_BYTES:
         mib = need / 2**20 if need < 2**1000 else math.inf
         raise InvalidParameter(f"the run's buffers would take {mib:.3g} MiB, more than the "
-                               f"{MAX_ENGINE_BYTES >> 20} MiB of experiments.MAX_ENGINE_BYTES")
+                               f"{market.MAX_BUFFER_BYTES >> 20} MiB of market.MAX_BUFFER_BYTES")
     return cutoffs
 
 
@@ -429,16 +419,24 @@ def _contrast_row(row: McRow, config: ExperimentConfig, data: dict, i: int) -> M
 # that refuses a design it does not support, the rule that completes a (kind,
 # n) row from its error statistics, and the checks it makes over all rows.
 _STUDIES: dict[str, tuple[float, Callable, Callable, Callable]] = {
+    # Bias and RMSE along the schedule; each kind's RMSE must fall at every step.
     "consistency": (0.4, lambda config: None, _consistency_row, _rmse_decreasing),
+    # Moments of the standardized errors against the known limit variance.
     "normality": (0.35, _limit_variance, _normality_row, lambda rows: ()),
+    # Pure noise: the Monte Carlo noise functional beside the exact oracle.  The
+    # cosine and Fourier kinds sit above their floor (exactly, and within 4 Monte
+    # Carlo SE); the sine kind sits below its explicit decay bound.
     "noise_bounds": (0.4, _pure_noise, _noise_bounds_row, lambda rows: ()),
+    # Noise on the initial observation: the cosine rows stay above nu/2 less 4 SE
+    # at every n; the sine row is unbiased within 2 SE at the largest n (4 below,
+    # where the finite-sample noise term still shows).
     "initial_noise_contrast": (0.4, _initial_noise, _contrast_row, lambda rows: ()),
 }
 
 
 @np.errstate(over="ignore", invalid="ignore")  # McRow refuses a result that overflows
 def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
-    """Run the study named ``experiment``: every ``run_*`` function is this call.
+    """Run the study named ``experiment``, a key of ``_STUDIES``.
 
     One :func:`check_experiment` preflight, one engine pass over the
     schedule (:func:`_run_replications`), and for each (kind, n) the error
@@ -461,33 +459,3 @@ def run_experiment(experiment: str, config: ExperimentConfig) -> McSummary:
             )
             rows.append(complete(row, config, data, i))
     return McSummary(experiment=experiment, rows=tuple(rows), checks=checks(rows))
-
-
-def run_consistency(config: ExperimentConfig) -> McSummary:
-    """Bias and RMSE along the schedule; flags RMSE monotonicity per kind."""
-    return run_experiment("consistency", config)
-
-
-def run_normality(config: ExperimentConfig) -> McSummary:
-    """Moments of standardized errors against the known limit variance."""
-    return run_experiment("normality", config)
-
-
-def run_noise_bounds(config: ExperimentConfig) -> McSummary:
-    """Pure-noise design: Monte Carlo noise functionals next to the exact oracle.
-
-    Lower-bound kinds must sit above their floor (exactly, and within 4
-    Monte Carlo standard errors empirically); the sine kind must sit below
-    its explicit decay bound.
-    """
-    return run_experiment("noise_bounds", config)
-
-
-def run_initial_noise_contrast(config: ExperimentConfig) -> McSummary:
-    """Cosine-basis bias floor versus sine-basis unbiasedness under initial noise.
-
-    The cosine rows must stay above nu/2 minus 4 standard errors at every n;
-    the sine row at the largest n must be unbiased within 2 standard errors
-    (4 at smaller n, where the finite-sample noise term is still visible).
-    """
-    return run_experiment("initial_noise_contrast", config)

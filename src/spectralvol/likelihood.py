@@ -270,7 +270,7 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     returned as converged, with ``sweeps`` 0, when L there is at least
     L(init) and the score into the domain, proportional to
     sum a_k (z_k^2 - c0) at (c0, 0) and to sum (z_k^2 - a_k nu0)/(a_k nu0)^2
-    at (0, nu0), is not positive.
+    at (0, nu0), is not positive; the higher end when both are.
 
     Otherwise the search climbs from init's ratio in steps of 2 in s until
     the slope changes sign, then takes Newton steps inside that bracket,
@@ -349,7 +349,7 @@ def joint_mle(z: SpectralCoefficients, init: LikelihoodParams) -> MleResult:
     ]
     settled = [end for end, score, _ in ends if score <= 0.0 and end[0] >= start]
     if settled:
-        best, converged, sweeps = settled[0], True, 0
+        best, converged, sweeps = max(settled), True, 0
     else:
         best, converged, sweeps = climb(min(max(math.log(init.nu) - math.log(init.c), lo), hi))
         for end, score, s in ends:

@@ -210,8 +210,8 @@ _MASK32 = 0xFFFFFFFF
 # that a path's values do not depend on how many paths are drawn with it.
 _TILE_ROWS, _TILE_WIDTH = 128, 1024
 
-#: Bytes a sampler's or Monte Carlo run's buffers may take: the single-series
-#: samplers refuse a finer grid, and ``experiments.MAX_ENGINE_BYTES`` is this.
+#: Bytes a sampler's or Monte Carlo run's buffers may take, the one memory budget:
+#: the single-series samplers refuse a finer grid, and check_experiment a larger run.
 MAX_BUFFER_BYTES = 2**30
 
 

@@ -35,9 +35,7 @@ from spectralvol.estimators import (
 )
 from spectralvol.experiments import (
     ExperimentConfig,
-    run_consistency,
-    run_initial_noise_contrast,
-    run_normality,
+    run_experiment,
 )
 from spectralvol.likelihood import (
     LikelihoodParams,
@@ -277,7 +275,7 @@ def test_criterion_07_consistency_desk_scale():
         base_seed=ACCEPT_SEED,
         m_exponent=0.4,
     )
-    summary = run_consistency(config)
+    summary = run_experiment("consistency", config)
     rmses = [row.rmse for row in summary.rows]
     last = summary.rows[-1]
     elapsed = time.time() - start
@@ -306,7 +304,7 @@ def _normality_row():
         base_seed=ACCEPT_SEED,
         m_exponent=0.35,
     )
-    return run_normality(config).rows[0]
+    return run_experiment("normality", config).rows[0]
 
 
 def test_criterion_08_normality_mean_variance_kurtosis():
@@ -363,7 +361,7 @@ def test_criterion_09_initial_noise_contrast():
         base_seed=ACCEPT_SEED,
         m_exponent=0.4,
     )
-    summary = run_initial_noise_contrast(config)
+    summary = run_experiment("initial_noise_contrast", config)
     cos_rows = [row for row in summary.rows if row.kind == "siml"]
     sine_last = [row for row in summary.rows if row.kind == "ina_sine"][-1]
     cos_ok = all(row.bias >= 0.004 for row in cos_rows)

@@ -202,6 +202,46 @@ class TestEstimate:
         assert out == "" and len(err.strip().splitlines()) == 2
         assert main(args + ["--m", "8", "--q", "-3"]) == EX_OK
 
+    @pytest.mark.parametrize("kind", ["siml", "ina_sine", "mm_fourier_real_zero"])
+    def test_real_kinds_refuse_times_off_the_grid(self, tmp_path, capsys, kind):
+        """The real kinds read t_k = k/n; an irregular series was once read in tick time."""
+        values = [1.0, 1.1, 0.9, 1.3, 1.2, 1.25]
+        on, off = tmp_path / "on.csv", tmp_path / "off.csv"
+        _write_csv(on, values)
+        off.write_text("time,value\n" + "".join(
+            f"{t},{v}\n" for t, v in zip((0, 0.01, 0.02, 0.61, 0.9, 1), values)))
+        args = ["--kind", kind, "--m", "1"]
+        assert main(["estimate", "--input", str(on)] + args) == EX_OK
+        capsys.readouterr()
+        assert main(["estimate", "--input", str(off)] + args) == EX_DATAERR
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "time 0.01 is not 1/5" in err
+
+    def test_times_within_ulps_of_the_grid_are_on_it(self, tmp_path, capsys):
+        """np.linspace misses k/n by an ulp at some points, and counts as the grid."""
+        n = 1561
+        values = np.cumsum(np.random.default_rng(5).normal(size=n + 1))
+        assert np.any(np.linspace(0, 1, n + 1) != np.arange(n + 1) / n)
+        grid, spaced = tmp_path / "grid.csv", tmp_path / "linspace.csv"
+        _write_csv(grid, values)
+        spaced.write_text("time,value\n" + "".join(
+            f"{t},{v}\n" for t, v in zip(np.linspace(0, 1, n + 1).tolist(), values)))
+        rows = []
+        for path in (grid, spaced):
+            assert main(["estimate", "--input", str(path), "--kind", "siml", "--m", "4"]) == EX_OK
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
+    def test_complex_kind_reads_any_grid(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("time,value\n0,1\n0.01,1.1\n0.02,0.9\n0.9,1.3\n1,1.2\n")
+        args = ["estimate", "--input", str(path), "--kind", "mm_fourier_complex", "--m", "1"]
+        assert main(args) == EX_OK
+        with open(path, newline="") as fh:
+            expected = result_csv_rows(mm_fourier_complex([read_observations_csv(fh)], 0, 1))
+        assert capsys.readouterr().out.splitlines() == expected
+
 
 class TestBadCsvInput:
     @pytest.mark.parametrize(

@@ -23,18 +23,13 @@ from spectralvol.errors import InvalidParameter
 from spectralvol.estimators import EstimatorKind, _form, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
-    MAX_ENGINE_BYTES,
     ExperimentConfig,
     _TILE_ROWS,
     _TILE_WIDTH,
     _engine_bytes,
     _run_replications,
     check_experiment,
-    run_consistency,
     run_experiment,
-    run_initial_noise_contrast,
-    run_noise_bounds,
-    run_normality,
 )
 from spectralvol.market import (
     ConstantDrift,
@@ -255,14 +250,14 @@ class TestSchedule:
         )
         config = _config(n_schedule=(64, 1000, 2100), vol=vol, noise=NoiseModel(1e-2),
                          replications=_TILE_ROWS + 3, refinement=2)
-        run_consistency(config)
+        run_experiment("consistency", config)
         # OU volatility draws each fine step, and its state has a stream of its own;
         # deterministic volatility draws one normal per observed step
         per_path = 2 * 2 if vol is _OU else 1
         assert sum(drawn) == config.replications * (per_path * 2100 + 2100 + 1)
         schedule_draws = sum(drawn)
         drawn.clear()
-        run_consistency(dataclasses.replace(config, n_schedule=(2100,)))
+        run_experiment("consistency", dataclasses.replace(config, n_schedule=(2100,)))
         assert sum(drawn) == schedule_draws
 
 
@@ -307,9 +302,9 @@ class TestCheckExperiment:
     def test_buffer_limit_is_the_module_constant(self, monkeypatch):
         cfg = _config()
         need = _engine_bytes(cfg, check_experiment("consistency", cfg))
-        assert need <= MAX_ENGINE_BYTES
-        monkeypatch.setattr(experiments, "MAX_ENGINE_BYTES", need - 1)
-        with pytest.raises(InvalidParameter, match="MAX_ENGINE_BYTES"):
+        assert need <= market.MAX_BUFFER_BYTES
+        monkeypatch.setattr(market, "MAX_BUFFER_BYTES", need - 1)
+        with pytest.raises(InvalidParameter, match="MAX_BUFFER_BYTES"):
             check_experiment("consistency", cfg)
 
 
@@ -319,58 +314,55 @@ _STUDY_CONFIGS = {
     "noise_bounds": {"vol": ConstantVol(0.0), "noise": NoiseModel(0.01)},
     "initial_noise_contrast": {"noise": NoiseModel(0.01)},
 }
-_RUN = {"consistency": run_consistency, "normality": run_normality,
-        "noise_bounds": run_noise_bounds, "initial_noise_contrast": run_initial_noise_contrast}
 
 
 class TestOneDriver:
     """Every study is one run_experiment call: one preflight, under its errstate."""
 
-    @pytest.mark.parametrize("by_name", [False, True], ids=["run_study", "run_experiment"])
     @pytest.mark.parametrize("study", list(_STUDY_CONFIGS))
-    def test_one_preflight_per_call(self, monkeypatch, study, by_name):
+    def test_one_preflight_per_call(self, monkeypatch, study):
         seen = []
         real = experiments.check_experiment
         monkeypatch.setattr(experiments, "check_experiment", lambda *a: seen.append(a) or real(*a))
         cfg = _config(n_schedule=(64,), replications=10, **_STUDY_CONFIGS[study])
-        summary = run_experiment(study, cfg) if by_name else _RUN[study](cfg)
+        summary = run_experiment(study, cfg)
         assert summary.experiment == study
         assert seen == [(study, cfg)]
 
     @pytest.mark.parametrize(
         "study,overrides",
         [
-            (run_consistency, {}),
-            (run_normality, {"vol": ConstantVol(1.0), "drift": ZeroDrift(), "noise": NoiseModel(1e100)}),
-            (run_noise_bounds, {"vol": ConstantVol(0.0), "drift": ZeroDrift()}),
-            (run_initial_noise_contrast, {}),
+            ("consistency", {}),
+            ("normality", {"vol": ConstantVol(1.0), "drift": ZeroDrift(), "noise": NoiseModel(1e100)}),
+            ("noise_bounds", {"vol": ConstantVol(0.0), "drift": ZeroDrift()}),
+            ("initial_noise_contrast", {}),
         ],
         ids=["consistency", "normality", "noise_bounds", "initial_noise_contrast"],
     )
     def test_overflow_is_refused_without_a_warning(self, study, overrides):
-        """Called directly, the runners printed numpy RuntimeWarnings before the refusal."""
+        """Every study once printed numpy RuntimeWarnings before the refusal."""
         cfg = _config(**{"vol": ConstantVol(1e308), "drift": ConstantDrift(1e308),
                          "noise": NoiseModel(1e308), **overrides})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameter, match="overflow"):
-                study(cfg)
+                run_experiment(study, cfg)
 
 
 class TestReproducibility:
     def test_identical_runs_identical_summaries(self):
-        a = run_consistency(_config())
-        b = run_consistency(_config())
+        a = run_experiment("consistency", _config())
+        b = run_experiment("consistency", _config())
         assert a == b
 
     def test_thread_count_does_not_change_results(self):
-        serial = run_consistency(_config(threads=1))
-        threaded = run_consistency(_config(threads=4))
+        serial = run_experiment("consistency", _config(threads=1))
+        threaded = run_experiment("consistency", _config(threads=4))
         assert serial.rows == threaded.rows
 
     def test_different_seed_changes_results(self):
-        a = run_consistency(_config(base_seed=1))
-        b = run_consistency(_config(base_seed=2))
+        a = run_experiment("consistency", _config(base_seed=1))
+        b = run_experiment("consistency", _config(base_seed=2))
         assert a.rows != b.rows
 
 
@@ -457,28 +449,28 @@ class TestGeneratorPool:
         monkeypatch.setattr(market, "_SPARES", [])
         cfg = _config(**{**_POOL_CONFIG, "n_schedule": (4, 8),
                          "replications": experiments._LIVE_ROWS + 5})
-        run_consistency(cfg)
-        run_consistency(dataclasses.replace(cfg, replications=3))
+        run_experiment("consistency", cfg)
+        run_experiment("consistency", dataclasses.replace(cfg, replications=3))
         assert [len(spare) for spare in market._SPARES] == [experiments._LIVE_ROWS] * 3
         assert len(built) == 3 * experiments._LIVE_ROWS
-        run_consistency(cfg)
+        run_experiment("consistency", cfg)
         assert len(built) == 3 * experiments._LIVE_ROWS
 
 
 class TestConsistencyRun:
     def test_rmse_bookkeeping_identity(self):
         """rmse^2 = bias^2 + population variance of the errors (se carries ddof=1)."""
-        summary = run_consistency(_config(replications=200))
+        summary = run_experiment("consistency", _config(replications=200))
         for row in summary.rows:
             var0 = row.se_mean**2 * (row.replications - 1)
             assert row.rmse**2 == pytest.approx(row.bias**2 + var0, abs=1e-9)
 
     def test_rmse_decreases_with_n(self):
-        summary = run_consistency(_config(n_schedule=(64, 256, 1024), replications=150))
+        summary = run_experiment("consistency", _config(n_schedule=(64, 256, 1024), replications=150))
         assert dict(summary.checks)["rmse_decreasing[siml]"]
 
     def test_noise_free_bias_small_and_flag_consistent(self):
-        summary = run_consistency(_config(replications=300))
+        summary = run_experiment("consistency", _config(replications=300))
         for row in summary.rows:
             # true bias is zero here, so the sample bias is pure MC noise
             assert abs(row.bias) <= 4 * row.se_mean
@@ -488,8 +480,8 @@ class TestConsistencyRun:
 
 class TestNormalityRun:
     def test_moment_fields_populated(self):
-        summary = run_normality(
-            _config(n_schedule=(256,), replications=400, m_exponent=0.35)
+        summary = run_experiment(
+            "normality", _config(n_schedule=(256,), replications=400, m_exponent=0.35)
         )
         row = summary.rows[0]
         assert row.std_err_mean is not None
@@ -502,7 +494,7 @@ class TestNormalityRun:
     def test_stochastic_vol_rejected(self):
         vol = OrnsteinUhlenbeckVol(1.0, 1.0, 0.5, 1.0)
         with pytest.raises(InvalidParameter):
-            run_normality(_config(vol=vol))
+            run_experiment("normality", _config(vol=vol))
 
 
 class TestNoiseBoundsRun:
@@ -519,7 +511,7 @@ class TestNoiseBoundsRun:
         return _config(**base)
 
     def test_bounds_hold(self):
-        summary = run_noise_bounds(self._cfg())
+        summary = run_experiment("noise_bounds", self._cfg())
         assert summary.all_ok
         by_kind = {row.kind: row for row in summary.rows}
         assert by_kind["siml"].bound_value == pytest.approx(0.005)
@@ -529,7 +521,7 @@ class TestNoiseBoundsRun:
         assert by_kind["ina_sine"].noise_exact <= by_kind["ina_sine"].bound_value
 
     def test_exact_column_matches_oracle(self):
-        summary = run_noise_bounds(self._cfg(kinds=(EstimatorKind.INA_SINE,)))
+        summary = run_experiment("noise_bounds", self._cfg(kinds=(EstimatorKind.INA_SINE,)))
         row = summary.rows[0]
         assert row.noise_exact == noise_expectation_exact(
             EstimatorKind.INA_SINE, row.n, row.m, 0.01
@@ -537,14 +529,14 @@ class TestNoiseBoundsRun:
 
     def test_requires_pure_noise_design(self):
         with pytest.raises(InvalidParameter):
-            run_noise_bounds(self._cfg(vol=ConstantVol(1.0)))
+            run_experiment("noise_bounds", self._cfg(vol=ConstantVol(1.0)))
 
     def test_accepts_all_zero_piecewise_volatility(self):
         """A piecewise volatility with every level zero is the pure-noise design too."""
-        zero = run_noise_bounds(self._cfg(vol=PiecewiseVol((0.5,), (0.0, 0.0))))
-        assert zero.rows == run_noise_bounds(self._cfg()).rows
+        zero = run_experiment("noise_bounds", self._cfg(vol=PiecewiseVol((0.5,), (0.0, 0.0))))
+        assert zero.rows == run_experiment("noise_bounds", self._cfg()).rows
         with pytest.raises(InvalidParameter):
-            run_noise_bounds(self._cfg(vol=PiecewiseVol((0.5,), (0.0, 1.0))))
+            run_experiment("noise_bounds", self._cfg(vol=PiecewiseVol((0.5,), (0.0, 1.0))))
 
 
 class TestNoiseOracleColumns:
@@ -553,9 +545,9 @@ class TestNoiseOracleColumns:
     @pytest.mark.parametrize(
         "study,kinds,ends",
         [
-            (run_noise_bounds, (EstimatorKind.SIML, EstimatorKind.MM_FOURIER_REAL_ZERO), (True, True)),
-            (run_noise_bounds, (EstimatorKind.INA_SINE,), (False, True)),
-            (run_initial_noise_contrast, (EstimatorKind.SIML, EstimatorKind.INA_SINE), (True, False)),
+            ("noise_bounds", (EstimatorKind.SIML, EstimatorKind.MM_FOURIER_REAL_ZERO), (True, True)),
+            ("noise_bounds", (EstimatorKind.INA_SINE,), (False, True)),
+            ("initial_noise_contrast", (EstimatorKind.SIML, EstimatorKind.INA_SINE), (True, False)),
         ],
         ids=["bounds_both_ends", "bounds_no_initial", "contrast_no_terminal"],
     )
@@ -569,14 +561,14 @@ class TestNoiseOracleColumns:
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         cfg = _config(kinds=kinds, n_schedule=(63, _TILE_WIDTH + 1), noise=noise,
                       replications=_TILE_ROWS + 1, base_seed=4,
-                      vol=ConstantVol(0.0 if study is run_noise_bounds else 1.0))
+                      vol=ConstantVol(0.0 if study == "noise_bounds" else 1.0))
         built = []
         real = experiments.basis_columns
         monkeypatch.setattr(
             experiments, "basis_columns", lambda *a: built.append((a[0], a[1], a[4])) or real(*a)
         )
         monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # two live blocks
-        summary = study(cfg)
+        summary = run_experiment(study, cfg)
         monkeypatch.undo()
         want = [
             (_form(kind, n, 1)[0], n, (lo, hi))
@@ -625,7 +617,7 @@ class TestMemory:
                       noise=NoiseModel(0.01), replications=4, m_exponent=0.4)
         tracemalloc.start()
         try:
-            run_initial_noise_contrast(cfg)
+            run_experiment("initial_noise_contrast", cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -638,10 +630,10 @@ class TestMemory:
             cfg = _config(kinds=(EstimatorKind.SIML, EstimatorKind.INA_SINE), n_schedule=(n,),
                           noise=NoiseModel(0.01), replications=2, m_exponent=0.05)
             assert check_experiment("consistency", cfg) == (1,)
-            run_consistency(cfg)  # a process's first run also loads numpy.random
+            run_experiment("consistency", cfg)  # a process's first run also loads numpy.random
             tracemalloc.start()
             try:
-                run_consistency(cfg)
+                run_experiment("consistency", cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -669,10 +661,10 @@ class TestEngineBytes:
     def test_bounds_the_traced_peak(self, overrides):
         cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})
         need = _engine_bytes(cfg, check_experiment("consistency", cfg))
-        run_consistency(cfg)  # a process's first run also loads numpy.random
+        run_experiment("consistency", cfg)  # a process's first run also loads numpy.random
         tracemalloc.start()
         try:
-            run_consistency(cfg)
+            run_experiment("consistency", cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -730,7 +722,7 @@ class TestContrastRun:
             replications=300,
             base_seed=77,
         )
-        summary = run_initial_noise_contrast(cfg)
+        summary = run_experiment("initial_noise_contrast", cfg)
         assert len(summary.rows) == 4
         for row in summary.rows:
             assert row.cross_mean is not None
@@ -740,8 +732,8 @@ class TestContrastRun:
 
     def test_requires_initial_noise(self):
         with pytest.raises(InvalidParameter):
-            run_initial_noise_contrast(
-                _config(noise=NoiseModel(0.01, include_initial=False))
+            run_experiment(
+                "initial_noise_contrast", _config(noise=NoiseModel(0.01, include_initial=False))
             )
 
     def test_zero_noise_control_biases_agree(self):
@@ -753,7 +745,7 @@ class TestContrastRun:
             replications=300,
             base_seed=3,
         )
-        rows = run_initial_noise_contrast(cfg).rows
+        rows = run_experiment("initial_noise_contrast", cfg).rows
         by_kind = {r.kind: r for r in rows}
         diff = by_kind["siml"].bias - by_kind["ina_sine"].bias
         se = np.hypot(by_kind["siml"].se_mean, by_kind["ina_sine"].se_mean)
@@ -762,7 +754,7 @@ class TestContrastRun:
 
 class TestCsvOutput:
     def test_header_and_shape(self):
-        summary = run_consistency(_config(replications=20))
+        summary = run_experiment("consistency", _config(replications=20))
         buf = io.StringIO()
         summary.write_csv(buf)
         lines = buf.getvalue().splitlines()

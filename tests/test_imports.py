@@ -1,5 +1,6 @@
-"""Each module of the package uses every name it imports, and some code of the
-package reads every private name a module defines.
+"""Each module of the package uses every name it imports, some code of the
+package reads every private name a module defines, and every exported name is
+defined where it is exported from.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
@@ -51,9 +52,8 @@ def test_every_import_is_used(path):
     assert _unused(path.read_text()) - wrapped == set()
 
 
-def _private_definitions(source: str) -> set[str]:
-    """Private (one leading underscore) functions, classes and constants ``source`` defines
-    at module level."""
+def _definitions(source: str) -> set[str]:
+    """Functions, classes and constants ``source`` defines at module level."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -62,7 +62,13 @@ def _private_definitions(source: str) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(leaf.id for target in targets for leaf in ast.walk(target)
                          if isinstance(leaf, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def _private_definitions(source: str) -> set[str]:
+    """Private (one leading underscore) names of :func:`_definitions`."""
+    return {name for name in _definitions(source)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _reads(source: str) -> set[str]:
@@ -88,3 +94,40 @@ def test_every_private_name_is_read():
     unread = {(stem, name) for stem, source in sources.items()
               for name in _private_definitions(source) - read}
     assert unread == set()
+
+
+def _exports(source: str) -> list[str]:
+    """The names of the ``__all__`` list ``source`` assigns at module level."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """The names ``spectralvol/__init__.py`` imports, by the module it imports them from."""
+    imports: dict[str, set[str]] = {}
+    for node in ast.parse((_ROOT / "src" / "spectralvol" / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imports.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    return imports
+
+
+def test_finds_an_export_left_undefined():
+    source = "__all__ = ['f', 'gone', 'K']\ndef f(): pass\nK = 1\n"
+    assert set(_exports(source)) - _definitions(source) == {"gone"}
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_every_export_is_defined(path):
+    source = path.read_text()
+    assert set(_exports(source)) - _definitions(source) == set()
+
+
+def test_the_package_imports_only_exported_names():
+    imports = _package_imports()
+    assert imports  # the package re-exports its modules' public names
+    for module, names in imports.items():
+        exported = set(_exports((_ROOT / "src" / "spectralvol" / f"{module}.py").read_text()))
+        assert names - exported == set(), module

@@ -415,6 +415,19 @@ def _profile_grid_best(z):
     return max(float(_profile(z, rho).max()), *(log_likelihood(z, end) for end in ends))
 
 
+def _zero_score_coefficients(a, seed):
+    """Coefficients whose score at (c0, 0), sum a_k (z_k^2 - c0), is 0 up to rounding and
+    positive: squares drawn uniform, the top one solved for a zero score, and the top
+    coefficient raised an ulp at a time until the computed score is positive."""
+    z2 = np.random.default_rng(seed).uniform(0.5, 1.5, len(a))
+    z2[:-1] *= 1 + (a[:-1] < a.mean())  # weight on the low modes leaves the top square positive
+    z2[-1] = -np.sum((a[:-1] - a.mean()) * z2[:-1]) / (a[-1] - a.mean())
+    z = np.sqrt(z2)
+    while not np.sum(a * (z**2 - np.mean(z**2))) > 0:
+        z[-1] = np.nextafter(z[-1], np.inf)
+    return SpectralCoefficients(z=z, n=len(a))
+
+
 def _desk_fit(n, nu, noisy_start, seed):
     """A constant-volatility day series, fitted from the closed-form L1 and L2 maximizers."""
     scheme = EquidistantScheme(n)
@@ -596,6 +609,79 @@ class TestJointMle:
         assert fit.params.c > 0 and fit.params.nu > 0
         again = joint_mle(z, fit.params)
         assert again.converged and again.log_likelihood >= fit.log_likelihood
+
+    def test_climb_stops_where_the_ratio_range_ends(self):
+        """Coefficients whose score at (c0, 0) is 0 up to rounding, and positive: that end
+        is not settled, and the profile still rises toward rho = 0 where the searched
+        range ends (a_n rho = 1e-8).  The climb stops there, unconverged, at least at
+        L(init) and within 1e-12 |L| of L(c0, 0)."""
+        a = a_coefficients(8)
+        for seed in range(4):
+            z = _zero_score_coefficients(a, seed)
+            c0 = float(np.mean(z.z**2))
+            init = LikelihoodParams(c0, c0)
+            out = joint_mle(z, init)
+            assert not out.converged
+            assert out.params.nu <= out.params.c * 1e-8 / a[-1] * (1 + 1e-12)
+            assert out.log_likelihood >= log_likelihood(z, init)
+            end = log_likelihood(z, LikelihoodParams(c0, 0.0))
+            assert out.log_likelihood == pytest.approx(end, rel=1e-12)
+
+    def test_an_end_that_still_beats_the_second_climb_is_returned(self):
+        """For the coefficients of test_climb_stops_where_the_ratio_range_ends, L(c0, 0) can
+        round above every point of both climbs (about one draw in four): the end is then
+        the fit, flagged unconverged.  The fit never falls below an end whose score is
+        positive."""
+        a = a_coefficients(8)
+        returned = 0
+        for seed in range(32):
+            z = _zero_score_coefficients(a, seed)
+            c0 = float(np.mean(z.z**2))
+            out = joint_mle(z, LikelihoodParams(c0, c0))
+            assert out.log_likelihood >= log_likelihood(z, LikelihoodParams(c0, 0.0))
+            if (out.params.c, out.params.nu) == (c0, 0.0):
+                assert not out.converged
+                returned += 1
+        assert returned >= 1
+
+    def test_init_that_rounds_above_the_fit_is_returned(self):
+        """Noise-free draws fit (c0, 0), whose score is negative.  Started a few ulps from c0
+        at nu = 1e-300, below the searched ratios, L(init) can round above L(c0, 0), so no
+        end is settled; the climb stops at once at the range end, below L(init), and the
+        fit is init itself.  The fit never falls below L(init)."""
+        n = 64
+        a = a_coefficients(n)
+        returned = 0
+        for seed in range(8):
+            z = SpectralCoefficients(z=np.random.default_rng(seed).standard_normal(n), n=n)
+            c0 = float(np.mean(z.z**2))
+            if np.sum(a * (z.z**2 - c0)) >= 0:  # an interior fit
+                continue
+            for ulps in range(-8, 9):
+                c = c0 + ulps * np.spacing(c0)
+                init = LikelihoodParams(c, 1e-300)
+                out = joint_mle(z, init)
+                assert out.log_likelihood >= log_likelihood(z, init)
+                if out.params == init:
+                    assert not out.converged
+                    returned += 1
+        assert returned >= 1
+
+    def test_higher_of_two_settled_ends_is_returned(self):
+        """One coefficient at a mode whose a_k lies between the geometric and the arithmetic
+        mean of the a_k: both ends have a non-positive score, and L(0, nu0) is the higher.
+        The first end, (c0, 0), was once returned."""
+        n = 64
+        a = a_coefficients(n)
+        k = int(np.flatnonzero((np.exp(np.mean(np.log(a))) < a) & (a < a.mean()))[0])
+        z = SpectralCoefficients(z=np.eye(n)[k], n=n)
+        c0, nu0 = 1.0 / n, 1.0 / (n * a[k])
+        ends = [log_likelihood(z, LikelihoodParams(c0, 0.0)),
+                log_likelihood(z, LikelihoodParams(0.0, nu0))]
+        assert ends[1] > ends[0]
+        out = joint_mle(z, LikelihoodParams(c0, 1e-3 * c0))
+        assert out.converged and out.sweeps == 0 and out.params.c == 0.0
+        assert out.log_likelihood == pytest.approx(ends[1], rel=1e-15)
 
     def test_never_below_initial_likelihood(self):
         rng = np.random.default_rng(9)

@@ -38,8 +38,7 @@ from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wr
     _TILE_WIDTH,
     _as_piecewise,
     _derive_seeds,
-    _LatentTiles,
-    _NoiseTiles,
+    _SeriesTiles,
     _tiles,
     derive_seed,
     observe,
@@ -58,7 +57,7 @@ __all__ = [
 # Replications whose streams stay keyed while they walk the tiles, so that
 # each tile of basis columns, built once, serves all of them.  A multiple of
 # _TILE_ROWS; it bounds the per-replication state held at once and the
-# generators each sampler's spare list grows to.
+# generators each market._Streams' spare list grows to.
 _LIVE_ROWS = 8 * _TILE_ROWS
 
 CSV_COLUMNS = [
@@ -237,12 +236,13 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
     Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
-    while the block walks the tiles of the largest n; the samplers size the
-    rest, and take each block's generators and state as it starts.  For each
-    tile, every n that reaches it builds the matching rows of its kinds'
-    basis columns once, side by side, from their formula, straight into its
-    latent weights: one row per observed step, scaled by the step standard
-    deviations of the tile under deterministic volatility.  Its noise
+    while the block walks the tiles of the largest n; the one sampler
+    (market._SeriesTiles) sizes the rest, and takes each block's generators
+    and state as it starts.  For each tile, every n that reaches it builds
+    the matching rows of its kinds' basis columns once, side by side, from
+    their formula, straight into its latent weights: one row per observed
+    step, scaled by the step standard deviations of the tile under
+    deterministic volatility.  Its noise
     weights and drift offset are taken from these rows before they are
     scaled in place into latent weights.  Then each group of up to
     _TILE_ROWS replications of the block draws the tile's path normals,
@@ -269,15 +269,12 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    latent = _LatentTiles(config.vol, config.drift, [s["n"] for s in sizes], config.refinement,
-                          path_seeds)
-    # the noise normals go where the path normals were, once their products are added
-    noisy = _NoiseTiles(config.noise, noise_seeds, latent.raw[0])
+    tiles = _SeriesTiles(config.vol, config.drift, config.noise, [s["n"] for s in sizes],
+                         config.refinement, path_seeds, noise_seeds)
     truths = np.empty((len(sizes), reps))
     for block in range(0, reps, _LIVE_ROWS):
         stop = min(block + _LIVE_ROWS, reps)
-        latent.start(block, stop)
-        noisy.start(block, stop)
+        tiles.start(block, stop)
         for lo, hi in _tiles(sizes[-1]["n"]):
             reached = []  # (grid, width, latent and noise weights, coefficients) of each n
             for i, size in enumerate(sizes):
@@ -288,22 +285,22 @@ def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> lis
                 cols = size["latent"][:w]
                 for basis, at, _ in size["forms"]:
                     basis_columns(basis, n, at.stop - at.start, cols[:, at], (lo, lo + w))
-                noi = noisy.weights(n, lo, cols, size["noise"])
-                if latent.drift_level:  # the same row for every replication
-                    coef[0, block:stop] += latent.offset(i, cols)
-                lat = None if latent.shocks is None else latent.weights(i, lo, cols)
+                noi = tiles.noise_weights(i, lo, cols, size["noise"])
+                if tiles.drift_level:  # the same row for every replication
+                    coef[0, block:stop] += tiles.offset(i, cols)
+                lat = None if tiles.shocks is None else tiles.weights(i, lo, cols)
                 reached.append((i, w, lat, noi, coef[:, block:stop]))
             for first in range(0, stop - block, _TILE_ROWS):
                 group = slice(first, min(first + _TILE_ROWS, stop - block))
                 g = group.stop - first
-                latent.draw(group, lo, hi - lo)
+                tiles.draw(group, hi - lo)
                 for i, w, lat, _, coef in reached:
                     if lat is not None:
-                        coef[0, group] += latent.normals(i, g, w) @ lat
-                noisy.draw(group, lo, hi - lo)
+                        coef[0, group] += tiles.normals(i, g, w) @ lat
+                noise = tiles.draw_noise(group, lo, hi - lo)
                 for _, w, _, noi, coef in reached:
-                    coef[1, group] += noisy.values[:g, : w + 1] @ noi
-        truths[:, block:stop] = latent.truths
+                    coef[1, group] += noise[:, : w + 1] @ noi
+        truths[:, block:stop] = tiles.truths
 
     def parts(forms, a, b, scale=1.0):
         return np.array(

@@ -17,15 +17,17 @@ Philox keys are numpy's SeedSequence hash, computed here on Python ints for
 one seed or on arrays for many seeds in one pass, and each sampler re-keys
 Philox generators of its own, a spare list that outlives runs, for each
 group of streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))``
-without either object being built per stream or per run.  Paths, and the
-Monte Carlo engine's noise (``_NoiseTiles``), are drawn in tiles of
-``_TILE_WIDTH`` observed increments, each drawn once for paths of several
-lengths (each reading a prefix) and continuing its streams, so a
-tile-by-tile draw has the bits of one long draw: :func:`observe` and the
-correlated paths make that in one fill.  The tile samplers size their
-buffers from their seeds and grids, and their per-stream state from each
-``start``.  Paths whose spot variance is zero everywhere draw no latent
-shocks.
+without either object being built per stream or per run.  The Monte Carlo
+engine draws its series, path and noise, through one sampler
+(``_SeriesTiles``) in tiles of ``_TILE_WIDTH`` observed increments, each
+drawn once for series of several lengths (each reading a prefix) and
+continuing its streams, so a tile-by-tile draw has the bits of one long
+draw.  It sizes its one draw buffer from its seeds and grids, and its
+per-stream state from each ``start``.  :func:`simulate_latent`,
+:func:`observe` and the correlated paths are its independent reference:
+each draws its own streams in one fill, and shares with the engine only the
+formulas of a step.  Paths whose spot variance is zero everywhere draw no
+latent shocks.
 """
 
 from __future__ import annotations
@@ -390,6 +392,13 @@ class _Streams:
         return out
 
 
+def _normals(seed: int, size: int, spawn: int | None = None) -> np.ndarray:
+    """The first ``size`` normals of the stream of ``seed`` (spawn key ``spawn``)."""
+    streams = _Streams(seed, spawn)
+    streams.start(0, 1)
+    return streams.fill(np.empty((1, size)))[0]
+
+
 def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
     """A deterministic volatility model as a PiecewiseVol (a constant is one level); None for OU."""
     if isinstance(vol, ConstantVol):
@@ -423,81 +432,92 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     return [(k, min(k + _TILE_WIDTH, n)) for k in range(0, n, _TILE_WIDTH)]
 
 
-class _LatentTiles:
-    """Latent increments of paths on several grids, tile by tile.
+def _step_truth(steps: PiecewiseVol) -> float:
+    """The integrated variance of step volatility over [0, 1]."""
+    edges = np.array((0.0,) + steps.breakpoints + (1.0,))
+    return float(np.sum(np.array(steps.levels, dtype=float) * np.diff(edges)))
+
+
+def _euler_ou(vol: OrnsteinUhlenbeckVol, state: np.ndarray, shocks: np.ndarray,
+              dt: float) -> np.ndarray:
+    """The spot variance, the squared OU state, at the w + 1 points of w Euler-Maruyama steps
+    of size dt from ``state``, a row per path, driven by the rows x w normals ``shocks``.
+    Leaves each path's last state in ``state``."""
+    sqrt_dt = np.sqrt(dt)
+    path = np.empty((shocks.shape[1] + 1, len(state)))  # all paths stepped at once
+    path[0] = state
+    for k in range(len(path) - 1):
+        path[k + 1] = (
+            path[k]
+            + vol.reversion_rate * (vol.mean_level - path[k]) * dt
+            + vol.vol_of_vol * (shocks[:, k] * sqrt_dt)
+        )
+    state[...] = path[-1]
+    return np.square(path, out=path).T.copy()  # the truths' bits need this layout
+
+
+class _SeriesTiles:
+    """The Monte Carlo engine's noisy series on several grids, tile by tile.
 
     Grid i has ``ns[i]`` observed steps; row j follows the path stream of
-    ``seeds[j]``.  Under deterministic volatility step k is normal k of the
-    stream times the step's standard deviation (:func:`_step_scales`, taken
-    per tile); under OU it
-    is ``refinement`` Euler-Maruyama steps driven by normals of the stream of
-    spawn key 0, the state by spawn key 1.  :meth:`start` begins any run of
-    paths, and :meth:`draw` draws one tile's normals for up to _TILE_ROWS of
-    those, once, into ``raw``, sized for the largest grid.  :meth:`tile`
-    scales a prefix of them into one grid's increments.  The Monte Carlo
-    engine forms none: it multiplies :meth:`normals`, a column per observed
-    step, by :meth:`weights` and adds :meth:`offset`, the drift's part.  OU
-    state and truths carry over from tile to tile.  Paths whose spot
-    variance is zero everywhere draw no shocks.
+    ``path_seeds[j]`` and the noise stream of ``noise_seeds[j]``.  Under
+    deterministic volatility step k is normal k of the path stream times the
+    step's standard deviation (:func:`_step_scales`, taken per tile); under
+    OU it is ``refinement`` Euler-Maruyama steps driven by normals of the
+    stream of spawn key 0, the state (:func:`_euler_ou`) by spawn key 1.
+    The noise at time k is normal k of the noise stream times the noise
+    scale, whatever the length n.  :meth:`start` begins any run of series.
+    For a group of up to _TILE_ROWS of them, :meth:`draw` draws one tile's
+    path normals, once, into ``raw``, sized for the largest grid; the engine
+    multiplies :meth:`normals`, a column per observed step, by
+    :meth:`weights` and adds :meth:`offset`, the drift's part.  Then
+    :meth:`draw_noise` draws the noise normals at the tile's w + 1 times
+    into the same buffer, which the engine multiplies by
+    :meth:`noise_weights`.  OU state, truths and each series' noise carry
+    (its normal at the last drawn time) carry over from tile to tile.
+    Paths whose spot variance is zero everywhere draw no shocks.
     """
 
-    def __init__(self, vol: VolModel, drift: DriftModel, ns, refinement: int, seeds):
+    def __init__(self, vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refinement: int,
+                 path_seeds, noise_seeds):
         steps = _as_piecewise(vol)
         ou = steps is None
-        self.vol, self.steps, self.ns = vol, steps, list(ns)
+        self.vol, self.steps, self.noise, self.ns = vol, steps, noise, list(ns)
         self.r = refinement if ou else 1
         self.dts = [1.0 / (n * self.r) for n in ns]
         self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
-        if not ou:
-            edges = np.array((0.0,) + steps.breakpoints + (1.0,))
-            self.exact = float(np.sum(np.array(steps.levels, dtype=float) * np.diff(edges)))
+        self.noise_scale = np.sqrt(noise.variance)
         silent = not ou and not any(steps.levels)
-        self.shocks = None if silent else _Streams(seeds, 0 if ou else None)
-        self.vol_shocks = _Streams(seeds, 1) if ou else None
-        # the path shocks, then the OU state shocks, of a tile of the largest grid; the
-        # first is wide enough for a tile's noise normals too (see _NoiseTiles)
+        self.shocks = None if silent else _Streams(path_seeds, 0 if ou else None)
+        self.vol_shocks = _Streams(path_seeds, 1) if ou else None
+        self.noise_shocks = _Streams(noise_seeds)
+        # the path normals, then the OU state shocks, of a tile of the largest grid; the
+        # first is wide enough for the tile's noise normals, drawn once the path's are used
         width = min(max(ns), _TILE_WIDTH)
-        rows = min(_TILE_ROWS, np.size(seeds))
+        rows = min(_TILE_ROWS, np.size(path_seeds))
         self.raw = np.empty((1 + ou, rows, max(width * self.r, width + 1)))
 
     def start(self, lo: int, hi: int) -> None:
-        """Begin the paths of seeds[lo:hi] at time 0 on every grid."""
-        for streams in (self.shocks, self.vol_shocks):
+        """Begin the series lo..hi-1 of the seeds at time 0 on every grid."""
+        for streams in (self.shocks, self.vol_shocks, self.noise_shocks):
             if streams is not None:
                 streams.start(lo, hi)
         shape = (len(self.ns), hi - lo)
         if self.vol_shocks is None:
-            self.truths = np.full(shape, self.exact)
+            self.truths = np.full(shape, _step_truth(self.steps))
         else:
             self.state = np.full(shape, float(self.vol.initial_level))
             self.truths = np.zeros(shape)
+        self.carry = np.empty(hi - lo)
 
-    def draw(self, group: slice, lo: int, w: int) -> None:
-        """Draw the shocks of the started paths ``group`` over observed increments lo..lo+w-1."""
-        self.group, self.first = group, lo * self.r
+    def draw(self, group: slice, w: int) -> None:
+        """Draw the path shocks of the started series ``group`` over their next w observed
+        increments."""
+        self.group = group
         rows = group.stop - group.start
         for raw, streams in zip(self.raw, (self.shocks, self.vol_shocks)):
             if streams is not None:
                 streams.fill(raw[:rows, : w * self.r], group.start)
-
-    def tile(self, i: int, dx: np.ndarray):
-        """Fill ``dx`` (rows x w) with grid i's increments over the first w drawn steps
-        (observed steps, or fine steps under OU, which steps the group's state).  Returns the
-        spot variance at their w + 1 points: a row per path under OU, one row otherwise."""
-        rows, w = dx.shape
-        if self.vol_shocks is None:
-            spot = _levels_at(self.steps, np.arange(self.first, self.first + w + 1) / self.ns[i])
-            scale = _step_scales(self.steps, self.ns[i], self.first, self.first + w)
-        else:
-            spot = self._ou_spot(i, rows, w)
-            scale = np.sqrt(spot[:, :-1] * self.dts[i])
-        if self.shocks is None:
-            dx[...] = self.drift_level * self.dts[i]
-        else:
-            np.multiply(self.raw[0, :rows, :w], scale, out=dx)
-            if self.drift_level:
-                dx += self.drift_level * self.dts[i]
-        return spot
 
     def weights(self, i: int, lo: int, cols: np.ndarray) -> np.ndarray:
         """Weights L: ``normals(i, rows, w) @ L + offset(i, cols)`` is grid i's increments over
@@ -521,61 +541,20 @@ class _LatentTiles:
         """The drift's part of grid i's increments times ``cols``, the same for every path."""
         return self.drift_level * self.r * self.dts[i] * cols.sum(axis=0)
 
-    def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
-        # OU state stepped for all rows at once; the spot variance is the
-        # squared state, hence nonnegative by construction.
-        vol, dt, sqrt_dt = self.vol, self.dts[i], np.sqrt(self.dts[i])
-        shocks = self.raw[1, :rows, :w]
-        state = np.empty((w + 1, rows))
-        state[0] = self.state[i, self.group]
-        for k in range(w):
-            state[k + 1] = (
-                state[k]
-                + vol.reversion_rate * (vol.mean_level - state[k]) * dt
-                + vol.vol_of_vol * (shocks[:, k] * sqrt_dt)
-            )
-        self.state[i, self.group] = state[-1]
-        spot = np.square(state, out=state).T.copy()  # the truths' bits need this layout
-        self.truths[i, self.group] += _trapezoid(spot, dx=dt, axis=1)
-        return spot
-
-
-class _NoiseTiles:
-    """Observation noise of the Monte Carlo engine's series of any length, tile by tile.
-
-    Row j follows the noise stream of ``seeds[j]``: the noise at time k is
-    normal k of the stream times the noise scale, whatever the length n.
-    :meth:`start` begins any run of the series, each with a carry: its
-    normal at the last drawn time.  :meth:`draw` draws the normals at a
-    tile's w + 1 times for a group of up to ``len(values)`` of them into the
-    buffer ``values`` (the one at the tile's first time is the carry), which
-    the Monte Carlo engine multiplies by :meth:`weights`.  The engine passes
-    the path normals' buffer (``_LatentTiles.raw[0]``) and draws the noise
-    once it is done with them.
-    """
-
-    def __init__(self, noise: NoiseModel, seeds, values: np.ndarray):
-        self.noise, self.scale = noise, np.sqrt(noise.variance)
-        self.streams = _Streams(seeds)
-        self.values = values
-
-    def start(self, lo: int, hi: int) -> None:
-        """Begin the series of seeds[lo:hi] at time 0."""
-        self.streams.start(lo, hi)
-        self.carry = np.empty(hi - lo)
-
-    def draw(self, group: slice, lo: int, w: int) -> None:
-        """Draw the normals of the started series ``group`` at times lo..lo+w."""
-        v = self.values[: group.stop - group.start, : w + 1]
+    def draw_noise(self, group: slice, lo: int, w: int) -> np.ndarray:
+        """The normals of the started series ``group`` at times lo..lo+w, drawn over the
+        path normals (the one at time lo is the carry)."""
+        v = values = self.raw[0, : group.stop - group.start, : w + 1]
         if lo:
             v[:, 0] = self.carry[group]
             v = v[:, 1:]
-        self.streams.fill(v, group.start)
+        self.noise_shocks.fill(v, group.start)
         self.carry[group] = v[:, -1]
+        return values
 
-    def weights(self, n: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Weights N in ``out``: ``values[:, :w + 1] @ N`` is a series of n's noise
-        differences over steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
+    def noise_weights(self, i: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Weights N in ``out``: ``draw_noise(group, lo, w) @ N`` is grid i's noise differences
+        over steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
 
         Summation by parts, sum_j (v_{j+1} - v_j) c_j = sum_t v_t (c_{t-1} - c_t)
         with c_{-1} = c_w = 0, gives row t; the rows of excluded end points are zero.
@@ -585,12 +564,19 @@ class _NoiseTiles:
         out[0] = 0.0
         out[1:] = cols
         out[:w] -= cols
-        out *= self.scale
+        out *= self.noise_scale
         if lo == 0 and not self.noise.include_initial:
             out[0] = 0.0
-        if lo + w == n and not self.noise.include_terminal:
+        if lo + w == self.ns[i] and not self.noise.include_terminal:
             out[w] = 0.0
         return out
+
+    def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
+        """The spot variance of the group's paths on grid i at the w + 1 points of its next w
+        fine steps, which step their state and add to their truths."""
+        spot = _euler_ou(self.vol, self.state[i, self.group], self.raw[1, :rows, :w], self.dts[i])
+        self.truths[i, self.group] += _trapezoid(spot, dx=self.dts[i], axis=1)
+        return spot
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a path that overflows is refused
@@ -606,24 +592,34 @@ def simulate_latent(
     Deterministic volatility draws each observed step by its exact law, as
     the Monte Carlo engine does: the path lies on the observation grid, and
     ``refinement`` is only checked.  OU volatility is Euler-Maruyama on the
-    grid refined ``refinement`` times.  Raises :class:`InvalidParameter` for
-    a refinement < 1 or seed < 0 or either not an integer, or a path grid
-    whose arrays would exceed :data:`MAX_BUFFER_BYTES`, and
-    :class:`ResultOverflow` for a path or truth that overflows float64.
+    grid refined ``refinement`` times, its truth summed per tile of
+    _TILE_WIDTH observed steps as the engine sums it.  Raises
+    :class:`InvalidParameter` for a refinement < 1 or seed < 0 or either not
+    an integer, or a path grid whose arrays would exceed
+    :data:`MAX_BUFFER_BYTES`, and :class:`ResultOverflow` for a path or
+    truth that overflows float64.
     """
     refinement = _index(refinement, "refinement", 1)
-    r = refinement if _as_piecewise(vol) is None else 1  # deterministic: the observation grid
-    # the increments, spot, sums, values and times, and an OU tile's draws and state
-    # (a traced peak of 5.2 floats per point, 7.1 under OU)
-    n_fine = _fine_points(scheme.n, r, 8)
-    latent = _LatentTiles(vol, drift, (scheme.n,), refinement, _index(rng_seed, "rng_seed", 0))
-    latent.start(0, 1)
-    dx = np.empty((1, n_fine))
-    spot = np.empty(n_fine + 1)
-    for lo, hi in _tiles(scheme.n):
-        latent.draw(slice(0, 1), lo, hi - lo)
-        spot[lo * r : hi * r + 1] = latent.tile(0, dx[:, lo * r : hi * r])
-    values, truth = np.concatenate(([0.0], np.cumsum(dx[0]))), float(latent.truths[0, 0])
+    seed = _index(rng_seed, "rng_seed", 0)
+    n, steps = scheme.n, _as_piecewise(vol)
+    # the increments, spot, sums, values and times, and the draws and OU state (a traced
+    # peak of 6.1 floats per point at n = 4096, 5.2 under OU at refinement 10)
+    n_fine = _fine_points(n, refinement if steps is None else 1, 8)
+    dt = 1.0 / n_fine
+    if steps is None:
+        spot = _euler_ou(vol, np.array([float(vol.initial_level)]),
+                         _normals(seed, n_fine, 1)[np.newaxis], dt)
+        truth = 0.0  # summed per tile, as the engine sums it
+        for lo, hi in _tiles(n):
+            truth += _trapezoid(spot[:, lo * refinement : hi * refinement + 1], dx=dt, axis=1)[0]
+        spot = spot[0]
+        dx = _normals(seed, n_fine, 0) * np.sqrt(spot[:-1] * dt)
+    else:
+        truth, spot = _step_truth(steps), _levels_at(steps, np.arange(n + 1) / n)
+        dx = _normals(seed, n) * _step_scales(steps, n, 0, n) if any(steps.levels) else np.zeros(n)
+    if isinstance(drift, ConstantDrift) and drift.level:
+        dx += drift.level * dt
+    values, truth = np.concatenate(([0.0], np.cumsum(dx))), float(truth)
     if not (math.isfinite(truth) and np.all(np.isfinite(values))):  # an inf spot makes truth inf
         raise ResultOverflow("the path overflows float64 at the model's scale")
     return LatentPath(np.arange(n_fine + 1) / n_fine, values, spot, truth)
@@ -640,13 +636,15 @@ def simulate_latent_correlated(
 
     ``loadings`` is the constant J x d matrix sigma (a vector is one row);
     the exact integrated covariance matrix is ``loadings @ loadings.T`` and
-    is returned alongside the per-asset paths.  Raises
+    is returned alongside the per-asset paths.  Constant loadings make each
+    observed step's law exact, so each is drawn by it: the paths lie on the
+    observation grid, and ``refinement`` is only checked.  Raises
     :class:`DimensionMismatch` for loadings that are not a non-empty J x d
     matrix, :class:`InvalidParameter` for a loading that is not a finite
     real number and for a refinement or seed as :func:`simulate_latent`
     does, and :class:`ResultOverflow` for a covariance that overflows float64.
     """
-    refinement = _index(refinement, "refinement", 1)
+    _index(refinement, "refinement", 1)
     sigma = np.atleast_2d(_real_array(loadings, "loadings"))
     if sigma.ndim != 2 or sigma.size == 0:
         raise DimensionMismatch(f"loadings must be a non-empty J x d matrix, got {sigma.shape}")
@@ -655,17 +653,15 @@ def simulate_latent_correlated(
     j_count, d = len(sigma), sigma.shape[1]
     # the shocks and their scaled copy, the increments, each path's sums, values and
     # spot, and the times (a traced peak of 11 floats per point at J = 3, d = 1)
-    n_fine = _fine_points(scheme.n, refinement, 3 * j_count + 2 * d + 1)
-    fine_times = np.arange(n_fine + 1) / n_fine
-    streams = _Streams(_index(rng_seed, "rng_seed", 0))
-    streams.start(0, 1)
-    dw = streams.fill(np.empty((1, n_fine * d)))[0] * np.sqrt(1.0 / n_fine)
-    dx = dw.reshape(n_fine, -1) @ sigma.T
+    n = _fine_points(scheme.n, 1, 3 * j_count + 2 * d + 1)
+    times = scheme.times()
+    dw = _normals(_index(rng_seed, "rng_seed", 0), n * d) * np.sqrt(1.0 / n)
+    dx = dw.reshape(n, -1) @ sigma.T
     cov = sigma @ sigma.T
     if not np.all(np.isfinite(cov)):
         raise ResultOverflow("the covariance overflows float64 at the loadings' scale")
-    paths = [LatentPath(fine_times, np.concatenate(([0.0], np.cumsum(dx[:, j]))),
-                        np.full(n_fine + 1, cov[j, j]), float(cov[j, j]))
+    paths = [LatentPath(times, np.concatenate(([0.0], np.cumsum(dx[:, j]))),
+                        np.full(n + 1, cov[j, j]), float(cov[j, j]))
              for j in range(j_count)]
     return paths, cov
 
@@ -690,9 +686,7 @@ def observe(
         )
     step = n_fine // scheme.n
     latent = path.values[::step].copy()
-    streams = _Streams(_index(rng_seed, "rng_seed", 0))
-    streams.start(0, 1)
-    v = streams.fill(np.empty((1, scheme.n + 1)))[0] * np.sqrt(noise.variance)
+    v = _normals(_index(rng_seed, "rng_seed", 0), scheme.n + 1) * np.sqrt(noise.variance)
     if not noise.include_initial:
         v[0] = 0.0
     if not noise.include_terminal:

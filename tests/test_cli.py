@@ -12,6 +12,7 @@ import spectralvol.cli as cli
 from spectralvol.cli import (
     EX_CONFIG,
     EX_DATAERR,
+    EX_FAIL,
     EX_IOERR,
     EX_OK,
     EX_USAGE,
@@ -24,7 +25,16 @@ from spectralvol.estimators import (
     result_csv_rows,
     siml,
 )
-from spectralvol.market import read_observations_csv
+from spectralvol.experiments import ExperimentConfig
+from spectralvol.market import (
+    ConstantDrift,
+    ConstantVol,
+    NoiseModel,
+    OrnsteinUhlenbeckVol,
+    PiecewiseVol,
+    ZeroDrift,
+    read_observations_csv,
+)
 
 NOISE_BOUNDS_CFG = """
 [simulation]
@@ -492,6 +502,82 @@ class TestBadConfig:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EX_CONFIG
         key = line.split()[0]
         assert capsys.readouterr().err == f"config error: [{section}] {key} is required\n"
+
+
+    @pytest.mark.parametrize(
+        "old,new,says",
+        [("[estimators]", "[extra]\nkey = 1\n\n[estimators]", "unknown section [extra]"),
+         ("[noise]\nvariance = 0.01\ninclude_initial = true\ninclude_terminal = true\n", "",
+          "missing section [noise]")],
+        ids=["unknown", "missing"],
+    )
+    def test_section_is_named(self, tmp_path, capsys, old, new, says):
+        assert old in NOISE_BOUNDS_CFG
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(NOISE_BOUNDS_CFG.replace(old, new))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)]) == EX_CONFIG
+        assert capsys.readouterr().err == f"config error: {says}\n"
+        assert not out_dir.exists()
+
+
+# A consistency run of each volatility model the config file names, and of a
+# constant drift: (its [simulation] lines, the models and refinement they read).
+_MODEL_CONFIGS = {
+    "piecewise": ("vol = piecewise\nbreakpoints = 0.25, 0.5\nlevels = 1.0, 4.0, 0.5\n"
+                  "drift = zero\nrefinement = 1",
+                  PiecewiseVol((0.25, 0.5), (1.0, 4.0, 0.5)), ZeroDrift(), 1),
+    "ou": ("vol = ou\nmean_level = 0.8\nreversion_rate = 2.0\nvol_of_vol = 0.3\n"
+           "initial_level = 1.2\ndrift = zero\nrefinement = 2",
+           OrnsteinUhlenbeckVol(0.8, 2.0, 0.3, 1.2), ZeroDrift(), 2),
+    "constant_drift": ("vol = constant\nvol_level = 1.5\ndrift = constant\ndrift_level = -0.4\n"
+                       "refinement = 1",
+                       ConstantVol(1.5), ConstantDrift(-0.4), 1),
+}
+
+
+class TestConfigModels:
+    """Each model of a config file is built from every key it reads, and runs."""
+
+    @pytest.mark.parametrize("name", sorted(_MODEL_CONFIGS))
+    def test_parsed_and_run(self, tmp_path, capsys, name):
+        lines, vol, drift, refinement = _MODEL_CONFIGS[name]
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"""
+[simulation]
+{lines}
+n_schedule = 63, 511
+
+[noise]
+variance = 1e-4
+include_initial = false
+include_terminal = true
+
+[estimators]
+kinds = siml, ina_sine
+
+[experiment]
+type = consistency
+replications = 60
+m_exponent = 0.4
+base_seed = 3
+threads = 2
+""")
+        want = ExperimentConfig(
+            kinds=("siml", "ina_sine"), n_schedule=(63, 511), vol=vol, drift=drift,
+            noise=NoiseModel(1e-4, include_initial=False, include_terminal=True),
+            replications=60, base_seed=3, m_exponent=0.4, refinement=refinement, threads=2,
+        )
+        assert cli.parse_config(str(cfg)) == ("consistency", want)
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--config", str(cfg), "--out-dir", str(out_dir)])
+        # the verdict of 4 rows at 2 Monte Carlo SE and 60 replications is not checked here
+        assert code in (EX_OK, EX_FAIL)
+        assert "experiment=consistency rows=4 " in capsys.readouterr().out
+        rows = (out_dir / "consistency.csv").read_text().splitlines()
+        assert rows[0].startswith("experiment,kind,n,m,") and len(rows) == 5
+        assert [row.split(",")[1:3] for row in rows[1:]] == [
+            ["siml", "63"], ["ina_sine", "63"], ["siml", "511"], ["ina_sine", "511"]]
 
 
 class TestConfigKeysInReadme:

@@ -1,14 +1,17 @@
 """Each module of the package uses every name it imports, some code of the
-package reads every private name a module defines, and every exported name is
-defined where it is exported from.
+package reads every private name a module defines and every method a class
+defines, and every exported name is defined where it is exported from.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
 wraps it on that module: the tracer looks it up there.  A private helper,
-class or constant that no code reads is left over from a change and fails.
+class, constant or method that no code reads is left over from a change and
+fails; so does a method kept only for tests.  Dunders, and overrides of a
+library base class's method (its caller is the library), are exempt.
 """
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -88,11 +91,41 @@ def test_finds_an_unread_private_name():
     assert _private_definitions(source) - _reads(source) == {"_B", "_C", "_f"}
 
 
+def _methods(source: str) -> set[tuple[str, str]]:
+    """(class, method) of each method the module-level classes of ``source`` define, dunders
+    aside."""
+    return {(node.name, item.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def _overrides_a_library_method(cls: type, name: str) -> bool:
+    """Whether method ``name`` of ``cls`` overrides one of a base class outside the package."""
+    return any(hasattr(base, name) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("spectralvol"))
+
+
+def test_finds_an_unread_method():
+    source = ("class K:\n    def __init__(self): self.f()\n    def f(self): pass\n"
+              "    def g(self): pass\n    @property\n    def h(self): pass\n"
+              "class P(Exception):\n    def with_traceback(self, tb): pass\n")
+    assert {(cls, name) for cls, name in _methods(source) if name not in _reads(source)} == {
+        ("K", "g"), ("K", "h"), ("P", "with_traceback")}
+    assert _overrides_a_library_method(Exception, "with_traceback")
+    assert not _overrides_a_library_method(Exception, "g")
+
+
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in (_ROOT / "src" / "spectralvol").glob("*.py")}
     read = set().union(*map(_reads, sources.values()))
     unread = {(stem, name) for stem, source in sources.items()
               for name in _private_definitions(source) - read}
+    for stem, source in sources.items():
+        for cls, name in _methods(source):
+            owner = getattr(importlib.import_module(f"spectralvol.{stem}"), cls)
+            if name not in read and not _overrides_a_library_method(owner, name):
+                unread.add((stem, f"{cls}.{name}"))
     assert unread == set()
 
 

@@ -25,8 +25,7 @@ from spectralvol.market import (
     _TILE_ROWS,
     _TILE_WIDTH,
     _derive_seeds,
-    _LatentTiles,
-    _NoiseTiles,
+    _SeriesTiles,
     _seed_words,
     _step_scales,
     _Streams,
@@ -62,22 +61,25 @@ class TestSimulateLatent:
     def test_terminal_variance_matches_level(self):
         """Monte Carlo moment oracle: Var(X_1 - X_0) = c over many seeds.
 
-        The one-step paths of seeds 0..n_seeds-1 are drawn through the keyed
-        streams a block of live generators at a time, in groups of _TILE_ROWS;
-        every 997th has the bits of its own simulate_latent call.
+        The one-step paths of seeds 0..n_seeds-1 are drawn through the engine's
+        sampler a block of live generators at a time, in groups of _TILE_ROWS,
+        and read as the engine reads them, normals times weights; every 997th
+        has the bits of its own simulate_latent call.
         """
         c = 2.3
         scheme = EquidistantScheme(1)
         n_seeds, block = 100_000, 1000
-        latent = _LatentTiles(ConstantVol(c), ZeroDrift(), (1,), 1, np.arange(n_seeds))
-        ends = np.empty((n_seeds, 1))
+        seeds = np.arange(n_seeds)
+        tiles = _SeriesTiles(ConstantVol(c), ZeroDrift(), NoiseModel(0.0), (1,), 1, seeds, seeds)
+        scale = tiles.weights(0, 0, np.ones((1, 1)))
+        ends = np.empty(n_seeds)
         for lo in range(0, n_seeds, block):
-            latent.start(lo, lo + block)
+            tiles.start(lo, lo + block)
             for first in range(0, block, _TILE_ROWS):
                 group = slice(first, min(first + _TILE_ROWS, block))
-                latent.draw(group, 0, 1)
-                latent.tile(0, ends[lo + group.start : lo + group.stop])
-        ends = ends[:, 0]
+                tiles.draw(group, 1)
+                rows = group.stop - group.start
+                ends[lo + group.start : lo + group.stop] = (tiles.normals(0, rows, 1) @ scale)[:, 0]
         for seed in range(0, n_seeds, 997):
             path = simulate_latent(ConstantVol(c), ZeroDrift(), scheme, 1, seed)
             assert ends[seed] == path.values[-1]
@@ -295,35 +297,46 @@ _VOLS = {
 
 
 def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
-    """Rows of the tile helpers, walked as the Monte Carlo engine walks them.
+    """Rows of the engine's sampler, walked and read as the Monte Carlo engine walks them.
 
-    All rows start as one live block, and each tile is drawn and scaled for
-    groups of ``group`` rows in turn, so every row's streams, OU state,
-    truth and noise carry must persist from tile to tile.  Returns the
-    latent increments, spot variances, truths and the noise with its
-    excluded end points zeroed, as ``observe`` zeroes them.  Latent
-    increments are per observed step, or per fine step under OU.
+    All rows start as one live block, and each tile is drawn for groups of
+    ``group`` rows in turn, so every row's streams, OU state, truth and
+    noise carry must persist from tile to tile.  Returns the latent
+    increments per observed step (``normals @ weights + offset`` with the
+    identity for basis rows), the spot variance that ``_ou_spot`` steps
+    (None under deterministic volatility, which forms none), the truths,
+    and the noise values times the noise scale with the excluded end points
+    zeroed, as ``observe`` zeroes them.
     """
     rows = len(path_seeds)
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
-    latent = _LatentTiles(vol, drift, (n,), refinement, seeds[0])
-    r = latent.r
-    sampler = _NoiseTiles(noise, seeds[1], np.empty((group, _TILE_WIDTH + 1)))
-    latent.start(0, rows)
-    sampler.start(0, rows)
-    dx, spot = np.empty((rows, n * r)), np.empty((rows, n * r + 1))
+    tiles = _SeriesTiles(vol, drift, noise, (n,), refinement, *seeds)
+    r, spots = tiles.r, []
+
+    def ou_spot(*args, step=tiles._ou_spot):  # the engine's call, its result kept
+        spots.append(step(*args))
+        return spots[-1]
+
+    tiles._ou_spot = ou_spot
+    tiles.start(0, rows)
+    dx, spot = np.empty((rows, n)), np.empty((rows, n * r + 1))
     v = np.empty((rows, n + 1))
     for lo, hi in _tiles(n):
         w = hi - lo
+        eye = np.eye(w)
+        lat = tiles.weights(0, lo, eye.copy())
         for first in range(0, rows, group):
             g = slice(first, min(first + group, rows))
-            latent.draw(g, lo, w)
-            spot[g, lo * r : hi * r + 1] = latent.tile(0, dx[g, lo * r : hi * r])
-            sampler.draw(g, lo, w)
-            v[g, lo : hi + 1] = sampler.values[: g.stop - first, : w + 1] * sampler.scale
+            tiles.draw(g, w)
+            dx[g, lo:hi] = tiles.offset(0, eye)
+            if tiles.shocks is not None:
+                dx[g, lo:hi] += tiles.normals(0, g.stop - first, w) @ lat
+            if spots:
+                spot[g, lo * r : hi * r + 1] = spots.pop()
+            v[g, lo : hi + 1] = tiles.draw_noise(g, lo, w) * tiles.noise_scale
     v[:, 0] = v[:, 0] if noise.include_initial else 0.0
     v[:, -1] = v[:, -1] if noise.include_terminal else 0.0
-    return dx, spot, latent.truths[0], v
+    return dx, None if tiles.vol_shocks is None else spot, tiles.truths[0], v
 
 
 class TestBlockHelpers:
@@ -342,30 +355,32 @@ class TestBlockHelpers:
         dx, spot, truths, v = _tiled(
             _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
         )
-        steps = n * (refinement if vol == "ou" else 1)
-        assert dx.shape == (5, steps) and v.shape == (5, n + 1)
-        assert truths.shape == (5,)
+        r = refinement if vol == "ou" else 1
+        assert dx.shape == (5, n) and v.shape == (5, n + 1)
+        assert truths.shape == (5,) and (spot is None) == (vol != "ou")
         for j, (ps, ns) in enumerate(zip(path_seeds, noise_seeds)):
             path = simulate_latent(_VOLS[vol], drift, scheme, refinement, ps)
             obs = observe(path, noise, scheme, ns)
             tol = 1e-12 * np.max(np.abs(path.values))
-            np.testing.assert_allclose(dx[j], np.diff(path.values), rtol=0, atol=tol)
-            np.testing.assert_array_equal(spot[j], path.spot_variance)
+            np.testing.assert_allclose(dx[j], np.diff(path.values[::r]), rtol=0, atol=tol)
+            if spot is not None:
+                np.testing.assert_array_equal(spot[j], path.spot_variance)
             np.testing.assert_array_equal(v[j], obs.noise)
             assert truths[j] == path.true_integrated_vol
 
 
     def test_samplers_size_themselves(self):
         """The draw buffer from the seeds and grids; the generators and carry from start()."""
-        many = np.arange(_TILE_ROWS + 5)
-        latent = _LatentTiles(_VOLS["ou"], ZeroDrift(), (5, 40), 3, many)
-        assert latent.raw.shape == (2, _TILE_ROWS, 120)
+        many, noise = np.arange(_TILE_ROWS + 5), NoiseModel(0.01)
+        tiles = _SeriesTiles(_VOLS["ou"], ZeroDrift(), noise, (5, 40), 3, many, many)
+        assert tiles.raw.shape == (2, _TILE_ROWS, 120)
         for refinement in (1, 3):  # one normal per observed step under deterministic volatility
-            latent = _LatentTiles(ConstantVol(1.0), ZeroDrift(), (5,), refinement, [1, 2, 3])
-            assert latent.raw.shape == (1, 3, 6)
-        sampler = _NoiseTiles(NoiseModel(0.01), many, np.empty((_TILE_ROWS, 6)))
-        sampler.start(10, 17)
-        assert sampler.carry.shape == (7,) and len(sampler.streams.pool) == 7
+            tiles = _SeriesTiles(ConstantVol(1.0), ZeroDrift(), noise, (5,), refinement,
+                                 [1, 2, 3], [4, 5, 6])
+            assert tiles.raw.shape == (1, 3, 6)
+        tiles = _SeriesTiles(ConstantVol(1.0), ZeroDrift(), noise, (5,), 1, many, many)
+        tiles.start(10, 17)
+        assert tiles.carry.shape == (7,) and len(tiles.noise_shocks.pool) == 7
 
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
     def test_one_increment_series(self, ends):
@@ -404,19 +419,16 @@ class TestWeights:
     @staticmethod
     def _weighted(vol, drift, noise, n, r, path_seeds, noise_seeds, cols):
         rows = len(path_seeds)
-        latent = _LatentTiles(vol, drift, (n,), r, path_seeds)
-        sampler = _NoiseTiles(noise, noise_seeds, np.empty((rows, _TILE_WIDTH + 1)))
-        latent.start(0, rows)
-        sampler.start(0, rows)
+        tiles = _SeriesTiles(vol, drift, noise, (n,), r, path_seeds, noise_seeds)
+        tiles.start(0, rows)
         noi = np.empty((min(n, _TILE_WIDTH) + 1, cols.shape[1]))
         got = np.zeros((rows, cols.shape[1]))
         for lo, hi in _tiles(n):
             w, c = hi - lo, cols[lo:hi]
-            latent.draw(slice(0, rows), lo, w)
-            sampler.draw(slice(0, rows), lo, w)
-            got += latent.normals(0, rows, w) @ latent.weights(0, lo, c.copy())
-            got += latent.offset(0, c)
-            got += sampler.values[:, : w + 1] @ sampler.weights(n, lo, c, noi)
+            tiles.draw(slice(0, rows), w)
+            got += tiles.normals(0, rows, w) @ tiles.weights(0, lo, c.copy())
+            got += tiles.offset(0, c)
+            got += tiles.draw_noise(slice(0, rows), lo, w) @ tiles.noise_weights(0, lo, c, noi)
         return got
 
     @pytest.mark.parametrize("n", [1, 2, _TILE_WIDTH, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1])
@@ -608,6 +620,12 @@ class TestSeedingKernel:
         with pytest.raises(ValueError):
             _Streams(np.array([1, -2]))
 
+    def test_negative_base_of_many_seeds_rejected(self):
+        """The base seed's words refuse a negative int; the replications' array is checked
+        apart."""
+        with pytest.raises(InvalidParameter, match="non-negative"):
+            _derive_seeds(-1, np.arange(3), 0)
+
     def test_golden_values(self):
         """Sub-seeds and first normals as numpy's SeedSequence and Philox give them."""
         assert [derive_seed(11, r, s) for r in (0, 1, 499) for s in (0, 1)] == [
@@ -738,17 +756,17 @@ class TestZeroVarianceBlock:
         assert drawn == [(4, n + 1)]  # the noise tile alone
         step = (drift.level if isinstance(drift, ConstantDrift) else 0.0) * (1.0 / n)
         assert dx.tobytes() == np.full((4, n), step).tobytes()
-        assert not spot.any() and truths.tolist() == [0.0] * 4
+        assert spot is None and truths.tolist() == [0.0] * 4  # no spot variance is formed
         for row, seed in zip(v, seeds):
             assert row.tobytes() == (_philox_normals(seed, n + 1) * np.sqrt(0.01)).tobytes()
 
     def test_positive_variance_still_draws(self, monkeypatch):
         drawn = _count_fills(monkeypatch)
-        latent = _LatentTiles(ConstantVol(1e-300), ZeroDrift(), (8,), 1, [1, 2])
-        latent.start(0, 2)
-        latent.draw(slice(0, 2), 0, 8)
-        latent.tile(0, np.empty((2, 8)))
-        assert drawn == [(2, 8)]
+        tiles = _SeriesTiles(ConstantVol(1e-300), ZeroDrift(), NoiseModel(0.0), (8,), 1, [1, 2],
+                             [3, 4])
+        tiles.start(0, 2)
+        tiles.draw(slice(0, 2), 8)
+        assert tiles.normals(0, 2, 8).any() and drawn == [(2, 8)]
 
 
 _NAN, _INF = math.nan, math.inf
@@ -819,14 +837,12 @@ class TestSamplerArguments:
             lambda: derive_seed(0, -1, 0),
             lambda: derive_seed(0, 0, 1.5),
             lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 10**20, 1),
-            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 10**20, 1),
         ],
         ids=["refinement_non_integer", "refinement_nan", "seed_non_integer", "seed_negative",
              "silent_seed_non_integer", "ou_seed_negative", "observe_seed_non_integer",
              "observe_seed_negative", "correlated_refinement", "correlated_seed",
              "correlated_complex_loadings", "derive_base_negative", "derive_base_non_integer",
-             "derive_replication_negative", "derive_stream_non_integer", "ou_refinement_huge",
-             "correlated_refinement_huge"],
+             "derive_replication_negative", "derive_stream_non_integer", "ou_refinement_huge"],
     )
     def test_refused(self, call):
         with pytest.raises(InvalidParameter):
@@ -838,11 +854,12 @@ class TestSamplerArguments:
         monkeypatch.setattr(market, "MAX_BUFFER_BYTES", 8 * 8 * 41)  # 8 floats at 41 points
         simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 10, 1)
         simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(40), 10**20, 1)
+        simulate_latent_correlated(np.eye(2), _FOUR, 10**20, 1)  # 11 floats at 5 points
         drawn.clear()
         for call in (lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 11, 1),
                      lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(41),
                                              1, 1),
-                     lambda: simulate_latent_correlated(np.eye(2), _FOUR, 10, 1)):
+                     lambda: simulate_latent_correlated(np.eye(2), EquidistantScheme(30), 1, 1)):
             with pytest.raises(InvalidParameter, match="MAX_BUFFER_BYTES"):
                 call()
         assert drawn == []
@@ -857,11 +874,19 @@ class TestSamplerArguments:
 
 class TestCorrelatedPaths:
     def test_cov_matrix_and_shapes(self):
-        loadings = np.array([[1.0, 0.0], [0.5, 0.5]])
-        paths, cov = simulate_latent_correlated(loadings, EquidistantScheme(16), 2, 0)
-        assert len(paths) == 2
-        np.testing.assert_allclose(cov, loadings @ loadings.T)
-        assert paths[0].true_integrated_vol == pytest.approx(1.0)
+        """Refinement 2 draws each observed step by its exact law, d normals each, as
+        refinement 1 does: the paths lie on the observation grid."""
+        loadings, n, seed = np.array([[1.0, 0.0], [0.5, 0.5]]), 16, 0
+        dx = (_philox_normals(seed, 2 * n) * np.sqrt(1.0 / n)).reshape(n, 2) @ loadings.T
+        for r in (1, 2):
+            paths, cov = simulate_latent_correlated(loadings, EquidistantScheme(n), r, seed)
+            assert len(paths) == 2
+            np.testing.assert_allclose(cov, loadings @ loadings.T)
+            assert paths[0].true_integrated_vol == pytest.approx(1.0)
+            for j, path in enumerate(paths):
+                assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx[:, j]))).tobytes()
+                assert path.fine_times.tobytes() == EquidistantScheme(n).times().tobytes()
+                assert path.spot_variance.tobytes() == np.full(n + 1, cov[j, j]).tobytes()
 
     def test_perfectly_correlated_assets_coincide(self):
         loadings = np.array([[1.0], [1.0]])

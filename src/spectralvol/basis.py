@@ -9,10 +9,10 @@ with columns constant, sin(1), cos(1), sin(2), ....  Each diagonalizes the
 covariance of noise first differences (``DIAGONALIZING_BASIS``): ``JN`` has
 an extra 1 in the (1,1) corner (no noise on the first observation),
 ``JN_TILDE`` wrap-around corners (first and last noise identified) and
-``JN_TILDE_PRIME`` none (independent noise at both ends).  :func:`spectrum`
-is what the rest of the package reads of that diagonalization: the
-eigen-gaps 2 - lambda_l (:func:`eigen_gaps`, the only code that evaluates an
-eigen-angle) and basis rows 1 and n of the leading columns, in O(columns).
+``JN_TILDE_PRIME`` none (independent noise at both ends).  :func:`noise_law`
+is that diagonalization as the rest of the package reads it, in O(columns):
+the eigen-gaps 2 - lambda_l (:func:`eigen_gaps`, the only code that evaluates
+an eigen-angle) plus rank-one terms in basis rows 1 and n.
 
 :func:`basis_columns` is the only code that computes a basis entry, from
 exact integer products reduced modulo the period before multiplying by pi,
@@ -40,7 +40,7 @@ __all__ = [
     "eigen_gaps",
     "eigenvalues_closed_form",
     "cosine_square_sum",
-    "spectrum",
+    "noise_law",
 ]
 
 
@@ -62,6 +62,13 @@ DIAGONALIZING_BASIS = {
     JacobiKind.JN_TILDE_PRIME: BasisKind.DST_SINE,
     JacobiKind.JN_TILDE: BasisKind.FOURIER_REAL,
 }
+
+# Each basis's corner in the basis, as weights w of w r r^T for its end rows
+# r = u - v, u, v (rows 1 and n): e_1 e_1^T is u u^T, and the wrap-around corner
+# e_1 e_n^T + e_n e_1^T is u u^T + v v^T - (u - v)(u - v)^T, so spelled that
+# excluded ends cancel exactly and small gaps keep their digits.
+_CORNERS = {BasisKind.SIML_COSINE: (0, 1, 0), BasisKind.FOURIER_REAL: (-1, 1, 1),
+            BasisKind.DST_SINE: (0, 0, 0)}
 
 
 def _check_modes(kind: BasisKind, dim: int, num_modes: int) -> None:
@@ -87,15 +94,24 @@ def eigen_gaps(kind: BasisKind, dim: int, columns: int) -> np.ndarray:
     return 4.0 * np.sin(t) ** 2
 
 
-def spectrum(kind: BasisKind, dim: int, columns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(gaps, first_row, last_row)`` of the first ``columns`` columns of a basis on dim rows.
+def noise_law(kind: BasisKind, dim: int, columns: int, include_initial: bool = True,
+              include_terminal: bool = True) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """``(gaps, terms)``: ``B^T C B = diag(gaps) + sum w outer(r, r)`` over ``(w, r)`` in terms.
 
-    The gaps are :func:`eigen_gaps`; the rows are rows 1 and dim of
-    :func:`basis_columns`, built alone.  O(columns).
+    B is the first ``columns`` columns of the basis on dim rows; C = 2I - T,
+    less e_1 e_1^T or e_dim e_dim^T for an excluded initial or terminal noise,
+    is the covariance of noise first differences over the noise variance.
+    Terms of weight 0 are dropped and their rows never built: ``terms`` is empty
+    where the law is diagonal, cosine with only the initial noise out and sine
+    with both in.  O(columns).
     """
     gaps = eigen_gaps(kind, dim, columns)
-    first, last = (basis_columns(kind, dim, columns, rows=(k, k + 1))[0] for k in (0, dim - 1))
-    return gaps, first, last
+    w_diff, w_u, w_v = _CORNERS[BasisKind(kind)]
+    w_u, w_v = w_u - (not include_initial), w_v - (not include_terminal)
+    u, v = (basis_columns(kind, dim, columns, rows=(k, k + 1))[0] if w_diff or w else None
+            for k, w in ((0, w_u), (dim - 1, w_v)))
+    terms = [(w_diff, u - v)] if w_diff else []
+    return gaps, terms + [(w, r) for w, r in ((w_u, u), (w_v, v)) if w]
 
 
 # Basis rows whose integer angle units are formed at a time.

@@ -19,10 +19,10 @@ the prefactor (n + s)/columns:
 
 :func:`noise_functional` applies an estimator's quadratic form to a raw
 noise vector (latent price identically zero), and
-:func:`noise_expectation_exact` gives its exact expectation in O(m) from the
-gaps and end rows of :func:`basis.spectrum`.  It is the single source of
-truth for the noise floors of the cosine and Fourier forms (>= nu/2 and
->= 2 nu with noisy end points) and the vanishing noise term of the sine form.
+:func:`noise_expectation_exact` gives its exact expectation in O(m) as the
+trace of :func:`basis.noise_law`.  It is the single source of truth for the
+noise floors of the cosine and Fourier forms (>= nu/2 and >= 2 nu with noisy
+end points) and the vanishing noise term of the sine form.
 No function here builds a basis column: the Monte Carlo engine reads each
 kind's basis, column count and prefactor from ``_form`` and calls
 :func:`basis.basis_columns` itself.
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisKind, basis_coefficients, spectrum
+from .basis import BasisKind, basis_coefficients, noise_law
 from .basis import basis_columns  # noqa: F401 -- perfbench/tracer.py wraps this name
 from .errors import (
     CutoffTooLarge,
@@ -277,13 +277,6 @@ def noise_functional(kind: EstimatorKind, noise: np.ndarray, m: int) -> float:
     return float(_real_estimate(kind, np.diff(v), m).value[0, 0])
 
 
-# The oracle's corner as a u.u + b v.v - c |u - v|^2, weights (a, b, c): so
-# spelled, 2 u.v less the excluded ends loses no small gap to rounding.
-_CORNERS = {BasisKind.SIML_COSINE: (1, 0, 0),  # e_1 e_1^T
-            BasisKind.FOURIER_REAL: (1, 1, 1),  # e_1 e_n^T + e_n e_1^T
-            BasisKind.DST_SINE: (0, 0, 0)}
-
-
 def noise_expectation_exact(
     kind: EstimatorKind,
     n: int,
@@ -294,28 +287,18 @@ def noise_expectation_exact(
 ) -> float:
     """Exact expectation of :func:`noise_functional` under i.i.d. N(0, variance) noise.
 
-    The covariance of the noise differences over nu is C = 2I - T, less
-    e_1 e_1^T or e_n e_n^T for an excluded initial or terminal noise, with T
-    the 0/1 tridiagonal.  The form's basis diagonalizes T plus a corner, so
-    with the gaps and basis rows u (row 1) and v (row n) of
-    :func:`basis.spectrum` the trace of C over the form's columns is
-
-        sum gaps + corner - [initial out] u.u - [terminal out] v.v,
-
-    the corner being u.u (cosine), 2 u.v (real Fourier) or 0 (sine).  O(m):
-    nothing longer than the column count is built.  Raises
-    :class:`InvalidParameter` for a variance that is not finite and >= 0, or
-    an n or m that is not an integer, and :class:`ResultOverflow` when the
+    That is prefactor * variance times the trace of :func:`basis.noise_law` over
+    the form's columns, sum gaps + sum w r.r, in O(m).  Raises
+    :class:`InvalidParameter` for a variance that is not finite and >= 0, or an
+    n or m that is not an integer, and :class:`ResultOverflow` when the
     expectation overflows float64.
     """
     if not _nonnegative(variance):
         raise InvalidParameter(f"variance must be finite and >= 0, got {variance}")
     _index(n, "n", 1)
     basis, columns, shift = _form(kind, n, m)
-    gaps, u, v = spectrum(basis, n, columns)
-    a, b, c = _CORNERS[basis]
-    total = (np.sum(gaps) - c * np.sum((u - v) ** 2)
-             + (a - (not include_initial)) * (u @ u) + (b - (not include_terminal)) * (v @ v))
+    gaps, terms = noise_law(basis, n, columns, include_initial, include_terminal)
+    total = sum((w * (r @ r) for w, r in terms), np.sum(gaps))
     value = (n + shift) / columns * variance * float(total)  # Python floats overflow silently
     if not math.isfinite(value):
         raise ResultOverflow(f"the noise expectation overflows float64 at variance {variance}")

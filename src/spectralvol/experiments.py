@@ -26,7 +26,7 @@ import numpy as np
 from . import market
 from .basis import basis_columns
 from .errors import InvalidParameter, ResultOverflow, _index
-from .estimators import EstimatorKind, _form, noise_expectation_exact
+from .estimators import _GRID_ULPS, EstimatorKind, _form, noise_expectation_exact
 from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wrapped by perfbench/tracer.py
     NOISE_STREAM,
     PATH_STREAM,
@@ -110,9 +110,13 @@ class ExperimentConfig:
                 _form(kind, n, 1)  # m = 1 is the smallest cutoff a run uses
 
     def cutoff(self, n: int, default_exponent: float) -> int:
+        """floor(n^alpha), where n^alpha within _GRID_ULPS ulps of an integer counts as that
+        integer: the float power misses an exact power such as 32^0.6 = 8 by an ulp or two."""
         alpha = self.m_exponent if self.m_exponent is not None else default_exponent
         try:
-            m = int(math.floor(n**alpha))
+            power = n**alpha
+            whole = round(power)
+            m = whole if abs(power - whole) <= _GRID_ULPS * math.ulp(whole) else math.floor(power)
         except (ArithmeticError, ValueError):  # n^alpha overflows a float, or is nan
             raise InvalidParameter(f"cutoff rule n^{alpha} is out of range at n={n}") from None
         if m < 1:

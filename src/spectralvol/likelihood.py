@@ -4,7 +4,7 @@ Working in the cosine-basis spectral domain, the scaled coefficients
 ``z_k = sqrt(n) * (column_k . dY)`` of equidistant increments are
 independent zero-mean Gaussians with variance ``c + a_k * nu`` under the
 constant-volatility working model with no noise on the first observation,
-where ``a_k`` is n times the k-th cosine gap of :func:`basis.spectrum`
+where ``a_k`` is n times the k-th cosine gap of :func:`basis.noise_law`
 (:func:`a_coefficients`).  The quasi-log-likelihood
 
     L(c, nu) = -1/2 sum_k [ log(c + a_k nu) + z_k^2 / (c + a_k nu) ]
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisKind, basis_coefficients, eigen_gaps
+from .basis import BasisKind, basis_coefficients, noise_law
 from .errors import (
     DegenerateData,
     DegenerateVariance,
@@ -144,8 +144,9 @@ def spectral_transform(deltas: np.ndarray) -> SpectralCoefficients:
 
 
 def a_coefficients(n: int) -> np.ndarray:
-    """a_k = n times the gap of cosine column k (:func:`basis.spectrum`), k = 1..n; increasing."""
-    return n * eigen_gaps(BasisKind.SIML_COSINE, n, n)
+    """a_k = n times the gap of cosine column k, k = 1..n, increasing: with the initial noise
+    out and the terminal in, the cosine :func:`basis.noise_law` is diagonal and the model exact."""
+    return n * noise_law(BasisKind.SIML_COSINE, n, n, include_initial=False)[0]
 
 
 def _loglik(a: np.ndarray, z2: np.ndarray, c: float, nu: float) -> float:

@@ -13,7 +13,7 @@ from spectralvol.basis import (
     cosine_square_sum,
     eigen_gaps,
     eigenvalues_closed_form,
-    spectrum,
+    noise_law,
 )
 from spectralvol.errors import DimensionMismatch, InvalidDimension, InvalidParameter
 
@@ -187,42 +187,66 @@ def _spectrum_dims(kind: BasisKind):
     return dims
 
 
-class TestSpectrum:
-    """basis.spectrum against the eigensolver and the dense basis, at 1e-13."""
+_ENDS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _noise_difference_covariance(dim: int, include_initial: bool, include_terminal: bool):
+    """C = 2I - T, less e_1 e_1^T or e_dim e_dim^T for an excluded end, built densely."""
+    cov = 2.0 * np.eye(dim) - build_jacobi(JacobiKind.JN_TILDE_PRIME, dim)
+    cov[0, 0] -= not include_initial
+    cov[-1, -1] -= not include_terminal
+    return cov
+
+
+class TestNoiseLaw:
+    """basis.noise_law against the dense B^T C B, the eigensolver and its own prefixes."""
+
+    @pytest.mark.parametrize("include_initial,include_terminal", _ENDS)
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_matches_dense_covariance(self, kind, include_initial, include_terminal):
+        """diag(gaps) + sum w r r^T is B^T C B to 1e-12; it is diagonal at exactly two settings."""
+        diagonal = {(BasisKind.SIML_COSINE, False, True), (BasisKind.DST_SINE, True, True)}
+        for dim in (1, 2, 3, 5, 8, 64, 257):
+            if kind is BasisKind.FOURIER_REAL and dim % 2 == 0:
+                continue
+            cov = _noise_difference_covariance(dim, include_initial, include_terminal)
+            for columns in sorted({1, -(-dim // 2), dim}):
+                b = basis_columns(kind, dim, columns)
+                gaps, terms = noise_law(kind, dim, columns, include_initial, include_terminal)
+                law = np.diag(gaps) + sum(w * np.outer(r, r) for w, r in terms)
+                np.testing.assert_allclose(law, b.T @ cov @ b, rtol=0, atol=1e-12,
+                                           err_msg=f"dim={dim} columns={columns}")
+                assert all(w != 0 for w, _ in terms)
+                assert (not terms) == ((kind, include_initial, include_terminal) in diagonal)
 
     @pytest.mark.parametrize("basis_kind,jacobi_kind", PAIRINGS)
     def test_gaps_match_numerical_eigensolver(self, basis_kind, jacobi_kind):
         for dim in _spectrum_dims(basis_kind):
-            gaps = spectrum(basis_kind, dim, dim)[0]
+            gaps = noise_law(basis_kind, dim, dim)[0]
             num = np.linalg.eigvalsh(build_jacobi(jacobi_kind, dim))
             np.testing.assert_allclose(np.sort(2.0 - gaps), num, rtol=0, atol=1e-13,
                                        err_msg=f"dim={dim}")
 
     @pytest.mark.parametrize("kind", list(BasisKind))
-    def test_end_rows_match_dense_basis(self, kind):
-        for dim in _spectrum_dims(kind):
-            b = build_basis(kind, dim)
-            _, first, last = spectrum(kind, dim, dim)
-            np.testing.assert_allclose(first, b[0], rtol=0, atol=1e-13, err_msg=f"dim={dim}")
-            np.testing.assert_allclose(last, b[-1], rtol=0, atol=1e-13, err_msg=f"dim={dim}")
-
-    @pytest.mark.parametrize("kind", list(BasisKind))
     def test_leading_columns_are_a_prefix(self, kind):
         """Fewer columns give the same values; the gaps are :func:`eigen_gaps` bit for bit."""
         dim = 65
-        full = spectrum(kind, dim, dim)
-        for columns in (1, 2, 7, 64):
-            part = spectrum(kind, dim, columns)
-            for whole, piece in zip(full, part):
-                assert piece.tobytes() == whole[:columns].tobytes()
-            assert eigen_gaps(kind, dim, columns).tobytes() == part[0].tobytes()
+        for ends in _ENDS:
+            full = noise_law(kind, dim, dim, *ends)
+            for columns in (1, 2, 7, 64):
+                gaps, terms = noise_law(kind, dim, columns, *ends)
+                assert gaps.tobytes() == full[0][:columns].tobytes()
+                assert eigen_gaps(kind, dim, columns).tobytes() == gaps.tobytes()
+                assert [w for w, _ in terms] == [w for w, _ in full[1]]
+                for (_, piece), (_, whole) in zip(terms, full[1]):
+                    assert piece.tobytes() == whole[:columns].tobytes()
 
     @pytest.mark.parametrize("kind,dim,columns", [
         (BasisKind.FOURIER_REAL, 4, 1), (BasisKind.SIML_COSINE, 0, 1),
         (BasisKind.DST_SINE, 5, 6), (BasisKind.SIML_COSINE, 5, 0)])
     def test_invalid_shapes_rejected(self, kind, dim, columns):
         with pytest.raises(InvalidDimension):
-            spectrum(kind, dim, columns)
+            noise_law(kind, dim, columns)
 
 
 @pytest.mark.parametrize("basis_kind,jacobi_kind", PAIRINGS)

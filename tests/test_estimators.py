@@ -16,7 +16,7 @@ from spectralvol.errors import (
     InvalidParameter,
     ResultOverflow,
 )
-from spectralvol.basis import BasisKind, JacobiKind, build_basis, build_jacobi
+from spectralvol.basis import BasisKind, JacobiKind, build_basis, build_jacobi, noise_law
 from spectralvol.estimators import (
     _REAL_FORMS,
     EstimatorKind,
@@ -473,6 +473,38 @@ class TestNoiseExpectationExact:
                 np.arange(1.0, m + 1) ** 2
             ) / m
             assert value <= bound
+
+    @pytest.mark.parametrize("kind", sorted(_REAL_FORMS, key=lambda k: k.value),
+                             ids=lambda k: k.value)
+    def test_bounds_at_every_cutoff_and_end_setting(self, kind):
+        """The noise_bounds study's three bounds at its 1e-12 tolerance, at nu = 1, for every
+        n < 400 and every cutoff the form accepts: the cosine trace >= 1/2 with the initial
+        noise in (>= 0 without), the Fourier trace >= the noisy ends, the sine trace <= its
+        pi^2 bound.  Every cutoff's trace is a cumulative sum over one noise_law call;
+        noise_expectation_exact is prefactor * trace to 1e-14 relative."""
+        basis, per_mode, constant, shift = _REAL_FORMS[kind]
+        for n in range(1, 400):
+            if basis is BasisKind.FOURIER_REAL and n % 2 == 0:
+                continue
+            m = np.arange(1 - constant, (n - constant) // per_mode + 1)
+            columns = per_mode * m + constant
+            for ends in [(True, True), (False, True), (True, False), (False, False)]:
+                gaps, terms = noise_law(basis, n, n, *ends)
+                trace = np.cumsum(gaps) + sum(w * np.cumsum(r * r) for w, r in terms)
+                value = (n + shift) / columns * trace[columns - 1]
+                if kind is EstimatorKind.SIML:
+                    assert np.all(value >= 0.5 * ends[0] - 1e-12), (n, ends)
+                elif kind is EstimatorKind.MM_FOURIER_REAL_ZERO:
+                    assert np.all(value >= sum(ends) - 1e-12), (n, ends)
+                else:
+                    bound = (2.0 * math.pi**2 * (1.0 / (n + 1) + 1.0 / (n + 1) ** 2)
+                             * (m + 1) * (2 * m + 1) / 6)
+                    assert np.all(value <= bound + 1e-12), (n, ends)
+                for cutoff in {1, n // 2, n} & set(m.tolist()):
+                    exact = noise_expectation_exact(kind, n, cutoff, 1.0, *ends)
+                    got = value[cutoff - m[0]]
+                    # An exact 0 (one increment, both ends out) leaves both to rounding.
+                    assert abs(got - exact) <= (1e-14 * exact or 1e-15), (n, cutoff, ends)
 
     def test_fourier_small_gaps_survive_excluded_ends(self):
         """With both ends out the Fourier trace is (1 - 1/n) sum gaps, 7e-11 here: rows 1

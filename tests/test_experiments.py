@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -109,6 +110,14 @@ class TestConfigValidation:
         cfg = _config(m_exponent=0.4)
         assert cfg.cutoff(1024, 0.35) == 16
         assert _config().cutoff(1024, 0.35) == 11
+
+    @pytest.mark.parametrize("n,alpha,m", [(32, 0.6, 8), (243, 0.6, 27), (1024, 0.6, 64),
+                                           (2**20, 0.35, 128)])
+    def test_cutoff_at_an_exact_power(self, n, alpha, m):
+        """n^alpha falls an ulp or two short of these integers, so its floor is m - 1."""
+        assert math.floor(n**alpha) == m - 1
+        assert _config(m_exponent=alpha).cutoff(n, 0.4) == m
+        assert _config().cutoff(n, alpha) == m
 
 
 class TestBlockedReplications:
@@ -555,8 +564,8 @@ class TestNoiseOracleColumns:
         """Each (kind, n) builds each tile's rows (lo, hi) once per live block.
 
         The engine looks ``basis_columns`` up in ``experiments``; the oracle
-        builds its two one-row slices per (kind, n) through ``basis.spectrum``,
-        which this patch does not count.
+        builds the end rows of nonzero weight per (kind, n) through
+        ``basis.noise_law``, which this patch does not count.
         """
         noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
         cfg = _config(kinds=kinds, n_schedule=(63, _TILE_WIDTH + 1), noise=noise,
@@ -680,6 +689,14 @@ _NUMERIC = ("true_value", "mean", "bias", "rmse", "se_mean", "std_err_mean", "st
 
 class TestShippedReference:
     """The shipped configs at seed 11 against the benchmark's perfbench/reference.json."""
+
+    @pytest.mark.parametrize("name", _SHIPPED)
+    def test_cutoffs_are_the_floor_of_the_power(self, name):
+        """Snapping to an exact power moves no shipped cutoff: 1024^0.4 = 16.000000000000004
+        stays 16."""
+        experiment, config = parse_config(str(_ROOT / "configs" / f"{name}.cfg"), 11, 1)
+        want = tuple(math.floor(n**config.m_exponent) for n in config.n_schedule)
+        assert check_experiment(experiment, config) == want
 
     @pytest.mark.parametrize("name", _SHIPPED)
     def test_matches_reference(self, name):

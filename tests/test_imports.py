@@ -1,6 +1,7 @@
 """Each module of the package uses every name it imports, some code of the
 package reads every private name a module defines and every method a class
-defines, and every exported name is defined where it is exported from.
+defines, every exported name is defined where it is exported from, and every
+``module.name`` the README names is there.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
@@ -13,6 +14,7 @@ library base class's method (its caller is the library), are exempt.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,30 @@ def test_the_package_imports_only_exported_names():
     for module, names in imports.items():
         exported = set(_exports((_ROOT / "src" / "spectralvol" / f"{module}.py").read_text()))
         assert names - exported == set(), module
+
+
+def _unresolved(text: str) -> list[str]:
+    """Each backticked ``module.name`` of ``text`` (call arguments aside, ``module`` a module of
+    the package) that is not an attribute of that module; file names such as ``cli.py`` are
+    skipped."""
+    modules = {p.stem for p in _MODULES}
+    missing = []
+    for module, path in re.findall(r"`(\w+)((?:\.\w+)+)(?:\([^`]*\))?`", text):
+        if module not in modules or path == ".py":
+            continue
+        obj = importlib.import_module(f"spectralvol.{module}")
+        for name in path[1:].split("."):
+            obj = getattr(obj, name, missing)
+        if obj is missing:
+            missing.append(module + path)
+    return missing
+
+
+def test_finds_an_unresolved_readme_reference():
+    text = ("`basis.spectrum(kind, n, columns)` and `basis.noise_law`, `cli.py`, `u.u`, "
+            "`market._Streams.start`, `market._Streams.stop`")
+    assert _unresolved(text) == ["basis.spectrum", "market._Streams.stop"]
+
+
+def test_every_readme_reference_resolves():
+    assert _unresolved((_ROOT / "README.md").read_text()) == []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_closed_form, spectrum
+from spectralvol.basis import BasisKind, JacobiKind, basis_columns, eigenvalues_closed_form, noise_law
 from spectralvol.errors import (
     DegenerateData,
     DegenerateVariance,
@@ -123,8 +123,10 @@ class TestACoefficients:
             np.testing.assert_allclose(a_coefficients(n), n * (2.0 - lam), atol=1e-10)
 
     def test_n_times_cosine_gaps_bit_for_bit(self):
+        """The cosine law with the initial noise out and the terminal in is its gaps alone."""
         for n in (1, 2, 390, 1560, 4680, 16384):
-            gaps = spectrum(BasisKind.SIML_COSINE, n, n)[0]
+            gaps, terms = noise_law(BasisKind.SIML_COSINE, n, n, False, True)
+            assert terms == []
             assert a_coefficients(n).tobytes() == (n * gaps).tobytes()
 
     def test_top_coefficient_near_four_n(self):

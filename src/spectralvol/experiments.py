@@ -8,10 +8,10 @@ study checks.
 Replication r draws its streams from sub-seeds keyed (base_seed, r,
 stream), once per run for the largest n; every n reads a prefix of them
 (common random numbers), and every configured estimator sees the same
-series.  A group of replications draws a tile's path normals and then its
-noise normals into one buffer, and each n builds a tile's basis rows
-straight into its latent weights.  :func:`check_experiment` refuses a
-config whose engine buffers (:func:`_engine_bytes`) would exceed
+series.  The draws, tiles and products are the engine's
+(``market._coefficients``); this module gives it each n's basis rows and
+turns its coefficients into estimates.  :func:`check_experiment` refuses a
+config whose engine buffers (``market._engine_bytes``) would exceed
 ``market.MAX_BUFFER_BYTES``.  ``threads`` is accepted but changes nothing.
 """
 
@@ -32,14 +32,9 @@ from .market import (  # noqa: F401 -- derive_seed, observe, simulate_latent: wr
     PATH_STREAM,
     DriftModel,
     NoiseModel,
-    OrnsteinUhlenbeckVol,
     VolModel,
-    _TILE_ROWS,
-    _TILE_WIDTH,
     _as_piecewise,
     _derive_seeds,
-    _SeriesTiles,
-    _tiles,
     derive_seed,
     observe,
     simulate_latent,
@@ -53,12 +48,6 @@ __all__ = [
     "check_experiment",
     "CSV_COLUMNS",
 ]
-
-# Replications whose streams stay keyed while they walk the tiles, so that
-# each tile of basis columns, built once, serves all of them.  A multiple of
-# _TILE_ROWS; it bounds the per-replication state held at once and the
-# generators each market._Streams' spare list grows to.
-_LIVE_ROWS = 8 * _TILE_ROWS
 
 CSV_COLUMNS = [
     "experiment",
@@ -201,7 +190,10 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
         raise InvalidParameter("a study needs at least 2 replications for its standard errors")
     design(config)
     cutoffs = tuple(config.cutoff(n, alpha) for n in config.n_schedule)
-    need = _engine_bytes(config, cutoffs)  # checks each kind's columns at each n first
+    columns = [sum(_form(kind, n, m)[1] for kind in config.kinds)
+               for n, m in zip(config.n_schedule, cutoffs)]
+    need = market._engine_bytes(config.vol, config.n_schedule, config.refinement,
+                                config.replications, columns)
     if need > market.MAX_BUFFER_BYTES:
         mib = need / 2**20 if need < 2**1000 else math.inf
         raise InvalidParameter(f"the run's buffers would take {mib:.3g} MiB, more than the "
@@ -209,116 +201,46 @@ def check_experiment(experiment: str, config: ExperimentConfig) -> tuple[int, ..
     return cutoffs
 
 
-def _engine_bytes(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> int:
-    """Bytes of the buffers :func:`_run_replications` holds for ``config``, from the config alone.
-
-    A group's draw buffer, whose rows hold a tile's path normals and then
-    its noise normals (OU: ``refinement`` normals per observed step, a row of
-    state shocks, the state, its squared copy and the trapezoid's sums); per
-    n, the latent and noise weights, two temporaries of their size (a basis
-    build's angle units among them), the coefficients and their sum; per
-    replication its truths and seeds; and per live replication and stream a
-    generator of about 640 bytes.  No term grows with n except through the
-    cutoff.  The generators are spare lists kept across runs, at most
-    _LIVE_ROWS per stream (market._Streams); they are counted whether or
-    not this run builds them.
-    """
-    reps = config.replications
-    ou = isinstance(config.vol, OrnsteinUhlenbeckVol)
-    r = config.refinement if ou else 1
-    width = min(config.n_schedule[-1], _TILE_WIDTH)
-    floats = min(_TILE_ROWS, reps) * (1 + 4 * ou) * max(width * r, width + 1)
-    floats += reps * (len(config.n_schedule) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
-    for n, m in zip(config.n_schedule, cutoffs):
-        columns = sum(_form(kind, n, m)[1] for kind in config.kinds)
-        w = min(n, _TILE_WIDTH)
-        floats += (4 * w + 1 + 3 * reps) * columns
-    return 8 * floats
-
-
 def _run_replications(config: ExperimentConfig, cutoffs: tuple[int, ...]) -> list[dict]:
     """All replications at every n of the schedule, at cutoff ``cutoffs[i]`` for the i-th n.
 
-    Replications run in live blocks of _LIVE_ROWS, whose streams stay keyed
-    while the block walks the tiles of the largest n; the one sampler
-    (market._SeriesTiles) sizes the rest, and takes each block's generators
-    and state as it starts.  For each tile, every n that reaches it builds
-    the matching rows of its kinds' basis columns once, side by side, from
-    their formula, straight into its latent weights: one row per observed
-    step, scaled by the step standard deviations of the tile under
-    deterministic volatility.  Its noise
-    weights and drift offset are taken from these rows before they are
-    scaled in place into latent weights.  Then each group of up to
-    _TILE_ROWS replications of the block draws the tile's path normals,
-    every such n adds their products with its latent weights to its
-    coefficients ``dX @ cols``, and the group draws its noise normals into
-    the same buffer for ``dV @ cols``.  Returns one result per n, in
+    One engine call (market._coefficients) gives each n's coefficients
+    ``dX @ cols`` and ``dV @ cols`` and the truths; for each tile it reaches,
+    it asks for the matching rows of the n's kinds' basis columns, which are
+    built side by side from their formula.  Returns one result per n, in
     schedule order.
     """
-    kinds, reps = config.kinds, config.replications
-    sizes = []
-    for n, m in zip(config.n_schedule, cutoffs):
-        forms = [_form(kind, n, m) for kind in kinds]
-        edges = np.cumsum([0] + [columns for _, columns, _ in forms])
-        w = min(n, _TILE_WIDTH)
-        sizes.append({
-            "n": n,
-            "forms": [(basis, slice(lo, hi), (n + shift) / columns)
-                      for (basis, columns, shift), lo, hi in zip(forms, edges, edges[1:])],
-            "latent": np.empty((w, edges[-1])),
-            "noise": np.empty((w + 1, edges[-1])),
-            "coef": np.zeros((2, reps, edges[-1])),  # dX @ cols, then dV @ cols
-        })
+    reps, ns = config.replications, config.n_schedule
+    forms, widths = [], []
+    for n, m in zip(ns, cutoffs):
+        specs = [_form(kind, n, m) for kind in config.kinds]
+        edges = np.cumsum([0] + [columns for _, columns, _ in specs])
+        forms.append([(basis, slice(lo, hi), (n + shift) / columns)
+                      for (basis, columns, shift), lo, hi in zip(specs, edges, edges[1:])])
+        widths.append(edges[-1])
+
+    def rows(i, lo, out):
+        for basis, at, _ in forms[i]:
+            basis_columns(basis, ns[i], at.stop - at.start, out[:, at], (lo, lo + len(out)))
 
     path_seeds, noise_seeds = (
         _derive_seeds(config.base_seed, np.arange(reps), s) for s in (PATH_STREAM, NOISE_STREAM)
     )
-    tiles = _SeriesTiles(config.vol, config.drift, config.noise, [s["n"] for s in sizes],
-                         config.refinement, path_seeds, noise_seeds)
-    truths = np.empty((len(sizes), reps))
-    for block in range(0, reps, _LIVE_ROWS):
-        stop = min(block + _LIVE_ROWS, reps)
-        tiles.start(block, stop)
-        for lo, hi in _tiles(sizes[-1]["n"]):
-            reached = []  # (grid, width, latent and noise weights, coefficients) of each n
-            for i, size in enumerate(sizes):
-                n, coef = size["n"], size["coef"]
-                if n <= lo:
-                    continue
-                w = min(hi, n) - lo
-                cols = size["latent"][:w]
-                for basis, at, _ in size["forms"]:
-                    basis_columns(basis, n, at.stop - at.start, cols[:, at], (lo, lo + w))
-                noi = tiles.noise_weights(i, lo, cols, size["noise"])
-                if tiles.drift_level:  # the same row for every replication
-                    coef[0, block:stop] += tiles.offset(i, cols)
-                lat = None if tiles.shocks is None else tiles.weights(i, lo, cols)
-                reached.append((i, w, lat, noi, coef[:, block:stop]))
-            for first in range(0, stop - block, _TILE_ROWS):
-                group = slice(first, min(first + _TILE_ROWS, stop - block))
-                g = group.stop - first
-                tiles.draw(group, hi - lo)
-                for i, w, lat, _, coef in reached:
-                    if lat is not None:
-                        coef[0, group] += tiles.normals(i, g, w) @ lat
-                noise = tiles.draw_noise(group, lo, hi - lo)
-                for _, w, _, noi, coef in reached:
-                    coef[1, group] += noise[:, : w + 1] @ noi
-        truths[:, block:stop] = tiles.truths
+    coefs, truths = market._coefficients(config.vol, config.drift, config.noise, ns,
+                                         config.refinement, path_seeds, noise_seeds, widths, rows)
 
-    def parts(forms, a, b, scale=1.0):
+    def parts(form, a, b, scale=1.0):
         return np.array(
-            [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for _, at, pref in forms]
+            [scale * pref * np.einsum("ij,ij->i", a[:, at], b[:, at]) for _, at, pref in form]
         )
 
     results = []
-    for size, truth in zip(sizes, truths):
-        forms, (wx, wv) = size["forms"], size["coef"]
+    for form, (wx, wv), truth in zip(forms, coefs, truths):
         wy = wx + wv
         results.append({
-            "estimates": parts(forms, wy, wy),
-            "noise_parts": parts(forms, wv, wv),
-            "cross_parts": parts(forms, wx, wv, 2.0),
+            "estimates": parts(form, wy, wy),
+            "noise_parts": parts(form, wv, wv),
+            "cross_parts": parts(form, wx, wv, 2.0),
             "truths": truth,
         })
     return results

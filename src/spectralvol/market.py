@@ -18,12 +18,12 @@ one seed or on arrays for many seeds in one pass, and each sampler re-keys
 Philox generators of its own, a spare list that outlives runs, for each
 group of streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))``
 without either object being built per stream or per run.  The Monte Carlo
-engine draws its series, path and noise, through one sampler
-(``_SeriesTiles``) in tiles of ``_TILE_WIDTH`` observed increments, each
-drawn once for series of several lengths (each reading a prefix) and
-continuing its streams, so a tile-by-tile draw has the bits of one long
-draw.  It sizes its one draw buffer from its seeds and grids, and its
-per-stream state from each ``start``.  :func:`simulate_latent`,
+engine is one call, ``_coefficients``: it draws its series, path and noise,
+in tiles of ``_TILE_WIDTH`` observed increments, each drawn once for series
+of several lengths (each reading a prefix) and continuing its streams, so a
+tile-by-tile draw has the bits of one long draw, and returns their basis
+coefficients; its caller gives only the basis rows.  ``_engine_bytes``
+counts its buffers before a run.  :func:`simulate_latent`,
 :func:`observe` and the correlated paths are its independent reference:
 each draws its own streams in one fill, and shares with the engine only the
 formulas of a step.  Paths whose spot variance is zero everywhere draw no
@@ -207,10 +207,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Tiles of the samplers below: up to _TILE_ROWS paths by _TILE_WIDTH observed
+# Tiles of the Monte Carlo engine: up to _TILE_ROWS paths by _TILE_WIDTH observed
 # increments, which fit in cache with the basis rows they meet.  Fixed, so
 # that a path's values do not depend on how many paths are drawn with it.
 _TILE_ROWS, _TILE_WIDTH = 128, 1024
+
+# Series whose streams stay keyed while they walk the tiles, so that each
+# tile of basis rows, built once, serves all of them.  A multiple of
+# _TILE_ROWS; it bounds the per-series state held at once and the generators
+# each _Streams' spare list grows to.
+_LIVE_ROWS = 8 * _TILE_ROWS
 
 #: Bytes a sampler's or Monte Carlo run's buffers may take, the one memory budget:
 #: the single-series samplers refuse a finer grid, and check_experiment a larger run.
@@ -456,127 +462,139 @@ def _euler_ou(vol: OrnsteinUhlenbeckVol, state: np.ndarray, shocks: np.ndarray,
     return np.square(path, out=path).T.copy()  # the truths' bits need this layout
 
 
-class _SeriesTiles:
-    """The Monte Carlo engine's noisy series on several grids, tile by tile.
+def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refinement: int,
+                  path_seeds, noise_seeds, columns, rows) -> tuple[list[np.ndarray], np.ndarray]:
+    """The Monte Carlo engine: basis coefficients of noisy series on several grids, and truths.
 
-    Grid i has ``ns[i]`` observed steps; row j follows the path stream of
-    ``path_seeds[j]`` and the noise stream of ``noise_seeds[j]``.  Under
-    deterministic volatility step k is normal k of the path stream times the
-    step's standard deviation (:func:`_step_scales`, taken per tile); under
-    OU it is ``refinement`` Euler-Maruyama steps driven by normals of the
-    stream of spawn key 0, the state (:func:`_euler_ou`) by spawn key 1.
-    The noise at time k is normal k of the noise stream times the noise
-    scale, whatever the length n.  :meth:`start` begins any run of series.
-    For a group of up to _TILE_ROWS of them, :meth:`draw` draws one tile's
-    path normals, once, into ``raw``, sized for the largest grid; the engine
-    multiplies :meth:`normals`, a column per observed step, by
-    :meth:`weights` and adds :meth:`offset`, the drift's part.  Then
-    :meth:`draw_noise` draws the noise normals at the tile's w + 1 times
-    into the same buffer, which the engine multiplies by
-    :meth:`noise_weights`.  OU state, truths and each series' noise carry
-    (its normal at the last drawn time) carry over from tile to tile.
-    Paths whose spot variance is zero everywhere draw no shocks.
+    Grid i has ``ns[i]`` observed steps and ``columns[i]`` basis columns B,
+    whose rows for steps lo..lo+w-1 ``rows(i, lo, out)`` writes into ``out``
+    (w x columns[i]).  Series j follows the path stream of ``path_seeds[j]``
+    and the noise stream of ``noise_seeds[j]``, each grid reading a prefix.
+    Returns each grid's (2, series, columns[i]) array, ``dX @ B`` then ``dV @
+    B``, and the (grids, series) integrated variances.
+
+    Under deterministic volatility step k is normal k of the path stream
+    times the step's standard deviation (:func:`_step_scales`); under OU it
+    is ``refinement`` Euler-Maruyama steps driven by normals of the stream of
+    spawn key 0, the state (:func:`_euler_ou`) by spawn key 1.  The noise at
+    time k is normal k of the noise stream times the noise scale, whatever
+    the length n.  Paths whose spot variance is zero everywhere draw no
+    shocks.
+
+    Series run in live blocks of _LIVE_ROWS, whose streams stay keyed while
+    the block walks the tiles of the largest grid.  For each tile, every grid
+    that reaches it has its rows built once, straight into its latent
+    weights; its noise weights (summation by parts) and drift offset are
+    taken from them before they are scaled in place by the tile's step
+    standard deviations.  Then each group of up to _TILE_ROWS series draws
+    the tile's path normals into the one draw buffer, every such grid adds
+    their products with its weights to ``dX @ B``, and the group draws its
+    noise normals into the same buffer for ``dV @ B``.  OU state, truths and
+    each series' noise carry (its normal at the last drawn time) carry over
+    from tile to tile.
     """
-
-    def __init__(self, vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refinement: int,
-                 path_seeds, noise_seeds):
-        steps = _as_piecewise(vol)
-        ou = steps is None
-        self.vol, self.steps, self.noise, self.ns = vol, steps, noise, list(ns)
-        self.r = refinement if ou else 1
-        self.dts = [1.0 / (n * self.r) for n in ns]
-        self.drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
-        self.noise_scale = np.sqrt(noise.variance)
-        silent = not ou and not any(steps.levels)
-        self.shocks = None if silent else _Streams(path_seeds, 0 if ou else None)
-        self.vol_shocks = _Streams(path_seeds, 1) if ou else None
-        self.noise_shocks = _Streams(noise_seeds)
-        # the path normals, then the OU state shocks, of a tile of the largest grid; the
-        # first is wide enough for the tile's noise normals, drawn once the path's are used
-        width = min(max(ns), _TILE_WIDTH)
-        rows = min(_TILE_ROWS, np.size(path_seeds))
-        self.raw = np.empty((1 + ou, rows, max(width * self.r, width + 1)))
-
-    def start(self, lo: int, hi: int) -> None:
-        """Begin the series lo..hi-1 of the seeds at time 0 on every grid."""
-        for streams in (self.shocks, self.vol_shocks, self.noise_shocks):
+    steps = _as_piecewise(vol)
+    ou = steps is None
+    r = refinement if ou else 1
+    dts = [1.0 / (n * r) for n in ns]
+    drift_level = drift.level if isinstance(drift, ConstantDrift) else 0.0
+    noise_scale = np.sqrt(noise.variance)
+    silent = not ou and not any(steps.levels)
+    shocks = None if silent else _Streams(path_seeds, 0 if ou else None)
+    vol_shocks = _Streams(path_seeds, 1) if ou else None
+    noise_shocks = _Streams(noise_seeds)
+    series = np.size(path_seeds)
+    # the path normals, then the OU state shocks, of a tile of the largest grid; the
+    # first is wide enough for the tile's noise normals, drawn once the path's are used
+    width = min(max(ns), _TILE_WIDTH)
+    raw = np.empty((1 + ou, min(_TILE_ROWS, series), max(width * r, width + 1)))
+    latent = [np.empty((min(n, _TILE_WIDTH), k)) for n, k in zip(ns, columns)]
+    noisy = [np.empty((min(n, _TILE_WIDTH) + 1, k)) for n, k in zip(ns, columns)]
+    coefs = [np.zeros((2, series, k)) for k in columns]
+    truths = np.empty((len(ns), series))
+    for block in range(0, series, _LIVE_ROWS):
+        stop = min(block + _LIVE_ROWS, series)
+        for streams in (shocks, vol_shocks, noise_shocks):
             if streams is not None:
-                streams.start(lo, hi)
-        shape = (len(self.ns), hi - lo)
-        if self.vol_shocks is None:
-            self.truths = np.full(shape, _step_truth(self.steps))
-        else:
-            self.state = np.full(shape, float(self.vol.initial_level))
-            self.truths = np.zeros(shape)
-        self.carry = np.empty(hi - lo)
+                streams.start(block, stop)
+        if ou:
+            state = np.full((len(ns), stop - block), float(vol.initial_level))
+        truth = truths[:, block:stop]
+        truth[...] = 0.0 if ou else _step_truth(steps)
+        carry = np.empty(stop - block)
+        for lo, hi in _tiles(max(ns)):
+            reached = []  # (grid, width, latent and noise weights, coefficients) of each grid
+            for i, n in enumerate(ns):
+                if n <= lo:
+                    continue
+                w = min(hi, n) - lo
+                lat, noi, coef = latent[i][:w], noisy[i][: w + 1], coefs[i][:, block:stop]
+                rows(i, lo, lat)
+                # sum_j (v_{j+1} - v_j) c_j = sum_t v_t (c_{t-1} - c_t), c_{-1} = c_w = 0
+                noi[0] = 0.0
+                noi[1:] = lat
+                noi[:w] -= lat
+                noi *= noise_scale
+                if lo == 0 and not noise.include_initial:
+                    noi[0] = 0.0
+                if lo + w == n and not noise.include_terminal:
+                    noi[w] = 0.0
+                if drift_level:  # the same row for every series
+                    coef[0] += drift_level * r * dts[i] * lat.sum(axis=0)
+                if shocks is not None and not ou:  # OU scales each path's normals instead
+                    lat *= _step_scales(steps, n, lo, lo + w)[:, np.newaxis]
+                reached.append((i, w, lat, noi, coef))
+            for first in range(0, stop - block, _TILE_ROWS):
+                group = slice(first, min(first + _TILE_ROWS, stop - block))
+                g = group.stop - first
+                if shocks is not None:
+                    shocks.fill(raw[0, :g, : (hi - lo) * r], first)
+                    if ou:
+                        vol_shocks.fill(raw[1, :g, : (hi - lo) * r], first)
+                    for i, w, lat, _, coef in reached:
+                        dx = raw[0, :g, : w * r]
+                        if ou:  # an observed step sums r fine normals times their path's scale
+                            spot = _euler_ou(vol, state[i, group], raw[1, :g, : w * r], dts[i])
+                            truth[i, group] += _trapezoid(spot, dx=dts[i], axis=1)
+                            scaled = np.sqrt(spot[:, :-1] * dts[i])
+                            np.multiply(dx, scaled, out=scaled)
+                            dx = scaled.reshape(g, w, r) @ np.ones(r)  # faster than sum(axis=2)
+                        coef[0, group] += dx @ lat
+                # the noise normals at times lo..hi, over the path normals; lo's is the carry
+                v = values = raw[0, :g, : hi - lo + 1]
+                if lo:
+                    v[:, 0] = carry[group]
+                    v = v[:, 1:]
+                noise_shocks.fill(v, first)
+                carry[group] = v[:, -1]
+                for _, w, _, noi, coef in reached:
+                    coef[1, group] += values[:, : w + 1] @ noi
+    return coefs, truths
 
-    def draw(self, group: slice, w: int) -> None:
-        """Draw the path shocks of the started series ``group`` over their next w observed
-        increments."""
-        self.group = group
-        rows = group.stop - group.start
-        for raw, streams in zip(self.raw, (self.shocks, self.vol_shocks)):
-            if streams is not None:
-                streams.fill(raw[:rows, : w * self.r], group.start)
 
-    def weights(self, i: int, lo: int, cols: np.ndarray) -> np.ndarray:
-        """Weights L: ``normals(i, rows, w) @ L + offset(i, cols)`` is grid i's increments over
-        observed steps lo..lo+w-1 times their basis rows ``cols`` (w x k).  L is ``cols``, scaled
-        in place by each step's standard deviation unless :meth:`normals` scales per path (OU)."""
-        if self.vol_shocks is None:
-            cols *= _step_scales(self.steps, self.ns[i], lo, lo + len(cols))[:, np.newaxis]
-        return cols
+def _engine_bytes(vol: VolModel, ns, refinement: int, replications: int, columns) -> int:
+    """Bytes of the buffers :func:`_coefficients` holds for these arguments, none built.
 
-    def normals(self, i: int, rows: int, w: int) -> np.ndarray:
-        """The drawn normals of w observed steps of grid i, a column each; under OU the
-        sum of each observed step's r fine normals times their path's scale."""
-        raw = self.raw[0, :rows, : w * self.r]
-        if self.vol_shocks is None:
-            return raw
-        scaled = np.sqrt(self._ou_spot(i, rows, w * self.r)[:, :-1] * self.dts[i])
-        np.multiply(raw, scaled, out=scaled)
-        return scaled.reshape(rows, w, self.r) @ np.ones(self.r)  # faster than sum(axis=2)
-
-    def offset(self, i: int, cols: np.ndarray) -> np.ndarray:
-        """The drift's part of grid i's increments times ``cols``, the same for every path."""
-        return self.drift_level * self.r * self.dts[i] * cols.sum(axis=0)
-
-    def draw_noise(self, group: slice, lo: int, w: int) -> np.ndarray:
-        """The normals of the started series ``group`` at times lo..lo+w, drawn over the
-        path normals (the one at time lo is the carry)."""
-        v = values = self.raw[0, : group.stop - group.start, : w + 1]
-        if lo:
-            v[:, 0] = self.carry[group]
-            v = v[:, 1:]
-        self.noise_shocks.fill(v, group.start)
-        self.carry[group] = v[:, -1]
-        return values
-
-    def noise_weights(self, i: int, lo: int, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Weights N in ``out``: ``draw_noise(group, lo, w) @ N`` is grid i's noise differences
-        over steps lo..lo+w-1 times their basis rows ``cols`` (w x k).
-
-        Summation by parts, sum_j (v_{j+1} - v_j) c_j = sum_t v_t (c_{t-1} - c_t)
-        with c_{-1} = c_w = 0, gives row t; the rows of excluded end points are zero.
-        """
-        w = len(cols)
-        out = out[: w + 1]
-        out[0] = 0.0
-        out[1:] = cols
-        out[:w] -= cols
-        out *= self.noise_scale
-        if lo == 0 and not self.noise.include_initial:
-            out[0] = 0.0
-        if lo + w == self.ns[i] and not self.noise.include_terminal:
-            out[w] = 0.0
-        return out
-
-    def _ou_spot(self, i: int, rows: int, w: int) -> np.ndarray:
-        """The spot variance of the group's paths on grid i at the w + 1 points of its next w
-        fine steps, which step their state and add to their truths."""
-        spot = _euler_ou(self.vol, self.state[i, self.group], self.raw[1, :rows, :w], self.dts[i])
-        self.truths[i, self.group] += _trapezoid(spot, dx=self.dts[i], axis=1)
-        return spot
+    The draw buffer, whose rows hold a tile's path normals and then its
+    noise normals (OU: ``refinement`` normals per observed step, a row of
+    state shocks, the state, its squared copy and the trapezoid's sums); per
+    grid, the latent and noise weights, two temporaries of their size (a
+    basis build's angle units among them), the coefficients and their sum;
+    per replication its truths and seeds; and per live replication and
+    stream a generator of about 640 bytes.  No term grows with n except through
+    ``columns``.  The generators are spare lists kept across runs, at most
+    _LIVE_ROWS per stream (:class:`_Streams`); they are counted whether or
+    not this run builds them.
+    """
+    ou = isinstance(vol, OrnsteinUhlenbeckVol)
+    r = refinement if ou else 1
+    width = min(max(ns), _TILE_WIDTH)
+    reps = replications
+    floats = min(_TILE_ROWS, reps) * (1 + 4 * ou) * max(width * r, width + 1)
+    floats += reps * (len(ns) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
+    for n, k in zip(ns, columns):
+        floats += (4 * min(n, _TILE_WIDTH) + 1 + 3 * reps) * k
+    return 8 * floats
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a path that overflows is refused

@@ -25,9 +25,6 @@ from spectralvol.estimators import EstimatorKind, _form, noise_expectation_exact
 from spectralvol.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _TILE_ROWS,
-    _TILE_WIDTH,
-    _engine_bytes,
     _run_replications,
     check_experiment,
     run_experiment,
@@ -40,6 +37,8 @@ from spectralvol.market import (
     OrnsteinUhlenbeckVol,
     PiecewiseVol,
     ZeroDrift,
+    _TILE_ROWS,
+    _TILE_WIDTH,
     _Streams,
     _tiles,
     derive_seed,
@@ -61,6 +60,23 @@ def _config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _engine_bytes(config, cutoffs):
+    """market._engine_bytes of ``config``, its columns counted as check_experiment counts them."""
+    columns = [sum(_form(kind, n, m)[1] for kind in config.kinds)
+               for n, m in zip(config.n_schedule, cutoffs)]
+    return market._engine_bytes(config.vol, config.n_schedule, config.refinement,
+                                config.replications, columns)
+
+
+def _count_blocks(monkeypatch) -> set:
+    """The (lo, hi) of each live block a run starts from now on."""
+    started = set()
+    start = _Streams.start
+    monkeypatch.setattr(_Streams, "start",
+                        lambda self, lo, hi: started.add((lo, hi)) or start(self, lo, hi))
+    return started
 
 
 class TestConfigValidation:
@@ -451,19 +467,19 @@ class TestGeneratorPool:
 
     def test_spare_lists_hold_at_most_one_live_block(self, monkeypatch):
         """A run's three samplers (OU path and state shocks, noise) leave three lists of
-        at most _LIVE_ROWS generators, and a later run builds no generator."""
+        at most market._LIVE_ROWS generators, and a later run builds no generator."""
         built = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda seed: built.append(seed) or philox(seed))
         monkeypatch.setattr(market, "_SPARES", [])
         cfg = _config(**{**_POOL_CONFIG, "n_schedule": (4, 8),
-                         "replications": experiments._LIVE_ROWS + 5})
+                         "replications": market._LIVE_ROWS + 5})
         run_experiment("consistency", cfg)
         run_experiment("consistency", dataclasses.replace(cfg, replications=3))
-        assert [len(spare) for spare in market._SPARES] == [experiments._LIVE_ROWS] * 3
-        assert len(built) == 3 * experiments._LIVE_ROWS
+        assert [len(spare) for spare in market._SPARES] == [market._LIVE_ROWS] * 3
+        assert len(built) == 3 * market._LIVE_ROWS
         run_experiment("consistency", cfg)
-        assert len(built) == 3 * experiments._LIVE_ROWS
+        assert len(built) == 3 * market._LIVE_ROWS
 
 
 class TestConsistencyRun:
@@ -576,9 +592,11 @@ class TestNoiseOracleColumns:
         monkeypatch.setattr(
             experiments, "basis_columns", lambda *a: built.append((a[0], a[1], a[4])) or real(*a)
         )
-        monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # two live blocks
+        monkeypatch.setattr(market, "_LIVE_ROWS", _TILE_ROWS)  # two live blocks
+        blocks = _count_blocks(monkeypatch)
         summary = run_experiment(study, cfg)
         monkeypatch.undo()
+        assert blocks == {(0, _TILE_ROWS), (_TILE_ROWS, _TILE_ROWS + 1)}
         want = [
             (_form(kind, n, 1)[0], n, (lo, hi))
             for kind in kinds for n in cfg.n_schedule for lo, hi in _tiles(n)
@@ -591,7 +609,8 @@ class TestNoiseOracleColumns:
 
 
 class TestLiveBlocks:
-    """Replications walk the tiles in live blocks of _LIVE_ROWS; the block size changes nothing."""
+    """Replications walk the tiles in live blocks of market._LIVE_ROWS; the block size changes
+    nothing."""
 
     @pytest.mark.parametrize(
         "kinds,vol,drift,noise,refinement",
@@ -610,10 +629,14 @@ class TestLiveBlocks:
         schedule, cutoffs = (5, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1), (2, 8, 9)
         config = _config(kinds=kinds, n_schedule=schedule, vol=vol, drift=drift, noise=noise,
                          replications=2 * _TILE_ROWS + 3, base_seed=29, refinement=refinement)
-        assert experiments._LIVE_ROWS >= config.replications  # one block by default
+        started = _count_blocks(monkeypatch)
         whole = _run_replications(config, cutoffs)
-        monkeypatch.setattr(experiments, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
+        assert started == {(0, config.replications)}  # one block by default
+        started.clear()
+        monkeypatch.setattr(market, "_LIVE_ROWS", _TILE_ROWS)  # three blocks
         blocks = _run_replications(config, cutoffs)
+        assert started == {(0, _TILE_ROWS), (_TILE_ROWS, 2 * _TILE_ROWS),
+                           (2 * _TILE_ROWS, config.replications)}
         for n, a, b in zip(schedule, whole, blocks):
             for key in ("estimates", "noise_parts", "cross_parts", "truths"):
                 assert np.array_equal(a[key], b[key]), (n, key)

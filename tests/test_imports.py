@@ -1,7 +1,8 @@
 """Each module of the package uses every name it imports, some code of the
 package reads every private name a module defines and every method a class
-defines, every exported name is defined where it is exported from, and every
-``module.name`` the README names is there.
+defines, every exported name is defined where it is exported from, every
+``module.name`` the README names is there, and every global a test
+monkeypatches on a module of the package is one that module's code reads.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
@@ -24,18 +25,21 @@ _MODULES = sorted(p for p in (_ROOT / "src" / "spectralvol").glob("*.py")
                   if p.name != "__init__.py")
 
 
+def _bare_reads(source: str) -> set[str]:
+    """Names ``source`` reads bare (an ``ast.Name`` load), not as an attribute."""
+    return {node.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def _unused(source: str) -> set[str]:
     """Names bound by the imports of ``source`` that no expression of it reads."""
-    tree = ast.parse(source)
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return imported - read
+    return imported - _bare_reads(source)
 
 
 def _wrap_points() -> set[tuple[str, str]]:
@@ -193,3 +197,42 @@ def test_finds_an_unresolved_readme_reference():
 
 def test_every_readme_reference_resolves():
     assert _unresolved((_ROOT / "README.md").read_text()) == []
+
+
+def _patches(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each ``monkeypatch.setattr(module, "name", ...)`` of ``source`` whose
+    first argument is a module of the package, by the name ``source`` imports it as."""
+    tree = ast.parse(source)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "spectralvol":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):  # import spectralvol.cli as cli
+            modules.update((alias.asname, alias.name.split(".")[1]) for alias in node.names
+                           if alias.asname and alias.name.startswith("spectralvol."))
+    return {(modules[call.args[0].id], call.args[1].value) for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "setattr" and isinstance(call.func.value, ast.Name)
+            and call.func.value.id == "monkeypatch" and len(call.args) >= 2
+            and isinstance(call.args[0], ast.Name) and call.args[0].id in modules
+            and isinstance(call.args[1], ast.Constant)}
+
+
+def test_finds_a_patch_that_reaches_no_code():
+    tests = ("from spectralvol import market as m\nimport spectralvol.cli as cli\n"
+             "import numpy as np\n"
+             "def test_it(monkeypatch):\n    monkeypatch.setattr(m, '_A', 1)\n"
+             "    monkeypatch.setattr(m, '_B', 2)\n    monkeypatch.setattr(cli, 'run', 3)\n"
+             "    monkeypatch.setattr(np, '_C', 4)\n")
+    assert _patches(tests) == {("market", "_A"), ("market", "_B"), ("cli", "run")}
+    market = "_A = _B = 1\ndef f():\n    return _A + other._B\n"
+    assert {name for _, name in _patches(tests)} - {"run"} - _bare_reads(market) == {"_B"}
+
+
+def test_every_patch_reaches_code():
+    """A test that patches a global its module's code no longer reads passes vacuously."""
+    patches = set().union(*(_patches(p.read_text()) for p in (_ROOT / "tests").glob("*.py")))
+    assert patches  # the tests patch module globals
+    sources = {p.stem: p.read_text() for p in _MODULES}
+    assert {(module, name) for module, name in patches
+            if name not in _bare_reads(sources[module])} == set()

@@ -24,8 +24,8 @@ from spectralvol.market import (
     observe,
     _TILE_ROWS,
     _TILE_WIDTH,
+    _coefficients,
     _derive_seeds,
-    _SeriesTiles,
     _seed_words,
     _step_scales,
     _Streams,
@@ -61,25 +61,18 @@ class TestSimulateLatent:
     def test_terminal_variance_matches_level(self):
         """Monte Carlo moment oracle: Var(X_1 - X_0) = c over many seeds.
 
-        The one-step paths of seeds 0..n_seeds-1 are drawn through the engine's
-        sampler a block of live generators at a time, in groups of _TILE_ROWS,
-        and read as the engine reads them, normals times weights; every 997th
-        has the bits of its own simulate_latent call.
+        The one-step paths of seeds 0..n_seeds-1 are drawn by the Monte Carlo
+        engine, a live block of generators at a time, in groups of
+        _TILE_ROWS, with the identity for basis rows; every 997th has the bits
+        of its own simulate_latent call.
         """
         c = 2.3
         scheme = EquidistantScheme(1)
-        n_seeds, block = 100_000, 1000
+        n_seeds = 100_000
         seeds = np.arange(n_seeds)
-        tiles = _SeriesTiles(ConstantVol(c), ZeroDrift(), NoiseModel(0.0), (1,), 1, seeds, seeds)
-        scale = tiles.weights(0, 0, np.ones((1, 1)))
-        ends = np.empty(n_seeds)
-        for lo in range(0, n_seeds, block):
-            tiles.start(lo, lo + block)
-            for first in range(0, block, _TILE_ROWS):
-                group = slice(first, min(first + _TILE_ROWS, block))
-                tiles.draw(group, 1)
-                rows = group.stop - group.start
-                ends[lo + group.start : lo + group.stop] = (tiles.normals(0, rows, 1) @ scale)[:, 0]
+        (coef,), _ = _coefficients(ConstantVol(c), ZeroDrift(), NoiseModel(0.0), (1,), 1, seeds,
+                                   seeds, (1,), _identity_rows)
+        ends = coef[0, :, 0]
         for seed in range(0, n_seeds, 997):
             path = simulate_latent(ConstantVol(c), ZeroDrift(), scheme, 1, seed)
             assert ends[seed] == path.values[-1]
@@ -296,47 +289,39 @@ _VOLS = {
 }
 
 
+def _identity_rows(i, lo, out):
+    """Rows lo..lo+w-1 of the identity, as basis rows of a grid of as many columns as steps."""
+    out[...] = 0.0
+    out[:, lo : lo + len(out)] = np.eye(len(out))
+
+
 def _tiled(vol, drift, noise, n, refinement, path_seeds, noise_seeds, group=2):
-    """Rows of the engine's sampler, walked and read as the Monte Carlo engine walks them.
+    """Rows of the Monte Carlo engine on one grid, with the identity for basis rows.
 
     All rows start as one live block, and each tile is drawn for groups of
-    ``group`` rows in turn, so every row's streams, OU state, truth and
-    noise carry must persist from tile to tile.  Returns the latent
-    increments per observed step (``normals @ weights + offset`` with the
-    identity for basis rows), the spot variance that ``_ou_spot`` steps
-    (None under deterministic volatility, which forms none), the truths,
-    and the noise values times the noise scale with the excluded end points
-    zeroed, as ``observe`` zeroes them.
+    ``group`` rows in turn (market._TILE_ROWS patched), so every row's
+    streams, OU state, truth and noise carry must persist from tile to tile.
+    Returns the latent increments per observed step (``dX``), the spot
+    variance each call of ``market._euler_ou`` returns (None under
+    deterministic volatility, which forms none), the truths, and the noise
+    differences (``dV``).
     """
     rows = len(path_seeds)
     seeds = [np.array(s, dtype=np.uint64) for s in (path_seeds, noise_seeds)]
-    tiles = _SeriesTiles(vol, drift, noise, (n,), refinement, *seeds)
-    r, spots = tiles.r, []
-
-    def ou_spot(*args, step=tiles._ou_spot):  # the engine's call, its result kept
-        spots.append(step(*args))
-        return spots[-1]
-
-    tiles._ou_spot = ou_spot
-    tiles.start(0, rows)
-    dx, spot = np.empty((rows, n)), np.empty((rows, n * r + 1))
-    v = np.empty((rows, n + 1))
-    for lo, hi in _tiles(n):
-        w = hi - lo
-        eye = np.eye(w)
-        lat = tiles.weights(0, lo, eye.copy())
+    spots, euler_ou = [], market._euler_ou
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(market, "_TILE_ROWS", group)
+        monkeypatch.setattr(market, "_euler_ou", lambda *a: spots.append(euler_ou(*a)) or spots[-1])
+        (coef,), truths = _coefficients(vol, drift, noise, (n,), refinement, *seeds, (n,),
+                                        _identity_rows)
+    if not spots:
+        return coef[0], None, truths[0], coef[1]
+    r = refinement
+    spot = np.empty((rows, n * r + 1))
+    for lo, hi in _tiles(n):  # one call per tile and group, in the engine's order
         for first in range(0, rows, group):
-            g = slice(first, min(first + group, rows))
-            tiles.draw(g, w)
-            dx[g, lo:hi] = tiles.offset(0, eye)
-            if tiles.shocks is not None:
-                dx[g, lo:hi] += tiles.normals(0, g.stop - first, w) @ lat
-            if spots:
-                spot[g, lo * r : hi * r + 1] = spots.pop()
-            v[g, lo : hi + 1] = tiles.draw_noise(g, lo, w) * tiles.noise_scale
-    v[:, 0] = v[:, 0] if noise.include_initial else 0.0
-    v[:, -1] = v[:, -1] if noise.include_terminal else 0.0
-    return dx, None if tiles.vol_shocks is None else spot, tiles.truths[0], v
+            spot[first : first + group, lo * r : hi * r + 1] = spots.pop(0)
+    return coef[0], spot, truths[0], coef[1]
 
 
 class TestBlockHelpers:
@@ -347,16 +332,18 @@ class TestBlockHelpers:
     @pytest.mark.parametrize("refinement", [1, 3])
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
     def test_rows_match_single_seed_calls(self, vol, drift, refinement, ends):
+        """At unit noise variance the engine's noise differences are bit-exact (a smaller
+        scale rounds differently where the product fuses a multiply and an add)."""
         n = _TILE_WIDTH + 37  # two tiles: the OU state, truths and noise carry over
         scheme = EquidistantScheme(n)
-        noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+        noise = NoiseModel(1.0, include_initial=ends[0], include_terminal=ends[1])
         path_seeds = [derive_seed(4, rep, 0) for rep in range(5)]
         noise_seeds = [derive_seed(4, rep, 1) for rep in range(5)]
         dx, spot, truths, v = _tiled(
             _VOLS[vol], drift, noise, n, refinement, path_seeds, noise_seeds
         )
         r = refinement if vol == "ou" else 1
-        assert dx.shape == (5, n) and v.shape == (5, n + 1)
+        assert dx.shape == (5, n) and v.shape == (5, n)
         assert truths.shape == (5,) and (spot is None) == (vol != "ou")
         for j, (ps, ns) in enumerate(zip(path_seeds, noise_seeds)):
             path = simulate_latent(_VOLS[vol], drift, scheme, refinement, ps)
@@ -365,34 +352,45 @@ class TestBlockHelpers:
             np.testing.assert_allclose(dx[j], np.diff(path.values[::r]), rtol=0, atol=tol)
             if spot is not None:
                 np.testing.assert_array_equal(spot[j], path.spot_variance)
-            np.testing.assert_array_equal(v[j], obs.noise)
+            np.testing.assert_array_equal(v[j], np.diff(obs.noise))
             assert truths[j] == path.true_integrated_vol
 
 
-    def test_samplers_size_themselves(self):
-        """The draw buffer from the seeds and grids; the generators and carry from start()."""
+    def test_samplers_size_themselves(self, monkeypatch):
+        """Draws fill groups of up to _TILE_ROWS rows of a tile of the largest grid; live
+        blocks of _LIVE_ROWS rows start the streams."""
         many, noise = np.arange(_TILE_ROWS + 5), NoiseModel(0.01)
-        tiles = _SeriesTiles(_VOLS["ou"], ZeroDrift(), noise, (5, 40), 3, many, many)
-        assert tiles.raw.shape == (2, _TILE_ROWS, 120)
+        drawn = _count_fills(monkeypatch)
+        _coefficients(_VOLS["ou"], ZeroDrift(), noise, (5, 40), 3, many, many, (5, 40),
+                      _identity_rows)
+        assert drawn == [(_TILE_ROWS, 120)] * 2 + [(_TILE_ROWS, 41)] + [(5, 120)] * 2 + [(5, 41)]
         for refinement in (1, 3):  # one normal per observed step under deterministic volatility
-            tiles = _SeriesTiles(ConstantVol(1.0), ZeroDrift(), noise, (5,), refinement,
-                                 [1, 2, 3], [4, 5, 6])
-            assert tiles.raw.shape == (1, 3, 6)
-        tiles = _SeriesTiles(ConstantVol(1.0), ZeroDrift(), noise, (5,), 1, many, many)
-        tiles.start(10, 17)
-        assert tiles.carry.shape == (7,) and len(tiles.noise_shocks.pool) == 7
+            drawn.clear()
+            _coefficients(ConstantVol(1.0), ZeroDrift(), noise, (5,), refinement, [1, 2, 3],
+                          [4, 5, 6], (5,), _identity_rows)
+            assert drawn == [(3, 5), (3, 6)]
+        started, start = [], _Streams.start
+        monkeypatch.setattr(_Streams, "start",
+                            lambda self, lo, hi: started.append((lo, hi)) or start(self, lo, hi))
+        monkeypatch.setattr(market, "_TILE_ROWS", 2)
+        monkeypatch.setattr(market, "_LIVE_ROWS", 4)
+        drawn.clear()
+        _coefficients(ConstantVol(1.0), ZeroDrift(), noise, (5,), 1, many[:7], many[:7], (5,),
+                      _identity_rows)
+        assert started == [(0, 4)] * 2 + [(4, 7)] * 2
+        assert drawn == [(2, 5), (2, 6)] * 3 + [(1, 5), (1, 6)]
 
     @pytest.mark.parametrize("ends", [(True, True), (False, True), (True, False), (False, False)])
     def test_one_increment_series(self, ends):
         """At n = 1 both end points fall in the one noise difference."""
         scheme = EquidistantScheme(1)
-        noise = NoiseModel(0.01, include_initial=ends[0], include_terminal=ends[1])
+        noise = NoiseModel(1.0, include_initial=ends[0], include_terminal=ends[1])
         seeds = [derive_seed(6, rep, 1) for rep in range(3)]
         _, _, _, v = _tiled(ConstantVol(1.0), ZeroDrift(), noise, 1, 1, seeds, seeds)
         for j, seed in enumerate(seeds):
             path = simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, 1, seed)
             obs = observe(path, noise, scheme, seed)
-            np.testing.assert_array_equal(v[j], obs.noise)
+            np.testing.assert_array_equal(v[j], np.diff(obs.noise))
 
 
 # (vol, drift, refinement) of each latent setting of TestWeights; the four end
@@ -409,27 +407,21 @@ _ENDS = [(True, True), (False, True), (True, False), (False, False)]
 class TestWeights:
     """The engine's weights against the dense oracle.
 
-    Summed over the tiles of n, ``normals @ L + offset + values @ N`` must be
-    ``(dX + dV) @ B[:, :columns]`` for the increments of simulate_latent and
-    observe and the dense basis B of build_basis, for every basis and end
-    setting: the weights fold in the path scale, the drift, the noise
-    differencing and scale, and the excluded end points.
+    The engine's ``dX @ B`` plus its ``dV @ B`` must be ``(dX + dV) @
+    B[:, :columns]`` for the increments of simulate_latent and observe and
+    the dense basis B of build_basis, for every basis and end setting: the
+    weights fold in the path scale, the drift, the noise differencing and
+    scale, and the excluded end points.
     """
 
     @staticmethod
     def _weighted(vol, drift, noise, n, r, path_seeds, noise_seeds, cols):
-        rows = len(path_seeds)
-        tiles = _SeriesTiles(vol, drift, noise, (n,), r, path_seeds, noise_seeds)
-        tiles.start(0, rows)
-        noi = np.empty((min(n, _TILE_WIDTH) + 1, cols.shape[1]))
-        got = np.zeros((rows, cols.shape[1]))
-        for lo, hi in _tiles(n):
-            w, c = hi - lo, cols[lo:hi]
-            tiles.draw(slice(0, rows), w)
-            got += tiles.normals(0, rows, w) @ tiles.weights(0, lo, c.copy())
-            got += tiles.offset(0, c)
-            got += tiles.draw_noise(slice(0, rows), lo, w) @ tiles.noise_weights(0, lo, c, noi)
-        return got
+        def rows(i, lo, out):
+            out[...] = cols[lo : lo + len(out)]
+
+        (coef,), _ = _coefficients(vol, drift, noise, (n,), r, path_seeds, noise_seeds,
+                                   (cols.shape[1],), rows)
+        return coef[0] + coef[1]
 
     @pytest.mark.parametrize("n", [1, 2, _TILE_WIDTH, _TILE_WIDTH + 1, 2 * _TILE_WIDTH + 1])
     def test_match_dense_basis(self, n):
@@ -747,7 +739,7 @@ class TestZeroVarianceBlock:
     @pytest.mark.parametrize("drift", [ZeroDrift(), ConstantDrift(0.3)], ids=["zero", "const"])
     def test_no_draws_and_exact_zero_increments(self, monkeypatch, drift):
         n, refinement = 40, 2
-        noise = NoiseModel(0.01)
+        noise = NoiseModel(1.0)
         seeds = [derive_seed(5, rep, 1) for rep in range(4)]
         drawn = _count_fills(monkeypatch)
         dx, spot, truths, v = _tiled(
@@ -758,15 +750,13 @@ class TestZeroVarianceBlock:
         assert dx.tobytes() == np.full((4, n), step).tobytes()
         assert spot is None and truths.tolist() == [0.0] * 4  # no spot variance is formed
         for row, seed in zip(v, seeds):
-            assert row.tobytes() == (_philox_normals(seed, n + 1) * np.sqrt(0.01)).tobytes()
+            assert row.tobytes() == np.diff(_philox_normals(seed, n + 1)).tobytes()
 
     def test_positive_variance_still_draws(self, monkeypatch):
         drawn = _count_fills(monkeypatch)
-        tiles = _SeriesTiles(ConstantVol(1e-300), ZeroDrift(), NoiseModel(0.0), (8,), 1, [1, 2],
-                             [3, 4])
-        tiles.start(0, 2)
-        tiles.draw(slice(0, 2), 8)
-        assert tiles.normals(0, 2, 8).any() and drawn == [(2, 8)]
+        (coef,), _ = _coefficients(ConstantVol(1e-300), ZeroDrift(), NoiseModel(0.0), (8,), 1,
+                                   [1, 2], [3, 4], (8,), _identity_rows)
+        assert coef[0].any() and drawn == [(2, 8), (2, 9)]
 
 
 _NAN, _INF = math.nan, math.inf

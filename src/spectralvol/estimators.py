@@ -23,9 +23,10 @@ noise vector (latent price identically zero), and
 trace of :func:`basis.noise_law`.  It is the single source of truth for the
 noise floors of the cosine and Fourier forms (>= nu/2 and >= 2 nu with noisy
 end points) and the vanishing noise term of the sine form.
-No function here builds a basis column: the Monte Carlo engine reads each
-kind's basis, column count and prefactor from ``_form`` and calls
-:func:`basis.basis_columns` itself.
+No function here builds a basis column: the Monte Carlo driver,
+``experiments._run_replications``, reads each kind's basis, column count and
+prefactor from ``_form``, calls :func:`basis.basis_columns` and hands the
+engine (``market._coefficients``) the rows through its ``rows`` callback.
 """
 
 from __future__ import annotations

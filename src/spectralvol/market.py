@@ -12,22 +12,24 @@ tests can use it as an oracle.
 Randomness is counter-based (Philox) and fully keyed: every path or noise
 stream is a pure function of its integer seed, and :func:`derive_seed`
 produces independent sub-seeds from ``(base_seed, replication, stream)`` so
-Monte Carlo replications can run in any order or in parallel.  Sub-seeds and
-Philox keys are numpy's SeedSequence hash, computed here on Python ints for
-one seed or on arrays for many seeds in one pass, and each sampler re-keys
-Philox generators of its own, a spare list that outlives runs, for each
-group of streams: stream j has the bits of ``Philox(SeedSequence(seeds[j]))``
-without either object being built per stream or per run.  The Monte Carlo
-engine is one call, ``_coefficients``: it draws its series, path and noise,
-in tiles of ``_TILE_WIDTH`` observed increments, each drawn once for series
-of several lengths (each reading a prefix) and continuing its streams, so a
+Monte Carlo replications can run in any order or in parallel.  Each job has
+one seeding path.  :func:`derive_seed` is numpy's SeedSequence hash, and
+:func:`simulate_latent`, :func:`observe` and the correlated paths draw from
+numpy's own ``Generator(Philox(SeedSequence(seed)))``.  The Monte Carlo
+engine is one call, ``_coefficients``; it evaluates the same hash on arrays,
+for all replications (``_derive_seeds``) and all Philox keys (``_Streams``)
+in one pass each, and re-keys Philox generators of its own, a spare list
+that outlives runs, for each group of streams, so stream j has the bits of
+``Philox(SeedSequence(seeds[j]))`` without either object being built per
+stream or per run.  It draws its series, path and noise, in tiles of
+``_TILE_WIDTH`` observed increments, each drawn once for series of several
+lengths (each reading a prefix) and continuing its streams, so a
 tile-by-tile draw has the bits of one long draw, and returns their basis
 coefficients; its caller gives only the basis rows.  ``_engine_bytes``
-counts its buffers before a run.  :func:`simulate_latent`,
-:func:`observe` and the correlated paths are its independent reference:
-each draws its own streams in one fill, and shares with the engine only the
-formulas of a step.  Paths whose spot variance is zero everywhere draw no
-latent shocks.
+counts its buffers before a run.  The single-series samplers are its
+independent reference: they share with it only the formulas of a step.
+Paths whose spot variance is zero everywhere draw no latent shocks, and
+noise of variance zero draws no noise.
 """
 
 from __future__ import annotations
@@ -279,43 +281,15 @@ def _hash_entropy(entropy: list, n_words: int) -> list:
     return out
 
 
-def _seed_words(parts, n_words: int, spawn: int | None = None) -> np.ndarray:
+def _seed_words(words: list, n_words: int, spawn: int | None = None) -> np.ndarray:
     """``SeedSequence(entropy, spawn_key=(spawn,)).generate_state(n_words)``, a row each.
 
-    A row's entropy is the ints of ``parts`` in order.  Each part is an int,
-    or (at most one part) a 1-D sequence of ints below 2**64, one per row.
-    Rows whose int there takes one word and rows whose int takes two are
-    hashed apart.
+    A row's entropy is ``words`` in order, each a Python int that every row
+    shares or a uint32 array holding that word of each row (at least one is).
     """
-
-    def hashed(words):
-        if spawn is not None:  # the spawn key follows the entropy zero-padded to the pool size
-            words = words + [0] * (_POOL_SIZE - len(words)) + _words(spawn)
-        return _hash_entropy(words, n_words)
-
-    def ints(some):
-        return [w for part in some for w in _words(part)]
-
-    per_row = [i for i, part in enumerate(parts) if hasattr(part, "__len__")]
-    if not per_row:
-        return np.array([hashed(ints(parts))], dtype=np.uint32)
-    (at,) = per_row
-    v = np.asarray(parts[at])
-    if v.dtype.kind != "u":
-        if np.any(v < 0):
-            raise InvalidParameter("seeds must be non-negative integers")
-        v = np.array(parts[at], dtype=np.uint64)
-    lo, hi = (v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)
-    head, tail = ints(parts[:at]), ints(parts[at + 1 :])
-    out = np.empty((len(v), n_words), dtype=np.uint32)
-    wide = hi > 0
-    for rows, mid in ((~wide, [lo]), (wide, [lo, hi])):
-        if rows.all():
-            rows = slice(None)
-        elif not rows.any():
-            continue
-        out[rows] = np.column_stack(hashed(head + [w[rows] for w in mid] + tail))
-    return out
+    if spawn is not None:  # the spawn key follows the entropy zero-padded to the pool size
+        words = words + [0] * (_POOL_SIZE - len(words)) + _words(spawn)
+    return np.column_stack(_hash_entropy(words, n_words))
 
 
 def _uint64(words: np.ndarray) -> np.ndarray:
@@ -324,8 +298,16 @@ def _uint64(words: np.ndarray) -> np.ndarray:
 
 
 def _derive_seeds(base_seed: int, replications, stream: int) -> np.ndarray:
-    """:func:`derive_seed` of each replication, as a uint64 array, from one hash call."""
-    return _uint64(_seed_words((base_seed, replications, stream), 2))[:, 0]
+    """:func:`derive_seed` of each replication, as a uint64 array, from one hash call.
+
+    Each replication is one entropy word, so all must lie below 2**32
+    (:class:`InvalidParameter` otherwise), as ExperimentConfig's do.
+    """
+    reps = np.asarray(replications)
+    if np.any(reps < 0) or np.any(reps > _MASK32):
+        raise InvalidParameter("replications must be integers in [0, 2**32)")
+    words = _words(base_seed) + [reps.astype(np.uint32)] + _words(stream)
+    return _uint64(_seed_words(words, 2))[:, 0]
 
 
 def derive_seed(base_seed: int, replication: int, stream: int) -> int:
@@ -339,9 +321,9 @@ def derive_seed(base_seed: int, replication: int, stream: int) -> int:
     derive_seed(b, 0, 1)`` for b < 2**32.  Raises :class:`InvalidParameter`
     for an argument that is not an integer >= 0.
     """
-    seeds = (_index(base_seed, "base_seed", 0), _index(replication, "replication", 0),
-             _index(stream, "stream", 0))
-    return int(_derive_seeds(*seeds)[0])
+    entropy = (_index(base_seed, "base_seed", 0), _index(replication, "replication", 0),
+               _index(stream, "stream", 0))
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 _EMPTY_BLOCK = (0, 0, 0, 0)
@@ -352,21 +334,28 @@ _SPARES: list[list] = []
 
 
 class _Streams:
-    """The Philox streams of some seeds, drawn through generators of its own.
+    """The Philox streams of the Monte Carlo engine's seeds, drawn through generators of its own.
 
     Stream j is that of ``Philox(SeedSequence(seeds[j], spawn_key=(spawn,)))``:
     its key is the seed sequence's first two uint64 words and its counter and
-    buffer start empty.  The keys of all seeds come from one hash call.  The
-    generators are a spare list taken from :data:`_SPARES` (a new one if none
-    is spare) and put back there once this sampler is collected.
-    :meth:`start` grows that list as needed and re-keys one of its generators
-    to each stream of seeds[lo:hi], and each :meth:`fill` continues some of
-    them, so a row filled tile by tile gets the bits of one long draw, and
-    refuses rows not started.
+    buffer start empty.  The keys of all seeds come from one hash call over
+    each seed's two 32-bit words.  numpy hashes a seed below 2**32 as one
+    word, but SeedSequence zero-pads entropy shorter than its 4-word pool,
+    and pads it before it appends the spawn key, so a zero high word changes
+    no key.  The generators are a spare list taken from :data:`_SPARES` (a
+    new one if none is spare) and put back there once this sampler is
+    collected.  :meth:`start` grows that list as needed and re-keys one of
+    its generators to each stream of seeds[lo:hi], and each :meth:`fill`
+    continues some of them, so a row filled tile by tile gets the bits of
+    one long draw, and refuses rows not started.
     """
 
     def __init__(self, seeds, spawn: int | None = None):
-        self.keys = _uint64(_seed_words((seeds,), 4, spawn))
+        if np.any(np.asarray(seeds) < 0):
+            raise InvalidParameter("seeds must be non-negative integers")
+        v = np.asarray(seeds, dtype=np.uint64)
+        words = [(v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)]
+        self.keys = _uint64(_seed_words(words, 4, spawn))
         try:
             self.owned = _SPARES.pop()
         except IndexError:
@@ -399,10 +388,10 @@ class _Streams:
 
 
 def _normals(seed: int, size: int, spawn: int | None = None) -> np.ndarray:
-    """The first ``size`` normals of the stream of ``seed`` (spawn key ``spawn``)."""
-    streams = _Streams(seed, spawn)
-    streams.start(0, 1)
-    return streams.fill(np.empty((1, size)))[0]
+    """The first ``size`` normals of ``Philox(SeedSequence(seed, spawn_key=(spawn,)))``."""
+    key = () if spawn is None else (spawn,)
+    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+    return np.random.Generator(bits).standard_normal(size)
 
 
 def _as_piecewise(vol: VolModel) -> PiecewiseVol | None:
@@ -479,7 +468,7 @@ def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refin
     spawn key 0, the state (:func:`_euler_ou`) by spawn key 1.  The noise at
     time k is normal k of the noise stream times the noise scale, whatever
     the length n.  Paths whose spot variance is zero everywhere draw no
-    shocks.
+    shocks, and noise of variance zero draws none: ``dV @ B`` stays +0.0.
 
     Series run in live blocks of _LIVE_ROWS, whose streams stay keyed while
     the block walks the tiles of the largest grid.  For each tile, every grid
@@ -502,7 +491,7 @@ def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refin
     silent = not ou and not any(steps.levels)
     shocks = None if silent else _Streams(path_seeds, 0 if ou else None)
     vol_shocks = _Streams(path_seeds, 1) if ou else None
-    noise_shocks = _Streams(noise_seeds)
+    noise_shocks = _Streams(noise_seeds) if noise.variance else None
     series = np.size(path_seeds)
     # the path normals, then the OU state shocks, of a tile of the largest grid; the
     # first is wide enough for the tile's noise normals, drawn once the path's are used
@@ -560,6 +549,8 @@ def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refin
                             np.multiply(dx, scaled, out=scaled)
                             dx = scaled.reshape(g, w, r) @ np.ones(r)  # faster than sum(axis=2)
                         coef[0, group] += dx @ lat
+                if noise_shocks is None:
+                    continue
                 # the noise normals at times lo..hi, over the path normals; lo's is the carry
                 v = values = raw[0, :g, : hi - lo + 1]
                 if lo:
@@ -647,7 +638,7 @@ def simulate_latent(
 def simulate_latent_correlated(
     loadings: np.ndarray,
     scheme: EquidistantScheme,
-    refinement: int = 10,
+    *,
     rng_seed: int = 0,
 ) -> tuple[list[LatentPath], np.ndarray]:
     """Simulate J latent paths sharing one d-dimensional Wiener driver.
@@ -656,13 +647,11 @@ def simulate_latent_correlated(
     the exact integrated covariance matrix is ``loadings @ loadings.T`` and
     is returned alongside the per-asset paths.  Constant loadings make each
     observed step's law exact, so each is drawn by it: the paths lie on the
-    observation grid, and ``refinement`` is only checked.  Raises
-    :class:`DimensionMismatch` for loadings that are not a non-empty J x d
-    matrix, :class:`InvalidParameter` for a loading that is not a finite
-    real number and for a refinement or seed as :func:`simulate_latent`
+    observation grid.  Raises :class:`DimensionMismatch` for loadings that
+    are not a non-empty J x d matrix, :class:`InvalidParameter` for a loading
+    that is not a finite real number and for a seed as :func:`simulate_latent`
     does, and :class:`ResultOverflow` for a covariance that overflows float64.
     """
-    _index(refinement, "refinement", 1)
     sigma = np.atleast_2d(_real_array(loadings, "loadings"))
     if sigma.ndim != 2 or sigma.size == 0:
         raise DimensionMismatch(f"loadings must be a non-empty J x d matrix, got {sigma.shape}")

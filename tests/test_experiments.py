@@ -453,7 +453,7 @@ class TestGeneratorPool:
         def samplers():
             path = simulate_latent(_OU, ZeroDrift(), scheme, 2, 5)
             obs = observe(path, NoiseModel(0.01), scheme, 6)
-            paths, _ = simulate_latent_correlated(np.array([[1.0, 0.5]]), scheme, 2, 7)
+            paths, _ = simulate_latent_correlated(np.array([[1.0, 0.5]]), scheme, rng_seed=7)
             return [a.tobytes() for a in (path.values, path.spot_variance, obs.noise,
                                            paths[0].values)]
 

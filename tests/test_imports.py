@@ -1,8 +1,9 @@
 """Each module of the package uses every name it imports, some code of the
 package reads every private name a module defines and every method a class
 defines, every exported name is defined where it is exported from, every
-``module.name`` the README names is there, and every global a test
-monkeypatches on a module of the package is one that module's code reads.
+``module.name`` the README names is there, every global a test
+monkeypatches on a module of the package is one that module's code reads,
+and only the Monte Carlo engine builds the engine's stream groups.
 
 No linter runs on the package, so this parses each module with ``ast``.  A
 name may stay unused when the benchmark's tracer (``perfbench/tracer.py``)
@@ -236,3 +237,27 @@ def test_every_patch_reaches_code():
     sources = {p.stem: p.read_text() for p in _MODULES}
     assert {(module, name) for module, name in patches
             if name not in _bare_reads(sources[module])} == set()
+
+
+def _callers(source: str, callee: str) -> set[str]:
+    """The module-level functions and classes of ``source`` whose code calls ``callee``, bare
+    or as an attribute; ``<module>`` for a call outside them."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name if isinstance(node, defs) else "<module>"
+            for node in ast.parse(source).body for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and callee in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+
+
+def test_finds_every_caller():
+    source = ("def f():\n    return g(_S([1]))\nclass K:\n    def m(self):\n        m._S(2)\n"
+              "def h():\n    return _S, S(1)\nx = _S(3)\n")
+    assert _callers(source, "_S") == {"f", "K", "<module>"}
+
+
+def test_only_the_engine_builds_stream_groups():
+    """The single-series samplers, the engine's independent reference, draw from numpy's own
+    generators and not through the engine's ``market._Streams``."""
+    callers = {(p.stem, name) for p in (_ROOT / "src" / "spectralvol").glob("*.py")
+               for name in _callers(p.read_text(), "_Streams")}
+    assert callers == {("market", "_coefficients")}

@@ -283,29 +283,29 @@ def test_observe(every, args):
 
 @_EXAMPLES
 @given(loadings=_vectors(min_size=3, max_size=6), assets=st.integers(1, 3),
-       args=_one_hostile(n=_SIZES, refinement=(st.integers(1, 3), _NON_INTEGER), seed=_SEEDS))
+       args=_one_hostile(n=_SIZES, seed=_SEEDS))
 def test_simulate_latent_correlated(loadings, assets, args):
     sigma = loadings[: len(loadings) // assets * assets].reshape(assets, -1)
     _check(lambda: simulate_latent_correlated(sigma, EquidistantScheme(args["n"]),
-                                              args["refinement"], args["seed"]))
+                                              rng_seed=args["seed"]))
 
 
 @_EXAMPLES
 @given(loadings=_vectors(min_size=3, max_size=6), assets=st.integers(1, 3), mangle=_MANGLE)
 def test_simulate_latent_correlated_mangled_shapes(loadings, assets, mangle):
     sigma = _MANGLES[mangle](loadings[: len(loadings) // assets * assets].reshape(assets, -1))
-    _check(lambda: simulate_latent_correlated(sigma, EquidistantScheme(4), 1, 3))
+    _check(lambda: simulate_latent_correlated(sigma, EquidistantScheme(4), rng_seed=3))
 
 
 @pytest.mark.parametrize("loadings", [[], np.ones((0, 2)), np.ones((2, 2, 2))],
                          ids=["empty_list", "no_asset", "three_dimensional"])
 def test_simulate_latent_correlated_refuses_loadings_that_are_not_a_matrix(loadings):
     with pytest.raises(DimensionMismatch):
-        simulate_latent_correlated(loadings, EquidistantScheme(4), 1, 3)
+        simulate_latent_correlated(loadings, EquidistantScheme(4), rng_seed=3)
 
 
 def test_simulate_latent_correlated_reads_a_vector_as_one_asset():
-    paths, cov = simulate_latent_correlated([0.3, 0.4], EquidistantScheme(4), 1, 3)
+    paths, cov = simulate_latent_correlated([0.3, 0.4], EquidistantScheme(4), rng_seed=3)
     assert len(paths) == 1 and cov.shape == (1, 1) and cov[0, 0] == pytest.approx(0.25, rel=1e-15)
 
 

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectralvol.basis import BasisKind, build_basis
 from spectralvol.errors import GridMismatch, InvalidParameter, ResultOverflow, TooShort
@@ -26,7 +28,6 @@ from spectralvol.market import (
     _TILE_WIDTH,
     _coefficients,
     _derive_seeds,
-    _seed_words,
     _step_scales,
     _Streams,
     _tiles,
@@ -229,6 +230,15 @@ _STEPS = PiecewiseVol((0.25, 0.1 * 3, 1 / 3, float(np.nextafter(0.5, 1.0)), 0.6,
                       (1.0, 4.0, 0.5, 2.0, 3.0, 0.7, 1.5))
 
 
+def _count_normals(monkeypatch) -> list:
+    """The size of every market._normals draw from now on, in call order."""
+    drawn = []
+    normals = market._normals
+    monkeypatch.setattr(market, "_normals",
+                        lambda seed, size, spawn=None: drawn.append(size) or normals(seed, size, spawn))
+    return drawn
+
+
 def _count_fills(monkeypatch) -> list:
     """The shape of every _Streams.fill from now on, in call order."""
     drawn = []
@@ -273,13 +283,13 @@ class TestExactStepLaw:
 
     def test_refinement_draws_only_under_ou(self, monkeypatch):
         """A refined deterministic path draws n normals; an OU path n * r per stream."""
-        drawn = _count_fills(monkeypatch)
+        drawn = _count_normals(monkeypatch)
         n, r = 50, 4
         path = simulate_latent(_STEPS, ConstantDrift(0.3), EquidistantScheme(n), r, 3)
-        assert drawn == [(1, n)] and len(path.values) == n + 1
+        assert drawn == [n] and len(path.values) == n + 1
         drawn.clear()
         path = simulate_latent(_VOLS["ou"], ZeroDrift(), EquidistantScheme(n), r, 3)
-        assert drawn == [(1, n * r)] * 2 and len(path.values) == n * r + 1
+        assert drawn == [n * r] * 2 and len(path.values) == n * r + 1
 
 
 _VOLS = {
@@ -556,12 +566,18 @@ class TestSeedDerivation:
 
 
 _BASES = (0, 11, 2**32 - 1, 2**32, 2**63 + 12345, 2**70)
-_REPS = [0, 1, 2**32 - 1, 2**32] + list(range(500))
+_REPS = [0, 1, 2**32 - 1] + list(range(500))
 
 
 def _oracle_seed(base, rep, stream):
     ss = np.random.SeedSequence((base, rep, stream))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _oracle_key(seed, spawn):
+    """The Philox key ``Philox(SeedSequence(seed, spawn_key=(spawn,)))`` takes."""
+    key = () if spawn is None else (spawn,)
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64).tolist()
 
 
 class TestSeedingKernel:
@@ -577,20 +593,35 @@ class TestSeedingKernel:
         assert _derive_seeds(base, _REPS, stream).tolist() == want
         assert [derive_seed(base, rep, stream) for rep in _REPS[:6]] == want[:6]
 
+    @given(base=st.integers(0, 2**70), reps=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+           stream=st.integers(0, 2**33))
+    def test_derive_seeds_match_seed_sequence_anywhere(self, base, reps, stream):
+        got = _derive_seeds(base, np.array(reps, dtype=np.uint64), stream)
+        assert got.tolist() == [_oracle_seed(base, rep, stream) for rep in reps]
+
+    @pytest.mark.parametrize("base", [0, 2**32 + 7])
+    def test_replications_of_one_word_only(self, base):
+        """The engine's hash takes a replication as one entropy word; derive_seed takes any."""
+        with pytest.raises(InvalidParameter, match="2\\*\\*32"):
+            _derive_seeds(base, np.array([0, 2**32], dtype=np.uint64), 0)
+        assert derive_seed(base, 2**32, 1) == _oracle_seed(base, 2**32, 1)
+
     @pytest.mark.parametrize("spawn", [None, 0, 1])
-    def test_second_level_words_match_seed_sequence(self, spawn):
+    def test_keys_match_seed_sequence(self, spawn):
         """Philox keys of seeds below and above 2**32, mixed in one call."""
         seeds = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1] + [
             derive_seed(11, rep, s) for rep in range(20) for s in (0, 1)
         ]
-        key = () if spawn is None else (spawn,)
-        want = np.array(
-            [np.random.SeedSequence(seed, spawn_key=key).generate_state(4) for seed in seeds]
-        )
-        np.testing.assert_array_equal(_seed_words((seeds,), 4, spawn), want)
-        np.testing.assert_array_equal(
-            _seed_words((np.array(seeds, dtype=np.uint64),), 4, spawn), want
-        )
+        want = [_oracle_key(seed, spawn) for seed in seeds]
+        assert _Streams(seeds, spawn).keys.tolist() == want
+        assert _Streams(np.array(seeds, dtype=np.uint64), spawn).keys.tolist() == want
+
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1),
+                          max_size=12), spawn=st.sampled_from([None, 0, 1]))
+    def test_keys_match_seed_sequence_anywhere(self, seeds, spawn):
+        """Seeds of one and of two words, mixed in one array, each get numpy's key."""
+        got = _Streams(np.array(seeds, dtype=np.uint64), spawn).keys
+        assert got.tolist() == [_oracle_key(seed, spawn) for seed in seeds]
 
     @pytest.mark.parametrize("spawn", [None, 0, 1])
     def test_normals_rows_match_per_seed_philox(self, spawn):
@@ -635,7 +666,7 @@ class TestSeedingKernel:
             (2**40 + 3, 0): ["-0x1.61aa7ce67268cp+0", "-0x1.c16e76747a979p-2"],
         }
         for (seed, spawn), want in golden.items():
-            streams = _Streams(seed, spawn)
+            streams = _Streams([seed], spawn)
             streams.start(0, 1)
             assert [v.hex() for v in streams.fill(np.empty((1, 2)))[0].tolist()] == want
 
@@ -671,7 +702,7 @@ class TestGeneratorPool:
 
         def samplers():
             path = simulate_latent(_VOLS["ou"], ZeroDrift(), scheme, 3, 4)
-            paths, _ = simulate_latent_correlated(np.eye(2), scheme, 2, 4)
+            paths, _ = simulate_latent_correlated(np.eye(2), scheme, rng_seed=4)
             return [a.tobytes() for a in (path.values, observe(path, noise, scheme, 4).noise,
                                            paths[1].values)]
 
@@ -753,10 +784,13 @@ class TestZeroVarianceBlock:
             assert row.tobytes() == np.diff(_philox_normals(seed, n + 1)).tobytes()
 
     def test_positive_variance_still_draws(self, monkeypatch):
+        """A tiny spot variance draws the path; noise of variance 0 draws nothing, and
+        ``dV @ B`` keeps the +0.0 it starts from."""
         drawn = _count_fills(monkeypatch)
         (coef,), _ = _coefficients(ConstantVol(1e-300), ZeroDrift(), NoiseModel(0.0), (8,), 1,
                                    [1, 2], [3, 4], (8,), _identity_rows)
-        assert coef[0].any() and drawn == [(2, 8), (2, 9)]
+        assert coef[0].any() and drawn == [(2, 8)]
+        assert coef[1].tobytes() == np.zeros_like(coef[1]).tobytes()
 
 
 _NAN, _INF = math.nan, math.inf
@@ -819,9 +853,8 @@ class TestSamplerArguments:
                             NoiseModel(0.01), _FOUR, 1.5),
             lambda: observe(simulate_latent(ConstantVol(1.0), ZeroDrift(), _FOUR, 1, 1),
                             NoiseModel(0.01), _FOUR, -1),
-            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 2.5, 1),
-            lambda: simulate_latent_correlated(np.eye(2), _FOUR, 1, -1),
-            lambda: simulate_latent_correlated(np.eye(2) * (1 + 1j), _FOUR, 1, 1),
+            lambda: simulate_latent_correlated(np.eye(2), _FOUR, rng_seed=-1),
+            lambda: simulate_latent_correlated(np.eye(2) * (1 + 1j), _FOUR, rng_seed=1),
             lambda: derive_seed(-1, 0, 0),
             lambda: derive_seed(1.5, 0, 0),
             lambda: derive_seed(0, -1, 0),
@@ -830,7 +863,7 @@ class TestSamplerArguments:
         ],
         ids=["refinement_non_integer", "refinement_nan", "seed_non_integer", "seed_negative",
              "silent_seed_non_integer", "ou_seed_negative", "observe_seed_non_integer",
-             "observe_seed_negative", "correlated_refinement", "correlated_seed",
+             "observe_seed_negative", "correlated_seed",
              "correlated_complex_loadings", "derive_base_negative", "derive_base_non_integer",
              "derive_replication_negative", "derive_stream_non_integer", "ou_refinement_huge"],
     )
@@ -840,16 +873,17 @@ class TestSamplerArguments:
 
     def test_grid_bound_is_the_module_constant(self, monkeypatch):
         """A grid whose arrays would pass market.MAX_BUFFER_BYTES is refused before any draw."""
-        drawn = _count_fills(monkeypatch)
+        drawn = _count_normals(monkeypatch)
         monkeypatch.setattr(market, "MAX_BUFFER_BYTES", 8 * 8 * 41)  # 8 floats at 41 points
         simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 10, 1)
         simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(40), 10**20, 1)
-        simulate_latent_correlated(np.eye(2), _FOUR, 10**20, 1)  # 11 floats at 5 points
+        simulate_latent_correlated(np.eye(2), _FOUR, rng_seed=1)  # 11 floats at 5 points
         drawn.clear()
         for call in (lambda: simulate_latent(_VOLS["ou"], ZeroDrift(), _FOUR, 11, 1),
                      lambda: simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(41),
                                              1, 1),
-                     lambda: simulate_latent_correlated(np.eye(2), EquidistantScheme(30), 1, 1)):
+                     lambda: simulate_latent_correlated(np.eye(2), EquidistantScheme(30),
+                                                        rng_seed=1)):
             with pytest.raises(InvalidParameter, match="MAX_BUFFER_BYTES"):
                 call()
         assert drawn == []
@@ -859,40 +893,41 @@ class TestSamplerArguments:
         with pytest.raises(ResultOverflow, match="path"):
             simulate_latent(OrnsteinUhlenbeckVol(1e200, 1.0, 1.0, 1e200), ZeroDrift(), _FOUR, 1, 1)
         with pytest.raises(ResultOverflow, match="covariance"):
-            simulate_latent_correlated(np.eye(2) * 1e200, _FOUR, 1, 1)
+            simulate_latent_correlated(np.eye(2) * 1e200, _FOUR, rng_seed=1)
 
 
 class TestCorrelatedPaths:
     def test_cov_matrix_and_shapes(self):
-        """Refinement 2 draws each observed step by its exact law, d normals each, as
-        refinement 1 does: the paths lie on the observation grid."""
+        """Each observed step is drawn by its exact law, d normals each: the paths lie on
+        the observation grid."""
         loadings, n, seed = np.array([[1.0, 0.0], [0.5, 0.5]]), 16, 0
         dx = (_philox_normals(seed, 2 * n) * np.sqrt(1.0 / n)).reshape(n, 2) @ loadings.T
-        for r in (1, 2):
-            paths, cov = simulate_latent_correlated(loadings, EquidistantScheme(n), r, seed)
-            assert len(paths) == 2
-            np.testing.assert_allclose(cov, loadings @ loadings.T)
-            assert paths[0].true_integrated_vol == pytest.approx(1.0)
-            for j, path in enumerate(paths):
-                assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx[:, j]))).tobytes()
-                assert path.fine_times.tobytes() == EquidistantScheme(n).times().tobytes()
-                assert path.spot_variance.tobytes() == np.full(n + 1, cov[j, j]).tobytes()
+        paths, cov = simulate_latent_correlated(loadings, EquidistantScheme(n), rng_seed=seed)
+        assert len(paths) == 2
+        np.testing.assert_allclose(cov, loadings @ loadings.T)
+        assert paths[0].true_integrated_vol == pytest.approx(1.0)
+        for j, path in enumerate(paths):
+            assert path.values.tobytes() == np.concatenate(([0.0], np.cumsum(dx[:, j]))).tobytes()
+            assert path.fine_times.tobytes() == EquidistantScheme(n).times().tobytes()
+            assert path.spot_variance.tobytes() == np.full(n + 1, cov[j, j]).tobytes()
 
     def test_perfectly_correlated_assets_coincide(self):
         loadings = np.array([[1.0], [1.0]])
-        paths, _ = simulate_latent_correlated(loadings, EquidistantScheme(16), 1, 4)
+        paths, _ = simulate_latent_correlated(loadings, EquidistantScheme(16), rng_seed=4)
         np.testing.assert_allclose(paths[0].values, paths[1].values)
 
-    def test_zero_refinement_rejected_like_single_asset(self):
+    def test_seed_is_keyword_only(self):
+        """A call that still passes a refinement before the seed fails instead of reading the
+        refinement as the seed."""
+        with pytest.raises(TypeError):
+            simulate_latent_correlated(np.eye(2), EquidistantScheme(4), 2, 4)
         with pytest.raises(InvalidParameter):
             simulate_latent(ConstantVol(1.0), ZeroDrift(), EquidistantScheme(4), refinement=0)
-        with pytest.raises(InvalidParameter):
-            simulate_latent_correlated(np.eye(2), EquidistantScheme(4), refinement=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_loadings_rejected(self, bad):
         with pytest.raises(InvalidParameter):
-            simulate_latent_correlated([[bad, 1.0]], EquidistantScheme(4), refinement=1)
+            simulate_latent_correlated([[bad, 1.0]], EquidistantScheme(4))
 
 
 class TestCsvRoundTrip:

@@ -436,19 +436,16 @@ def _step_truth(steps: PiecewiseVol) -> float:
 def _euler_ou(vol: OrnsteinUhlenbeckVol, state: np.ndarray, shocks: np.ndarray,
               dt: float) -> np.ndarray:
     """The spot variance, the squared OU state, at the w + 1 points of w Euler-Maruyama steps
-    of size dt from ``state``, a row per path, driven by the rows x w normals ``shocks``.
-    Leaves each path's last state in ``state``."""
-    sqrt_dt = np.sqrt(dt)
-    path = np.empty((shocks.shape[1] + 1, len(state)))  # all paths stepped at once
-    path[0] = state
-    for k in range(len(path) - 1):
-        path[k + 1] = (
-            path[k]
-            + vol.reversion_rate * (vol.mean_level - path[k]) * dt
-            + vol.vol_of_vol * (shocks[:, k] * sqrt_dt)
-        )
-    state[...] = path[-1]
-    return np.square(path, out=path).T.copy()  # the truths' bits need this layout
+    of size dt from ``state``, driven by the rows x w normals ``shocks``: one row per path,
+    as its readers take it.  Leaves each path's last state in ``state``."""
+    path = np.empty((len(state), shocks.shape[1] + 1))
+    path[:, 0] = state
+    np.multiply(shocks, np.sqrt(dt), out=path[:, 1:])
+    path[:, 1:] *= vol.vol_of_vol
+    for k in range(shocks.shape[1]):  # kick + (x + drift) has the bits of x + drift + kick
+        path[:, k + 1] += path[:, k] + vol.reversion_rate * (vol.mean_level - path[:, k]) * dt
+    state[...] = path[:, -1]
+    return np.square(path, out=path)
 
 
 def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refinement: int,
@@ -545,9 +542,10 @@ def _coefficients(vol: VolModel, drift: DriftModel, noise: NoiseModel, ns, refin
                         if ou:  # an observed step sums r fine normals times their path's scale
                             spot = _euler_ou(vol, state[i, group], raw[1, :g, : w * r], dts[i])
                             truth[i, group] += _trapezoid(spot, dx=dts[i], axis=1)
-                            scaled = np.sqrt(spot[:, :-1] * dts[i])
-                            np.multiply(dx, scaled, out=scaled)
+                            scaled = spot[:, :-1] * dts[i]  # the one temporary: scales, then dx
+                            np.multiply(dx, np.sqrt(scaled, out=scaled), out=scaled)
                             dx = scaled.reshape(g, w, r) @ np.ones(r)  # faster than sum(axis=2)
+                            del spot, scaled  # the next grid steps with neither alive
                         coef[0, group] += dx @ lat
                 if noise_shocks is None:
                     continue
@@ -567,21 +565,22 @@ def _engine_bytes(vol: VolModel, ns, refinement: int, replications: int, columns
     """Bytes of the buffers :func:`_coefficients` holds for these arguments, none built.
 
     The draw buffer, whose rows hold a tile's path normals and then its
-    noise normals (OU: ``refinement`` normals per observed step, a row of
-    state shocks, the state, its squared copy and the trapezoid's sums); per
-    grid, the latent and noise weights, two temporaries of their size (a
-    basis build's angle units among them), the coefficients and their sum;
-    per replication its truths and seeds; and per live replication and
-    stream a generator of about 640 bytes.  No term grows with n except through
-    ``columns``.  The generators are spare lists kept across runs, at most
-    _LIVE_ROWS per stream (:class:`_Streams`); they are counted whether or
-    not this run builds them.
+    noise normals (OU: ``refinement`` normals per observed step and a row of
+    state shocks; a group then holds two more arrays of a row's size, the
+    path of :func:`_euler_ou` and the trapezoid's sums or the step scales,
+    and no grid's while the next steps); per grid, the latent and noise
+    weights, two temporaries of their size (a basis build's angle units
+    among them), the coefficients and their sum; per replication its truths
+    and seeds; and per live replication and stream a generator of about 640
+    bytes.  No term grows with n except through ``columns``.  The generators
+    are spare lists kept across runs, at most _LIVE_ROWS per stream
+    (:class:`_Streams`), counted whether or not this run builds them.
     """
     ou = isinstance(vol, OrnsteinUhlenbeckVol)
     r = refinement if ou else 1
     width = min(max(ns), _TILE_WIDTH)
     reps = replications
-    floats = min(_TILE_ROWS, reps) * (1 + 4 * ou) * max(width * r, width + 1)
+    floats = min(_TILE_ROWS, reps) * (1 + 3 * ou) * max(width * r, width + 1)
     floats += reps * (len(ns) + 8) + min(_LIVE_ROWS, reps) * 80 * (2 + ou)
     for n, k in zip(ns, columns):
         floats += (4 * min(n, _TILE_WIDTH) + 1 + 3 * reps) * k
@@ -611,8 +610,8 @@ def simulate_latent(
     refinement = _index(refinement, "refinement", 1)
     seed = _index(rng_seed, "rng_seed", 0)
     n, steps = scheme.n, _as_piecewise(vol)
-    # the increments, spot, sums, values and times, and the draws and OU state (a traced
-    # peak of 6.1 floats per point at n = 4096, 5.2 under OU at refinement 10)
+    # the increments, spot (the OU path, squared in place), sums, values, times and draws: a
+    # traced peak of 6.09 floats per point at n = 4096, 5.21 under OU at refinement 10
     n_fine = _fine_points(n, refinement if steps is None else 1, 8)
     dt = 1.0 / n_fine
     if steps is None:
@@ -659,7 +658,7 @@ def simulate_latent_correlated(
         raise InvalidParameter("loadings must be finite numbers")
     j_count, d = len(sigma), sigma.shape[1]
     # the shocks and their scaled copy, the increments, each path's sums, values and
-    # spot, and the times (a traced peak of 11 floats per point at J = 3, d = 1)
+    # spot, and the times (a traced peak of 11.10 floats per point at J = 3, d = 1)
     n = _fine_points(scheme.n, 1, 3 * j_count + 2 * d + 1)
     times = scheme.times()
     dw = _normals(_index(rng_seed, "rng_seed", 0), n * d) * np.sqrt(1.0 / n)

@@ -673,13 +673,19 @@ class TestMemory:
 
 
 class TestEngineBytes:
-    """The preflight's count of the engine's buffers against what a run allocates."""
+    """The preflight's count of the engine's buffers against what a run allocates.
+
+    Under OU a full group's arrays are 128 rows of 1024 x ``refinement``
+    floats: 4 MiB at refinement 4 and 10 MiB at 10, so one such array
+    counted too few or held too long leaves the window."""
 
     @pytest.mark.parametrize(
         "overrides",
         [
             {"refinement": 40, "replications": _TILE_ROWS + 5},
             {"vol": _OU, "refinement": 6, "replications": 40},
+            {"vol": _OU, "n_schedule": (1024, 2048), "refinement": 4, "replications": 130},
+            {"vol": _OU, "n_schedule": (1024,), "refinement": 10, "replications": _TILE_ROWS},
             {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE), "n_schedule": (63, 255),
              "replications": 5000, "m_exponent": 0.9},
             {"n_schedule": (2**15,), "replications": 4},
@@ -688,7 +694,8 @@ class TestEngineBytes:
             {"kinds": (EstimatorKind.SIML, EstimatorKind.INA_SINE),
              "n_schedule": (1024, 4096, 16384), "replications": 200},
         ],
-        ids=["raw_tile", "ou", "coefficients", "large_n", "piecewise_spot", "contrast_shape"],
+        ids=["raw_tile", "ou", "ou_two_groups", "ou_fine", "coefficients", "large_n",
+             "piecewise_spot", "contrast_shape"],
     )
     def test_bounds_the_traced_peak(self, overrides):
         cfg = _config(**{"n_schedule": (63, 1500), "noise": NoiseModel(0.01), **overrides})

@@ -3,6 +3,7 @@
 import io
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -837,6 +838,18 @@ class TestNonFiniteParameters:
 _FOUR = EquidistantScheme(4)
 
 
+def _traced_peak(call):
+    """The traced peak of a warm call (a process's first also loads numpy.random), and its
+    result."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestSamplerArguments:
     """Sizes and seeds of the single-series samplers are integers, and their results finite."""
 
@@ -887,6 +900,21 @@ class TestSamplerArguments:
             with pytest.raises(InvalidParameter, match="MAX_BUFFER_BYTES"):
                 call()
         assert drawn == []
+
+    @pytest.mark.parametrize("vol", [ConstantVol(1.3), _STEPS, _VOLS["ou"]],
+                             ids=["constant", "piecewise", "ou"])
+    def test_simulate_latent_peak_is_within_its_charge(self, vol):
+        """At n = 4096 the traced peak stays within the 8 floats per fine point that
+        _fine_points charges (refinement 10 refines only the OU grid)."""
+        peak, path = _traced_peak(
+            lambda: simulate_latent(vol, ConstantDrift(0.2), EquidistantScheme(4096), 10, 3))
+        assert peak <= 8 * 8 * len(path.fine_times), peak / (8 * len(path.fine_times))
+
+    def test_correlated_peak_is_within_its_charge(self):
+        """3J + 2d + 1 floats per point at J = 3, d = 1."""
+        peak, _ = _traced_peak(lambda: simulate_latent_correlated(
+            np.array([[1.0], [0.5], [0.2]]), EquidistantScheme(4096), rng_seed=3))
+        assert peak <= 8 * (3 * 3 + 2 * 1 + 1) * 4097, peak / (8 * 4097)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_refused_without_a_warning(self):

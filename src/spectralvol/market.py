@@ -35,6 +35,7 @@ noise of variance zero draws no noise.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import weakref
@@ -729,61 +730,123 @@ def write_observations_csv(obs: ObservationSeries, fileobj) -> None:
         writer.writerow([repr(float(t)), repr(float(y)), repr(float(x)), repr(float(v))])
 
 
+# The bytes of a plain body: unsigned or signed decimal cells, commas and LF.
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+
+
 def read_observations_csv(fileobj) -> ObservationSeries:
     """Read a ``time,value[,latent,noise]`` CSV; missing oracle columns are tolerated.
 
     Blank rows are skipped.  Raises :class:`InvalidParameter`, naming the
     file line of the first bad row, for a data row with fewer than two cells
     (four when the header names the oracle columns), a cell that is not a
-    finite number, a time outside [0, 1], or a time that does not follow the
-    one before it.
+    finite number or longer than the ``csv`` module's field limit, a time
+    outside [0, 1], or a time that does not follow the one before it.
+
+    The file is read once.  A plain body, as :func:`write_observations_csv`
+    writes it, is parsed in one numpy call; any other body, and any body
+    with a bad row, is read row by row, which words every refusal.  Both
+    give the same bits.
     """
-    reader = csv.reader(fileobj)
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header[:2]] != ["time", "value"]:
+    text = fileobj.read()
+    table = _plain_table(text)
+    if table is None or _fault(table) is not None:
+        return _read_rows(text)
+    return _series(table)
+
+
+def _header_width(header: list) -> int:
+    """The cells a data row needs under ``header``: 4 when it names the oracle columns."""
+    if [h.strip().lower() for h in header[:2]] != ["time", "value"]:
         raise InvalidParameter("expected a CSV header starting with 'time,value'")
-    has_oracle = len(header) >= 4
-    width = 4 if has_oracle else 2
-    lines, times, values, latent, noise = [], [], [], [], []
-    for row in reader:
-        try:
-            if len(row) < width:
-                raise ValueError(f"expected at least {width} cells, got {len(row)}")
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-            if has_oracle:
-                latent.append(float(row[2]))
-                noise.append(float(row[3]))
-        except ValueError as exc:
-            if any(cell.strip() for cell in row):
-                raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
-            continue  # a blank row, which fails before any of its cells is kept
-        lines.append(reader.line_num)
-    times = np.array(times)
-    values = np.array(values)
-    finite = np.isfinite(times) & np.isfinite(values)
-    if has_oracle:
-        finite &= np.isfinite(latent) & np.isfinite(noise)
-    inside = (0.0 <= times) & (times <= 1.0)
-    rising = np.concatenate(([True], np.diff(times) > 0))
-    bad = np.flatnonzero(~(finite & inside & rising))
-    if bad.size:
-        k = bad[0]
-        if not finite[k]:
-            why = "cells must be finite numbers"
-        elif not inside[k]:
-            why = (f"time {float(times[k])!r} is outside [0, 1]; rescale times to [0, 1] "
-                   "(the Fourier estimator is periodic on [0, 1])")
-        else:
-            why = (f"times must be strictly increasing; {float(times[k])!r} follows "
-                   f"{float(times[k - 1])!r}")
+    return 4 if len(header) >= 4 else 2
+
+
+def _plain_table(text: str) -> np.ndarray | None:
+    """The data rows of a plain CSV text, parsed in one call: a (rows, 2 or 4) array of
+    the cells the reader keeps, or None for any other text.
+
+    Plain: an unquoted header line without CR, then LF-ended rows of ASCII
+    decimal cells, each row exactly as wide as the header and no line longer
+    than the ``csv`` module's field limit.  Each cell is parsed by the same
+    correctly rounded conversion as ``float(cell)``, and row k is file line
+    k + 2.  Nothing is checked beyond the parse, except that a bad header
+    raises what the per-line reader raises for it.
+    """
+    head, _, body = text.partition("\n")
+    limit = csv.field_size_limit()
+    if '"' in head or "\r" in head or len(head) > limit or not body.endswith("\n"):
+        return None
+    names = head.split(",")  # the csv module's cells of such a line
+    width = _header_width(names)
+    raw = body.encode()
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    chars = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    commas = np.flatnonzero(chars == ord(","))
+    per_row = len(names) - 1  # commas
+    if (commas.size != per_row * ends.size
+            or np.diff(ends, prepend=-1).max() > limit + 1
+            or not np.array_equal(np.searchsorted(commas, ends),
+                                  per_row * np.arange(1, ends.size + 1))):
+        return None
+    try:
+        cells = np.fromstring(raw.replace(b"\n", b","), sep=",").reshape(ends.size, len(names))
+    except ValueError:  # a cell that is not a number
+        return None
+    return cells[:, :width]
+
+
+def _read_rows(text: str) -> ObservationSeries:
+    """Read CSV text row by row: the reference reader, which words every refusal."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    try:
+        width = _header_width(next(reader, []))
+        for row in reader:
+            try:
+                if len(row) < width:
+                    raise ValueError(f"expected at least {width} cells, got {len(row)}")
+                rows.append([float(cell) for cell in row[:width]])
+            except ValueError as exc:
+                if any(cell.strip() for cell in row):
+                    raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
+                continue  # a blank row
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise InvalidParameter(f"line {reader.line_num}: {exc}") from None
+    table = np.array(rows, dtype=float).reshape(-1, width)
+    fault = _fault(table)
+    if fault is not None:
+        k, why = fault
         raise InvalidParameter(f"line {lines[k]}: {why}")
-    if not latent:
-        latent = values.copy()
-        noise = np.zeros_like(values)
-    return ObservationSeries(
-        times=times,
-        values=values,
-        latent=np.asarray(latent),
-        noise=np.asarray(noise),
-    )
+    return _series(table)
+
+
+def _fault(table: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a (rows, cells) table that is not finite, has a time outside
+    [0, 1] or a time not above the one before it, with the reason; None if none."""
+    times = table[:, 0]
+    finite = np.isfinite(table).all(axis=1)
+    inside = (0.0 <= times) & (times <= 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row already not finite
+        rising = np.concatenate(([True], np.diff(times) > 0))
+    bad = np.flatnonzero(~(finite & inside & rising))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if not finite[k]:
+        return k, "cells must be finite numbers"
+    if not inside[k]:
+        return k, (f"time {float(times[k])!r} is outside [0, 1]; rescale times to [0, 1] "
+                   "(the Fourier estimator is periodic on [0, 1])")
+    return k, (f"times must be strictly increasing; {float(times[k])!r} follows "
+               f"{float(times[k - 1])!r}")
+
+
+def _series(table: np.ndarray) -> ObservationSeries:
+    """The series of a checked (rows, 2 or 4) table, each column in a buffer of its own."""
+    times, values, *oracle = (column.copy() for column in table.T)
+    latent, noise = oracle or (values.copy(), np.zeros_like(values))
+    return ObservationSeries(times=times, values=values, latent=latent, noise=noise)

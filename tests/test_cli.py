@@ -267,10 +267,13 @@ class TestBadCsvInput:
             "time,value\n0.0,1.0\n0.5,abc\n1.0,2.0\n",
             "time,value\n0.0,1.0\n0.5,2.0\n1.5,1.5\n",
             "time,value\n0,0\n0.5,1e308\n1,-1e308\n",
+            "time,value\n0," + "1" * 140000 + "\n1,2\n",
+            "time,value\ninf,1\ninf,2\n",
         ],
         ids=["one_cell_row", "nan_value", "inf_value", "decreasing_time", "repeated_time",
              "two_cell_oracle_row", "three_cell_oracle_row", "non_numeric_cell",
-             "time_outside_unit_interval", "overflowing_increment"],
+             "time_outside_unit_interval", "overflowing_increment", "oversized_cell",
+             "infinite_times"],
     )
     def test_exits_65_with_one_line_message(self, tmp_path, text):
         path = tmp_path / "bad.csv"

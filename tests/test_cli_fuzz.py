@@ -3,7 +3,9 @@
 Every run goes through ``cli.main`` in-process, with at most one stderr
 line, no traceback and no numpy ``RuntimeWarning`` (raised as an error
 here).  ``run_experiment`` is stubbed, so a config that passes the preflight
-ends at once with an empty summary instead of a simulation.
+ends at once with an empty summary instead of a simulation.  The same CSV
+cells, with hostile rows added, also check the CSV reader's one-call path
+against its per-line reference.
 """
 
 import contextlib
@@ -14,10 +16,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectralvol.cli as cli
+from spectralvol import market
+from spectralvol.errors import InvalidParameter
 from spectralvol.estimators import EstimatorKind
 from spectralvol.experiments import McSummary
 
@@ -132,3 +136,61 @@ def test_random_csv_bodies(body, kind, m, q):
     if code == cli.EX_OK:
         for row in out.splitlines():
             assert all(math.isfinite(float(cell)) for cell in row.split(",")[-2:]), row
+
+
+# Cells the float() of the per-line reader reads and the one-call path does not
+# (Arabic-Indic one, underscores, a space, quotes), cells neither reads, cells
+# that read as non-finite, as 0 or, in the time column, outside [0, 1].
+_HOSTILE_CELLS = ["\u0661", "1_0", " 0.25", '"0.5"', "0x10", "", "1e", "nan", "inf",
+                  "1e400", "1e-400", "2"]
+_ENDINGS = st.sampled_from(["\n"] * 5 + ["\r\n", "\r"] + ["\n"] * 5)
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """A 2-, 3- or 4-name header, its first name maybe quoted, and up to six rows at rising
+    times.  A row may carry a hostile cell, one cell too few or too many, a time that
+    does not rise, or a blank row before it; a line may end in CRLF or CR, and the text
+    may lack its final newline."""
+    width = draw(st.integers(2, 4))
+    header = ",".join(["time", "value", "latent", "noise"][:width])
+    lines = ['"time"' + header[4:] if draw(st.integers(0, 7)) == 0 else header]
+    count = draw(st.integers(0, 6))
+    for k in range(count):
+        cells = [repr(k / count)] + [draw(_CELLS) for _ in range(width - 1)]
+        spoil = draw(st.integers(0, 5 * len(_HOSTILE_CELLS)))
+        if spoil < len(_HOSTILE_CELLS):
+            cells[draw(st.integers(0, width - 1))] = _HOSTILE_CELLS[spoil]
+        elif spoil == len(_HOSTILE_CELLS):
+            cells.pop()
+        elif spoil == len(_HOSTILE_CELLS) + 1:
+            cells.append("0.5")
+        elif spoil == len(_HOSTILE_CELLS) + 2:
+            lines.append(draw(st.sampled_from(["", ",,", "   "])))
+        elif spoil == len(_HOSTILE_CELLS) + 3:
+            cells[0] = repr((k - 1) / count)  # a time that does not rise
+        lines.append(",".join(cells))
+    text = "".join(line + draw(_ENDINGS) for line in lines)
+    return text if draw(st.integers(0, 3)) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400)
+@given(text=_csv_texts())
+@example(text="time,value\n0.0,1.0\n0.5,2.0\n0.5,3.0\n")
+@example(text="time,value,latent,noise\n0.0,1.0,1.0,0.0\n0.5,1e400,1.0,0.0\n")
+@example(text="time,value,latent\n2,1.0,0\n")
+@example(text="time,value\n0.0,1.0,0.5\n2.0\n")  # as many cells as two rows need
+@example(text="time,value\n0.0,1.0\n0.5,0." + "1" * 140000 + "\n")
+def test_one_call_reader_matches_the_per_line_reader(text):
+    """Every text the per-line reader accepts reads to the same bits through
+    read_observations_csv, and every text it refuses is refused with its message."""
+    try:
+        expected = market._read_rows(text)
+    except InvalidParameter as exc:
+        with pytest.raises(InvalidParameter) as err:
+            market.read_observations_csv(io.StringIO(text))
+        assert str(err.value) == str(exc)
+        return
+    got = market.read_observations_csv(io.StringIO(text))
+    for name in ("times", "values", "latent", "noise"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name

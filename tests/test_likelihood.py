@@ -1,6 +1,7 @@
 """Tests for the spectral quasi-likelihood and its separating decomposition."""
 
 import importlib.util
+import io
 import math
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -30,13 +31,16 @@ from spectralvol.likelihood import (
     noise_variance_estimate,
     spectral_transform,
 )
+from spectralvol import market
 from spectralvol.market import (
     ConstantVol,
     EquidistantScheme,
     NoiseModel,
     ZeroDrift,
     observe,
+    read_observations_csv,
     simulate_latent,
+    write_observations_csv,
 )
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -784,3 +788,21 @@ class TestDeskBenchmarkCheck:
         for result in results:
             for a in _held_arrays(result):
                 assert _buffer_bytes(a) <= 16, (type(result).__name__, a.shape)  # a 1 x 1 value
+
+    def test_read_series_hold_own_columns(self):
+        """Each column the CSV reader returns is C-contiguous float64 in its own 8(n + 1)
+        bytes, on the one-call path and the per-line one, with and without the oracle
+        columns: a column that viewed the parsed table or the text would pin it."""
+        n = 390
+        scheme = EquidistantScheme(n)
+        obs = observe(simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, 1, 5),
+                      NoiseModel(1e-3), scheme, 6)
+        buf = io.StringIO()
+        write_observations_csv(obs, buf)
+        full = buf.getvalue()
+        short = "".join(line.rsplit(",", 2)[0] + "\n" for line in full.splitlines())
+        for text in (full, short):
+            for read in (read_observations_csv(io.StringIO(text)), market._read_rows(text)):
+                for a in _held_arrays(read):
+                    assert a.dtype == np.float64 and a.flags.c_contiguous
+                    assert _buffer_bytes(a) == 8 * (n + 1), a.shape

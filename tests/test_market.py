@@ -1017,10 +1017,14 @@ class TestCsvRoundTrip:
             ("time,value\n0.0,1.0\n\n1.5,nan\n", 4, "finite"),
             ("time,value\n0.5,1.0\n0.2,nan\n", 3, "finite"),
             ("time,value\n0.5,1.0\n0.2,2.0\n1.5,nan\n", 3, "strictly increasing"),
+            ("time,value\n0.0,1.0\n0.5," + "1" * 140000 + "\n", 3, "field limit"),
+            ("time,value\n0.0,1.0\n0.5,0." + "1" * 140000 + "\n", 3, "field limit"),
+            ("time,value," + "x" * 140000 + "\n0.0,1.0\n", 1, "field limit"),
         ],
         ids=["unordered_after_blank", "tie", "nan_time", "inf_value_after_blank",
              "inf_latent", "nan_noise_after_blank", "nan_value_outside", "nan_value_unordered",
-             "first_of_two_faults"],
+             "first_of_two_faults", "oversized_cell", "oversized_finite_cell",
+             "oversized_header_cell"],
     )
     def test_refusals_name_the_file_line(self, text, line, says):
         with pytest.raises(InvalidParameter, match=rf"^line {line}: .*{says}") as err:
@@ -1030,3 +1034,23 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self):
         with pytest.raises(InvalidParameter):
             read_observations_csv(io.StringIO("a,b\n1,2\n"))
+
+    def test_written_series_is_parsed_in_one_call(self):
+        """What write_observations_csv writes is a plain body, and gives the per-line bits."""
+        scheme = EquidistantScheme(64)
+        obs = observe(simulate_latent(ConstantVol(1.0), ZeroDrift(), scheme, 1, 2),
+                      NoiseModel(1e-3), scheme, 3)
+        buf = io.StringIO()
+        write_observations_csv(obs, buf)
+        table = market._plain_table(buf.getvalue())
+        assert table is not None and table.shape == (65, 4)
+        back = market._read_rows(buf.getvalue())
+        for j, column in enumerate((back.times, back.values, back.latent, back.noise)):
+            assert table[:, j].tobytes() == column.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_body_reads_empty(self):
+        """No rows and no warning (np.loadtxt, for one, warns on an empty body)."""
+        for text in ("time,value\n", "time,value,latent,noise\n"):
+            back = read_observations_csv(io.StringIO(text))
+            assert back.times.shape == back.noise.shape == (0,)
